@@ -33,25 +33,19 @@ from .geometry import (
 from .tensor import dumps as tensor_dumps
 from .tensor import loads as tensor_loads
 from .verify import (
+    CLAIMS,
     RandomConnectionSpec,
     aggregate_pass,
     report_json,
     report_text,
     verify_all,
     verify_bianchi,
-    verify_closed_forms,
-    verify_dropped_generator,
-    verify_lemma_3_1,
-    verify_lemma_3_4,
-    verify_lemma_3_5_partial,
-    verify_thm_3_2,
-    verify_thm_3_5,
+    verify_claim,
 )
 
 log = logging.getLogger("natforms")
 
 COMPUTE_TARGETS = ("torsion", "curvature", "normal0", "normal1", "generators", "dtor", "dR")
-VERIFY_TARGETS = ("all", "lemma-3.1", "thm-3.2", "lemma-3.4", "lemma-3.5", "thm-3.5", "bianchi")
 
 
 def _digest(path: str | None) -> str:
@@ -160,18 +154,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         log.info("input digest sha256:%s", _digest(args.connection))
         if target == "all":
             verdicts = verify_all(conn, spec, args.count)
-        elif target == "lemma-3.1":
-            verdicts = [verify_lemma_3_1(conn), verify_dropped_generator(conn)]
-        elif target == "thm-3.2":
-            verdicts = [verify_thm_3_2(conn), verify_closed_forms(conn)]
-        elif target == "lemma-3.4":
-            verdicts = [verify_lemma_3_4(conn)]
-        elif target == "lemma-3.5":
-            verdicts = [verify_lemma_3_5_partial(conn)]
-        elif target == "thm-3.5":
-            verdicts = [verify_thm_3_5(conn)]
-        else:  # unreachable behind argparse choices
-            raise ValueError(f"unknown verify target {target!r}")
+        else:
+            verdicts = verify_claim(target, conn)
     report = report_json(verdicts) if args.format == "json" else report_text(verdicts)
     sys.stdout.write(report if report.endswith("\n") else report + "\n")
     return 0 if aggregate_pass(verdicts) else 1
@@ -202,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank_cmd.set_defaults(func=cmd_rank)
 
     verify_cmd = sub.add_parser("verify", help="run machine-checked verdicts")
-    verify_cmd.add_argument("target", choices=VERIFY_TARGETS)
+    verify_cmd.add_argument("target", choices=("all", *CLAIMS, "bianchi"))
     verify_cmd.add_argument("--connection", help="connection JSON file (default: bundled example)")
     verify_cmd.add_argument("--seed", type=int, default=1, help="seed for randomized suites")
     verify_cmd.add_argument("--count", type=int, default=20, help="number of random connections")

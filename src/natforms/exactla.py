@@ -66,19 +66,6 @@ def matrix_from_columns(columns: Sequence[Sequence[Fraction]]) -> RationalMatrix
     return RationalMatrix(nrows, ncols, tuple(flat))
 
 
-@dataclass(frozen=True)
-class FlattenedField:
-    """A single field's exact coordinate vector with its basis labels."""
-
-    coordinates: tuple[Fraction, ...]
-    basis_manifest: tuple[BasisLabel, ...]
-
-
-def flatten_one(field: TensorField) -> FlattenedField:
-    manifest, matrix = flatten([field])
-    return FlattenedField(matrix.column(0), tuple(manifest))
-
-
 def flatten(fields: Sequence[TensorField]) -> tuple[list[BasisLabel], RationalMatrix]:
     """Coefficient matrix of the fields: one column per field.
 

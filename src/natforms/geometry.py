@@ -56,10 +56,6 @@ class Connection:
         n = self.dimension
         return self.christoffel[((l - 1) * n + (i - 1)) * n + (j - 1)]
 
-    @property
-    def is_flat_zero(self) -> bool:
-        return all(g.is_zero for g in self.christoffel)
-
 
 def connection_from_entries(n: int, entries: dict[tuple[int, int, int], Polynomial]) -> Connection:
     """Build a connection from a sparse {(l, i, j): polynomial} map; rest zero."""
@@ -169,9 +165,16 @@ def _gamma_tables(conn: Connection):
 
 # -- form wrappers ---------------------------------------------------------------
 
-def _form_pairs(degree: int) -> tuple[tuple[int, int], ...]:
+def _check_form(kind: str, degree: int, tensor: TensorField, covariant: int) -> None:
+    """Raise unless tensor has shape (covariant, 1) and alternates in its
+    first ``degree`` slots."""
+    expected = TensorShape(covariant, 1, tensor.shape.n)
+    if tensor.shape != expected:
+        raise ValueError(f"{kind} {degree}-form needs shape {expected}, got {tensor.shape}")
     # adjacent transpositions generate the full symmetric group
-    return tuple((s, s + 1) for s in range(1, degree))
+    for s in range(1, degree):
+        if not is_antisymmetric(tensor, s, s + 1):
+            raise ValueError(f"form slots ({s},{s + 1}) are not antisymmetric")
 
 
 @dataclass(frozen=True)
@@ -182,18 +185,7 @@ class VectorValuedForm:
     tensor: TensorField
 
     def __post_init__(self) -> None:
-        expected = TensorShape(self.degree, 1, self.tensor.shape.n)
-        if self.tensor.shape != expected:
-            raise ValueError(
-                f"vector-valued {self.degree}-form needs shape {expected}, got {self.tensor.shape}"
-            )
-        pairs = _form_pairs(self.degree)
-        for s1, s2 in pairs:
-            if not is_antisymmetric(self.tensor, s1, s2):
-                raise ValueError(f"form slots ({s1},{s2}) are not antisymmetric")
-        object.__setattr__(
-            self, "tensor", TensorField(self.tensor.shape, self.tensor.components, pairs)
-        )
+        _check_form("vector-valued", self.degree, self.tensor, self.degree)
 
     @property
     def n(self) -> int:
@@ -213,19 +205,7 @@ class EndValuedForm:
     tensor: TensorField
 
     def __post_init__(self) -> None:
-        expected = TensorShape(self.degree + 1, 1, self.tensor.shape.n)
-        if self.tensor.shape != expected:
-            raise ValueError(
-                f"endomorphism-valued {self.degree}-form needs shape {expected}, "
-                f"got {self.tensor.shape}"
-            )
-        pairs = _form_pairs(self.degree)
-        for s1, s2 in pairs:
-            if not is_antisymmetric(self.tensor, s1, s2):
-                raise ValueError(f"form slots ({s1},{s2}) are not antisymmetric")
-        object.__setattr__(
-            self, "tensor", TensorField(self.tensor.shape, self.tensor.components, pairs)
-        )
+        _check_form("endomorphism-valued", self.degree, self.tensor, self.degree + 1)
 
     @property
     def n(self) -> int:
@@ -422,7 +402,7 @@ def exterior_derivative(theta: TensorField) -> TensorField:
             theta.get((j,), ()).partial_derivative(i)
             - theta.get((i,), ()).partial_derivative(j)
         )
-    return TensorField(TensorShape(2, 0, n), tuple(comps), ((1, 2),))
+    return TensorField(TensorShape(2, 0, n), tuple(comps))
 
 
 def identity_oneform(n: int) -> VectorValuedForm:
@@ -434,8 +414,7 @@ def identity_oneform(n: int) -> VectorValuedForm:
 
 def normal0(conn: Connection) -> TensorField:
     """Half the torsion, as a (2,1) field antisymmetric in its covariant pair."""
-    half = torsion(conn).tensor.scale(Fraction(1, 2))
-    return TensorField(half.shape, half.components, ((1, 2),))
+    return torsion(conn).tensor.scale(Fraction(1, 2))
 
 
 def normal1(conn: Connection) -> TensorField:

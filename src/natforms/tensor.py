@@ -3,7 +3,9 @@
 A (p,q)-tensor field over R^n is stored as a flat tuple of n^(p+q)
 polynomials in row-major order, covariant indices first, each index
 running over 1..n.  This fixed layout is the contract for the
-coefficient-flattening in :mod:`natforms.exactla`.
+coefficient-flattening in :mod:`natforms.exactla`.  Symmetry in a slot
+pair is a property of the components alone, checked exactly by
+:func:`is_antisymmetric`.
 
 Slot arguments in the public API are 1-based throughout, matching the
 index conventions of the formulas this library implements.
@@ -47,26 +49,16 @@ def _flat(n: int, idx: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class TensorField:
-    """Immutable dense tensor field; components indexed covariant-first.
-
-    ``antisym_pairs`` declares covariant slot pairs in which the field is
-    antisymmetric.  It is validation metadata, not a storage optimization:
-    components are always stored densely, and :meth:`validate` checks each
-    declared pair exactly.
-    """
+    """Immutable dense tensor field; components indexed covariant-first."""
 
     shape: TensorShape
     components: tuple[Polynomial, ...]
-    antisym_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.components) != self.shape.size:
             raise ValueError(
                 f"expected {self.shape.size} components, got {len(self.components)}"
             )
-        for s1, s2 in self.antisym_pairs:
-            if not (1 <= s1 <= self.shape.p and 1 <= s2 <= self.shape.p and s1 != s2):
-                raise ValueError(f"invalid antisymmetry pair ({s1},{s2})")
 
     @property
     def n(self) -> int:
@@ -99,11 +91,8 @@ class TensorField:
         if not isinstance(other, TensorField):
             return NotImplemented
         self._check_shape(other)
-        shared = tuple(p for p in self.antisym_pairs if p in other.antisym_pairs)
         return TensorField(
-            self.shape,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-            shared,
+            self.shape, tuple(a + b for a, b in zip(self.components, other.components))
         )
 
     def __sub__(self, other: TensorField) -> TensorField:
@@ -112,32 +101,19 @@ class TensorField:
         return self + (-other)
 
     def __neg__(self) -> TensorField:
-        return TensorField(self.shape, tuple(-c for c in self.components), self.antisym_pairs)
+        return TensorField(self.shape, tuple(-c for c in self.components))
 
     def scale(self, factor) -> TensorField:
-        return TensorField(
-            self.shape, tuple(c.scale(factor) for c in self.components), self.antisym_pairs
-        )
+        return TensorField(self.shape, tuple(c.scale(factor) for c in self.components))
 
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
 
-    def validate(self) -> None:
-        """Check every declared antisymmetry pair componentwise, exactly."""
-        for s1, s2 in self.antisym_pairs:
-            if not is_antisymmetric(self, s1, s2):
-                raise ValueError(f"declared antisymmetry in slots ({s1},{s2}) does not hold")
-
 
 def zero(shape: TensorShape) -> TensorField:
     z = Polynomial.zero(shape.n)
     return TensorField(shape, (z,) * shape.size)
-
-
-def scalar(n: int, value) -> TensorField:
-    """The (0,0) tensor holding a constant polynomial."""
-    return TensorField(TensorShape(0, 0, n), (Polynomial.constant(n, value),))
 
 
 def delta(n: int) -> TensorField:
@@ -211,28 +187,6 @@ def permute_covariant(a: TensorField, perm: Sequence[int]) -> TensorField:
     return TensorField(a.shape, tuple(comps))
 
 
-def permute_contravariant(a: TensorField, perm: Sequence[int]) -> TensorField:
-    p, q, n = a.shape.p, a.shape.q, a.shape.n
-    _check_permutation(perm, q)
-    comps: list[Polynomial] = []
-    for idx in itertools.product(range(n), repeat=p + q):
-        cov, contra = idx[:p], idx[p:]
-        src_contra = tuple(contra[s - 1] for s in perm)
-        comps.append(a.components[_flat(n, cov + src_contra)])
-    return TensorField(a.shape, tuple(comps))
-
-
-def insert_delta(a: TensorField, r: int) -> TensorField:
-    """Append r Kronecker-delta factors: a ⊗ δ ⊗ ... ⊗ δ."""
-    if r < 0:
-        raise ValueError(f"delta count must be >= 0, got {r}")
-    out = a
-    d = delta(a.n)
-    for _ in range(r):
-        out = tensor_product(out, d)
-    return out
-
-
 def _swap_perm(p: int, s1: int, s2: int) -> tuple[int, ...]:
     perm = list(range(1, p + 1))
     perm[s1 - 1], perm[s2 - 1] = perm[s2 - 1], perm[s1 - 1]
@@ -247,10 +201,7 @@ def antisymmetrize_pair(a: TensorField, s1: int, s2: int) -> TensorField:
     p = a.shape.p
     if not (1 <= s1 <= p and 1 <= s2 <= p) or s1 == s2:
         raise ValueError(f"invalid covariant slot pair ({s1},{s2}) for p={p}")
-    swapped = permute_covariant(a, _swap_perm(p, s1, s2))
-    result = a - swapped
-    pair = (min(s1, s2), max(s1, s2))
-    return TensorField(result.shape, result.components, (pair,))
+    return a - permute_covariant(a, _swap_perm(p, s1, s2))
 
 
 def is_antisymmetric(a: TensorField, s1: int, s2: int) -> bool:

@@ -6,8 +6,11 @@ independently before the verdict is emitted: kernel vectors are multiplied
 back into the matrix, memberships are re-substituted, and the closed
 combinations are re-differentiated on the tensor fields themselves.
 
-Claims about the 19-generator family require dimension >= 4 and are
-refused below that rather than reporting a misleading failure.
+Every quantity that two or more verdicts read is derived once per
+connection by :class:`Derived`, and :data:`CLAIMS` is the one ordered list
+of the claims that take a connection.  Claims about the 19-generator family
+require dimension >= 4 and are refused below that rather than reporting a
+misleading failure.
 """
 
 from __future__ import annotations
@@ -17,17 +20,21 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactla import (
     RationalMatrix,
     flatten,
     in_span,
     kernel_basis,
+    matrix_from_columns,
     matrix_from_rows,
     matrix_vector,
     rank,
+    span_equal,
 )
 from .generators import (
+    GeneratorFamily,
     apply_scheme,
     doubled_d5_variant,
     dropped_c3_generator,
@@ -38,6 +45,7 @@ from .generators import (
 from .geometry import (
     Connection,
     EndValuedForm,
+    VectorValuedForm,
     connection_from_entries,
     connection_to_json_obj,
     curvature,
@@ -115,11 +123,83 @@ def aggregate_pass(verdicts: list[Verdict]) -> bool:
     return all(v.passed for v in verdicts)
 
 
-def _require_dim4(conn: Connection) -> None:
-    if conn.dimension < 4:
-        raise ValueError(
-            f"this claim requires dimension >= 4, got {conn.dimension}"
-        )
+class Derived:
+    """The quantities of one connection that two or more verdicts read.
+
+    Each is computed on first use and kept for the next verdict, so verdicts
+    read these values and never modify them.  A connection of dimension
+    below 4 is refused here, before any verdict runs.
+    """
+
+    def __init__(self, conn: Connection) -> None:
+        if conn.dimension < 4:
+            raise ValueError(
+                f"this claim requires dimension >= 4, got {conn.dimension}"
+            )
+        self.conn = conn
+
+    @cached_property
+    def torsion(self) -> VectorValuedForm:
+        return torsion(self.conn)
+
+    @cached_property
+    def curvature(self) -> EndValuedForm:
+        return curvature(self.conn)
+
+    @cached_property
+    def torsion_trace(self) -> TensorField:
+        return contract(self.torsion.tensor, 1, 1)
+
+    @cached_property
+    def curvature_trace(self) -> TensorField:
+        return contract(self.curvature.tensor, 3, 1)
+
+    @cached_property
+    def normal0(self) -> TensorField:
+        return normal0(self.conn)
+
+    @cached_property
+    def normal1(self) -> TensorField:
+        return normal1(self.conn)
+
+    @cached_property
+    def family(self) -> GeneratorFamily:
+        return family_from_connection(self.conn)
+
+    @cached_property
+    def closed_combinations(self) -> dict[str, TensorField]:
+        """T2-T13, T4 and T7: the combinations the thm-3.2 kernel names."""
+        family = self.family
+        return {
+            "T2-T13": family["T2"].form.tensor - family["T13"].form.tensor,
+            "T4": family["T4"].form.tensor,
+            "T7": family["T7"].form.tensor,
+        }
+
+    @cached_property
+    def trace_wedge(self) -> VectorValuedForm:
+        """H = (tr Tor)^I."""
+        return wedge_oneform_identity(self.torsion_trace)
+
+    @cached_property
+    def curvature_trace_identity(self) -> EndValuedForm:
+        """(tr R) x I."""
+        return tensor_identity(self.curvature_trace)
+
+    @cached_property
+    def d_torsion_trace_identity(self) -> EndValuedForm:
+        """(d tr Tor) x I."""
+        return tensor_identity(exterior_derivative(self.torsion_trace))
+
+    @cached_property
+    def three_forms(self) -> dict[str, TensorField]:
+        """The four derived vector-valued 3-forms of lemma 3.4."""
+        return {
+            "R^I": wedge_endo_identity(self.curvature).tensor,
+            "(trR xI)^I": wedge_endo_identity(self.curvature_trace_identity).tensor,
+            "(d trTor xI)^I": wedge_endo_identity(self.d_torsion_trace_identity).tensor,
+            "dH": ext_cov_deriv_vector(self.conn, self.trace_wedge).tensor,
+        }
 
 
 # -- randomized connections ------------------------------------------------------
@@ -176,14 +256,13 @@ def random_connections(spec: RandomConnectionSpec, count: int) -> list[Connectio
 
 # -- individual claims -------------------------------------------------------------
 
-def verify_lemma_3_1(conn: Connection) -> Verdict:
+def verify_lemma_3_1(d: Derived) -> Verdict:
     """The 19 flattened generators are linearly independent (rank 19)."""
-    _require_dim4(conn)
-    family = family_from_connection(conn)
+    family = d.family
     fields = family.fields()
     _, matrix = flatten(fields)
     observed_rank = rank(matrix)
-    n0 = normal0(conn)
+    n0 = d.normal0
     doubled = doubled_d5_variant(n0)
     _, matrix_doubled = flatten(fields[:18] + [doubled])
     certificate = {
@@ -209,11 +288,10 @@ def verify_lemma_3_1(conn: Connection) -> Verdict:
     )
 
 
-def verify_dropped_generator(conn: Connection) -> Verdict:
+def verify_dropped_generator(d: Derived) -> Verdict:
     """The removed C3 pattern is a combination of T5, T6, T8, T9, T11."""
-    _require_dim4(conn)
-    family = family_from_connection(conn)
-    dropped = dropped_c3_generator(normal1(conn))
+    family = d.family
+    dropped = dropped_c3_generator(d.normal1)
     keep = ["T5", "T6", "T8", "T9", "T11"]
     fields = [family[label].form.tensor for label in keep] + [dropped]
     _, matrix = flatten(fields)
@@ -243,43 +321,29 @@ def _expected_kernel_vectors() -> list[tuple[Fraction, ...]]:
     return [unit((2, 1), (13, -1)), unit((4, 1)), unit((7, 1))]
 
 
-def verify_thm_3_2(conn: Connection) -> Verdict:
+def verify_thm_3_2(d: Derived) -> Verdict:
     """The closed subspace has dimension 3: kernel = span{e2-e13, e4, e7}."""
-    _require_dim4(conn)
-    family = family_from_connection(conn)
-    differentials = [ext_cov_deriv_endo(conn, e.form) for e in family.entries]
-    _, matrix = flatten([d.tensor for d in differentials])
+    # the 19 differentials are read only here, so they are not kept on d
+    differentials = [ext_cov_deriv_endo(d.conn, e.form).tensor for e in d.family.entries]
+    _, matrix = flatten(differentials)
     kernel = kernel_basis(matrix)
     for vec in kernel:
         if any(v != 0 for v in matrix_vector(matrix, vec)):
             raise AssertionError("kernel certificate failed re-multiplication")
     expected = _expected_kernel_vectors()
-    kernel_in_expected = [in_span(v, expected) for v in kernel]
-    expected_in_kernel = [in_span(v, kernel) for v in expected] if kernel else [
-        (False, None)
-    ] * 3
-    spans_equal = (
-        len(kernel) == 3
-        and all(m[0] for m in kernel_in_expected)
-        and all(m[0] for m in expected_in_kernel)
-    )
+    spans_equal, spans = span_equal(kernel, expected)
     # re-check closedness directly on the tensor fields, upstream of flattening
-    combos = {
-        "T2-T13": family["T2"].form.tensor - family["T13"].form.tensor,
-        "T4": family["T4"].form.tensor,
-        "T7": family["T7"].form.tensor,
-    }
     closed_recheck = {
-        label: ext_cov_deriv_endo(conn, EndValuedForm(2, fld)).tensor.is_zero
-        for label, fld in combos.items()
+        label: ext_cov_deriv_endo(d.conn, EndValuedForm(2, fld)).tensor.is_zero
+        for label, fld in d.closed_combinations.items()
     }
     certificate = {
         "matrix_rows": matrix.rows,
         "kernel_dimension": len(kernel),
         "kernel_vectors": [list(v) for v in kernel],
         "expected_vectors": [list(v) for v in expected],
-        "kernel_in_expected_span": [m[0] for m in kernel_in_expected],
-        "expected_in_kernel_span": [m[0] for m in expected_in_kernel],
+        "kernel_in_expected_span": [m[0] for m in spans["a_in_b"]],
+        "expected_in_kernel_span": [m[0] for m in spans["b_in_a"]],
         "closed_recheck_on_fields": closed_recheck,
     }
     passed = spans_equal and all(closed_recheck.values())
@@ -294,47 +358,26 @@ def verify_thm_3_2(conn: Connection) -> Verdict:
     )
 
 
-def _closed_form_fields(conn: Connection) -> dict[str, TensorField]:
+def _closed_form_fields(d: Derived) -> dict[str, TensorField]:
     """The three reference closed 2-forms: R, -d(tr Tor)xI - (tr R)xI, -(tr R)xI."""
-    r = curvature(conn)
-    torsion_trace = contract(torsion(conn).tensor, 1, 1)
-    curvature_trace = contract(r.tensor, 3, 1)
-    d_torsion_trace = exterior_derivative(torsion_trace)
+    trace_identity = d.curvature_trace_identity.tensor
     return {
-        "R": r.tensor,
-        "-d(trTor)xI-(trR)xI": (
-            tensor_identity(d_torsion_trace).tensor.scale(-1)
-            - tensor_identity(curvature_trace).tensor
-        ),
-        "-(trR)xI": tensor_identity(curvature_trace).tensor.scale(-1),
+        "R": d.curvature.tensor,
+        "-d(trTor)xI-(trR)xI": d.d_torsion_trace_identity.tensor.scale(-1) - trace_identity,
+        "-(trR)xI": trace_identity.scale(-1),
     }
 
 
-def verify_closed_forms(conn: Connection) -> Verdict:
+def verify_closed_forms(d: Derived) -> Verdict:
     """span{T2-T13, T4, T7} equals the span of the three reference closed
     forms; exact per-pair equalities are reported but only the span equality
     is the pass condition."""
-    _require_dim4(conn)
-    family = family_from_connection(conn)
-    combos = {
-        "T2-T13": family["T2"].form.tensor - family["T13"].form.tensor,
-        "T4": family["T4"].form.tensor,
-        "T7": family["T7"].form.tensor,
-    }
-    references = _closed_form_fields(conn)
+    combos = d.closed_combinations
+    references = _closed_form_fields(d)
     all_fields = list(combos.values()) + list(references.values())
     _, matrix = flatten(all_fields)
     columns = [matrix.column(c) for c in range(matrix.cols)]
-    lhs, rhs = columns[:3], columns[3:]
-    lhs_in_rhs = [in_span(v, rhs) for v in lhs]
-    rhs_in_lhs = [in_span(v, lhs) for v in rhs]
-    rank_lhs = rank(matrix_from_rows(list(zip(*lhs)))) if matrix.rows else 0
-    rank_rhs = rank(matrix_from_rows(list(zip(*rhs)))) if matrix.rows else 0
-    spans_equal = (
-        rank_lhs == rank_rhs
-        and all(m[0] for m in lhs_in_rhs)
-        and all(m[0] for m in rhs_in_lhs)
-    )
+    spans_equal, spans = span_equal(columns[:3], columns[3:])
     pairings = {}
     for (label, fld), ref_label in zip(combos.items(), references):
         ref_field = references[ref_label]
@@ -347,10 +390,10 @@ def verify_closed_forms(conn: Connection) -> Verdict:
             "scale": coeffs[0] if member else None,
         }
     certificate = {
-        "rank_combinations": rank_lhs,
-        "rank_references": rank_rhs,
-        "combinations_in_reference_span": [m[0] for m in lhs_in_rhs],
-        "references_in_combination_span": [m[0] for m in rhs_in_lhs],
+        "rank_combinations": spans["rank_a"],
+        "rank_references": spans["rank_b"],
+        "combinations_in_reference_span": [m[0] for m in spans["a_in_b"]],
+        "references_in_combination_span": [m[0] for m in spans["b_in_a"]],
         "pairwise_identification": pairings,
     }
     return Verdict(
@@ -362,25 +405,9 @@ def verify_closed_forms(conn: Connection) -> Verdict:
     )
 
 
-def _three_form_basis(conn: Connection) -> dict[str, TensorField]:
-    r = curvature(conn)
-    torsion_trace = contract(torsion(conn).tensor, 1, 1)
-    curvature_trace = contract(r.tensor, 3, 1)
-    h = wedge_oneform_identity(torsion_trace)
-    return {
-        "R^I": wedge_endo_identity(r).tensor,
-        "(trR xI)^I": wedge_endo_identity(tensor_identity(curvature_trace)).tensor,
-        "(d trTor xI)^I": wedge_endo_identity(
-            tensor_identity(exterior_derivative(torsion_trace))
-        ).tensor,
-        "dH": ext_cov_deriv_vector(conn, h).tensor,
-    }
-
-
-def verify_lemma_3_4(conn: Connection) -> Verdict:
+def verify_lemma_3_4(d: Derived) -> Verdict:
     """The four derived vector-valued 3-forms are linearly independent."""
-    _require_dim4(conn)
-    forms = _three_form_basis(conn)
+    forms = d.three_forms
     _, matrix = flatten(list(forms.values()))
     observed_rank = rank(matrix)
     return Verdict(
@@ -392,16 +419,15 @@ def verify_lemma_3_4(conn: Connection) -> Verdict:
     )
 
 
-def verify_lemma_3_5_partial(conn: Connection) -> Verdict:
+def verify_lemma_3_5_partial(d: Derived) -> Verdict:
     """Torsion and the trace-wedge 2-form are independent (rank 2).
 
     Only independence is checked here; that the pair spans all natural
     vector-valued 2-forms rests on prior classification work and is out
     of scope, so this claim is deliberately partial.
     """
-    _require_dim4(conn)
-    tor = torsion(conn).tensor
-    h = wedge_oneform_identity(contract(tor, 1, 1)).tensor
+    tor = d.torsion.tensor
+    h = d.trace_wedge.tensor
     _, matrix = flatten([tor, h])
     observed_rank = rank(matrix)
     return Verdict(
@@ -417,36 +443,22 @@ def verify_lemma_3_5_partial(conn: Connection) -> Verdict:
     )
 
 
-def verify_thm_3_5(conn: Connection) -> Verdict:
+def verify_thm_3_5(d: Derived) -> Verdict:
     """Uniqueness system: d(la*Tor + mu*H) = (l1*R + l2*trR xI + l3*d trTor xI)^I
     and closedness of the second form admit only (la, mu, l1, l2, l3)
     proportional to (1, 0, 1, 0, 0)."""
-    _require_dim4(conn)
-    tor = torsion(conn)
-    r = curvature(conn)
-    torsion_trace = contract(tor.tensor, 1, 1)
-    curvature_trace = contract(r.tensor, 3, 1)
-    h = wedge_oneform_identity(torsion_trace)
-    d_tor = ext_cov_deriv_vector(conn, tor).tensor
-    d_h = ext_cov_deriv_vector(conn, h).tensor
-    wedges = _three_form_basis(conn)
+    wedges = d.three_forms
     _, block1 = flatten(
         [
-            d_tor,
-            d_h,
+            ext_cov_deriv_vector(d.conn, d.torsion).tensor,
+            wedges["dH"],
             wedges["R^I"].scale(-1),
             wedges["(trR xI)^I"].scale(-1),
             wedges["(d trTor xI)^I"].scale(-1),
         ]
     )
-    beta_fields = [
-        r.tensor,
-        tensor_identity(curvature_trace).tensor,
-        tensor_identity(exterior_derivative(torsion_trace)).tensor,
-    ]
-    beta_diffs = [
-        ext_cov_deriv_endo(conn, EndValuedForm(2, fld)).tensor for fld in beta_fields
-    ]
+    betas = (d.curvature, d.curvature_trace_identity, d.d_torsion_trace_identity)
+    beta_diffs = [ext_cov_deriv_endo(d.conn, beta).tensor for beta in betas]
     _, block2 = flatten(beta_diffs)
     rows = [list(block1.row(i)) for i in range(block1.rows)]
     zero = Fraction(0)
@@ -530,11 +542,10 @@ def verify_bianchi(spec: RandomConnectionSpec, count: int = 20) -> Verdict:
     )
 
 
-def verify_schemes(conn: Connection) -> Verdict:
+def verify_schemes(d: Derived) -> Verdict:
     """Scheme enumeration counts and containment of the hand-built family
     in the projected scheme spans."""
-    _require_dim4(conn)
-    n = conn.dimension
+    n = d.conn.dimension
     shape31 = TensorShape(3, 1, n)
     shape42 = TensorShape(4, 2, n)
     schemes31 = enumerate_schemes(shape31, shape31)
@@ -543,12 +554,11 @@ def verify_schemes(conn: Connection) -> Verdict:
     counts_ok = (
         len(schemes31) == 24 and len(schemes42) == 120 and schemes_mismatch == []
     )
-    family = family_from_connection(conn)
-    n0, n1 = normal0(conn), normal1(conn)
+    family = d.family
     projected31 = [
-        antisymmetrize_pair(apply_scheme(s, n1), 1, 2) for s in schemes31
+        antisymmetrize_pair(apply_scheme(s, d.normal1), 1, 2) for s in schemes31
     ]
-    n0_squared = tensor_product(n0, n0)
+    n0_squared = tensor_product(d.normal0, d.normal0)
     projected42 = [
         antisymmetrize_pair(apply_scheme(s, n0_squared), 1, 2) for s in schemes42
     ]
@@ -569,7 +579,7 @@ def verify_schemes(conn: Connection) -> Verdict:
                     else None
                 ),
             }
-        base_rank = rank(matrix_from_rows(list(zip(*base)))) if matrix.rows else 0
+        base_rank = rank(matrix_from_columns(base))
         return base_rank, memberships
 
     rank31, members31 = containment(projected31, [f"T{i}" for i in range(1, 12)])
@@ -602,16 +612,28 @@ def verify_schemes(conn: Connection) -> Verdict:
     )
 
 
+# Each CLI target that takes a connection, mapped to the verdicts it emits,
+# in report order.  The lambdas look each verdict function up by name when
+# called, so a wrapper bound to that name after import sees every call.
+CLAIMS = {
+    "lemma-3.1": (lambda d: verify_lemma_3_1(d), lambda d: verify_dropped_generator(d)),
+    "thm-3.2": (lambda d: verify_thm_3_2(d), lambda d: verify_closed_forms(d)),
+    "lemma-3.4": (lambda d: verify_lemma_3_4(d),),
+    "lemma-3.5": (lambda d: verify_lemma_3_5_partial(d),),
+    "thm-3.5": (lambda d: verify_thm_3_5(d),),
+    "schemes": (lambda d: verify_schemes(d),),
+}
+
+
+def verify_claim(target: str, conn: Connection) -> list[Verdict]:
+    """The verdicts of one CLAIMS target on conn."""
+    d = Derived(conn)
+    return [claim(d) for claim in CLAIMS[target]]
+
+
 def verify_all(conn: Connection, spec: RandomConnectionSpec, count: int = 20) -> list[Verdict]:
-    """Every verdict in fixed order; aggregate passes iff all pass."""
-    return [
-        verify_lemma_3_1(conn),
-        verify_dropped_generator(conn),
-        verify_thm_3_2(conn),
-        verify_closed_forms(conn),
-        verify_lemma_3_4(conn),
-        verify_lemma_3_5_partial(conn),
-        verify_thm_3_5(conn),
-        verify_schemes(conn),
-        verify_bianchi(spec, count),
-    ]
+    """Every CLAIMS verdict in registry order, then the bianchi suite;
+    aggregate passes iff all pass."""
+    d = Derived(conn)
+    verdicts = [claim(d) for claims in CLAIMS.values() for claim in claims]
+    return verdicts + [verify_bianchi(spec, count)]

@@ -10,6 +10,8 @@ from natforms.tensor import loads as tensor_loads
 
 PAPER = "testdata/paper_connection.json"
 FLAT = "testdata/flat_connection.json"
+# stdout of `natforms verify all --format json` on the bundled connection
+GOLDEN_ALL = "testdata/golden/verify_all.json"
 
 
 def run(argv):
@@ -113,6 +115,13 @@ def test_verify_all_json_reports_are_byte_identical(capsys):
     assert run(["verify", "all", "--format", "json"]) == 0
     second = capsys.readouterr().out
     assert first == second
+    with open(GOLDEN_ALL, encoding="utf-8") as handle:
+        assert first == handle.read()
+
+
+def test_verify_schemes_target(capsys):
+    assert run(["verify", "schemes"]) == 0
+    assert "claim schemes: PASS" in capsys.readouterr().out
 
 
 def test_verify_json_format_is_parseable(capsys):

@@ -233,15 +233,3 @@ def test_rank_of_torsion_and_double():
     tor = torsion(reference_connection()).tensor
     _, matrix = flatten([tor, tor.scale(2)])
     assert rank(matrix) == 1
-
-
-def test_flatten_one_matches_joint_flatten():
-    from natforms.exactla import flatten_one
-
-    tor = torsion(reference_connection()).tensor
-    single = flatten_one(tor)
-    manifest, matrix = flatten([tor])
-    assert single.basis_manifest == tuple(manifest)
-    assert single.coordinates == matrix.column(0)
-    back = reconstruct(single.basis_manifest, single.coordinates, tor.shape)
-    assert equal(back, tor)

@@ -8,6 +8,7 @@ from natforms.generators import family_from_connection
 from natforms.geometry import connection_from_entries, flat_connection
 from natforms.poly import parse
 from natforms.verify import (
+    Derived,
     RandomConnectionSpec,
     aggregate_pass,
     random_connections,
@@ -36,15 +37,15 @@ def traceless_conn():
 def test_small_dimension_is_refused():
     conn = flat_connection(3)
     with pytest.raises(ValueError, match="dimension >= 4"):
-        verify_lemma_3_1(conn)
+        verify_lemma_3_1(Derived(conn))
     with pytest.raises(ValueError, match="dimension >= 4"):
-        verify_thm_3_2(conn)
+        verify_thm_3_2(Derived(conn))
 
 
 # -- lemma 3.1 -------------------------------------------------------------------
 
 def test_lemma_3_1_passes_on_reference(ref_conn):
-    verdict = verify_lemma_3_1(ref_conn)
+    verdict = verify_lemma_3_1(Derived(ref_conn))
     assert verdict.passed
     assert verdict.certificate["rank"] == 19
     assert verdict.certificate["t16_variants"]["printed_jki_pattern_is_identically_zero"]
@@ -52,7 +53,7 @@ def test_lemma_3_1_passes_on_reference(ref_conn):
 
 
 def test_lemma_3_1_fails_on_flat(flat_conn):
-    verdict = verify_lemma_3_1(flat_conn)
+    verdict = verify_lemma_3_1(Derived(flat_conn))
     assert not verdict.passed
     assert verdict.observed == "rank 0"
 
@@ -67,7 +68,7 @@ def test_symmetric_connection_rank_bounded(symmetric_conn):
 
 
 def test_dropped_generator_certificate(ref_conn):
-    verdict = verify_dropped_generator(ref_conn)
+    verdict = verify_dropped_generator(Derived(ref_conn))
     assert verdict.passed
     coeffs = verdict.certificate["coefficients"]
     assert set(coeffs) == {"T5", "T6", "T8", "T9", "T11"}
@@ -76,7 +77,7 @@ def test_dropped_generator_certificate(ref_conn):
 # -- theorem 3.2 --------------------------------------------------------------------
 
 def test_thm_3_2_passes_on_reference(ref_conn):
-    verdict = verify_thm_3_2(ref_conn)
+    verdict = verify_thm_3_2(Derived(ref_conn))
     assert verdict.passed
     cert = verdict.certificate
     assert cert["kernel_dimension"] == 3
@@ -84,13 +85,13 @@ def test_thm_3_2_passes_on_reference(ref_conn):
 
 
 def test_thm_3_2_degenerate_on_flat(flat_conn):
-    verdict = verify_thm_3_2(flat_conn)
+    verdict = verify_thm_3_2(Derived(flat_conn))
     assert not verdict.passed
     assert verdict.certificate["kernel_dimension"] == 19
 
 
 def test_closed_forms_identification_is_exact(ref_conn):
-    verdict = verify_closed_forms(ref_conn)
+    verdict = verify_closed_forms(Derived(ref_conn))
     assert verdict.passed
     for pairing in verdict.certificate["pairwise_identification"].values():
         assert pairing["exactly_equal"] is True
@@ -100,28 +101,28 @@ def test_closed_forms_identification_is_exact(ref_conn):
 # -- lemmas 3.4 / 3.5 ------------------------------------------------------------------
 
 def test_lemma_3_4_passes_on_reference(ref_conn):
-    verdict = verify_lemma_3_4(ref_conn)
+    verdict = verify_lemma_3_4(Derived(ref_conn))
     assert verdict.passed and verdict.certificate["rank"] == 4
 
 
 def test_lemma_3_4_flat_rank_zero(flat_conn):
-    verdict = verify_lemma_3_4(flat_conn)
+    verdict = verify_lemma_3_4(Derived(flat_conn))
     assert not verdict.passed
     assert verdict.certificate["rank"] == 0
 
 
 def test_lemma_3_4_torsion_free_rank_bounded(symmetric_conn):
-    verdict = verify_lemma_3_4(symmetric_conn)
+    verdict = verify_lemma_3_4(Derived(symmetric_conn))
     assert verdict.certificate["rank"] <= 2
 
 
 def test_lemma_3_5_passes_on_reference(ref_conn):
-    verdict = verify_lemma_3_5_partial(ref_conn)
+    verdict = verify_lemma_3_5_partial(Derived(ref_conn))
     assert verdict.passed and verdict.certificate["rank"] == 2
 
 
 def test_lemma_3_5_traceless_torsion_degenerates(traceless_conn):
-    verdict = verify_lemma_3_5_partial(traceless_conn)
+    verdict = verify_lemma_3_5_partial(Derived(traceless_conn))
     assert not verdict.passed
     assert verdict.certificate["h_is_zero"] is True
     assert verdict.certificate["rank"] == 1
@@ -130,14 +131,14 @@ def test_lemma_3_5_traceless_torsion_degenerates(traceless_conn):
 # -- theorem 3.5 -------------------------------------------------------------------------
 
 def test_thm_3_5_passes_on_reference(ref_conn):
-    verdict = verify_thm_3_5(ref_conn)
+    verdict = verify_thm_3_5(Derived(ref_conn))
     assert verdict.passed
     assert verdict.certificate["solution_basis"] == [[1, 0, 1, 0, 0]]
     assert verdict.certificate["beta_block_kernel_dimension"] == 3
 
 
 def test_thm_3_5_flat_is_degenerate(flat_conn):
-    verdict = verify_thm_3_5(flat_conn)
+    verdict = verify_thm_3_5(Derived(flat_conn))
     assert not verdict.passed
     assert len(verdict.certificate["solution_basis"]) == 5
 
@@ -177,15 +178,15 @@ def test_bianchi_suite_small_run():
 # -- reports ----------------------------------------------------------------------------------
 
 def test_report_rendering_is_deterministic(ref_conn):
-    verdicts = [verify_lemma_3_4(ref_conn), verify_lemma_3_5_partial(ref_conn)]
-    again = [verify_lemma_3_4(ref_conn), verify_lemma_3_5_partial(ref_conn)]
+    verdicts = [verify_lemma_3_4(Derived(ref_conn)), verify_lemma_3_5_partial(Derived(ref_conn))]
+    again = [verify_lemma_3_4(Derived(ref_conn)), verify_lemma_3_5_partial(Derived(ref_conn))]
     assert report_json(verdicts) == report_json(again)
     assert report_text(verdicts) == report_text(again)
     assert aggregate_pass(verdicts)
 
 
 def test_verdict_json_uses_pass_key_and_string_rationals(ref_conn):
-    verdict = verify_dropped_generator(ref_conn)
+    verdict = verify_dropped_generator(Derived(ref_conn))
     obj = verdict_to_json_obj(verdict)
     assert set(obj) == {"claim_id", "expected", "observed", "pass", "certificate"}
     coeffs = obj["certificate"]["coefficients"]
@@ -194,7 +195,7 @@ def test_verdict_json_uses_pass_key_and_string_rationals(ref_conn):
 
 
 def test_report_text_mentions_every_claim(ref_conn, flat_conn):
-    verdicts = [verify_lemma_3_4(ref_conn), verify_lemma_3_4(flat_conn)]
+    verdicts = [verify_lemma_3_4(Derived(ref_conn)), verify_lemma_3_4(Derived(flat_conn))]
     text = report_text(verdicts)
     assert text.count("claim lemma-3.4") == 2
     assert "aggregate: FAIL (1/2 claims)" in text
