@@ -142,6 +142,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        # zero connections would make the bianchi verdict a vacuous PASS
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     spec = RandomConnectionSpec(seed=args.seed)
     log.info("seed %d", args.seed)
     target = args.target

@@ -4,6 +4,10 @@ Rank and kernel use fraction-free (Bareiss) elimination on integer rows
 obtained by clearing denominators per row; pivots are the first nonzero
 entry in column order, so every result is deterministic.  Matrices here
 are thousands of rows by a few dozen columns, so exactness beats speed.
+
+Certificate checks (kernel re-multiplication, span re-substitution) run
+over every row; the only terms they skip are products with an exactly
+zero coefficient, which contribute nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .poly import Monomial, Polynomial, grlex_key
 from .tensor import TensorField, TensorShape, _flat
@@ -122,13 +126,13 @@ def reconstruct(
 
 # -- elimination ----------------------------------------------------------------
 
-def _integer_rows(matrix: RationalMatrix) -> list[list[int]]:
-    rows: list[list[int]] = []
-    for r in range(matrix.rows):
-        row = matrix.row(r)
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row times the lcm of its denominators, in integer arithmetic."""
+    out: list[list[int]] = []
+    for row in rows:
         scale = math.lcm(*(v.denominator for v in row)) if row else 1
-        rows.append([int(v * scale) for v in row])
-    return rows
+        out.append([v.numerator * (scale // v.denominator) for v in row])
+    return out
 
 
 def _bareiss(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
@@ -162,7 +166,7 @@ def _bareiss(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[in
 
 def rank(matrix: RationalMatrix) -> int:
     """Exact rank via fraction-free elimination."""
-    rows = _integer_rows(matrix)
+    rows = _integer_rows(matrix.row(r) for r in range(matrix.rows))
     _, pivot_cols = _bareiss(rows, matrix.cols)
     return len(pivot_cols)
 
@@ -185,7 +189,7 @@ def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
     Vectors are normalized to coprime integers with positive leading entry
     and returned in ascending free-column order.
     """
-    rows = _integer_rows(matrix)
+    rows = _integer_rows(matrix.row(r) for r in range(matrix.rows))
     echelon, pivot_cols = _bareiss(rows, matrix.cols)
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
@@ -206,13 +210,15 @@ def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
 
 
 def matrix_vector(matrix: RationalMatrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """M vec, multiplied over vec's nonzero entries only."""
     if len(vec) != matrix.cols:
         raise ValueError("length mismatch")
-    out = []
-    for r in range(matrix.rows):
-        row = matrix.row(r)
-        out.append(sum((a * b for a, b in zip(row, vec)), Fraction(0)))
-    return tuple(out)
+    support = [(c, v) for c, v in enumerate(vec) if v]
+    entries, cols = matrix.entries, matrix.cols
+    return tuple(
+        sum((entries[start + c] * v for c, v in support), Fraction(0))
+        for start in range(0, matrix.rows * cols, cols)
+    )
 
 
 def in_span(
@@ -231,10 +237,7 @@ def in_span(
     k = len(basis)
     if k == 0:
         return (all(v == 0 for v in vector), () if all(v == 0 for v in vector) else None)
-    aug = matrix_from_rows(
-        [[Fraction(basis[j][r]) for j in range(k)] + [Fraction(vector[r])] for r in range(length)]
-    )
-    rows = _integer_rows(aug)
+    rows = _integer_rows([b[r] for b in basis] + [vector[r]] for r in range(length))
     echelon, pivot_cols = _bareiss(rows, k + 1)
     if k in pivot_cols:
         return (False, None)
@@ -247,11 +250,10 @@ def in_span(
             if row[c] and coeffs[c]:
                 acc -= Fraction(row[c]) * coeffs[c]
         coeffs[pc] = acc / row[pc]
+    support = [(basis[j], c) for j, c in enumerate(coeffs) if c]
     for r in range(length):
-        recomputed = sum(
-            (coeffs[j] * Fraction(basis[j][r]) for j in range(k)), Fraction(0)
-        )
-        if recomputed != Fraction(vector[r]):
+        recomputed = sum((c * b[r] for b, c in support), Fraction(0))
+        if recomputed != vector[r]:
             raise AssertionError("in_span certificate failed re-substitution")
     return (True, tuple(coeffs))
 

@@ -16,6 +16,11 @@ Conventions, fixed once here and relied on everywhere else:
   so no bracket terms appear).  For degree 1 applied to the identity this
   yields exactly the torsion, and the two Bianchi identities hold
   componentwise; the test suite enforces both, which pins the convention.
+* Because the input form alternates (its wrapper checks that on
+  construction), so does its differential: both differentials evaluate the
+  sum only at strictly increasing direction tuples, each direction term
+  once, and fill every other ordering of those directions by alternation.
+  Components with a repeated direction are zero.
 """
 
 from __future__ import annotations
@@ -26,7 +31,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import ParseError, Polynomial, parse, to_string
-from .tensor import TensorField, TensorShape, _flat, delta, is_antisymmetric
+from .tensor import (
+    TensorField,
+    TensorShape,
+    _doc_indices,
+    _doc_int,
+    _doc_text,
+    _flat,
+    delta,
+    is_antisymmetric,
+)
 
 
 @dataclass(frozen=True)
@@ -93,18 +107,20 @@ def reference_connection() -> Connection:
 
 def connection_from_json_obj(obj: dict) -> Connection:
     try:
-        n = int(obj["dim"])
+        n = _doc_int(obj["dim"], "dim")
         raw = obj["christoffel"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed connection document: {exc}") from exc
     if n < 2:
         raise ValueError(f"dimension out of supported range (n >= 2), got {n}")
+    if not isinstance(raw, list):
+        raise ValueError(f"christoffel must be a list, got {raw!r}")
     entries: dict[tuple[int, int, int], Polynomial] = {}
     for item in raw:
         try:
-            upper = int(item["upper"])
-            lower = tuple(int(v) for v in item["lower"])
-            text = item["poly"]
+            upper = _doc_int(item["upper"], "upper")
+            lower = _doc_indices(item["lower"], "lower")
+            text = _doc_text(item["poly"], "poly")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed Christoffel entry {item!r}: {exc}") from exc
         if len(lower) != 2:
@@ -281,33 +297,52 @@ def covariant_derivative(conn: Connection, field: TensorField) -> TensorField:
 
 # -- exterior covariant differentials ---------------------------------------------
 
+def _orderings(directions: tuple[int, ...]):
+    """Each ordering of the distinct directions, with its permutation's sign."""
+    for perm in itertools.permutations(range(len(directions))):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        yield tuple(directions[p] for p in perm), -1 if inversions % 2 else 1
+
+
 def ext_cov_deriv_vector(conn: Connection, alpha: VectorValuedForm) -> VectorValuedForm:
     """Exterior covariant differential of a vector-valued k-form (degree k+1).
 
     (d alpha)^l_{i0..ik} = sum_r (-1)^r [ d_{i_r} alpha^l_{..omit r..}
                                           + Gamma^l_{i_r m} alpha^m_{..omit r..} ].
+
+    The sum is evaluated at strictly increasing (i0..ik) only, each term
+    once; every other ordering gets the same value times the permutation's
+    sign, and components with a repeated direction are zero.
     """
     if alpha.n != conn.dimension:
         raise ValueError("dimension mismatch between form and connection")
     n, k = conn.dimension, alpha.degree
     out_table, _ = _gamma_tables(conn)
     src = alpha.tensor.components
-    comps: list[Polynomial] = []
-    for idx in itertools.product(range(1, n + 1), repeat=k + 2):
-        directions, l = idx[: k + 1], idx[k + 1]
-        acc = Polynomial.zero(n)
-        sign = 1
-        for r in range(k + 1):
-            rest = directions[:r] + directions[r + 1 :]
-            base = tuple(v - 1 for v in rest)
-            term = src[_flat(n, base + (l - 1,))].partial_derivative(directions[r])
-            for m, g in out_table[directions[r]][l]:
-                comp = src[_flat(n, base + (m - 1,))]
-                if not comp.is_zero:
-                    term = term + g * comp
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        comps.append(acc)
+    comps = [Polynomial.zero(n)] * n ** (k + 2)
+    for directions in itertools.combinations(range(1, n + 1), k + 1):
+        targets = [
+            (_flat(n, tuple(v - 1 for v in ordering)) * n, sign)
+            for ordering, sign in _orderings(directions)
+        ]
+        for l in range(1, n + 1):
+            acc = Polynomial.zero(n)
+            sign = 1
+            for r in range(k + 1):
+                rest = directions[:r] + directions[r + 1 :]
+                base = tuple(v - 1 for v in rest)
+                term = src[_flat(n, base + (l - 1,))].partial_derivative(directions[r])
+                for m, g in out_table[directions[r]][l]:
+                    comp = src[_flat(n, base + (m - 1,))]
+                    if not comp.is_zero:
+                        term = term + g * comp
+                acc = acc + term if sign > 0 else acc - term
+                sign = -sign
+            if acc.is_zero:
+                continue
+            negated = -acc
+            for pos, s in targets:
+                comps[pos + l - 1] = acc if s > 0 else negated
     return VectorValuedForm(k + 1, TensorField(TensorShape(k + 1, 1, n), tuple(comps)))
 
 
@@ -315,33 +350,43 @@ def ext_cov_deriv_endo(conn: Connection, beta: EndValuedForm) -> EndValuedForm:
     """Exterior covariant differential of an endomorphism-valued k-form.
 
     Like the vector-valued case, with +Gamma on the output slot and -Gamma
-    on the endomorphism input slot.
+    on the endomorphism input slot, and likewise evaluated at strictly
+    increasing direction tuples only, the other orderings filled by
+    alternation.
     """
     if beta.n != conn.dimension:
         raise ValueError("dimension mismatch between form and connection")
     n, k = conn.dimension, beta.degree
     out_table, in_table = _gamma_tables(conn)
     src = beta.tensor.components
-    comps: list[Polynomial] = []
-    for idx in itertools.product(range(1, n + 1), repeat=k + 3):
-        directions, a, l = idx[: k + 1], idx[k + 1], idx[k + 2]
-        acc = Polynomial.zero(n)
-        sign = 1
-        for r in range(k + 1):
-            rest = directions[:r] + directions[r + 1 :]
-            base = tuple(v - 1 for v in rest)
-            term = src[_flat(n, base + (a - 1, l - 1))].partial_derivative(directions[r])
-            for m, g in out_table[directions[r]][l]:
-                comp = src[_flat(n, base + (a - 1, m - 1))]
-                if not comp.is_zero:
-                    term = term + g * comp
-            for m, g in in_table[directions[r]][a]:
-                comp = src[_flat(n, base + (m - 1, l - 1))]
-                if not comp.is_zero:
-                    term = term - g * comp
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        comps.append(acc)
+    comps = [Polynomial.zero(n)] * n ** (k + 3)
+    for directions in itertools.combinations(range(1, n + 1), k + 1):
+        targets = [
+            (_flat(n, tuple(v - 1 for v in ordering)) * n * n, sign)
+            for ordering, sign in _orderings(directions)
+        ]
+        for a, l in itertools.product(range(1, n + 1), repeat=2):
+            acc = Polynomial.zero(n)
+            sign = 1
+            for r in range(k + 1):
+                rest = directions[:r] + directions[r + 1 :]
+                base = tuple(v - 1 for v in rest)
+                term = src[_flat(n, base + (a - 1, l - 1))].partial_derivative(directions[r])
+                for m, g in out_table[directions[r]][l]:
+                    comp = src[_flat(n, base + (a - 1, m - 1))]
+                    if not comp.is_zero:
+                        term = term + g * comp
+                for m, g in in_table[directions[r]][a]:
+                    comp = src[_flat(n, base + (m - 1, l - 1))]
+                    if not comp.is_zero:
+                        term = term - g * comp
+                acc = acc + term if sign > 0 else acc - term
+                sign = -sign
+            if acc.is_zero:
+                continue
+            negated = -acc
+            for pos, s in targets:
+                comps[pos + (a - 1) * n + l - 1] = acc if s > 0 else negated
     return EndValuedForm(k + 1, TensorField(TensorShape(k + 2, 1, n), tuple(comps)))
 
 

@@ -354,15 +354,18 @@ class _Parser:
                 raise ParseError(
                     f"variable {value} out of range 1..{self.dimension}", pos
                 )
-            base = Polynomial.variable(self.dimension, index)
+            exponent = 1
             nxt = self.peek()
             if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
                 self.index += 1
                 exp_token = self.advance()
                 if exp_token[0] != "int":
                     raise ParseError("expected non-negative integer exponent", exp_token[2])
-                return base ** int(exp_token[1])
-            return base
+                exponent = int(exp_token[1])
+            # one monomial, so a large exponent costs no repeated multiplication
+            exps = [0] * self.dimension
+            exps[index - 1] = exponent
+            return Polynomial(self.dimension, {tuple(exps): 1})
         raise ParseError(f"unexpected token {value!r}", pos)
 
 

@@ -193,20 +193,58 @@ def _swap_perm(p: int, s1: int, s2: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def _check_slot_pair(p: int, s1: int, s2: int) -> None:
+    if not (1 <= s1 <= p and 1 <= s2 <= p) or s1 == s2:
+        raise ValueError(f"invalid covariant slot pair ({s1},{s2}) for p={p}")
+
+
 def antisymmetrize_pair(a: TensorField, s1: int, s2: int) -> TensorField:
     """a minus a with covariant slots s1,s2 swapped; no 1/2 factor.
 
     Applied to an already antisymmetric field this doubles it.
     """
-    p = a.shape.p
-    if not (1 <= s1 <= p and 1 <= s2 <= p) or s1 == s2:
-        raise ValueError(f"invalid covariant slot pair ({s1},{s2}) for p={p}")
-    return a - permute_covariant(a, _swap_perm(p, s1, s2))
+    _check_slot_pair(a.shape.p, s1, s2)
+    return a - permute_covariant(a, _swap_perm(a.shape.p, s1, s2))
+
+
+def _negatives(x: Polynomial, y: Polynomial) -> bool:
+    """x == -y, decided on the term maps without building -y.
+
+    Coefficients (Fraction or int) are in lowest terms with a positive
+    denominator, so two are equal iff numerators and denominators are.
+    """
+    if x.dimension != y.dimension or len(x.terms) != len(y.terms):
+        return False
+    y_terms = y.terms
+    for mono, coeff in x.terms.items():
+        other = y_terms.get(mono)
+        if (
+            other is None
+            or coeff.numerator != -other.numerator
+            or coeff.denominator != other.denominator
+        ):
+            return False
+    return True
 
 
 def is_antisymmetric(a: TensorField, s1: int, s2: int) -> bool:
-    swapped = permute_covariant(a, _swap_perm(a.shape.p, s1, s2))
-    return a.components == tuple(-c for c in swapped.components)
+    """Whether swapping distinct covariant slots s1 and s2 negates a.
+
+    Each component is compared once with its slot-swapped partner; a
+    component with equal indices in the two slots must be zero.
+    """
+    _check_slot_pair(a.shape.p, s1, s2)
+    n, slots = a.shape.n, a.shape.p + a.shape.q
+    stride1, stride2 = n ** (slots - s1), n ** (slots - s2)
+    comps = a.components
+    for pos, comp in enumerate(comps):
+        i, j = pos // stride1 % n, pos // stride2 % n
+        if i == j:
+            if comp.terms:
+                return False
+        elif i < j and not _negatives(comp, comps[pos + (j - i) * (stride1 - stride2)]):
+            return False
+    return True
 
 
 # -- interchange format -------------------------------------------------------
@@ -225,18 +263,47 @@ def to_json_obj(a: TensorField) -> dict:
     }
 
 
+def _doc_int(value, what: str) -> int:
+    """A JSON integer from a document; bool, float and str are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _doc_indices(value, what: str) -> tuple[int, ...]:
+    """A JSON list of integers from a document."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(_doc_int(v, what) for v in value)
+
+
+def _doc_text(value, what: str) -> str:
+    """Polynomial text from a document."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def from_json_obj(obj: dict) -> TensorField:
     try:
         sh = obj["shape"]
-        shape = TensorShape(int(sh["p"]), int(sh["q"]), int(sh["n"]))
+        shape = TensorShape(
+            _doc_int(sh["p"], "shape p"), _doc_int(sh["q"], "shape q"), _doc_int(sh["n"], "shape n")
+        )
         raw = obj["components"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tensor document: {exc}") from exc
+    if not isinstance(raw, list):
+        raise ValueError(f"components must be a list, got {raw!r}")
     comps = [Polynomial.zero(shape.n)] * shape.size
     seen: set[tuple[int, ...]] = set()
     for entry in raw:
-        cov = tuple(int(v) for v in entry["cov"])
-        contra = tuple(int(v) for v in entry["contra"])
+        try:
+            cov = _doc_indices(entry["cov"], "cov")
+            contra = _doc_indices(entry["contra"], "contra")
+            text = _doc_text(entry["poly"], "poly")
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed component entry {entry!r}: {exc}") from exc
         if len(cov) != shape.p or len(contra) != shape.q:
             raise ValueError(f"component index arity mismatch: cov={cov} contra={contra}")
         idx = tuple(v - 1 for v in cov + contra)
@@ -245,7 +312,7 @@ def from_json_obj(obj: dict) -> TensorField:
         if idx in seen:
             raise ValueError(f"duplicate component entry: cov={cov} contra={contra}")
         seen.add(idx)
-        comps[_flat(shape.n, idx)] = parse(entry["poly"], shape.n)
+        comps[_flat(shape.n, idx)] = parse(text, shape.n)
     return TensorField(shape, tuple(comps))
 
 

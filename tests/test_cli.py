@@ -175,3 +175,67 @@ def test_compute_dR_is_zero_everywhere(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["components"] == []
     assert doc["shape"] == {"p": 4, "q": 1, "n": 4}
+
+
+GOOD_ENTRY = {"upper": 1, "lower": [1, 2], "poly": "x3"}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"dim": 4, "christoffel": [dict(GOOD_ENTRY, lower="12")]}, "lower must be a list"),
+        ({"dim": 4, "christoffel": [dict(GOOD_ENTRY, lower=[1, 2.0])]}, "lower must be an integer"),
+        ({"dim": 4, "christoffel": [dict(GOOD_ENTRY, upper=1.7)]}, "upper must be an integer"),
+        ({"dim": 4, "christoffel": [dict(GOOD_ENTRY, upper="1")]}, "upper must be an integer"),
+        ({"dim": True, "christoffel": []}, "dim must be an integer"),
+        ({"dim": "4", "christoffel": []}, "dim must be an integer"),
+        ({"dim": 4, "christoffel": [dict(GOOD_ENTRY, poly=5)]}, "poly must be a string"),
+        ({"dim": 4, "christoffel": [{"upper": 1, "poly": "x3"}]}, "malformed Christoffel entry"),
+        ({"dim": 4, "christoffel": {"upper": 1}}, "christoffel must be a list"),
+        ([4], "malformed connection document"),
+    ],
+)
+def test_connection_document_type_errors_exit_2(tmp_path, capsys, document, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    out = tmp_path / "out.json"
+    assert run(["compute", "torsion", "--connection", str(bad), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+GOOD_COMPONENT = {"cov": [1, 2], "contra": [3], "poly": "x1"}
+
+
+def tensor_doc(components, shape=None):
+    return {"shape": shape or {"p": 2, "q": 1, "n": 4}, "components": components}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (tensor_doc([dict(GOOD_COMPONENT, poly=5)]), "poly must be a string"),
+        (tensor_doc([{"contra": [3], "poly": "x1"}]), "malformed component entry"),
+        (tensor_doc([dict(GOOD_COMPONENT, cov="12")]), "cov must be a list"),
+        (
+            tensor_doc([{"cov": "1", "contra": [], "poly": "x1"}], {"p": 1, "q": 0, "n": 4}),
+            "cov must be a list",
+        ),
+        (tensor_doc([dict(GOOD_COMPONENT, contra=[True])]), "contra must be an integer"),
+        (tensor_doc([], {"p": 2, "q": 1, "n": 4.0}), "shape n must be an integer"),
+        (tensor_doc(5), "components must be a list"),
+    ],
+)
+def test_tensor_document_type_errors_exit_2(tmp_path, capsys, document, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    assert run(["rank", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_rejects_count_below_one(capsys, count):
+    assert run(["verify", "bianchi", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert "--count must be at least 1" in captured.err
+    assert captured.out == ""

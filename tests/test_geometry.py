@@ -2,6 +2,7 @@
 and the differential identities that pin every sign convention."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from natforms.geometry import (
     EndValuedForm,
     VectorValuedForm,
+    connection_from_entries,
     connection_from_json_obj,
     connection_to_json_obj,
     covariant_derivative,
@@ -27,7 +29,16 @@ from natforms.geometry import (
     wedge_oneform_identity,
 )
 from natforms.poly import Polynomial, parse
-from natforms.tensor import TensorField, TensorShape, contract, equal, is_antisymmetric
+from natforms.tensor import (
+    TensorField,
+    TensorShape,
+    contract,
+    equal,
+    is_antisymmetric,
+    permute_covariant,
+)
+from natforms.verify import RandomConnectionSpec, random_connections
+from reference_loops import ext_cov_deriv_endo_all_orderings, ext_cov_deriv_vector_all_orderings
 
 N = 4
 
@@ -286,6 +297,103 @@ def test_closed_two_form_times_identity_is_closed(ref_conn):
             comps.append(Polynomial.zero(N))
     omega = TensorField(TensorShape(2, 0, N), tuple(comps))
     assert ext_cov_deriv_endo(ref_conn, tensor_identity(omega)).tensor.is_zero
+
+
+# -- differentials against the all-orderings reference loops --------------------------------
+
+def random_poly(rng, n):
+    """0 to 2 terms of degree <= 2, coefficients from {+-1, +-2, +-1/2}."""
+    terms = {}
+    for _ in range(rng.randint(0, 2)):
+        exps = [0] * n
+        for _ in range(rng.randint(0, 2)):
+            exps[rng.randrange(n)] += 1
+        terms[tuple(exps)] = rng.choice((1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)))
+    return Polynomial(n, terms)
+
+
+def random_form(rng, n, degree, input_slots):
+    """A (degree + input_slots, 1) field with up to 2n random components,
+    alternated over its first ``degree`` slots.  The components sit at
+    strictly increasing form indices, so the alternation keeps each one."""
+    p = degree + input_slots
+    comps = [Polynomial.zero(n)] * n ** (p + 1)
+    increasing = [
+        pos
+        for pos, idx in enumerate(itertools.product(range(n), repeat=p + 1))
+        if all(a < b for a, b in zip(idx[:degree], idx[1:degree]))
+    ]
+    for pos in rng.sample(increasing, min(2 * n, len(increasing))):
+        comps[pos] = random_poly(rng, n) + Polynomial.constant(n, 1)
+    raw = TensorField(TensorShape(p, 1, n), tuple(comps))
+    total = None
+    for perm in itertools.permutations(range(1, degree + 1)):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        piece = permute_covariant(raw, perm + tuple(range(degree + 1, p + 1)))
+        piece = -piece if inversions % 2 else piece
+        total = piece if total is None else total + piece
+    wrap = EndValuedForm if input_slots else VectorValuedForm
+    return wrap(degree, total)
+
+
+def assert_matches_reference(conn, form):
+    """The differential equals the reference's, component by component;
+    returns it."""
+    if isinstance(form, EndValuedForm):
+        got = ext_cov_deriv_endo(conn, form)
+        want = ext_cov_deriv_endo_all_orderings(conn, form)
+    else:
+        got = ext_cov_deriv_vector(conn, form)
+        want = ext_cov_deriv_vector_all_orderings(conn, form)
+    assert got.degree == want.degree == form.degree + 1
+    assert got.tensor.shape == want.tensor.shape
+    for pos, (a, b) in enumerate(zip(got.tensor.components, want.tensor.components)):
+        assert a == b, pos
+    return got
+
+
+@pytest.mark.parametrize(
+    "n, density, seed",
+    [(4, 6, 11), (4, 20, 2), (5, 8, 5), (5, 30, 7)],
+    ids=["sparse-n4", "dense-n4", "sparse-n5", "dense-n5"],
+)
+def test_differentials_match_all_orderings_reference(n, density, seed):
+    conn = random_connections(RandomConnectionSpec(seed=seed, dimension=n, density=density), 1)[0]
+    rng = random.Random(seed)
+    for form in (identity_oneform(n), torsion(conn), curvature(conn)):
+        assert_matches_reference(conn, form)
+    for degree, input_slots in itertools.product(range(4), (0, 1)):
+        form = random_form(rng, n, degree, input_slots)
+        assert not assert_matches_reference(conn, form).tensor.is_zero
+
+
+def test_differentials_of_named_forms_match_reference(ref_conn, crooked_conn, ref_family):
+    forms = [
+        identity_oneform(N),
+        torsion(crooked_conn),
+        ext_cov_deriv_vector(crooked_conn, torsion(crooked_conn)),
+        curvature(crooked_conn),
+    ]
+    for form in forms:
+        assert_matches_reference(crooked_conn, form)
+    for label in ("T1", "T2", "T13", "T19"):
+        assert_matches_reference(ref_conn, ref_family[label].form)
+
+
+def test_differentials_above_the_dimension_are_zero():
+    # at n=2 every form of degree 3 or more vanishes
+    rng = random.Random(3)
+    conn = connection_from_entries(
+        2, {key: random_poly(rng, 2) for key in itertools.product((1, 2), repeat=3)}
+    )
+    assert not torsion(conn).tensor.is_zero and not curvature(conn).tensor.is_zero
+    forms = [torsion(conn), curvature(conn), random_form(rng, 2, 3, 0), random_form(rng, 2, 3, 1)]
+    for form in forms:
+        assert_matches_reference(conn, form)
+        if isinstance(form, EndValuedForm):
+            assert ext_cov_deriv_endo(conn, form).tensor.is_zero
+        else:
+            assert ext_cov_deriv_vector(conn, form).tensor.is_zero
 
 
 # -- wedges with the identity ---------------------------------------------------------------

@@ -1,12 +1,19 @@
 """Exact polynomial arithmetic: pinned examples, ring laws, parser round-trip."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import natforms
 from natforms.poly import ParseError, Polynomial, grlex_key, parse, to_string
+
+# the directory natforms is imported from, for subprocesses
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(natforms.__file__)))
 
 
 def p(text: str, n: int = 4) -> Polynomial:
@@ -120,6 +127,23 @@ def test_parse_reports_position():
 def test_parse_rejects_negative_exponent():
     with pytest.raises(ParseError):
         parse("x2^-1", 4)
+
+
+def test_parse_power_is_one_monomial():
+    assert parse("x3^0", 4) == Polynomial.constant(4, 1)
+    assert parse("2*x2^3*x2", 4) == Polynomial(4, {(0, 4, 0, 0): 2})
+    # a huge exponent must parse at once, not by repeated multiplication; a
+    # subprocess with a timeout turns a regression into a failure, not a hang
+    code = (
+        "from natforms.poly import parse; "
+        "print(list(parse('x3^99999999', 4).terms.items()))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[((0, 0, 99999999, 0), Fraction(1, 1))]"
 
 
 def test_parse_rejects_trailing_garbage():

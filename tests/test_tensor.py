@@ -1,10 +1,14 @@
 """Tensor index operations: pinned examples plus randomized structure checks."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natforms import tensor
+from natforms.geometry import curvature
 from natforms.poly import Polynomial, parse
 from natforms.tensor import (
     TensorField,
@@ -20,6 +24,7 @@ from natforms.tensor import (
     to_json_obj,
     zero,
 )
+from reference_loops import is_antisymmetric_by_permutation
 
 N = 4
 
@@ -40,8 +45,6 @@ def constant_scalar(value, n=N):
 
 
 def _all_indices(shape):
-    import itertools
-
     for idx in itertools.product(range(1, shape.n + 1), repeat=shape.p + shape.q):
         yield idx[: shape.p], idx[shape.p :]
 
@@ -145,6 +148,67 @@ def test_antisymmetrize_sets_verified_metadata():
     assert is_antisymmetric(antisymmetrize_pair(t, 2, 1), 1, 2)
 
 
+def with_coefficients(n, terms):
+    """A polynomial holding exactly these coefficient objects; the public
+    constructor would turn each into a Fraction."""
+    poly = Polynomial.__new__(Polynomial)
+    object.__setattr__(poly, "dimension", n)
+    object.__setattr__(poly, "terms", dict(terms))
+    return poly
+
+
+def assert_antisymmetry_matches_reference(t):
+    p = t.shape.p
+    for s1, s2 in itertools.permutations(range(1, p + 1), 2):
+        assert is_antisymmetric(t, s1, s2) == is_antisymmetric_by_permutation(t, s1, s2), (s1, s2)
+
+
+def test_is_antisymmetric_fails_on_the_diagonal_alone():
+    anti = field_from({((1, 2), (3,)): "x1", ((2, 1), (3,)): "-x1"}, p=2, q=1)
+    assert is_antisymmetric(anti, 1, 2)
+    comps = list(anti.components)
+    comps[tensor._flat(N, (1, 1, 0))] = parse("x4", N)  # component (2,2;1)
+    diagonal = TensorField(anti.shape, tuple(comps))
+    assert not is_antisymmetric(diagonal, 1, 2)
+    assert not is_antisymmetric(diagonal, 2, 1)
+    assert_antisymmetry_matches_reference(anti)
+    assert_antisymmetry_matches_reference(diagonal)
+
+
+def test_is_antisymmetric_on_non_adjacent_slots():
+    t = field_from(
+        {((1, 2, 3), (4,)): "x1", ((2, 2, 1), (1,)): "x2*x3", ((4, 1, 1), (2,)): "3"}, p=3, q=1
+    )
+    outer = antisymmetrize_pair(t, 1, 3)
+    assert is_antisymmetric(outer, 1, 3) and is_antisymmetric(outer, 3, 1)
+    assert not is_antisymmetric(outer, 1, 2) and not is_antisymmetric(outer, 2, 3)
+    assert_antisymmetry_matches_reference(t)
+    assert_antisymmetry_matches_reference(outer)
+
+
+def test_is_antisymmetric_compares_coefficient_values():
+    mono = (1, 0, 0, 0)
+    zero_poly = Polynomial.zero(N)
+
+    def pair(upper, lower):
+        comps = [zero_poly] * N**2
+        comps[tensor._flat(N, (0, 1))] = with_coefficients(N, {mono: upper})
+        comps[tensor._flat(N, (1, 0))] = with_coefficients(N, {mono: lower})
+        return TensorField(TensorShape(2, 0, N), tuple(comps))
+
+    assert is_antisymmetric(pair(Fraction(3), -3), 1, 2)
+    assert not is_antisymmetric(pair(Fraction(3), 3), 1, 2)
+    assert_antisymmetry_matches_reference(pair(Fraction(3), -3))
+    assert_antisymmetry_matches_reference(pair(Fraction(3), 3))
+
+
+def test_is_antisymmetric_rejects_invalid_slots(ref_conn):
+    r = curvature(ref_conn).tensor
+    for s1, s2 in ((0, 3), (3, 3), (1, 4), (4, 1)):
+        with pytest.raises(ValueError, match="invalid covariant slot pair"):
+            is_antisymmetric(r, s1, s2)
+
+
 def test_equal_shape_mismatch_raises():
     with pytest.raises(ValueError, match="shape mismatch"):
         equal(zero(TensorShape(2, 1, N)), zero(TensorShape(1, 1, N)))
@@ -218,3 +282,11 @@ def test_antisymmetrize_output_negates_under_swap(t):
 @settings(max_examples=30)
 def test_tensor_product_associative(a, b, c):
     assert equal(tensor_product(tensor_product(a, b), c), tensor_product(a, tensor_product(b, c)))
+
+
+@given(small_fields(3, 1), st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=40)
+def test_is_antisymmetric_matches_permutation_reference(t, s1, s2):
+    assert_antisymmetry_matches_reference(t)
+    if s1 != s2:
+        assert_antisymmetry_matches_reference(antisymmetrize_pair(t, s1, s2))
