@@ -183,6 +183,24 @@ def _normalize_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in ints)
 
 
+def _null_vector(
+    echelon: list[list[int]], pivot_cols: list[int], free: int, cols: int
+) -> list[Fraction]:
+    """The null vector of the echelon rows that is 1 at free column ``free``
+    and 0 at every other free column, by back-substitution."""
+    vec = [Fraction(0)] * cols
+    vec[free] = Fraction(1)
+    for i in range(len(pivot_cols) - 1, -1, -1):
+        pc = pivot_cols[i]
+        acc = Fraction(0)
+        row = echelon[i]
+        for c in range(pc + 1, cols):
+            if row[c] and vec[c]:
+                acc += Fraction(row[c]) * vec[c]
+        vec[pc] = -acc / row[pc]
+    return vec
+
+
 def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space {v : M v = 0}, one vector per free column.
 
@@ -192,21 +210,11 @@ def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
     rows = _integer_rows(matrix.row(r) for r in range(matrix.rows))
     echelon, pivot_cols = _bareiss(rows, matrix.cols)
     pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
-    basis: list[tuple[Fraction, ...]] = []
-    for free in free_cols:
-        vec = [Fraction(0)] * matrix.cols
-        vec[free] = Fraction(1)
-        for i in range(len(pivot_cols) - 1, -1, -1):
-            pc = pivot_cols[i]
-            acc = Fraction(0)
-            row = echelon[i]
-            for c in range(pc + 1, matrix.cols):
-                if row[c] and vec[c]:
-                    acc += Fraction(row[c]) * vec[c]
-            vec[pc] = -acc / row[pc]
-        basis.append(_normalize_vector(vec))
-    return basis
+    return [
+        _normalize_vector(_null_vector(echelon, pivot_cols, free, matrix.cols))
+        for free in range(matrix.cols)
+        if free not in pivot_set
+    ]
 
 
 def matrix_vector(matrix: RationalMatrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -226,8 +234,9 @@ def in_span(
 ) -> tuple[bool, tuple[Fraction, ...] | None]:
     """Exact membership of vector in span(basis), with certificate coefficients.
 
-    Solves [basis | vector] by elimination; free coefficients are set to zero,
-    so the certificate is deterministic.  The certificate is re-substituted
+    Solves [basis | vector] by elimination: the coefficients are the negated
+    null vector that is 1 at the vector's column, so free coefficients are
+    zero and the certificate is deterministic.  The certificate is re-substituted
     before returning.
     """
     length = len(vector)
@@ -241,15 +250,7 @@ def in_span(
     echelon, pivot_cols = _bareiss(rows, k + 1)
     if k in pivot_cols:
         return (False, None)
-    coeffs = [Fraction(0)] * k
-    for i in range(len(pivot_cols) - 1, -1, -1):
-        pc = pivot_cols[i]
-        row = echelon[i]
-        acc = Fraction(row[k])
-        for c in range(pc + 1, k):
-            if row[c] and coeffs[c]:
-                acc -= Fraction(row[c]) * coeffs[c]
-        coeffs[pc] = acc / row[pc]
+    coeffs = [-v for v in _null_vector(echelon, pivot_cols, k, k + 1)[:k]]
     support = [(basis[j], c) for j, c in enumerate(coeffs) if c]
     for r in range(length):
         recomputed = sum((c * b[r] for b, c in support), Fraction(0))

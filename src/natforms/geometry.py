@@ -16,11 +16,19 @@ Conventions, fixed once here and relied on everywhere else:
   so no bracket terms appear).  For degree 1 applied to the identity this
   yields exactly the torsion, and the two Bianchi identities hold
   componentwise; the test suite enforces both, which pins the convention.
-* Because the input form alternates (its wrapper checks that on
-  construction), so does its differential: both differentials evaluate the
-  sum only at strictly increasing direction tuples, each direction term
-  once, and fill every other ordering of those directions by alternation.
-  Components with a repeated direction are zero.
+* One private kernel computes every derivative here.  ``_direction_term``
+  takes d_k of one component and adds -Gamma for each covariant slot and
+  +Gamma for each contravariant slot it is given; ``_exterior_differential``
+  sums direction terms with alternating signs, letting Gamma act on every
+  slot after the form slots.  So Gamma acts on every slot in
+  ``covariant_derivative``, on the vector slot in ``ext_cov_deriv_vector``,
+  on the endomorphism input and output in ``ext_cov_deriv_endo``, and on
+  no slot in ``exterior_derivative``.  The alternating sum is evaluated
+  only at strictly increasing direction tuples, each direction term once,
+  and every other ordering is filled by alternation (the input form
+  alternates; its wrapper checks that), so components with a repeated
+  direction are zero.  ``torsion`` and ``curvature`` keep their own
+  formulas, so the Bianchi identities check the kernel, not restate it.
 """
 
 from __future__ import annotations
@@ -158,25 +166,21 @@ def load_connection(path: str) -> Connection:
 
 
 def _gamma_tables(conn: Connection):
-    """Sparse views of the Christoffel symbols, keyed by direction.
+    """Sparse views of the Christoffel symbols, keyed by direction, 0-based.
 
-    out_table[i][l] lists (m, Gamma^l_{im}) over nonzero entries: the terms
-    feeding a contravariant slot.  in_table[i][a] lists (m, Gamma^m_{ia}):
-    the terms feeding a covariant slot.
+    in_table[k][a] lists (m, Gamma^m_{ka}) over nonzero entries: the terms
+    feeding a covariant slot.  out_table[k][l] lists (m, Gamma^l_{km}): the
+    terms feeding a contravariant slot.  Returned as (in_table, out_table).
     """
     n = conn.dimension
-    out_table: list[list[list[tuple[int, Polynomial]]]] = [
-        [[] for _ in range(n + 1)] for _ in range(n + 1)
-    ]
-    in_table: list[list[list[tuple[int, Polynomial]]]] = [
-        [[] for _ in range(n + 1)] for _ in range(n + 1)
-    ]
-    for l, i, j in itertools.product(range(1, n + 1), repeat=3):
-        poly = conn.gamma(l, i, j)
+    in_table: list[list[list[tuple[int, Polynomial]]]] = [[[] for _ in range(n)] for _ in range(n)]
+    out_table: list[list[list[tuple[int, Polynomial]]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for l, i, j in itertools.product(range(n), repeat=3):
+        poly = conn.gamma(l + 1, i + 1, j + 1)
         if not poly.is_zero:
-            out_table[i][l].append((j, poly))
             in_table[i][j].append((l, poly))
-    return out_table, in_table
+            out_table[i][l].append((j, poly))
+    return in_table, out_table
 
 
 # -- form wrappers ---------------------------------------------------------------
@@ -260,6 +264,23 @@ def curvature(conn: Connection) -> EndValuedForm:
     return EndValuedForm(2, TensorField(TensorShape(3, 1, n), tuple(comps)))
 
 
+def _direction_term(tables, src, n, k, base, covariant, contravariant) -> Polynomial:
+    """d_k of the component of ``src`` at ``base`` (0-based indices over all
+    slots, direction k 0-based), minus Gamma^m_{k a} times the component with
+    a -> m for each slot position in ``covariant``, plus Gamma^l_{k m} times
+    the component with l -> m for each slot position in ``contravariant``."""
+    pos = _flat(n, base)
+    term = src[pos].partial_derivative(k + 1)
+    for slots, table, sign in zip((covariant, contravariant), tables, (-1, 1)):
+        for s in slots:
+            step = n ** (len(base) - 1 - s)
+            for m, g in table[k][base[s]]:
+                comp = src[pos + (m - base[s]) * step]
+                if not comp.is_zero:
+                    term = term + g * comp if sign > 0 else term - g * comp
+    return term
+
+
 def covariant_derivative(conn: Connection, field: TensorField) -> TensorField:
     """Covariant derivative of a (p,q) field; direction appended as last slot.
 
@@ -272,30 +293,18 @@ def covariant_derivative(conn: Connection, field: TensorField) -> TensorField:
             f"dimension mismatch: field n={field.shape.n}, connection n={conn.dimension}"
         )
     n, p, q = field.shape.n, field.shape.p, field.shape.q
-    out_table, in_table = _gamma_tables(conn)
-    out_shape = TensorShape(p + 1, q, n)
-    comps: list[Polynomial] = []
-    for idx in itertools.product(range(1, n + 1), repeat=p + 1 + q):
-        cov, k, contra = idx[:p], idx[p], idx[p + 1 :]
-        base = tuple(v - 1 for v in cov + contra)
-        acc = field.components[_flat(n, base)].partial_derivative(k)
-        for s in range(p):
-            for m, g in in_table[k][cov[s]]:
-                src = base[:s] + (m - 1,) + base[s + 1 :]
-                comp = field.components[_flat(n, src)]
-                if not comp.is_zero:
-                    acc = acc - g * comp
-        for t in range(q):
-            for m, g in out_table[k][contra[t]]:
-                src = base[: p + t] + (m - 1,) + base[p + t + 1 :]
-                comp = field.components[_flat(n, src)]
-                if not comp.is_zero:
-                    acc = acc + g * comp
-        comps.append(acc)
-    return TensorField(out_shape, tuple(comps))
+    tables = _gamma_tables(conn)
+    covariant, contravariant = range(p), range(p, p + q)
+    comps = [
+        _direction_term(
+            tables, field.components, n, idx[p], idx[:p] + idx[p + 1 :], covariant, contravariant
+        )
+        for idx in itertools.product(range(n), repeat=p + 1 + q)
+    ]
+    return TensorField(TensorShape(p + 1, q, n), tuple(comps))
 
 
-# -- exterior covariant differentials ---------------------------------------------
+# -- exterior differentials ---------------------------------------------------------
 
 def _orderings(directions: tuple[int, ...]):
     """Each ordering of the distinct directions, with its permutation's sign."""
@@ -304,90 +313,60 @@ def _orderings(directions: tuple[int, ...]):
         yield tuple(directions[p] for p in perm), -1 if inversions % 2 else 1
 
 
+def _exterior_differential(tables, field: TensorField, degree: int) -> TensorField:
+    """Alternating sum of direction terms of a field whose first ``degree``
+    covariant slots alternate; Gamma acts on every later slot.
+
+    (d field)_{i0..ik, v} = sum_r (-1)^r D_{i_r} field_{..omit r.., v}, where
+    v runs over the slots after the form slots.  The sum is evaluated at
+    strictly increasing (i0..ik) only, each term once; every other ordering
+    gets the same value times the permutation's sign, and components with a
+    repeated direction are zero.
+    """
+    n, p, q = field.shape.n, field.shape.p, field.shape.q
+    cov, contra = range(degree, p), range(p, p + q)
+    src = field.components
+    zero = Polynomial.zero(n)
+    comps = [zero] * n ** (p + 1 + q)
+    block = n ** (p + q - degree)
+    values = list(itertools.product(range(n), repeat=p + q - degree))
+    for directions in itertools.combinations(range(n), degree + 1):
+        targets = [(_flat(n, ordering) * block, sign) for ordering, sign in _orderings(directions)]
+        for value in values:
+            acc = zero
+            for r in range(degree + 1):
+                rest = directions[:r] + directions[r + 1 :] + value
+                term = _direction_term(tables, src, n, directions[r], rest, cov, contra)
+                acc = acc - term if r % 2 else acc + term
+            if acc.is_zero:
+                continue
+            offset = _flat(n, value)
+            negated = -acc
+            for pos, sign in targets:
+                comps[pos + offset] = acc if sign > 0 else negated
+    return TensorField(TensorShape(p + 1, q, n), tuple(comps))
+
+
 def ext_cov_deriv_vector(conn: Connection, alpha: VectorValuedForm) -> VectorValuedForm:
-    """Exterior covariant differential of a vector-valued k-form (degree k+1).
+    """Exterior covariant differential of a vector-valued k-form (degree k+1):
 
     (d alpha)^l_{i0..ik} = sum_r (-1)^r [ d_{i_r} alpha^l_{..omit r..}
                                           + Gamma^l_{i_r m} alpha^m_{..omit r..} ].
-
-    The sum is evaluated at strictly increasing (i0..ik) only, each term
-    once; every other ordering gets the same value times the permutation's
-    sign, and components with a repeated direction are zero.
     """
     if alpha.n != conn.dimension:
         raise ValueError("dimension mismatch between form and connection")
-    n, k = conn.dimension, alpha.degree
-    out_table, _ = _gamma_tables(conn)
-    src = alpha.tensor.components
-    comps = [Polynomial.zero(n)] * n ** (k + 2)
-    for directions in itertools.combinations(range(1, n + 1), k + 1):
-        targets = [
-            (_flat(n, tuple(v - 1 for v in ordering)) * n, sign)
-            for ordering, sign in _orderings(directions)
-        ]
-        for l in range(1, n + 1):
-            acc = Polynomial.zero(n)
-            sign = 1
-            for r in range(k + 1):
-                rest = directions[:r] + directions[r + 1 :]
-                base = tuple(v - 1 for v in rest)
-                term = src[_flat(n, base + (l - 1,))].partial_derivative(directions[r])
-                for m, g in out_table[directions[r]][l]:
-                    comp = src[_flat(n, base + (m - 1,))]
-                    if not comp.is_zero:
-                        term = term + g * comp
-                acc = acc + term if sign > 0 else acc - term
-                sign = -sign
-            if acc.is_zero:
-                continue
-            negated = -acc
-            for pos, s in targets:
-                comps[pos + l - 1] = acc if s > 0 else negated
-    return VectorValuedForm(k + 1, TensorField(TensorShape(k + 1, 1, n), tuple(comps)))
+    tensor = _exterior_differential(_gamma_tables(conn), alpha.tensor, alpha.degree)
+    return VectorValuedForm(alpha.degree + 1, tensor)
 
 
 def ext_cov_deriv_endo(conn: Connection, beta: EndValuedForm) -> EndValuedForm:
-    """Exterior covariant differential of an endomorphism-valued k-form.
-
-    Like the vector-valued case, with +Gamma on the output slot and -Gamma
-    on the endomorphism input slot, and likewise evaluated at strictly
-    increasing direction tuples only, the other orderings filled by
-    alternation.
-    """
+    """Exterior covariant differential of an endomorphism-valued k-form:
+    like the vector-valued case, with +Gamma on the output slot and -Gamma
+    on the endomorphism input slot."""
     if beta.n != conn.dimension:
         raise ValueError("dimension mismatch between form and connection")
-    n, k = conn.dimension, beta.degree
-    out_table, in_table = _gamma_tables(conn)
-    src = beta.tensor.components
-    comps = [Polynomial.zero(n)] * n ** (k + 3)
-    for directions in itertools.combinations(range(1, n + 1), k + 1):
-        targets = [
-            (_flat(n, tuple(v - 1 for v in ordering)) * n * n, sign)
-            for ordering, sign in _orderings(directions)
-        ]
-        for a, l in itertools.product(range(1, n + 1), repeat=2):
-            acc = Polynomial.zero(n)
-            sign = 1
-            for r in range(k + 1):
-                rest = directions[:r] + directions[r + 1 :]
-                base = tuple(v - 1 for v in rest)
-                term = src[_flat(n, base + (a - 1, l - 1))].partial_derivative(directions[r])
-                for m, g in out_table[directions[r]][l]:
-                    comp = src[_flat(n, base + (a - 1, m - 1))]
-                    if not comp.is_zero:
-                        term = term + g * comp
-                for m, g in in_table[directions[r]][a]:
-                    comp = src[_flat(n, base + (m - 1, l - 1))]
-                    if not comp.is_zero:
-                        term = term - g * comp
-                acc = acc + term if sign > 0 else acc - term
-                sign = -sign
-            if acc.is_zero:
-                continue
-            negated = -acc
-            for pos, s in targets:
-                comps[pos + (a - 1) * n + l - 1] = acc if s > 0 else negated
-    return EndValuedForm(k + 1, TensorField(TensorShape(k + 2, 1, n), tuple(comps)))
+    tensor = _exterior_differential(_gamma_tables(conn), beta.tensor, beta.degree)
+    return EndValuedForm(beta.degree + 1, tensor)
 
 
 # -- wedge/tensor constructions with the identity ---------------------------------
@@ -440,14 +419,8 @@ def exterior_derivative(theta: TensorField) -> TensorField:
     """d of a 1-form: (d theta)_{ij} = d_i theta_j - d_j theta_i."""
     if theta.shape.p != 1 or theta.shape.q != 0:
         raise ValueError(f"expected a 1-form, got shape {theta.shape}")
-    n = theta.shape.n
-    comps = []
-    for i, j in itertools.product(range(1, n + 1), repeat=2):
-        comps.append(
-            theta.get((j,), ()).partial_derivative(i)
-            - theta.get((i,), ()).partial_derivative(j)
-        )
-    return TensorField(TensorShape(2, 0, n), tuple(comps))
+    # a 1-form has no slot after its form slot, so no Gamma table is read
+    return _exterior_differential(((), ()), theta, 1)
 
 
 def identity_oneform(n: int) -> VectorValuedForm:

@@ -176,9 +176,15 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if exponent < 0:
             raise ValueError("negative powers are not defined for polynomials")
+        # repeated squaring: one squaring per bit of the exponent
         result = Polynomial.constant(self.dimension, 1)
-        for _ in range(exponent):
-            result = result * self
+        square = self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return result
 
     def partial_derivative(self, index: int) -> Polynomial:

@@ -490,6 +490,9 @@ def verify_thm_3_5(d: Derived) -> Verdict:
 def verify_bianchi(spec: RandomConnectionSpec, count: int = 20) -> Verdict:
     """Both structure identities, the differential of the identity 1-form,
     and the normal-tensor symmetrization, on seeded random connections."""
+    if count < 1:
+        # zero connections would make the verdict a vacuous PASS
+        raise ValueError(f"count must be at least 1, got {count}")
     connections = random_connections(spec, count)
     runs = []
     all_ok = True

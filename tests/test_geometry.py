@@ -38,7 +38,12 @@ from natforms.tensor import (
     permute_covariant,
 )
 from natforms.verify import RandomConnectionSpec, random_connections
-from reference_loops import ext_cov_deriv_endo_all_orderings, ext_cov_deriv_vector_all_orderings
+from reference_loops import (
+    covariant_derivative_loop,
+    ext_cov_deriv_endo_all_orderings,
+    ext_cov_deriv_vector_all_orderings,
+    exterior_derivative_loop,
+)
 
 N = 4
 
@@ -352,11 +357,14 @@ def assert_matches_reference(conn, form):
     return got
 
 
-@pytest.mark.parametrize(
+SEEDED_CONNECTIONS = pytest.mark.parametrize(
     "n, density, seed",
     [(4, 6, 11), (4, 20, 2), (5, 8, 5), (5, 30, 7)],
     ids=["sparse-n4", "dense-n4", "sparse-n5", "dense-n5"],
 )
+
+
+@SEEDED_CONNECTIONS
 def test_differentials_match_all_orderings_reference(n, density, seed):
     conn = random_connections(RandomConnectionSpec(seed=seed, dimension=n, density=density), 1)[0]
     rng = random.Random(seed)
@@ -365,6 +373,29 @@ def test_differentials_match_all_orderings_reference(n, density, seed):
     for degree, input_slots in itertools.product(range(4), (0, 1)):
         form = random_form(rng, n, degree, input_slots)
         assert not assert_matches_reference(conn, form).tensor.is_zero
+
+
+def random_field(rng, n, p, q):
+    """A (p, q) field with up to 4n nonconstant random components."""
+    comps = [Polynomial.zero(n)] * n ** (p + q)
+    for pos in rng.sample(range(len(comps)), min(4 * n, len(comps))):
+        x = Polynomial.variable(n, rng.randint(1, n))
+        comps[pos] = random_poly(rng, n) + x * x
+    return TensorField(TensorShape(p, q, n), tuple(comps))
+
+
+@SEEDED_CONNECTIONS
+def test_derivatives_match_loop_reference(n, density, seed):
+    conn = random_connections(RandomConnectionSpec(seed=seed, dimension=n, density=density), 1)[0]
+    rng = random.Random(seed)
+    for p, q in [(0, 0), (1, 0), (0, 1), (2, 1), (3, 1), (1, 2)]:
+        field = random_field(rng, n, p, q)
+        got = covariant_derivative(conn, field)
+        assert equal(got, covariant_derivative_loop(conn, field)), (p, q)
+        assert not got.is_zero
+        if (p, q) == (1, 0):
+            d = exterior_derivative(field)
+            assert equal(d, exterior_derivative_loop(field)) and not d.is_zero
 
 
 def test_differentials_of_named_forms_match_reference(ref_conn, crooked_conn, ref_family):

@@ -64,6 +64,30 @@ def test_square_hand_expansion():
     assert p("x1 + x2") ** 2 == p("x1^2 + 2*x1*x2 + x2^2")
 
 
+def test_power_equals_repeated_multiplication():
+    base = p("x1 - 1/2*x3")
+    product = Polynomial.constant(4, 1)
+    for exponent in range(6):
+        assert base ** exponent == product, exponent
+        product = product * base
+
+
+def test_huge_power_is_one_monomial():
+    # repeated squaring takes ~27 multiplications of one monomial; the
+    # subprocess timeout turns a regression to linear multiplication into a
+    # failure, not a hang
+    code = (
+        "from natforms.poly import Polynomial; "
+        "print(list((Polynomial.variable(4, 3) ** 99999999).terms.items()))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[((0, 0, 99999999, 0), Fraction(1, 1))]"
+
+
 def test_scale_by_rational():
     assert p("x1").scale(Fraction(1, 2)) == p("1/2*x1")
     assert 2 * p("x1") == p("2*x1")

@@ -175,6 +175,16 @@ def test_bianchi_suite_small_run():
         assert run["d_of_identity_is_torsion"] and run["normal1_symmetrization_zero"]
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_bianchi_suite_rejects_count_below_one(count, monkeypatch):
+    def no_draw(spec, count):
+        raise AssertionError("connections drawn before the count was checked")
+
+    monkeypatch.setattr("natforms.verify.random_connections", no_draw)
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        verify_bianchi(RandomConnectionSpec(seed=1), count)
+
+
 # -- reports ----------------------------------------------------------------------------------
 
 def test_report_rendering_is_deterministic(ref_conn):
