@@ -13,7 +13,9 @@ contravariant) and "upper" slots (source contravariant plus target
 covariant); pairs inside the source are contractions, pairs inside the
 target are Kronecker-delta insertions, and mixed pairs transport a slot.
 There are exactly r! of them, r being the number of lower slots, and none
-when the covariant and contravariant defects differ.
+when the covariant and contravariant defects differ.  ``apply_scheme``
+evaluates one as a single gather of :mod:`natforms.tensor`: contracted
+pairs share a dummy index and delta fills tie two target slots.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ import itertools
 from dataclasses import dataclass
 
 from .geometry import Connection, EndValuedForm, normal0, normal1
-from .poly import Polynomial
 from .tensor import (
     TensorField,
     TensorShape,
-    _flat,
+    _gather,
     antisymmetrize_pair,
     contract,
     delta,
@@ -211,26 +212,17 @@ class ContractionScheme:
     delta_fills: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        src_cov = sorted(
-            [p for p, _ in self.contracted_pairs] + [s for s, _ in self.cov_assignment]
+        pairs, cov, contra, fills = (
+            self.contracted_pairs, self.cov_assignment, self.contra_assignment, self.delta_fills
         )
-        src_contra = sorted(
-            [q for _, q in self.contracted_pairs] + [s for s, _ in self.contra_assignment]
-        )
-        tgt_cov = sorted(
-            [t for _, t in self.cov_assignment] + [t for t, _ in self.delta_fills]
-        )
-        tgt_contra = sorted(
-            [t for _, t in self.contra_assignment] + [t for _, t in self.delta_fills]
-        )
-        if src_cov != list(range(1, self.source.p + 1)):
-            raise ValueError("source covariant slots not used exactly once")
-        if src_contra != list(range(1, self.source.q + 1)):
-            raise ValueError("source contravariant slots not used exactly once")
-        if tgt_cov != list(range(1, self.target.p + 1)):
-            raise ValueError("target covariant slots not used exactly once")
-        if tgt_contra != list(range(1, self.target.q + 1)):
-            raise ValueError("target contravariant slots not used exactly once")
+        for what, count, used in (
+            ("source covariant", self.source.p, [s for s, _ in pairs + cov]),
+            ("source contravariant", self.source.q, [s for _, s in pairs] + [s for s, _ in contra]),
+            ("target covariant", self.target.p, [t for _, t in cov] + [t for t, _ in fills]),
+            ("target contravariant", self.target.q, [t for _, t in contra + fills]),
+        ):
+            if sorted(used) != list(range(1, count + 1)):
+                raise ValueError(f"{what} slots not used exactly once")
 
 
 def enumerate_schemes(source: TensorShape, target: TensorShape) -> list[ContractionScheme]:
@@ -279,39 +271,19 @@ def enumerate_schemes(source: TensorShape, target: TensorShape) -> list[Contract
 
 
 def apply_scheme(scheme: ContractionScheme, field: TensorField) -> TensorField:
-    """Evaluate the scheme on a field of the source type."""
+    """Evaluate the scheme on a field of the source type, as one gather:
+    assigned slots feed target slots, each contracted pair reads one dummy
+    index, and each delta fill ties a target covariant slot to a target
+    contravariant one."""
     if field.shape != scheme.source:
         raise ValueError(f"field shape {field.shape} does not match scheme source {scheme.source}")
-    n = field.shape.n
-    p, q = scheme.source.p, scheme.source.q
-    pbar, qbar = scheme.target.p, scheme.target.q
-    t = len(scheme.contracted_pairs)
-    cov_from_target = dict(scheme.cov_assignment)       # source cov -> target cov
-    contra_from_target = dict(scheme.contra_assignment)  # source contra -> target contra
-    cov_from_pair = {s: idx for idx, (s, _) in enumerate(scheme.contracted_pairs)}
-    contra_from_pair = {s: idx for idx, (_, s) in enumerate(scheme.contracted_pairs)}
-    target_shape = TensorShape(pbar, qbar, n)
-    zero = Polynomial.zero(n)
-    comps = []
-    for idx in itertools.product(range(1, n + 1), repeat=pbar + qbar):
-        tc, td = idx[:pbar], idx[pbar:]
-        if any(tc[u - 1] != td[v - 1] for u, v in scheme.delta_fills):
-            comps.append(zero)
-            continue
-        acc = zero
-        for dummies in itertools.product(range(1, n + 1), repeat=t):
-            scov = tuple(
-                dummies[cov_from_pair[s]] if s in cov_from_pair else tc[cov_from_target[s] - 1]
-                for s in range(1, p + 1)
-            )
-            scontra = tuple(
-                dummies[contra_from_pair[s]]
-                if s in contra_from_pair
-                else td[contra_from_target[s] - 1]
-                for s in range(1, q + 1)
-            )
-            acc = acc + field.components[
-                _flat(n, tuple(v - 1 for v in scov + scontra))
-            ]
-        comps.append(acc)
-    return TensorField(target_shape, tuple(comps))
+    p, pbar, qbar = scheme.source.p, scheme.target.p, scheme.target.q
+    feeds = [0] * (p + scheme.source.q)
+    for s, t in scheme.cov_assignment:
+        feeds[s - 1] = t - 1
+    for s, t in scheme.contra_assignment:
+        feeds[p + s - 1] = pbar + t - 1
+    for dummy, (s, c) in enumerate(scheme.contracted_pairs, start=pbar + qbar):
+        feeds[s - 1] = feeds[p + c - 1] = dummy
+    fills = [(u - 1, pbar + v - 1) for u, v in scheme.delta_fills]
+    return _gather(field, TensorShape(pbar, qbar, field.shape.n), feeds, fills)

@@ -40,14 +40,19 @@ from fractions import Fraction
 
 from .poly import ParseError, Polynomial, parse, to_string
 from .tensor import (
+    _MAX_DIMENSION,
     TensorField,
     TensorShape,
     _doc_indices,
     _doc_int,
     _doc_text,
     _flat,
+    antisymmetrize_pair,
+    contract,
     delta,
     is_antisymmetric,
+    permute_covariant,
+    tensor_product,
 )
 
 
@@ -119,8 +124,10 @@ def connection_from_json_obj(obj: dict) -> Connection:
         raw = obj["christoffel"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed connection document: {exc}") from exc
-    if n < 2:
-        raise ValueError(f"dimension out of supported range (n >= 2), got {n}")
+    if not 2 <= n <= _MAX_DIMENSION:
+        raise ValueError(
+            f"dimension out of supported range (n >= 2 and n <= {_MAX_DIMENSION}), got {n}"
+        )
     if not isinstance(raw, list):
         raise ValueError(f"christoffel must be a list, got {raw!r}")
     entries: dict[tuple[int, int, int], Polynomial] = {}
@@ -376,29 +383,16 @@ def wedge_endo_identity(beta: EndValuedForm) -> VectorValuedForm:
     (beta ^ I)^l_{ijk} = beta^l_{ij,k} + beta^l_{jk,i} + beta^l_{ki,j}."""
     if beta.degree != 2:
         raise ValueError(f"wedge with identity implemented for degree 2, got {beta.degree}")
-    n = beta.n
     t = beta.tensor
-    comps = []
-    for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
-        comps.append(t.get((i, j, k), (l,)) + t.get((j, k, i), (l,)) + t.get((k, i, j), (l,)))
-    return VectorValuedForm(3, TensorField(TensorShape(3, 1, n), tuple(comps)))
+    cycled = permute_covariant(t, (2, 3, 1)) + permute_covariant(t, (3, 1, 2))
+    return VectorValuedForm(3, t + cycled)
 
 
 def wedge_oneform_identity(theta: TensorField) -> VectorValuedForm:
     """(theta ^ I)^l_{ij} = theta_i delta^l_j - theta_j delta^l_i."""
     if theta.shape.p != 1 or theta.shape.q != 0:
         raise ValueError(f"expected a 1-form, got shape {theta.shape}")
-    n = theta.shape.n
-    zero_poly = Polynomial.zero(n)
-    comps = []
-    for i, j, l in itertools.product(range(1, n + 1), repeat=3):
-        acc = zero_poly
-        if j == l:
-            acc = acc + theta.get((i,), ())
-        if i == l:
-            acc = acc - theta.get((j,), ())
-        comps.append(acc)
-    return VectorValuedForm(2, TensorField(TensorShape(2, 1, n), tuple(comps)))
+    return VectorValuedForm(2, antisymmetrize_pair(tensor_product(theta, delta(theta.n)), 1, 2))
 
 
 def tensor_identity(omega: TensorField) -> EndValuedForm:
@@ -407,12 +401,7 @@ def tensor_identity(omega: TensorField) -> EndValuedForm:
         raise ValueError(f"expected a 2-form, got shape {omega.shape}")
     if not is_antisymmetric(omega, 1, 2):
         raise ValueError("2-form must be antisymmetric")
-    n = omega.shape.n
-    zero_poly = Polynomial.zero(n)
-    comps = []
-    for i, j, a, l in itertools.product(range(1, n + 1), repeat=4):
-        comps.append(omega.get((i, j), ()) if a == l else zero_poly)
-    return EndValuedForm(2, TensorField(TensorShape(3, 1, n), tuple(comps)))
+    return EndValuedForm(2, tensor_product(omega, delta(omega.n)))
 
 
 def exterior_derivative(theta: TensorField) -> TensorField:
@@ -445,23 +434,16 @@ def normal1(conn: Connection) -> TensorField:
     Its full symmetrization over (i,j,k) vanishes; the verification suite
     checks that identity on randomized connections.
     """
-    n = conn.dimension
     tor = torsion(conn).tensor
     r = curvature(conn).tensor
     dtor = covariant_derivative(conn, tor)
-    minus_sixth = Fraction(-1, 6)
-    half = Fraction(1, 2)
-    comps = []
-    for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
-        acc = r.get((k, i, j), (l,)).scale(-3)
-        acc = acc + r.get((j, k, i), (l,)) - r.get((i, j, k), (l,))
-        acc = acc - dtor.get((i, j, k), (l,)).scale(2) - dtor.get((k, j, i), (l,)).scale(2)
-        for m in range(1, n + 1):
-            t_kj = tor.get((k, j), (m,))
-            if not t_kj.is_zero:
-                acc = acc + t_kj * tor.get((m, i), (l,))
-            t_ij = tor.get((i, j), (m,))
-            if not t_ij.is_zero:
-                acc = acc + (t_ij * tor.get((k, m), (l,))).scale(half)
-        comps.append(acc.scale(minus_sixth))
-    return TensorField(TensorShape(3, 1, n), tuple(comps))
+    tor_tor = tensor_product(tor, tor)  # Tor^m_{ab} Tor^l_{cd}: cov (a,b,c,d), contra (m,l)
+    total = (
+        permute_covariant(r, (3, 1, 2)).scale(-3)
+        + permute_covariant(r, (2, 3, 1))
+        - r
+        - (dtor + permute_covariant(dtor, (3, 2, 1))).scale(2)
+        + permute_covariant(contract(tor_tor, 3, 1), (3, 2, 1))  # Tor^m_{kj} Tor^l_{mi}
+        + contract(tor_tor, 4, 1).scale(Fraction(1, 2))  # Tor^m_{ij} Tor^l_{km}
+    )
+    return total.scale(Fraction(-1, 6))

@@ -7,6 +7,14 @@ coefficient-flattening in :mod:`natforms.exactla`.  Symmetry in a slot
 pair is a property of the components alone, checked exactly by
 :func:`is_antisymmetric`.
 
+One private gather, ``_gather``, does every reindexing: an output
+component sums the source at a remapped index over dummy indices, and is
+zero off a Kronecker-delta diagonal.  :func:`contract`,
+:func:`permute_covariant` and :func:`natforms.generators.apply_scheme`
+are gathers.  Outside this module only the derivative kernel of
+:mod:`natforms.geometry` and the flattening in :mod:`natforms.exactla`
+read the storage layout directly.
+
 Slot arguments in the public API are 1-based throughout, matching the
 index conventions of the formulas this library implements.
 """
@@ -38,6 +46,12 @@ class TensorShape:
     @property
     def size(self) -> int:
         return self.n ** (self.p + self.q)
+
+
+# Largest dimension and slot count p + q a document may declare, checked before
+# any allocation: 8^6 is the largest intermediate `verify schemes` builds.
+_MAX_DIMENSION = 8
+_MAX_SLOTS = 6
 
 
 def _flat(n: int, idx: Sequence[int]) -> int:
@@ -130,6 +144,43 @@ def equal(a: TensorField, b: TensorField) -> bool:
     return a.components == b.components
 
 
+def _offsets(n: int, weights: Sequence[int]) -> list[int]:
+    """sum_s v_s * weights[s] for every index tuple v, in row-major order."""
+    offsets = [0]
+    for w in weights:
+        offsets = [o + v * w for o in offsets for v in range(n)]
+    return offsets
+
+
+def _gather(a: TensorField, out_shape: TensorShape, feeds: Sequence[int], fills=()) -> TensorField:
+    """The one index remap behind every reindexing, contraction and delta.
+
+    Slots count from 0 over all slots, covariant first.  Source slot s reads
+    (I + D)[feeds[s]]: I is the output index and D the dummy indices, which
+    number after the output slots, so two slots fed by one dummy contract.
+    An output component sums the source over all dummy values, and is zero
+    where the two output slots of a pair (u, v) in ``fills`` differ.
+    """
+    n, out_slots, src_slots = a.n, out_shape.p + out_shape.q, a.shape.p + a.shape.q
+    weights = [0] * max(out_slots, max(feeds, default=-1) + 1)
+    for s, f in enumerate(feeds):
+        weights[f] += n ** (src_slots - 1 - s)
+    bases: list[int | None] = _offsets(n, weights[:out_slots])
+    dummies = _offsets(n, weights[out_slots:])
+    for u, v in fills:
+        su, sv = n ** (out_slots - 1 - u), n ** (out_slots - 1 - v)
+        bases = [b if pos // su % n == pos // sv % n else None for pos, b in enumerate(bases)]
+    src, zero_poly = a.components, Polynomial.zero(n)
+    comps = []
+    for base in bases:
+        acc = zero_poly
+        for comp in () if base is None else (src[base + d] for d in dummies):
+            if comp.terms:
+                acc = comp if acc is zero_poly else acc + comp
+        comps.append(acc)
+    return TensorField(out_shape, tuple(comps))
+
+
 def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     """Product with a's slots preceding b's in each variance class."""
     if a.n != b.n:
@@ -137,13 +188,16 @@ def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     n = a.n
     pa, qa, pb, qb = a.shape.p, a.shape.q, b.shape.p, b.shape.q
     out_shape = TensorShape(pa + pb, qa + qb, n)
-    comps: list[Polynomial] = [None] * out_shape.size  # type: ignore[list-item]
-    for ia, full_a in enumerate(itertools.product(range(n), repeat=pa + qa)):
-        ca, ka = full_a[:pa], full_a[pa:]
-        poly_a = a.components[ia]
-        for ib, full_b in enumerate(itertools.product(range(n), repeat=pb + qb)):
-            cb, kb = full_b[:pb], full_b[pb:]
-            comps[_flat(n, ca + cb + ka + kb)] = poly_a * b.components[ib]
+    # output slots: a's covariant, b's covariant, a's contravariant, b's contravariant
+    strides = [n**s for s in reversed(range(pa + pb + qa + qb))]
+    a_offsets = _offsets(n, strides[:pa] + strides[pa + pb : pa + pb + qa])
+    b_offsets = _offsets(n, strides[pa : pa + pb] + strides[pa + pb + qa :])
+    comps = [Polynomial.zero(n)] * out_shape.size
+    for a_off, poly_a in zip(a_offsets, a.components):
+        if poly_a.terms:
+            for b_off, poly_b in zip(b_offsets, b.components):
+                if poly_b.terms:
+                    comps[a_off + b_off] = poly_a * poly_b
     return TensorField(out_shape, tuple(comps))
 
 
@@ -154,17 +208,11 @@ def contract(a: TensorField, cov_slot: int, contra_slot: int) -> TensorField:
         raise ValueError(f"covariant slot {cov_slot} out of range 1..{p}")
     if not 1 <= contra_slot <= q:
         raise ValueError(f"contravariant slot {contra_slot} out of range 1..{q}")
-    out_shape = TensorShape(p - 1, q - 1, n)
-    ci, ki = cov_slot - 1, contra_slot - 1
-    comps: list[Polynomial] = []
-    for idx in itertools.product(range(n), repeat=out_shape.p + out_shape.q):
-        cov, contra = idx[: p - 1], idx[p - 1 :]
-        acc = Polynomial.zero(n)
-        for m in range(n):
-            src = cov[:ci] + (m,) + cov[ci:] + contra[:ki] + (m,) + contra[ki:]
-            acc = acc + a.components[_flat(n, src)]
-        comps.append(acc)
-    return TensorField(out_shape, tuple(comps))
+    # the other slots keep their order; the pair reads the one dummy
+    ci, ki = cov_slot - 1, p + contra_slot - 1
+    feeds = [s - (s > ci) - (s > ki) for s in range(p + q)]
+    feeds[ci] = feeds[ki] = p + q - 2
+    return _gather(a, TensorShape(p - 1, q - 1, n), feeds)
 
 
 def _check_permutation(perm: Sequence[int], count: int) -> None:
@@ -177,14 +225,9 @@ def permute_covariant(a: TensorField, perm: Sequence[int]) -> TensorField:
 
     With perm=(2,3,1) the result X satisfies X_{ijk} = A_{jki}.
     """
-    p, q, n = a.shape.p, a.shape.q, a.shape.n
+    p, q = a.shape.p, a.shape.q
     _check_permutation(perm, p)
-    comps: list[Polynomial] = []
-    for idx in itertools.product(range(n), repeat=p + q):
-        cov, contra = idx[:p], idx[p:]
-        src_cov = tuple(cov[s - 1] for s in perm)
-        comps.append(a.components[_flat(n, src_cov + contra)])
-    return TensorField(a.shape, tuple(comps))
+    return _gather(a, a.shape, [s - 1 for s in perm] + list(range(p, p + q)))
 
 
 def _swap_perm(p: int, s1: int, s2: int) -> tuple[int, ...]:
@@ -250,13 +293,12 @@ def is_antisymmetric(a: TensorField, s1: int, s2: int) -> bool:
 # -- interchange format -------------------------------------------------------
 
 def to_json_obj(a: TensorField) -> dict:
-    """Interchange document: shape plus the nonzero components, sorted."""
-    entries = []
-    for cov, contra in a.indices():
-        poly = a.get(cov, contra)
-        if not poly.is_zero:
-            entries.append({"cov": list(cov), "contra": list(contra), "poly": to_string(poly)})
-    entries.sort(key=lambda e: (e["cov"], e["contra"]))
+    """Interchange document: shape plus the nonzero components in index order."""
+    entries = [
+        {"cov": list(cov), "contra": list(contra), "poly": to_string(poly)}
+        for (cov, contra), poly in zip(a.indices(), a.components)
+        if not poly.is_zero
+    ]
     return {
         "shape": {"p": a.shape.p, "q": a.shape.q, "n": a.shape.n},
         "components": entries,
@@ -293,6 +335,11 @@ def from_json_obj(obj: dict) -> TensorField:
         raw = obj["components"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tensor document: {exc}") from exc
+    if shape.n > _MAX_DIMENSION or shape.p + shape.q > _MAX_SLOTS:
+        raise ValueError(
+            f"tensor documents need n <= {_MAX_DIMENSION} and p + q <= {_MAX_SLOTS},"
+            f" got p={shape.p}, q={shape.q}, n={shape.n}"
+        )
     if not isinstance(raw, list):
         raise ValueError(f"components must be a list, got {raw!r}")
     comps = [Polynomial.zero(shape.n)] * shape.size

@@ -36,10 +36,10 @@ from .exactla import (
 from .generators import (
     GeneratorFamily,
     apply_scheme,
+    build_T_list,
     doubled_d5_variant,
     dropped_c3_generator,
     enumerate_schemes,
-    family_from_connection,
     vanishing_d3_pattern,
 )
 from .geometry import (
@@ -164,7 +164,7 @@ class Derived:
 
     @cached_property
     def family(self) -> GeneratorFamily:
-        return family_from_connection(self.conn)
+        return build_T_list(self.normal0, self.normal1)
 
     @cached_property
     def closed_combinations(self) -> dict[str, TensorField]:
@@ -508,11 +508,8 @@ def verify_bianchi(spec: RandomConnectionSpec, count: int = 20) -> Verdict:
             tor.tensor,
         )
         n1 = normal1(conn)
-        sym = None
-        for perm in itertools.permutations((1, 2, 3)):
-            piece = permute_covariant(n1, perm)
-            sym = piece if sym is None else sym + piece
-        symmetrization_zero = sym.is_zero
+        pieces = [permute_covariant(n1, perm) for perm in itertools.permutations((1, 2, 3))]
+        symmetrization_zero = sum(pieces[1:], pieces[0]).is_zero
         ok = first and second and d_identity and symmetrization_zero
         all_ok = all_ok and ok
         runs.append(

@@ -5,16 +5,26 @@ derivative and the exterior (covariant) differentials at every index
 tuple, each with its own loop, and the antisymmetry test by building the
 slot-swapped field and negating it.  Christoffel symbols are read through
 ``Connection.gamma`` only, so no table code is shared with the library's
-derivative kernel.  The library computes the same results with less work
-and one shared kernel; the tests require exact equality with these
-versions.
+derivative kernel.  Contraction, slot permutation, contraction schemes,
+the normal tensor N1 and the wedge/tensor products with the identity read
+components one 1-based index at a time through ``TensorField.get``, so
+none of them goes through the library's index gather.  The library
+computes the same results with less work and shared kernels; the tests
+require exact equality with these versions.
 """
 
 import itertools
+from fractions import Fraction
 
-from natforms.geometry import EndValuedForm, VectorValuedForm
+from natforms.geometry import (
+    EndValuedForm,
+    VectorValuedForm,
+    covariant_derivative,
+    curvature,
+    torsion,
+)
 from natforms.poly import Polynomial
-from natforms.tensor import TensorField, TensorShape, _flat, _swap_perm, permute_covariant
+from natforms.tensor import TensorField, TensorShape, _flat, _swap_perm
 
 
 def ext_cov_deriv_vector_all_orderings(conn, alpha):
@@ -114,5 +124,130 @@ def exterior_derivative_loop(theta):
 
 def is_antisymmetric_by_permutation(a, s1, s2):
     """a equals minus a with covariant slots s1 and s2 swapped."""
-    swapped = permute_covariant(a, _swap_perm(a.shape.p, s1, s2))
+    swapped = permute_covariant_loop(a, _swap_perm(a.shape.p, s1, s2))
     return a.components == tuple(-c for c in swapped.components)
+
+
+# -- index remapping and the constructions built on it --------------------------
+
+def contract_loop(a, cov_slot, contra_slot):
+    """Sum the paired covariant/contravariant index (Einstein convention)."""
+    p, q, n = a.shape.p, a.shape.q, a.shape.n
+    out_shape = TensorShape(p - 1, q - 1, n)
+    ci, ki = cov_slot - 1, contra_slot - 1
+    comps = []
+    for idx in itertools.product(range(1, n + 1), repeat=out_shape.p + out_shape.q):
+        cov, contra = idx[: p - 1], idx[p - 1 :]
+        acc = Polynomial.zero(n)
+        for m in range(1, n + 1):
+            acc = acc + a.get(cov[:ci] + (m,) + cov[ci:], contra[:ki] + (m,) + contra[ki:])
+        comps.append(acc)
+    return TensorField(out_shape, tuple(comps))
+
+
+def permute_covariant_loop(a, perm):
+    """Result slot s reads input index v[perm[s]]: with perm=(2,3,1),
+    X_{ijk} = A_{jki}."""
+    p, q, n = a.shape.p, a.shape.q, a.shape.n
+    comps = []
+    for idx in itertools.product(range(1, n + 1), repeat=p + q):
+        cov, contra = idx[:p], idx[p:]
+        comps.append(a.get(tuple(cov[s - 1] for s in perm), contra))
+    return TensorField(a.shape, tuple(comps))
+
+
+def apply_scheme_loop(scheme, field):
+    """Evaluate the scheme on a field of the source type, one output index
+    and one tuple of dummy indices at a time."""
+    n = field.shape.n
+    p, q = scheme.source.p, scheme.source.q
+    pbar, qbar = scheme.target.p, scheme.target.q
+    t = len(scheme.contracted_pairs)
+    cov_from_target = dict(scheme.cov_assignment)       # source cov -> target cov
+    contra_from_target = dict(scheme.contra_assignment)  # source contra -> target contra
+    cov_from_pair = {s: idx for idx, (s, _) in enumerate(scheme.contracted_pairs)}
+    contra_from_pair = {s: idx for idx, (_, s) in enumerate(scheme.contracted_pairs)}
+    zero = Polynomial.zero(n)
+    comps = []
+    for idx in itertools.product(range(1, n + 1), repeat=pbar + qbar):
+        tc, td = idx[:pbar], idx[pbar:]
+        if any(tc[u - 1] != td[v - 1] for u, v in scheme.delta_fills):
+            comps.append(zero)
+            continue
+        acc = zero
+        for dummies in itertools.product(range(1, n + 1), repeat=t):
+            scov = tuple(
+                dummies[cov_from_pair[s]] if s in cov_from_pair else tc[cov_from_target[s] - 1]
+                for s in range(1, p + 1)
+            )
+            scontra = tuple(
+                dummies[contra_from_pair[s]]
+                if s in contra_from_pair
+                else td[contra_from_target[s] - 1]
+                for s in range(1, q + 1)
+            )
+            acc = acc + field.get(scov, scontra)
+        comps.append(acc)
+    return TensorField(TensorShape(pbar, qbar, n), tuple(comps))
+
+
+def wedge_endo_identity_loop(beta):
+    """(beta ^ I)^l_{ijk} = beta^l_{ij,k} + beta^l_{jk,i} + beta^l_{ki,j}."""
+    n = beta.n
+    t = beta.tensor
+    comps = []
+    for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
+        comps.append(t.get((i, j, k), (l,)) + t.get((j, k, i), (l,)) + t.get((k, i, j), (l,)))
+    return VectorValuedForm(3, TensorField(TensorShape(3, 1, n), tuple(comps)))
+
+
+def wedge_oneform_identity_loop(theta):
+    """(theta ^ I)^l_{ij} = theta_i delta^l_j - theta_j delta^l_i."""
+    n = theta.shape.n
+    zero_poly = Polynomial.zero(n)
+    comps = []
+    for i, j, l in itertools.product(range(1, n + 1), repeat=3):
+        acc = zero_poly
+        if j == l:
+            acc = acc + theta.get((i,), ())
+        if i == l:
+            acc = acc - theta.get((j,), ())
+        comps.append(acc)
+    return VectorValuedForm(2, TensorField(TensorShape(2, 1, n), tuple(comps)))
+
+
+def tensor_identity_loop(omega):
+    """Scalar 2-form times the identity endomorphism: components w_ij delta^l_a."""
+    n = omega.shape.n
+    zero_poly = Polynomial.zero(n)
+    comps = []
+    for i, j, a, l in itertools.product(range(1, n + 1), repeat=4):
+        comps.append(omega.get((i, j), ()) if a == l else zero_poly)
+    return EndValuedForm(2, TensorField(TensorShape(3, 1, n), tuple(comps)))
+
+
+def normal1_loop(conn):
+    """N^l_{ijk} = -1/6 ( -3 R^l_{kij} + R^l_{jki} - R^l_{ijk}
+                          - 2 (DTor)^l_{ijk} - 2 (DTor)^l_{kji}
+                          + Tor^m_{kj} Tor^l_{mi} + 1/2 Tor^m_{ij} Tor^l_{km} ),
+    one component at a time."""
+    n = conn.dimension
+    tor = torsion(conn).tensor
+    r = curvature(conn).tensor
+    dtor = covariant_derivative(conn, tor)
+    minus_sixth = Fraction(-1, 6)
+    half = Fraction(1, 2)
+    comps = []
+    for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
+        acc = r.get((k, i, j), (l,)).scale(-3)
+        acc = acc + r.get((j, k, i), (l,)) - r.get((i, j, k), (l,))
+        acc = acc - dtor.get((i, j, k), (l,)).scale(2) - dtor.get((k, j, i), (l,)).scale(2)
+        for m in range(1, n + 1):
+            t_kj = tor.get((k, j), (m,))
+            if not t_kj.is_zero:
+                acc = acc + t_kj * tor.get((m, i), (l,))
+            t_ij = tor.get((i, j), (m,))
+            if not t_ij.is_zero:
+                acc = acc + (t_ij * tor.get((k, m), (l,))).scale(half)
+        comps.append(acc.scale(minus_sixth))
+    return TensorField(TensorShape(3, 1, n), tuple(comps))

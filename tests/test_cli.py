@@ -1,8 +1,12 @@
 """End-to-end command-line behavior on real files."""
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natforms.cli import main
 from natforms.poly import parse
@@ -193,6 +197,8 @@ GOOD_ENTRY = {"upper": 1, "lower": [1, 2], "poly": "x3"}
         ({"dim": 4, "christoffel": [{"upper": 1, "poly": "x3"}]}, "malformed Christoffel entry"),
         ({"dim": 4, "christoffel": {"upper": 1}}, "christoffel must be a list"),
         ([4], "malformed connection document"),
+        ({"dim": 100000000000, "christoffel": []}, "dimension out of supported range"),
+        ({"dim": 9, "christoffel": [GOOD_ENTRY]}, "dimension out of supported range"),
     ],
 )
 def test_connection_document_type_errors_exit_2(tmp_path, capsys, document, message):
@@ -224,6 +230,10 @@ def tensor_doc(components, shape=None):
         (tensor_doc([dict(GOOD_COMPONENT, contra=[True])]), "contra must be an integer"),
         (tensor_doc([], {"p": 2, "q": 1, "n": 4.0}), "shape n must be an integer"),
         (tensor_doc(5), "components must be a list"),
+        (tensor_doc([], {"p": 20, "q": 0, "n": 10}), "tensor documents need n <= 8"),
+        (tensor_doc([], {"p": 10**12, "q": 1, "n": 4}), "p + q <= 6"),
+        (tensor_doc([GOOD_COMPONENT], {"p": 2, "q": 1, "n": 9}), "got p=2, q=1, n=9"),
+        (tensor_doc([], {"p": 4, "q": 3, "n": 2}), "got p=4, q=3, n=2"),
     ],
 )
 def test_tensor_document_type_errors_exit_2(tmp_path, capsys, document, message):
@@ -239,3 +249,90 @@ def test_verify_rejects_count_below_one(capsys, count):
     captured = capsys.readouterr()
     assert "--count must be at least 1" in captured.err
     assert captured.out == ""
+
+
+# -- malformed documents, drawn at random ----------------------------------------
+
+# one strategy, so that a field is junk about as often as it is well formed
+JUNK = st.sampled_from(
+    [None, True, False, -1, 0, 5, 9, 10**12, -(10**12), 1.5, -0.0, "", "2", "x1", [], {}, [2]]
+)
+INDEX = st.one_of(st.integers(1, 4), JUNK)
+INDEX_LIST = st.one_of(st.lists(st.integers(1, 4), min_size=1, max_size=3), JUNK)
+POLY_TEXT = st.one_of(
+    st.sampled_from(["x1", "x3*x4 - 1/2", "x1^99999999", "x9", "x1^", "(x2", "1/0", ""]),
+    st.text(alphabet="x1234^*+-/() ", max_size=8),
+    JUNK,
+)
+
+
+def documents(fields):
+    """Objects with all of the given fields or with some of them."""
+    return st.one_of(st.fixed_dictionaries(fields), st.fixed_dictionaries({}, optional=fields))
+
+
+CONNECTION_DOCUMENT = st.one_of(
+    documents(
+        {
+            "dim": st.one_of(st.integers(2, 4), JUNK),
+            "christoffel": st.one_of(
+                st.lists(
+                    documents({"upper": INDEX, "lower": INDEX_LIST, "poly": POLY_TEXT}),
+                    max_size=3,
+                ),
+                JUNK,
+            ),
+        }
+    ),
+    JUNK,
+)
+# slot counts stay small enough that a well-formed shape is cheap to build
+TENSOR_DOCUMENT = st.one_of(
+    documents(
+        {
+            "shape": st.one_of(
+                documents(
+                    {
+                        "p": st.one_of(st.integers(0, 3), JUNK),
+                        "q": st.one_of(st.integers(0, 2), JUNK),
+                        "n": st.one_of(st.integers(1, 4), JUNK),
+                    }
+                ),
+                JUNK,
+            ),
+            "components": st.one_of(
+                st.lists(
+                    documents({"cov": INDEX_LIST, "contra": INDEX_LIST, "poly": POLY_TEXT}),
+                    max_size=3,
+                ),
+                JUNK,
+            ),
+        }
+    ),
+    JUNK,
+)
+
+
+def run_on_document(document, argv):
+    """Exit status of the CLI with the document's file path appended."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        return run([*argv(tmp), path])
+
+
+@given(CONNECTION_DOCUMENT)
+@settings(max_examples=100, deadline=None)
+def test_random_connection_documents_exit_cleanly(document):
+    code = run_on_document(
+        document,
+        lambda tmp: ["compute", "torsion", "--out", os.path.join(tmp, "out.json"), "--connection"],
+    )
+    assert code in (0, 1, 2)
+
+
+@given(TENSOR_DOCUMENT)
+@settings(max_examples=100, deadline=None)
+def test_random_tensor_documents_exit_cleanly(document):
+    assert run_on_document(document, lambda tmp: ["rank"]) in (0, 1, 2)
