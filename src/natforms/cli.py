@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .exactla import flatten, kernel_basis, rank
+from .exactla import echelon, echelon_kernel
 from .generators import family_from_connection
 from .geometry import (
     Connection,
@@ -121,9 +121,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
     for path in paths:
         with open(path, "r", encoding="utf-8") as handle:
             fields.append(tensor_loads(handle.read()))
-    _, matrix = flatten(fields)
-    observed = rank(matrix)
-    kernel = kernel_basis(matrix) if args.kernel else None
+    matrix = echelon(fields)
+    observed = matrix.rank
+    kernel = echelon_kernel(matrix) if args.kernel else None
     if args.format == "json":
         payload = {"files": paths, "rank": observed}
         if kernel is not None:

@@ -1,13 +1,24 @@
 """Exact rational linear algebra over flattened tensor coefficient vectors.
 
-Rank and kernel use fraction-free (Bareiss) elimination on integer rows
-obtained by clearing denominators per row; pivots are the first nonzero
-entry in column order, so every result is deterministic.  Matrices here
-are thousands of rows by a few dozen columns, so exactness beats speed.
+Every rank, kernel and span certificate reads one row echelon per matrix,
+built by :func:`echelon`.  The echelon streams its matrix one row at a time
+(for tensor fields straight from their polynomial terms, one row per
+(component, monomial) pair) and never builds a ``Fraction`` matrix.  Each
+row is cleared to a primitive integer row; zero rows and rows already seen
+up to sign and scale are dropped (the rows of a component whose polynomials
+are the very objects of an earlier component are known to repeat and are
+only counted), a new row is reduced against the pivot rows held so far with
+gcd normalisation, and reading stops once the rank equals the column count.  The pivot columns are the columns independent of
+the columns before them, so they and every certificate depend only on the
+matrix, not on row order or repetition: a kernel vector is the null vector
+that is 1 at one free column and 0 at the others, and span coefficients
+are 0 at free basis columns.
 
-Certificate checks (kernel re-multiplication, span re-substitution) run
-over every row; the only terms they skip are products with an exactly
-zero coefficient, which contribute nothing.
+Every certificate is re-checked before it is returned, in integer
+arithmetic over every row of the matrix, streamed again from its source
+(a row that is the very same objects as an earlier one is multiplied
+once): kernel vectors are multiplied back and span coefficients
+re-substituted.  A mismatch raises ``AssertionError``.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .poly import Monomial, Polynomial, grlex_key
 from .tensor import TensorField, TensorShape, _flat
@@ -70,6 +81,13 @@ def matrix_from_columns(columns: Sequence[Sequence[Fraction]]) -> RationalMatrix
     return RationalMatrix(nrows, ncols, tuple(flat))
 
 
+def _check_shapes(fields: Sequence[TensorField]) -> None:
+    shape = fields[0].shape
+    for f in fields[1:]:
+        if f.shape != shape:
+            raise ValueError(f"shape mismatch: {f.shape} vs {shape}")
+
+
 def flatten(fields: Sequence[TensorField]) -> tuple[list[BasisLabel], RationalMatrix]:
     """Coefficient matrix of the fields: one column per field.
 
@@ -78,10 +96,8 @@ def flatten(fields: Sequence[TensorField]) -> tuple[list[BasisLabel], RationalMa
     """
     if not fields:
         raise ValueError("need at least one field")
+    _check_shapes(fields)
     shape = fields[0].shape
-    for f in fields[1:]:
-        if f.shape != shape:
-            raise ValueError(f"shape mismatch: {f.shape} vs {shape}")
     support: dict[int, set[Monomial]] = {}
     for f in fields:
         for pos, poly in enumerate(f.components):
@@ -124,51 +140,182 @@ def reconstruct(
     return TensorField(shape, comps)
 
 
-# -- elimination ----------------------------------------------------------------
+# -- streamed rows -----------------------------------------------------------------
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    """Each row times the lcm of its denominators, in integer arithmetic."""
-    out: list[list[int]] = []
-    for row in rows:
-        scale = math.lcm(*(v.denominator for v in row)) if row else 1
-        out.append([v.numerator * (scale // v.denominator) for v in row])
-    return out
+Row = Sequence[Fraction]
+
+# A stream of matrix rows comes in pieces (count, rows): count rows of the
+# matrix, of which ``rows`` lists those not streamed before; the others
+# repeat rows already streamed.
+Piece = tuple[int, Sequence[Row]]
 
 
-def _bareiss(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon; returns the reduced rows and pivot columns."""
-    pivot_cols: list[int] = []
-    r = 0
-    prev = 1
-    nrows = len(rows)
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
+def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
+    """The flattened rows of the fields, one per (component, monomial) pair of
+    their joint support, read straight from the polynomial terms.
+
+    One piece per component.  A component whose polynomials are the very
+    objects of an earlier component (alternation stores one value at several
+    orderings) has the same rows, which are counted but not streamed again.
+    Entries are the fields' ``Fraction`` coefficients and ``int`` zeros.
+    """
+    cols = len(fields)
+    # id of a component's first nonzero polynomial -> (position, row count);
+    # the fields hold every polynomial, so no id is reused meanwhile
+    first: dict[int, tuple[int, int]] = {}
+    for pos, comps in enumerate(zip(*(f.components for f in fields))):
+        lead = next((poly for poly in comps if poly.terms), None)
+        if lead is None:
             continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, nrows):
-            # update every row below the pivot: exact divisibility by prev
-            # relies on all entries being minors of the original matrix
-            head = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            for c2 in range(c + 1, cols):
-                row_i[c2] = (pivot * row_i[c2] - head * row_r[c2]) // prev
-            row_i[c] = 0
-        pivot_cols.append(c)
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivot_cols
+        earlier = first.get(id(lead))
+        if earlier is not None and all(
+            f.components[earlier[0]] is poly for f, poly in zip(fields, comps)
+        ):
+            yield earlier[1], ()
+            continue
+        row_of: dict[Monomial, list] = {}
+        for j, poly in enumerate(comps):
+            for mono, coeff in poly.terms.items():
+                row = row_of.get(mono)
+                if row is None:
+                    row = row_of[mono] = [0] * cols
+                row[j] = coeff
+        first.setdefault(id(lead), (pos, len(row_of)))
+        yield len(row_of), list(row_of.values())
 
 
-def rank(matrix: RationalMatrix) -> int:
-    """Exact rank via fraction-free elimination."""
-    rows = _integer_rows(matrix.row(r) for r in range(matrix.rows))
-    _, pivot_cols = _bareiss(rows, matrix.cols)
-    return len(pivot_cols)
+def _block_rows(block: Sequence, columns: Sequence[int]) -> Iterator[Piece]:
+    """The block's rows restricted to the given columns; rows that are zero
+    there may be left out."""
+    chosen = [block[c] for c in columns]
+    if block and isinstance(block[0], TensorField):
+        return _field_rows(chosen)
+    return ((1, (row,)) for row in zip(*chosen))
+
+
+def _integer_row(row: Row) -> list[int]:
+    """The row times the lcm of its denominators, in integer arithmetic."""
+    ratios = [v.as_integer_ratio() for v in row]
+    scale = math.lcm(*[d for _, d in ratios])
+    if scale == 1:
+        return [n for n, _ in ratios]
+    return [n * (scale // d) for n, d in ratios]
+
+
+# -- one echelon per matrix -------------------------------------------------------
+
+class Echelon:
+    """Row echelon form of a matrix, with the means to stream the matrix again.
+
+    ``pivots`` maps each pivot column to a primitive integer row whose first
+    nonzero entry sits in that column.  ``rows`` counts every row of the
+    matrix, zero and repeated rows included, also those not eliminated once
+    the rank reached ``cols``.  ``read(columns)`` returns a fresh stream of
+    the rows restricted to those columns, in pieces (see ``Piece``), leaving
+    out only rows that are zero on all of them.
+    """
+
+    __slots__ = ("read", "cols", "rows", "pivots")
+
+    def __init__(
+        self,
+        read: Callable[[Sequence[int]], Iterable[Piece]],
+        cols: int,
+        rows: int,
+        pivots: dict[int, list[int]],
+    ) -> None:
+        self.read = read
+        self.cols = cols
+        self.rows = rows
+        self.pivots = pivots
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def rank_of_first(self, k: int) -> int:
+        """Rank of the first k columns: their pivots are this echelon's pivots below k."""
+        return sum(1 for c in self.pivots if c < k)
+
+    def pivot_rows(
+        self, start: int = 0, stop: int | None = None
+    ) -> tuple[list[list[int]], list[int]]:
+        """The pivot rows with pivot column in [start, stop), and those columns,
+        in ascending column order."""
+        stop = self.cols if stop is None else stop
+        cols = sorted(c for c in self.pivots if start <= c < stop)
+        return [self.pivots[c] for c in cols], cols
+
+
+def _reduce(pivots: dict[int, list[int]], row: list[int], lead: int) -> None:
+    """Reduce a primitive row, first nonzero at ``lead``, against the pivot
+    rows; keep what is left, if anything, as a new pivot row."""
+    cols = len(row)
+    while True:
+        pivot_row = pivots.get(lead)
+        if pivot_row is None:
+            pivots[lead] = row
+            return
+        a, b = pivot_row[lead], row[lead]
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        row = [a * x - b * y for x, y in zip(row, pivot_row)]
+        lead = next((c for c in range(lead + 1, cols) if row[c]), None)
+        if lead is None:
+            return
+        g = math.gcd(*row)
+        if g != 1:
+            row = [x // g for x in row]
+
+
+def _eliminate(read: Callable[[Sequence[int]], Iterable[Piece]], cols: int) -> Echelon:
+    """The one elimination behind every rank, kernel and span certificate."""
+    pivots: dict[int, list[int]] = {}
+    seen: set[tuple[int, ...]] = set()
+    count = 0
+    for rows_here, rows in read(range(cols)):
+        count += rows_here
+        if len(pivots) == cols:
+            continue  # full column rank: the remaining rows are only counted
+        for row in rows:
+            ints = _integer_row(row)
+            g = math.gcd(*ints)
+            if not g:
+                continue
+            lead = next(c for c, v in enumerate(ints) if v)
+            if ints[lead] < 0:
+                g = -g
+            if g != 1:
+                ints = [v // g for v in ints]
+            key = tuple(ints)
+            if key in seen:
+                continue
+            seen.add(key)
+            _reduce(pivots, ints, lead)
+    return Echelon(read, cols, count, pivots)
+
+
+def echelon(*blocks: Sequence[TensorField] | Sequence[Row]) -> Echelon:
+    """Echelon of the matrix whose rows are the rows of each block in turn.
+
+    A block is a list of columns: tensor fields of one shape, flattened as
+    :func:`flatten` does (without building its matrix), or coefficient
+    vectors of one length.  Every block has the same number of columns.
+    """
+    cols = len(blocks[0]) if blocks else 0
+    for block in blocks:
+        if len(block) != cols:
+            raise ValueError(f"blocks differ in width: {len(block)} vs {cols} columns")
+        if block and isinstance(block[0], TensorField):
+            _check_shapes(block)
+        elif any(len(v) != len(block[0]) for v in block):
+            raise ValueError("ragged columns")
+    return _eliminate(
+        lambda columns: itertools.chain.from_iterable(
+            _block_rows(block, columns) for block in blocks
+        ),
+        cols,
+    )
 
 
 def _normalize_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
@@ -201,32 +348,91 @@ def _null_vector(
     return vec
 
 
-def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
+def _check_null(ech: Echelon, vectors: Sequence[Sequence[Fraction]], what: str) -> None:
+    """Multiply each vector, cleared to integers, into every row of the matrix.
+
+    Only the columns where some vector is nonzero are read: every other
+    product is exactly zero.
+    """
+    columns = sorted({c for vec in vectors for c, v in enumerate(vec) if v})
+    supports = [
+        [(i, v) for i, v in enumerate(_integer_row([vec[c] for c in columns])) if v]
+        for vec in vectors
+    ]
+    for _, rows in ech.read(columns):
+        for row in rows:
+            ints = _integer_row(row)
+            for support in supports:
+                if sum(ints[i] * v for i, v in support):
+                    raise AssertionError(f"{what} certificate failed re-multiplication")
+
+
+def echelon_kernel(ech: Echelon) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space {v : M v = 0}, one vector per free column.
 
     Vectors are normalized to coprime integers with positive leading entry
-    and returned in ascending free-column order.
+    and returned in ascending free-column order, after each is multiplied
+    back into every row of M.
     """
-    rows = _integer_rows(matrix.row(r) for r in range(matrix.rows))
-    echelon, pivot_cols = _bareiss(rows, matrix.cols)
-    pivot_set = set(pivot_cols)
-    return [
-        _normalize_vector(_null_vector(echelon, pivot_cols, free, matrix.cols))
-        for free in range(matrix.cols)
-        if free not in pivot_set
+    rows, pivot_cols = ech.pivot_rows()
+    free_cols = [c for c in range(ech.cols) if c not in ech.pivots]
+    kernel = [
+        _normalize_vector(_null_vector(rows, pivot_cols, free, ech.cols))
+        for free in free_cols
     ]
+    # nonzero at its own free column and zero at the others: independent
+    for vec, own in zip(kernel, free_cols):
+        if any((vec[free] != 0) != (free == own) for free in free_cols):
+            raise AssertionError("kernel certificate is not a basis")
+    _check_null(ech, kernel, "kernel")
+    return kernel
 
 
-def matrix_vector(matrix: RationalMatrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """M vec, multiplied over vec's nonzero entries only."""
-    if len(vec) != matrix.cols:
-        raise ValueError("length mismatch")
-    support = [(c, v) for c, v in enumerate(vec) if v]
-    entries, cols = matrix.entries, matrix.cols
-    return tuple(
-        sum((entries[start + c] * v for c, v in support), Fraction(0))
-        for start in range(0, matrix.rows * cols, cols)
-    )
+def echelon_members(
+    ech: Echelon, k: int
+) -> list[tuple[bool, tuple[Fraction, ...] | None]]:
+    """Membership of each column from k on in the span of the first k columns.
+
+    A column is a member iff no pivot row beyond the first k columns is
+    nonzero at it.  Its coefficients come from back-substitution over the
+    pivot rows of the first k columns, with free coefficients zero, and are
+    re-substituted into every row of the matrix before they are returned.
+    """
+    basis_rows, basis_cols = ech.pivot_rows(stop=k)
+    target_rows, _ = ech.pivot_rows(start=k)
+    out: list[tuple[bool, tuple[Fraction, ...] | None]] = []
+    relations = []
+    for t in range(k, ech.cols):
+        if any(row[t] for row in target_rows):
+            out.append((False, None))
+            continue
+        coeffs = tuple(-v for v in _null_vector(basis_rows, basis_cols, t, ech.cols)[:k])
+        out.append((True, coeffs))
+        # basis * coeffs - column t must vanish on every row
+        relation = [*coeffs] + [Fraction(0)] * (ech.cols - k)
+        relation[t] = Fraction(-1)
+        relations.append(relation)
+    _check_null(ech, relations, "in_span")
+    return out
+
+
+def _matrix_echelon(matrix: RationalMatrix) -> Echelon:
+    def read(columns: Sequence[int]) -> Iterator[Piece]:
+        for r in range(matrix.rows):
+            row = matrix.row(r)
+            yield 1, ([row[c] for c in columns],)
+
+    return _eliminate(read, matrix.cols)
+
+
+def rank(matrix: RationalMatrix) -> int:
+    """Exact rank of the matrix."""
+    return _matrix_echelon(matrix).rank
+
+
+def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the right null space of the matrix; see :func:`echelon_kernel`."""
+    return echelon_kernel(_matrix_echelon(matrix))
 
 
 def in_span(
@@ -234,39 +440,24 @@ def in_span(
 ) -> tuple[bool, tuple[Fraction, ...] | None]:
     """Exact membership of vector in span(basis), with certificate coefficients.
 
-    Solves [basis | vector] by elimination: the coefficients are the negated
-    null vector that is 1 at the vector's column, so free coefficients are
-    zero and the certificate is deterministic.  The certificate is re-substituted
-    before returning.
+    The coefficients are zero at free basis columns, so the certificate is
+    deterministic; see :func:`echelon_members`.
     """
-    length = len(vector)
-    for b in basis:
-        if len(b) != length:
-            raise ValueError("length mismatch between vector and basis")
-    k = len(basis)
-    if k == 0:
-        return (all(v == 0 for v in vector), () if all(v == 0 for v in vector) else None)
-    rows = _integer_rows([b[r] for b in basis] + [vector[r]] for r in range(length))
-    echelon, pivot_cols = _bareiss(rows, k + 1)
-    if k in pivot_cols:
-        return (False, None)
-    coeffs = [-v for v in _null_vector(echelon, pivot_cols, k, k + 1)[:k]]
-    support = [(basis[j], c) for j, c in enumerate(coeffs) if c]
-    for r in range(length):
-        recomputed = sum((c * b[r] for b, c in support), Fraction(0))
-        if recomputed != vector[r]:
-            raise AssertionError("in_span certificate failed re-substitution")
-    return (True, tuple(coeffs))
+    return echelon_members(echelon([*basis, vector]), len(basis))[0]
 
 
-def span_equal(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
-) -> tuple[bool, dict]:
-    """Mutual membership plus equal dimension; returns certificates both ways."""
-    memberships_ab = [in_span(v, b) for v in a]
-    memberships_ba = [in_span(v, a) for v in b]
-    rank_a = rank(matrix_from_columns(a)) if a else 0
-    rank_b = rank(matrix_from_columns(b)) if b else 0
+def span_equal(a: Sequence, b: Sequence) -> tuple[bool, dict]:
+    """Mutual membership plus equal dimension, with certificates both ways.
+
+    a and b are lists of columns of one kind (tensor fields of one shape or
+    vectors of one length); two eliminations, of [a | b] and of [b | a].
+    """
+    ab = echelon([*a, *b])
+    ba = echelon([*b, *a])
+    rank_a = ab.rank_of_first(len(a))
+    rank_b = ba.rank_of_first(len(b))
+    memberships_ab = echelon_members(ba, len(b))
+    memberships_ba = echelon_members(ab, len(a))
     ok = (
         rank_a == rank_b
         and all(m[0] for m in memberships_ab)

@@ -24,6 +24,18 @@ Rational = Fraction
 # Exponent tuple, one non-negative entry per coordinate x1..xn.
 Monomial = tuple[int, ...]
 
+# A product of polynomials with |a| and |b| terms pairs every term of one with
+# every term of the other.  Products of more than this many term pairs are
+# refused before any work; the largest product natforms forms, on a dense
+# dimension-5 connection, pairs far fewer.
+_MAX_TERM_PAIRS = 1_000_000
+
+# Parsing one polynomial text may multiply at most this many term pairs in
+# all, plus one per character of the text.  An expanded polynomial needs one
+# pair per '*', so any of them parses; a product of many parenthesised sums
+# grows without bound and is refused once it has spent the budget.
+_PARSE_TERM_PAIRS = 10_000
+
 
 def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     """Graded-lexicographic sort key: total degree, then the exponent tuple."""
@@ -141,6 +153,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dimension(other)
+        pairs = len(self.terms) * len(other.terms)
+        if pairs > _MAX_TERM_PAIRS:
+            raise ValueError(
+                f"product of {len(self.terms)} and {len(other.terms)} terms exceeds "
+                f"{_MAX_TERM_PAIRS} term pairs"
+            )
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -284,6 +302,7 @@ class _Parser:
         self.dimension = dimension
         self.tokens = _tokenize(text)
         self.index = 0
+        self.pairs_left = _PARSE_TERM_PAIRS + len(text)
 
     def peek(self) -> tuple[str, str, int] | None:
         if self.index < len(self.tokens):
@@ -328,7 +347,15 @@ class _Parser:
             token = self.peek()
             if token is not None and token[0] == "op" and token[1] == "*":
                 self.index += 1
-                result = result * self.factor()
+                rhs = self.factor()
+                self.pairs_left -= len(result.terms) * len(rhs.terms)
+                if self.pairs_left < 0:
+                    raise ParseError(
+                        f"products exceed {_PARSE_TERM_PAIRS} + {len(self.text)} term "
+                        "pairs, the budget of this text",
+                        token[2],
+                    )
+                result = result * rhs
             else:
                 return result
 

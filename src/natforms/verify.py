@@ -3,8 +3,11 @@
 Each claim is reproduced as a named Verdict carrying exact certificates
 (ranks, kernel vectors, combination coefficients), which are re-checked
 independently before the verdict is emitted: kernel vectors are multiplied
-back into the matrix, memberships are re-substituted, and the closed
-combinations are re-differentiated on the tensor fields themselves.
+back into every row of the matrix and memberships are re-substituted (both
+by :mod:`natforms.exactla`, in integers), and the closed combinations are
+re-differentiated on the tensor fields themselves.  Each matrix is
+eliminated once, by :func:`natforms.exactla.echelon`, and every rank,
+kernel and membership of that matrix reads the one echelon.
 
 Every quantity that two or more verdicts read is derived once per
 connection by :class:`Derived`, and :data:`CLAIMS` is the one ordered list
@@ -22,17 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactla import (
-    RationalMatrix,
-    flatten,
-    in_span,
-    kernel_basis,
-    matrix_from_columns,
-    matrix_from_rows,
-    matrix_vector,
-    rank,
-    span_equal,
-)
+from .exactla import echelon, echelon_kernel, echelon_members, span_equal
 from .generators import (
     GeneratorFamily,
     apply_scheme,
@@ -70,6 +63,7 @@ from .tensor import (
     is_antisymmetric,
     permute_covariant,
     tensor_product,
+    zero,
 )
 
 
@@ -260,11 +254,10 @@ def verify_lemma_3_1(d: Derived) -> Verdict:
     """The 19 flattened generators are linearly independent (rank 19)."""
     family = d.family
     fields = family.fields()
-    _, matrix = flatten(fields)
-    observed_rank = rank(matrix)
+    matrix = echelon(fields)
+    observed_rank = matrix.rank
     n0 = d.normal0
     doubled = doubled_d5_variant(n0)
-    _, matrix_doubled = flatten(fields[:18] + [doubled])
     certificate = {
         "labels": family.labels(),
         "matrix_rows": matrix.rows,
@@ -272,7 +265,7 @@ def verify_lemma_3_1(d: Derived) -> Verdict:
         "t19_variants": {
             "family_uses": "(jki)-(ikj) pattern on D5",
             "doubled_d5_is_antisymmetric": is_antisymmetric(doubled, 1, 2),
-            "rank_with_doubled_d5": rank(matrix_doubled),
+            "rank_with_doubled_d5": echelon(fields[:18] + [doubled]).rank,
         },
         "t16_variants": {
             "family_uses": "(ijk)-(jik) pattern on D3",
@@ -294,9 +287,7 @@ def verify_dropped_generator(d: Derived) -> Verdict:
     dropped = dropped_c3_generator(d.normal1)
     keep = ["T5", "T6", "T8", "T9", "T11"]
     fields = [family[label].form.tensor for label in keep] + [dropped]
-    _, matrix = flatten(fields)
-    columns = [matrix.column(c) for c in range(matrix.cols)]
-    member, coeffs = in_span(columns[-1], columns[:-1])
+    [(member, coeffs)] = echelon_members(echelon(fields), len(keep))
     certificate = {
         "basis": keep,
         "member": member,
@@ -325,11 +316,8 @@ def verify_thm_3_2(d: Derived) -> Verdict:
     """The closed subspace has dimension 3: kernel = span{e2-e13, e4, e7}."""
     # the 19 differentials are read only here, so they are not kept on d
     differentials = [ext_cov_deriv_endo(d.conn, e.form).tensor for e in d.family.entries]
-    _, matrix = flatten(differentials)
-    kernel = kernel_basis(matrix)
-    for vec in kernel:
-        if any(v != 0 for v in matrix_vector(matrix, vec)):
-            raise AssertionError("kernel certificate failed re-multiplication")
+    matrix = echelon(differentials)
+    kernel = echelon_kernel(matrix)
     expected = _expected_kernel_vectors()
     spans_equal, spans = span_equal(kernel, expected)
     # re-check closedness directly on the tensor fields, upstream of flattening
@@ -374,16 +362,12 @@ def verify_closed_forms(d: Derived) -> Verdict:
     is the pass condition."""
     combos = d.closed_combinations
     references = _closed_form_fields(d)
-    all_fields = list(combos.values()) + list(references.values())
-    _, matrix = flatten(all_fields)
-    columns = [matrix.column(c) for c in range(matrix.cols)]
-    spans_equal, spans = span_equal(columns[:3], columns[3:])
+    spans_equal, spans = span_equal(list(combos.values()), list(references.values()))
     pairings = {}
     for (label, fld), ref_label in zip(combos.items(), references):
         ref_field = references[ref_label]
         exact = equal(fld, ref_field)
-        _, pair_matrix = flatten([fld, ref_field])
-        member, coeffs = in_span(pair_matrix.column(0), [pair_matrix.column(1)])
+        [(member, coeffs)] = echelon_members(echelon([ref_field, fld]), 1)
         pairings[f"{label} vs {ref_label}"] = {
             "exactly_equal": exact,
             "proportional": member,
@@ -408,8 +392,8 @@ def verify_closed_forms(d: Derived) -> Verdict:
 def verify_lemma_3_4(d: Derived) -> Verdict:
     """The four derived vector-valued 3-forms are linearly independent."""
     forms = d.three_forms
-    _, matrix = flatten(list(forms.values()))
-    observed_rank = rank(matrix)
+    matrix = echelon(list(forms.values()))
+    observed_rank = matrix.rank
     return Verdict(
         claim_id="lemma-3.4",
         expected="the four 3-forms have rank 4",
@@ -428,8 +412,8 @@ def verify_lemma_3_5_partial(d: Derived) -> Verdict:
     """
     tor = d.torsion.tensor
     h = d.trace_wedge.tensor
-    _, matrix = flatten([tor, h])
-    observed_rank = rank(matrix)
+    matrix = echelon([tor, h])
+    observed_rank = matrix.rank
     return Verdict(
         claim_id="lemma-3.5",
         expected="Tor and H = (tr Tor)^I have rank 2",
@@ -448,29 +432,22 @@ def verify_thm_3_5(d: Derived) -> Verdict:
     and closedness of the second form admit only (la, mu, l1, l2, l3)
     proportional to (1, 0, 1, 0, 0)."""
     wedges = d.three_forms
-    _, block1 = flatten(
-        [
-            ext_cov_deriv_vector(d.conn, d.torsion).tensor,
-            wedges["dH"],
-            wedges["R^I"].scale(-1),
-            wedges["(trR xI)^I"].scale(-1),
-            wedges["(d trTor xI)^I"].scale(-1),
-        ]
-    )
+    first = [
+        ext_cov_deriv_vector(d.conn, d.torsion).tensor,
+        wedges["dH"],
+        wedges["R^I"].scale(-1),
+        wedges["(trR xI)^I"].scale(-1),
+        wedges["(d trTor xI)^I"].scale(-1),
+    ]
     betas = (d.curvature, d.curvature_trace_identity, d.d_torsion_trace_identity)
     beta_diffs = [ext_cov_deriv_endo(d.conn, beta).tensor for beta in betas]
-    _, block2 = flatten(beta_diffs)
-    rows = [list(block1.row(i)) for i in range(block1.rows)]
-    zero = Fraction(0)
-    for i in range(block2.rows):
-        rows.append([zero, zero] + list(block2.row(i)))
-    system = (
-        matrix_from_rows(rows) if rows else RationalMatrix(0, 5, ())
-    )
-    solutions = kernel_basis(system)
+    # the closedness rows do not involve lambda and mu: two zero columns
+    absent = zero(beta_diffs[0].shape)
+    system = echelon(first, [absent, absent, *beta_diffs])
+    solutions = echelon_kernel(system)
     expected = (Fraction(1), Fraction(0), Fraction(1), Fraction(0), Fraction(0))
     passed = solutions == [expected]
-    beta_block_kernel = kernel_basis(block2)
+    beta_block_kernel = echelon_kernel(echelon(beta_diffs))
     certificate = {
         "unknowns": ["lambda", "mu", "lambda1", "lambda2", "lambda3"],
         "system_rows": system.rows,
@@ -564,13 +541,9 @@ def verify_schemes(d: Derived) -> Verdict:
     ]
 
     def containment(projected, labels):
-        fields = projected + [family[label].form.tensor for label in labels]
-        _, matrix = flatten(fields)
-        base = [matrix.column(c) for c in range(len(projected))]
+        matrix = echelon(projected + [family[label].form.tensor for label in labels])
         memberships = {}
-        for offset, label in enumerate(labels):
-            target = matrix.column(len(projected) + offset)
-            member, coeffs = in_span(target, base)
+        for label, (member, coeffs) in zip(labels, echelon_members(matrix, len(projected))):
             memberships[label] = {
                 "member": member,
                 "coefficients": (
@@ -579,8 +552,7 @@ def verify_schemes(d: Derived) -> Verdict:
                     else None
                 ),
             }
-        base_rank = rank(matrix_from_columns(base))
-        return base_rank, memberships
+        return matrix.rank_of_first(len(projected)), memberships
 
     rank31, members31 = containment(projected31, [f"T{i}" for i in range(1, 12)])
     rank42, members42 = containment(projected42, [f"T{i}" for i in range(12, 20)])

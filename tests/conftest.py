@@ -46,6 +46,22 @@ def ref_differentials(ref_conn, ref_family):
     return [ext_cov_deriv_endo(ref_conn, entry.form) for entry in ref_family.entries]
 
 
+@pytest.fixture
+def wrong_null_vector(monkeypatch):
+    """Make every back-substitution in exactla return a vector that is off by
+    one at its last pivot column, so no certificate built on it can hold."""
+    from natforms import exactla
+
+    right = exactla._null_vector
+
+    def wrong(rows, pivot_cols, free, cols):
+        vec = right(rows, pivot_cols, free, cols)
+        vec[pivot_cols[-1]] += 1
+        return vec
+
+    monkeypatch.setattr(exactla, "_null_vector", wrong)
+
+
 @pytest.fixture(scope="session")
 def symmetric_conn():
     """A fixed symmetric (torsion-free) connection."""

@@ -11,10 +11,18 @@ components one 1-based index at a time through ``TensorField.get``, so
 none of them goes through the library's index gather.  The library
 computes the same results with less work and shared kernels; the tests
 require exact equality with these versions.
+
+The exact linear algebra oracles are the earlier fraction-free (Bareiss)
+elimination over the whole integer-cleared matrix, every row kept, with
+their own back-substitution and normalisation: ``rank_bareiss``,
+``kernel_basis_bareiss`` and ``in_span_bareiss`` share no code with the
+library's streamed echelon, and ``matrix_vector`` multiplies in Fractions.
 """
 
 import itertools
+import math
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from natforms.geometry import (
     EndValuedForm,
@@ -251,3 +259,138 @@ def normal1_loop(conn):
                 acc = acc + (t_ij * tor.get((k, m), (l,))).scale(half)
         comps.append(acc.scale(minus_sixth))
     return TensorField(TensorShape(3, 1, n), tuple(comps))
+
+
+# -- exact linear algebra: whole-matrix Bareiss elimination ----------------------
+
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row times the lcm of its denominators, in integer arithmetic."""
+    out: list[list[int]] = []
+    for row in rows:
+        scale = math.lcm(*(v.denominator for v in row)) if row else 1
+        out.append([v.numerator * (scale // v.denominator) for v in row])
+    return out
+
+
+def bareiss(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon; returns the reduced rows and pivot columns."""
+    pivot_cols: list[int] = []
+    r = 0
+    prev = 1
+    nrows = len(rows)
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r][c]
+        for i in range(r + 1, nrows):
+            # update every row below the pivot: exact divisibility by prev
+            # relies on all entries being minors of the original matrix
+            head = rows[i][c]
+            row_i, row_r = rows[i], rows[r]
+            for c2 in range(c + 1, cols):
+                row_i[c2] = (pivot * row_i[c2] - head * row_r[c2]) // prev
+            row_i[c] = 0
+        pivot_cols.append(c)
+        prev = pivot
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivot_cols
+
+
+def rank_bareiss(matrix) -> int:
+    """Exact rank via fraction-free elimination."""
+    rows = _integer_rows(matrix.row(r) for r in range(matrix.rows))
+    _, pivot_cols = bareiss(rows, matrix.cols)
+    return len(pivot_cols)
+
+
+def _normalize_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
+    scale = math.lcm(*(v.denominator for v in vec))
+    ints = [int(v * scale) for v in vec]
+    g = math.gcd(*ints)
+    if g:
+        ints = [v // g for v in ints]
+    lead = next((v for v in ints if v != 0), 1)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return tuple(Fraction(v) for v in ints)
+
+
+def _null_vector(
+    echelon: list[list[int]], pivot_cols: list[int], free: int, cols: int
+) -> list[Fraction]:
+    """The null vector of the echelon rows that is 1 at free column ``free``
+    and 0 at every other free column, by back-substitution."""
+    vec = [Fraction(0)] * cols
+    vec[free] = Fraction(1)
+    for i in range(len(pivot_cols) - 1, -1, -1):
+        pc = pivot_cols[i]
+        acc = Fraction(0)
+        row = echelon[i]
+        for c in range(pc + 1, cols):
+            if row[c] and vec[c]:
+                acc += Fraction(row[c]) * vec[c]
+        vec[pc] = -acc / row[pc]
+    return vec
+
+
+def kernel_basis_bareiss(matrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the right null space {v : M v = 0}, one vector per free column.
+
+    Vectors are normalized to coprime integers with positive leading entry
+    and returned in ascending free-column order.
+    """
+    rows = _integer_rows(matrix.row(r) for r in range(matrix.rows))
+    echelon, pivot_cols = bareiss(rows, matrix.cols)
+    pivot_set = set(pivot_cols)
+    return [
+        _normalize_vector(_null_vector(echelon, pivot_cols, free, matrix.cols))
+        for free in range(matrix.cols)
+        if free not in pivot_set
+    ]
+
+
+def matrix_vector(matrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """M vec, multiplied over vec's nonzero entries only."""
+    if len(vec) != matrix.cols:
+        raise ValueError("length mismatch")
+    support = [(c, v) for c, v in enumerate(vec) if v]
+    entries, cols = matrix.entries, matrix.cols
+    return tuple(
+        sum((entries[start + c] * v for c, v in support), Fraction(0))
+        for start in range(0, matrix.rows * cols, cols)
+    )
+
+
+def in_span_bareiss(
+    vector: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]
+) -> tuple[bool, tuple[Fraction, ...] | None]:
+    """Exact membership of vector in span(basis), with certificate coefficients.
+
+    Solves [basis | vector] by elimination: the coefficients are the negated
+    null vector that is 1 at the vector's column, so free coefficients are
+    zero and the certificate is deterministic.  The certificate is re-substituted
+    before returning.
+    """
+    length = len(vector)
+    for b in basis:
+        if len(b) != length:
+            raise ValueError("length mismatch between vector and basis")
+    k = len(basis)
+    if k == 0:
+        return (all(v == 0 for v in vector), () if all(v == 0 for v in vector) else None)
+    rows = _integer_rows([b[r] for b in basis] + [vector[r]] for r in range(length))
+    echelon, pivot_cols = bareiss(rows, k + 1)
+    if k in pivot_cols:
+        return (False, None)
+    coeffs = [-v for v in _null_vector(echelon, pivot_cols, k, k + 1)[:k]]
+    support = [(basis[j], c) for j, c in enumerate(coeffs) if c]
+    for r in range(length):
+        recomputed = sum((c * b[r] for b, c in support), Fraction(0))
+        if recomputed != vector[r]:
+            raise AssertionError("in_span certificate failed re-substitution")
+    return (True, tuple(coeffs))

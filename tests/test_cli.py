@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from natforms.cli import main
 from natforms.poly import parse
+from natforms.tensor import dumps as tensor_dumps
 from natforms.tensor import loads as tensor_loads
 
 PAPER = "testdata/paper_connection.json"
@@ -72,6 +73,15 @@ def test_rank_with_kernel_on_dependent_pair(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["rank"] == 1
     assert payload["kernel"] == [["2", "-1"]]
+
+
+def test_rank_kernel_is_rechecked(tmp_path, wrong_null_vector):
+    out = tmp_path / "tor.json"
+    run(["compute", "torsion", "--connection", PAPER, "--out", str(out)])
+    doubled = tmp_path / "tor2.json"
+    doubled.write_text(tensor_dumps(tensor_loads(out.read_text()).scale(2)))
+    with pytest.raises(AssertionError, match="kernel certificate"):
+        run(["rank", str(out), str(doubled), "--kernel"])
 
 
 def test_rank_requires_matching_shapes(tmp_path, capsys):
@@ -199,6 +209,10 @@ GOOD_ENTRY = {"upper": 1, "lower": [1, 2], "poly": "x3"}
         ([4], "malformed connection document"),
         ({"dim": 100000000000, "christoffel": []}, "dimension out of supported range"),
         ({"dim": 9, "christoffel": [GOOD_ENTRY]}, "dimension out of supported range"),
+        (
+            {"dim": 4, "christoffel": [dict(GOOD_ENTRY, poly="*".join(["(x1+x2+x3+x4)"] * 40))]},
+            "term pairs",
+        ),
     ],
 )
 def test_connection_document_type_errors_exit_2(tmp_path, capsys, document, message):

@@ -1,17 +1,24 @@
-"""Exact rank/kernel/membership, cross-checked against plain rational Gauss."""
+"""Exact rank/kernel/membership, cross-checked against plain rational Gauss
+and against the whole-matrix Bareiss elimination it replaced."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from natforms import exactla
 from natforms.exactla import (
+    RationalMatrix,
+    echelon,
+    echelon_kernel,
+    echelon_members,
     flatten,
     in_span,
     kernel_basis,
     matrix_from_columns,
     matrix_from_rows,
-    matrix_vector,
     rank,
     reconstruct,
     span_equal,
@@ -19,6 +26,12 @@ from natforms.exactla import (
 from natforms.geometry import reference_connection, torsion
 from natforms.poly import parse
 from natforms.tensor import TensorField, TensorShape, equal
+from reference_loops import (
+    in_span_bareiss,
+    kernel_basis_bareiss,
+    matrix_vector,
+    rank_bareiss,
+)
 
 
 def gauss_rank(rows):
@@ -233,3 +246,184 @@ def test_rank_of_torsion_and_double():
     tor = torsion(reference_connection()).tensor
     _, matrix = flatten([tor, tor.scale(2)])
     assert rank(matrix) == 1
+
+
+# -- the streamed echelon against the Bareiss oracles -----------------------------
+
+def _fractions_only(value):
+    """Every number in a certificate is a Fraction, as the report renders it."""
+    if isinstance(value, (list, tuple)):
+        return all(_fractions_only(v) for v in value)
+    return value is None or isinstance(value, (bool, Fraction))
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+nonzero = small.filter(bool)
+
+
+@st.composite
+def matrices(draw):
+    """A product (m x r)(r x cols) of rank at most r, with copies of its rows up
+    to sign and scale, zero rows, and its rows permuted."""
+    cols = draw(st.integers(1, 6))
+    inner = draw(st.integers(0, cols))
+    left = draw(st.lists(st.lists(small, min_size=inner, max_size=inner), max_size=6))
+    right = [draw(st.lists(small, min_size=cols, max_size=cols)) for _ in range(inner)]
+    columns = [[row[c] for row in right] for c in range(cols)]
+    rows = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in columns] for row in left]
+    for _ in range(draw(st.integers(0, 4))):
+        if rows:
+            factor = draw(nonzero)
+            rows.append([factor * v for v in draw(st.sampled_from(rows))])
+    rows += [[Fraction(0)] * cols for _ in range(draw(st.integers(0, 2)))]
+    rows = draw(st.permutations(rows))
+    return RationalMatrix(len(rows), cols, tuple(v for row in rows for v in row))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_and_kernel_match_bareiss(matrix):
+    assert rank(matrix) == rank_bareiss(matrix)
+    kernel = kernel_basis(matrix)
+    assert kernel == kernel_basis_bareiss(matrix)
+    assert _fractions_only(kernel)
+    assert echelon_kernel(exactla._matrix_echelon(matrix)) == kernel
+
+
+def test_full_column_rank_reached_early_counts_every_row():
+    # the first three rows have full column rank; the rest are never eliminated
+    rows = [[1, 2, 0], [0, 1, 5], [3, 0, 1]] + [[k, -k, 2 * k + 1] for k in range(40)]
+    matrix = matrix_from_rows(rows)
+    ech = exactla._matrix_echelon(matrix)
+    assert ech.rank == rank_bareiss(matrix) == 3
+    assert ech.rows == 43
+    assert kernel_basis(matrix) == kernel_basis_bareiss(matrix) == []
+
+
+def test_repeated_rows_do_not_change_the_echelon():
+    rows = [[2, 4, -6], [0, 1, 1]]
+    copies = rows + [[-1, -2, 3], [Fraction(1, 2), 1, Fraction(-3, 2)], [0, 0, 0], [0, -3, -3]]
+    plain = exactla._matrix_echelon(matrix_from_rows(rows))
+    repeated = exactla._matrix_echelon(matrix_from_rows(copies))
+    assert repeated.pivots == plain.pivots
+    assert repeated.rows == 6
+    assert kernel_basis(matrix_from_rows(copies)) == kernel_basis_bareiss(matrix_from_rows(rows))
+
+
+def combine(coeffs, vectors, length):
+    return [sum((c * v[r] for c, v in zip(coeffs, vectors)), Fraction(0)) for r in range(length)]
+
+
+@st.composite
+def span_problems(draw):
+    """Basis vectors of rank at most r and several targets: combinations of the
+    basis, a basis vector itself, the zero vector and arbitrary vectors."""
+    length = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    inner = draw(st.integers(0, min(k, length)))
+    gens = [draw(st.lists(small, min_size=length, max_size=length)) for _ in range(inner)]
+    basis = [
+        combine(draw(st.lists(small, min_size=inner, max_size=inner)), gens, length)
+        for _ in range(k)
+    ]
+    targets = [draw(st.sampled_from(basis)), [Fraction(0)] * length]
+    for _ in range(draw(st.integers(0, 3))):
+        targets.append(combine(draw(st.lists(small, min_size=k, max_size=k)), basis, length))
+    targets += draw(st.lists(st.lists(small, min_size=length, max_size=length), max_size=2))
+    return basis, draw(st.permutations(targets))
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_problems())
+def test_memberships_of_many_targets_match_bareiss(problem):
+    basis, targets = problem
+    expected = [in_span_bareiss(t, basis) for t in targets]
+    members = echelon_members(echelon([*basis, *targets]), len(basis))
+    assert members == expected
+    assert [in_span(t, basis) for t in targets] == expected
+    assert _fractions_only(members)
+
+
+def test_memberships_name_each_kind_of_target():
+    basis = [[1, 0, 2], [0, 3, 1], [1, 3, 3]]
+    targets = [[0, 3, 1], [0, 0, 0], [0, 0, 1], [2, -3, 3]]
+    members = echelon_members(echelon([*basis, *targets]), 3)
+    assert members == [in_span_bareiss(t, basis) for t in targets]
+    assert [m[0] for m in members] == [True, True, False, True]
+    assert members[0][1] == (0, 1, 0) and members[1][1] == (0, 0, 0)
+    assert members[3][1] == (2, -1, 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(span_problems(), span_problems())
+def test_span_equal_matches_bareiss(first, second):
+    a, _ = first
+    b = second[0]
+    if len(a[0]) != len(b[0]):
+        b = [v[: len(a[0])] + [Fraction(0)] * (len(a[0]) - len(v)) for v in b]
+    ok, cert = span_equal(a, b)
+    a_in_b = [in_span_bareiss(v, b) for v in a]
+    b_in_a = [in_span_bareiss(v, a) for v in b]
+    rank_a = rank_bareiss(matrix_from_columns(a))
+    rank_b = rank_bareiss(matrix_from_columns(b))
+    assert cert == {"rank_a": rank_a, "rank_b": rank_b, "a_in_b": a_in_b, "b_in_a": b_in_a}
+    assert ok == (rank_a == rank_b and all(m[0] for m in a_in_b + b_in_a))
+
+
+def test_field_echelon_matches_flattened_matrix(ref_differentials):
+    fields = [form.tensor for form in ref_differentials]
+    _, matrix = flatten(fields)
+    ech = echelon(fields)
+    assert ech.rows == matrix.rows
+    assert ech.rank == rank_bareiss(matrix)
+    assert echelon_kernel(ech) == kernel_basis_bareiss(matrix)
+
+
+def test_repeated_polynomial_objects_count_once_but_only_when_all_repeat():
+    from natforms.poly import Polynomial
+
+    n = 2
+    shape = TensorShape(1, 0, n)
+    a = parse("x1 + 2*x2", n)
+    # both positions of u hold the same object, v does not: at position 0
+    # v = 2u, so only position 1 raises the rank to 2 and adds a third row
+    u = TensorField(shape, (a, a))
+    v = TensorField(shape, (parse("2*x1 + 4*x2", n), parse("x2 + x1*x2", n)))
+    zero = Polynomial.zero(n)
+    for fields in ([u, v], [v, u], [u, u], [u, TensorField(shape, (zero, zero))]):
+        _, matrix = flatten(fields)
+        ech = echelon(fields)
+        assert ech.rows == matrix.rows
+        assert ech.rank == rank_bareiss(matrix)
+        assert echelon_kernel(ech) == kernel_basis_bareiss(matrix)
+    assert echelon([u, v]).rank == 2
+
+
+def test_certificate_checks_reject_a_wrong_null_vector(wrong_null_vector):
+    matrix = matrix_from_columns([[1, 0, 2], [2, 0, 4]])
+    with pytest.raises(AssertionError, match="kernel"):
+        kernel_basis(matrix)
+    with pytest.raises(AssertionError, match="in_span"):
+        in_span([3, 0, 6], [[1, 0, 2]])
+
+
+def test_eliminations_on_the_paper_connection(monkeypatch, ref_conn):
+    from natforms.verify import Derived, verify_schemes, verify_thm_3_2
+
+    widths = []
+    eliminate = exactla._eliminate
+
+    def counted(read, cols):
+        widths.append(cols)
+        return eliminate(read, cols)
+
+    monkeypatch.setattr(exactla, "_eliminate", counted)
+    d = Derived(ref_conn)
+    d.family, d.closed_combinations
+    assert verify_schemes(d).passed
+    assert widths == [24 + 11, 120 + 8]
+    widths.clear()
+    assert verify_thm_3_2(d).passed
+    # the 19-column kernel once, then span_equal of [kernel | expected] and
+    # [expected | kernel]
+    assert widths == [19, 6, 6]

@@ -246,3 +246,32 @@ def test_parse_to_string_round_trip(a):
 @given(polynomials)
 def test_subtraction_is_canonical(a):
     assert (a - a).terms == {}
+
+
+# -- term-count bounds --------------------------------------------------------
+
+def test_product_above_the_term_pair_bound_is_refused_before_multiplying():
+    from natforms.poly import _MAX_TERM_PAIRS
+
+    n = 2
+    a = Polynomial(n, {(e, 0): 1 for e in range(1001)})
+    b = Polynomial(n, {(0, e): 1 for e in range(_MAX_TERM_PAIRS // 1001 + 1)})
+    assert len(a.terms) * len(b.terms) > _MAX_TERM_PAIRS
+    with pytest.raises(ValueError, match="term pairs"):
+        a * b
+    with pytest.raises(ValueError, match="term pairs"):
+        a ** 2
+
+
+def test_parse_refuses_a_product_of_many_sums():
+    # 40 copies of a 4-term sum expand to 12,341 terms; the budget of this
+    # 559-character text runs out after about a dozen copies
+    text = "*".join(["(x1+x2+x3+x4)"] * 40)
+    with pytest.raises(ParseError, match="term pairs"):
+        parse(text, 4)
+
+
+def test_parse_budget_admits_small_products_and_expanded_text():
+    assert len(parse("*".join(["(x1+x2+x3+x4)"] * 8), 4).terms) == 165
+    expanded = " + ".join(f"{i + 1}*x1^{i}*x2*x3^2*x4" for i in range(3000))
+    assert len(parse(expanded, 4).terms) == 3000

@@ -137,6 +137,11 @@ def test_thm_3_5_passes_on_reference(ref_conn):
     assert verdict.certificate["beta_block_kernel_dimension"] == 3
 
 
+def test_thm_3_5_solutions_are_rechecked(ref_conn, wrong_null_vector):
+    with pytest.raises(AssertionError, match="kernel certificate"):
+        verify_thm_3_5(Derived(ref_conn))
+
+
 def test_thm_3_5_flat_is_degenerate(flat_conn):
     verdict = verify_thm_3_5(Derived(flat_conn))
     assert not verdict.passed
