@@ -17,18 +17,13 @@ import sys
 
 from . import __version__
 from .exactla import echelon, echelon_kernel
-from .generators import family_from_connection
+from .generators import build_T_list
 from .geometry import (
     Connection,
+    Invariants,
     connection_to_json_obj,
-    curvature,
-    ext_cov_deriv_endo,
-    ext_cov_deriv_vector,
     load_connection,
-    normal0,
-    normal1,
     reference_connection,
-    torsion,
 )
 from .tensor import dumps as tensor_dumps
 from .tensor import loads as tensor_loads
@@ -45,7 +40,16 @@ from .verify import (
 
 log = logging.getLogger("natforms")
 
-COMPUTE_TARGETS = ("torsion", "curvature", "normal0", "normal1", "generators", "dtor", "dR")
+# Each compute target and what it reads from the connection's Invariants.
+COMPUTE_TARGETS = {
+    "torsion": lambda q: q.torsion.tensor,
+    "curvature": lambda q: q.curvature.tensor,
+    "normal0": lambda q: q.normal0,
+    "normal1": lambda q: q.normal1,
+    "generators": lambda q: build_T_list(q.normal0, q.normal1),
+    "dtor": lambda q: q.d_torsion.tensor,
+    "dR": lambda q: q.d_curvature.tensor,
+}
 
 
 def _digest(path: str | None) -> str:
@@ -71,8 +75,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     conn = _load_connection_arg(args.connection)
     log.info("input digest sha256:%s", _digest(args.connection))
     what = args.what
+    result = COMPUTE_TARGETS[what](Invariants(conn))
     if what == "generators":
-        family = family_from_connection(conn)
         os.makedirs(args.out, exist_ok=True)
         manifest = {
             "tool": "natforms",
@@ -80,7 +84,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "connection_digest": _digest(args.connection),
             "entries": [],
         }
-        for entry in family.entries:
+        for entry in result.entries:
             filename = f"{entry.label}.json"
             _write(os.path.join(args.out, filename), tensor_dumps(entry.form.tensor) + "\n")
             manifest["entries"].append(
@@ -94,21 +98,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         _write(os.path.join(args.out, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
         print(f"wrote 19 generator files and manifest.json to {args.out}")
         return 0
-    if what == "torsion":
-        field = torsion(conn).tensor
-    elif what == "curvature":
-        field = curvature(conn).tensor
-    elif what == "normal0":
-        field = normal0(conn)
-    elif what == "normal1":
-        field = normal1(conn)
-    elif what == "dtor":
-        field = ext_cov_deriv_vector(conn, torsion(conn)).tensor
-    elif what == "dR":
-        field = ext_cov_deriv_endo(conn, curvature(conn)).tensor
-    else:  # unreachable behind argparse choices
-        raise ValueError(f"unknown compute target {what!r}")
-    _write(args.out, tensor_dumps(field) + "\n")
+    _write(args.out, tensor_dumps(result) + "\n")
     print(f"wrote {what} to {args.out}")
     return 0
 

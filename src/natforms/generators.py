@@ -1,9 +1,11 @@
 """The 19 natural generator 2-forms and equivariant contraction schemes.
 
-The generator family is built from the two normal tensors of a connection:
-four trace patterns of the first-order normal tensor (C family), five
-quadratic expressions in the zeroth-order normal tensor (D family), and
-for each of those bases up to three reindex-then-antisymmetrize patterns.
+The generator family is built from the two normal tensors of a connection,
+which :class:`natforms.geometry.Invariants` derives; this module takes the
+tensors, never the connection.  The family is four trace patterns of the
+first-order normal tensor (C family), five quadratic expressions in the
+zeroth-order normal tensor (D family), and for each of those bases up to
+three reindex-then-antisymmetrize patterns.
 Every entry is antisymmetric in its first two covariant slots, so it is a
 well-formed endomorphism-valued 2-form.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .geometry import Connection, EndValuedForm, normal0, normal1
+from .geometry import EndValuedForm
 from .tensor import (
     TensorField,
     TensorShape,
@@ -185,10 +187,6 @@ def vanishing_d3_pattern(n0: TensorField) -> TensorField:
     """The (jki)-(ikj) pattern on D3, identically zero for every input
     because the double trace N^m_{si} N^s_{mk} is symmetric in (i,k)."""
     return apply_pattern(build_D_family(n0)[2], PATTERN_JKI)
-
-
-def family_from_connection(conn: Connection) -> GeneratorFamily:
-    return build_T_list(normal0(conn), normal1(conn))
 
 
 # -- contraction schemes -------------------------------------------------------

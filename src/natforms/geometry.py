@@ -29,6 +29,9 @@ Conventions, fixed once here and relied on everywhere else:
   alternates; its wrapper checks that), so components with a repeated
   direction are zero.  ``torsion`` and ``curvature`` keep their own
   formulas, so the Bianchi identities check the kernel, not restate it.
+* ``Invariants`` is the one place where those formulas are applied to a
+  connection: it computes torsion and curvature once, and from them the
+  normal tensors and both structure differentials, for every caller.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .poly import ParseError, Polynomial, parse, to_string
 from .tensor import (
@@ -417,33 +421,61 @@ def identity_oneform(n: int) -> VectorValuedForm:
     return VectorValuedForm(1, delta(n))
 
 
-# -- normal tensors ----------------------------------------------------------------
+# -- everything derived from torsion and curvature --------------------------------
 
-def normal0(conn: Connection) -> TensorField:
-    """Half the torsion, as a (2,1) field antisymmetric in its covariant pair."""
-    return torsion(conn).tensor.scale(Fraction(1, 2))
-
-
-def normal1(conn: Connection) -> TensorField:
-    """First-order normal tensor, expressed through curvature and torsion:
-
-    N^l_{ijk} = -1/6 ( -3 R^l_{kij} + R^l_{jki} - R^l_{ijk}
-                       - 2 (DTor)^l_{ijk} - 2 (DTor)^l_{kji}
-                       + Tor^m_{kj} Tor^l_{mi} + 1/2 Tor^m_{ij} Tor^l_{km} ).
-
-    Its full symmetrization over (i,j,k) vanishes; the verification suite
-    checks that identity on randomized connections.
+class Invariants:
+    """Torsion, curvature, the normal tensors and both structure
+    differentials of one connection.  Each is computed on first use and
+    kept, so callers share one derivation and read, never modify, it.
     """
-    tor = torsion(conn).tensor
-    r = curvature(conn).tensor
-    dtor = covariant_derivative(conn, tor)
-    tor_tor = tensor_product(tor, tor)  # Tor^m_{ab} Tor^l_{cd}: cov (a,b,c,d), contra (m,l)
-    total = (
-        permute_covariant(r, (3, 1, 2)).scale(-3)
-        + permute_covariant(r, (2, 3, 1))
-        - r
-        - (dtor + permute_covariant(dtor, (3, 2, 1))).scale(2)
-        + permute_covariant(contract(tor_tor, 3, 1), (3, 2, 1))  # Tor^m_{kj} Tor^l_{mi}
-        + contract(tor_tor, 4, 1).scale(Fraction(1, 2))  # Tor^m_{ij} Tor^l_{km}
-    )
-    return total.scale(Fraction(-1, 6))
+
+    def __init__(self, conn: Connection) -> None:
+        self.conn = conn
+
+    @cached_property
+    def torsion(self) -> VectorValuedForm:
+        return torsion(self.conn)
+
+    @cached_property
+    def curvature(self) -> EndValuedForm:
+        return curvature(self.conn)
+
+    @cached_property
+    def normal0(self) -> TensorField:
+        """Half the torsion, as a (2,1) field antisymmetric in its covariant pair."""
+        return self.torsion.tensor.scale(Fraction(1, 2))
+
+    @cached_property
+    def normal1(self) -> TensorField:
+        """First-order normal tensor, expressed through curvature and torsion:
+
+        N^l_{ijk} = -1/6 ( -3 R^l_{kij} + R^l_{jki} - R^l_{ijk}
+                           - 2 (DTor)^l_{ijk} - 2 (DTor)^l_{kji}
+                           + Tor^m_{kj} Tor^l_{mi} + 1/2 Tor^m_{ij} Tor^l_{km} ).
+
+        Its full symmetrization over (i,j,k) vanishes; the verification suite
+        checks that identity on randomized connections.
+        """
+        tor = self.torsion.tensor
+        r = self.curvature.tensor
+        dtor = covariant_derivative(self.conn, tor)
+        tor_tor = tensor_product(tor, tor)  # Tor^m_{ab} Tor^l_{cd}: cov (a,b,c,d), contra (m,l)
+        total = (
+            permute_covariant(r, (3, 1, 2)).scale(-3)
+            + permute_covariant(r, (2, 3, 1))
+            - r
+            - (dtor + permute_covariant(dtor, (3, 2, 1))).scale(2)
+            + permute_covariant(contract(tor_tor, 3, 1), (3, 2, 1))  # Tor^m_{kj} Tor^l_{mi}
+            + contract(tor_tor, 4, 1).scale(Fraction(1, 2))  # Tor^m_{ij} Tor^l_{km}
+        )
+        return total.scale(Fraction(-1, 6))
+
+    @cached_property
+    def d_torsion(self) -> VectorValuedForm:
+        """d Tor; the first structure identity equates it with R^I."""
+        return ext_cov_deriv_vector(self.conn, self.torsion)
+
+    @cached_property
+    def d_curvature(self) -> EndValuedForm:
+        """d R; the second structure identity says it vanishes."""
+        return ext_cov_deriv_endo(self.conn, self.curvature)

@@ -17,10 +17,6 @@ import re
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-# Coefficients are stdlib Fractions: always in lowest terms, denominator > 0,
-# zero represented as Fraction(0, 1).
-Rational = Fraction
-
 # Exponent tuple, one non-negative entry per coordinate x1..xn.
 Monomial = tuple[int, ...]
 
@@ -79,6 +75,15 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _clean(cls, dimension: int, terms: dict[Monomial, Fraction]) -> Polynomial:
+        """Wrap, unchecked and uncopied, a term map known to be clean: monomials
+        of length ``dimension``, nonzero ``Fraction`` coefficients."""
+        result = cls.__new__(cls)
+        object.__setattr__(result, "dimension", dimension)
+        object.__setattr__(result, "terms", terms)
+        return result
+
+    @classmethod
     def zero(cls, dimension: int) -> Polynomial:
         return cls(dimension)
 
@@ -131,16 +136,10 @@ class Polynomial:
                     del out[mono]
                 else:
                     out[mono] = acc
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "dimension", self.dimension)
-        object.__setattr__(result, "terms", out)
-        return result
+        return Polynomial._clean(self.dimension, out)
 
     def __neg__(self) -> Polynomial:
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "dimension", self.dimension)
-        object.__setattr__(result, "terms", {m: -c for m, c in self.terms.items()})
-        return result
+        return Polynomial._clean(self.dimension, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -172,10 +171,7 @@ class Polynomial:
                         del out[mono]
                     else:
                         out[mono] = acc
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "dimension", self.dimension)
-        object.__setattr__(result, "terms", out)
-        return result
+        return Polynomial._clean(self.dimension, out)
 
     def __rmul__(self, other: Fraction | int) -> Polynomial:
         if isinstance(other, (Fraction, int)):
@@ -186,10 +182,7 @@ class Polynomial:
         factor = Fraction(factor)
         if factor == 0:
             return Polynomial(self.dimension)
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "dimension", self.dimension)
-        object.__setattr__(result, "terms", {m: c * factor for m, c in self.terms.items()})
-        return result
+        return Polynomial._clean(self.dimension, {m: c * factor for m, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> Polynomial:
         if exponent < 0:
@@ -210,14 +203,14 @@ class Polynomial:
         if not 1 <= index <= self.dimension:
             raise ValueError(f"coordinate index {index} out of range 1..{self.dimension}")
         k = index - 1
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[k]
-            if e == 0:
-                continue
-            lowered = mono[:k] + (e - 1,) + mono[k + 1 :]
-            out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
-        return Polynomial(self.dimension, out)
+        # lowering x_index is one-to-one on the monomials it keeps, and each
+        # coeff * e is a nonzero Fraction, so the map is clean as built
+        out = {
+            mono[:k] + (mono[k] - 1,) + mono[k + 1 :]: coeff * mono[k]
+            for mono, coeff in self.terms.items()
+            if mono[k]
+        }
+        return Polynomial._clean(self.dimension, out)
 
     # -- presentation ------------------------------------------------------
 
@@ -331,15 +324,19 @@ class _Parser:
         return result
 
     def expr(self) -> Polynomial:
-        result = self.term()
+        # one running term map for the whole sum, so a sum of T terms costs
+        # O(T) rather than a copy of the running sum per '+'
+        terms = dict(self.term().terms)
         while True:
             token = self.peek()
             if token is not None and token[0] == "op" and token[1] in "+-":
                 self.index += 1
-                rhs = self.term()
-                result = result + rhs if token[1] == "+" else result - rhs
+                negate = token[1] == "-"
+                for mono, coeff in self.term().terms.items():
+                    terms[mono] = terms.get(mono, 0) + (-coeff if negate else coeff)
             else:
-                return result
+                clean = {mono: coeff for mono, coeff in terms.items() if coeff}
+                return Polynomial._clean(self.dimension, clean)
 
     def term(self) -> Polynomial:
         result = self.factor()

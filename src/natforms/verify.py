@@ -10,10 +10,13 @@ eliminated once, by :func:`natforms.exactla.echelon`, and every rank,
 kernel and membership of that matrix reads the one echelon.
 
 Every quantity that two or more verdicts read is derived once per
-connection by :class:`Derived`, and :data:`CLAIMS` is the one ordered list
-of the claims that take a connection.  Claims about the 19-generator family
-require dimension >= 4 and are refused below that rather than reporting a
-misleading failure.
+connection by :class:`Derived`, which extends
+:class:`natforms.geometry.Invariants` (torsion, curvature, the normal
+tensors and both structure differentials) with the claim quantities, and
+:data:`CLAIMS` is the one ordered list of the claims that take a
+connection.  Claims about the 19-generator family require dimension >= 4
+and are refused below that rather than reporting a misleading failure;
+the shared derivation itself takes any dimension.
 """
 
 from __future__ import annotations
@@ -38,18 +41,15 @@ from .generators import (
 from .geometry import (
     Connection,
     EndValuedForm,
+    Invariants,
     VectorValuedForm,
     connection_from_entries,
     connection_to_json_obj,
-    curvature,
     ext_cov_deriv_endo,
     ext_cov_deriv_vector,
     exterior_derivative,
     identity_oneform,
-    normal0,
-    normal1,
     tensor_identity,
-    torsion,
     wedge_endo_identity,
     wedge_oneform_identity,
 )
@@ -117,8 +117,9 @@ def aggregate_pass(verdicts: list[Verdict]) -> bool:
     return all(v.passed for v in verdicts)
 
 
-class Derived:
-    """The quantities of one connection that two or more verdicts read.
+class Derived(Invariants):
+    """The invariants of one connection plus the claim quantities that two
+    or more verdicts read.
 
     Each is computed on first use and kept for the next verdict, so verdicts
     read these values and never modify them.  A connection of dimension
@@ -130,31 +131,11 @@ class Derived:
             raise ValueError(
                 f"this claim requires dimension >= 4, got {conn.dimension}"
             )
-        self.conn = conn
-
-    @cached_property
-    def torsion(self) -> VectorValuedForm:
-        return torsion(self.conn)
-
-    @cached_property
-    def curvature(self) -> EndValuedForm:
-        return curvature(self.conn)
+        super().__init__(conn)
 
     @cached_property
     def torsion_trace(self) -> TensorField:
         return contract(self.torsion.tensor, 1, 1)
-
-    @cached_property
-    def curvature_trace(self) -> TensorField:
-        return contract(self.curvature.tensor, 3, 1)
-
-    @cached_property
-    def normal0(self) -> TensorField:
-        return normal0(self.conn)
-
-    @cached_property
-    def normal1(self) -> TensorField:
-        return normal1(self.conn)
 
     @cached_property
     def family(self) -> GeneratorFamily:
@@ -178,7 +159,7 @@ class Derived:
     @cached_property
     def curvature_trace_identity(self) -> EndValuedForm:
         """(tr R) x I."""
-        return tensor_identity(self.curvature_trace)
+        return tensor_identity(contract(self.curvature.tensor, 3, 1))
 
     @cached_property
     def d_torsion_trace_identity(self) -> EndValuedForm:
@@ -433,14 +414,14 @@ def verify_thm_3_5(d: Derived) -> Verdict:
     proportional to (1, 0, 1, 0, 0)."""
     wedges = d.three_forms
     first = [
-        ext_cov_deriv_vector(d.conn, d.torsion).tensor,
+        d.d_torsion.tensor,
         wedges["dH"],
         wedges["R^I"].scale(-1),
         wedges["(trR xI)^I"].scale(-1),
         wedges["(d trTor xI)^I"].scale(-1),
     ]
-    betas = (d.curvature, d.curvature_trace_identity, d.d_torsion_trace_identity)
-    beta_diffs = [ext_cov_deriv_endo(d.conn, beta).tensor for beta in betas]
+    betas = (d.curvature_trace_identity, d.d_torsion_trace_identity)
+    beta_diffs = [d.d_curvature.tensor] + [ext_cov_deriv_endo(d.conn, b).tensor for b in betas]
     # the closedness rows do not involve lambda and mu: two zero columns
     absent = zero(beta_diffs[0].shape)
     system = echelon(first, [absent, absent, *beta_diffs])
@@ -474,17 +455,15 @@ def verify_bianchi(spec: RandomConnectionSpec, count: int = 20) -> Verdict:
     runs = []
     all_ok = True
     for index, conn in enumerate(connections):
-        tor = torsion(conn)
-        r = curvature(conn)
-        first = equal(
-            ext_cov_deriv_vector(conn, tor).tensor, wedge_endo_identity(r).tensor
-        )
-        second = ext_cov_deriv_endo(conn, r).tensor.is_zero
+        # one connection's invariants at a time: rebinding q frees the last
+        q = Invariants(conn)
+        first = equal(q.d_torsion.tensor, wedge_endo_identity(q.curvature).tensor)
+        second = q.d_curvature.tensor.is_zero
         d_identity = equal(
             ext_cov_deriv_vector(conn, identity_oneform(conn.dimension)).tensor,
-            tor.tensor,
+            q.torsion.tensor,
         )
-        n1 = normal1(conn)
+        n1 = q.normal1
         pieces = [permute_covariant(n1, perm) for perm in itertools.permutations((1, 2, 3))]
         symmetrization_zero = sum(pieces[1:], pieces[0]).is_zero
         ok = first and second and d_identity and symmetrization_zero
@@ -605,7 +584,9 @@ def verify_claim(target: str, conn: Connection) -> list[Verdict]:
 
 def verify_all(conn: Connection, spec: RandomConnectionSpec, count: int = 20) -> list[Verdict]:
     """Every CLAIMS verdict in registry order, then the bianchi suite;
-    aggregate passes iff all pass."""
+    aggregate passes iff all pass.  Both refusals (dimension, count) come
+    before any claim runs."""
     d = Derived(conn)
+    bianchi = verify_bianchi(spec, count)
     verdicts = [claim(d) for claims in CLAIMS.values() for claim in claims]
-    return verdicts + [verify_bianchi(spec, count)]
+    return verdicts + [bianchi]

@@ -34,9 +34,9 @@ def crooked_conn():
 
 @pytest.fixture(scope="session")
 def ref_family(ref_conn):
-    from natforms.generators import family_from_connection
+    from natforms.verify import Derived
 
-    return family_from_connection(ref_conn)
+    return Derived(ref_conn).family
 
 
 @pytest.fixture(scope="session")

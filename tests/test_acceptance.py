@@ -14,15 +14,13 @@ from natforms.exactla import flatten, in_span, rank
 from natforms.generators import (
     dropped_c3_generator,
     enumerate_schemes,
-    family_from_connection,
 )
 from natforms.geometry import (
+    Invariants,
     connection_from_entries,
     ext_cov_deriv_vector,
     identity_oneform,
     load_connection,
-    normal0,
-    normal1,
     torsion,
     wedge_endo_identity,
     wedge_oneform_identity,
@@ -50,7 +48,7 @@ def paper_conn():
 
 @pytest.fixture(scope="module")
 def paper_family(paper_conn):
-    return family_from_connection(paper_conn)
+    return Derived(paper_conn).family
 
 
 @pytest.fixture(scope="module")
@@ -140,11 +138,11 @@ def torsion_by_substitution(conn):
 def test_c07_normal_tensor_properties(seeded_connections):
     started = time.time()
     for conn in seeded_connections:
-        n0 = normal0(conn)
+        n0 = Invariants(conn).normal0
         oracle = torsion_by_substitution(conn)
         for (l, i, j), tor_value in oracle.items():
             assert n0.get((i, j), (l,)).scale(2) == tor_value
-        n1 = normal1(conn)
+        n1 = Invariants(conn).normal1
         total = None
         for perm in itertools.permutations((1, 2, 3)):
             piece = permute_covariant(n1, perm)
@@ -155,7 +153,7 @@ def test_c07_normal_tensor_properties(seeded_connections):
 
 def test_c08_dropped_generator_dependency(paper_conn, paper_family):
     started = time.time()
-    dropped = dropped_c3_generator(normal1(paper_conn))
+    dropped = dropped_c3_generator(Invariants(paper_conn).normal1)
     keep = ["T5", "T6", "T8", "T9", "T11"]
     fields = [paper_family[label].form.tensor for label in keep] + [dropped]
     _, matrix = flatten(fields)

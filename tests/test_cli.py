@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natforms.cli import main
+from natforms.cli import COMPUTE_TARGETS, main
 from natforms.poly import parse
 from natforms.tensor import dumps as tensor_dumps
 from natforms.tensor import loads as tensor_loads
@@ -181,6 +181,32 @@ def test_compute_normal0_default_connection(tmp_path):
     assert run(["compute", "normal0", "--out", str(out)]) == 0
     field = tensor_loads(out.read_text())
     assert field.get((1, 2), (1,)) == parse("1/2*x3", 4)
+
+
+# a torsionful connection on R^3, below the claims' dimension 4
+DIM3 = {
+    "dim": 3,
+    "christoffel": [
+        {"upper": 1, "lower": [1, 2], "poly": "x3"},
+        {"upper": 3, "lower": [2, 3], "poly": "x1*x2"},
+        {"upper": 2, "lower": [3, 1], "poly": "x2^2 - x3"},
+    ],
+}
+
+
+@pytest.mark.parametrize("what", list(COMPUTE_TARGETS))
+def test_compute_works_below_dimension_4(what, tmp_path):
+    # the dimension guard belongs to the claims, not to the shared derivation
+    conn_path = tmp_path / "dim3.json"
+    conn_path.write_text(json.dumps(DIM3))
+    out = tmp_path / what
+    assert run(["compute", what, "--connection", str(conn_path), "--out", str(out)]) == 0
+    if what == "generators":
+        labels = sorted(name for name in os.listdir(out) if name != "manifest.json")
+        assert labels == sorted(f"T{i}.json" for i in range(1, 20))
+        assert tensor_loads((out / "T1.json").read_text()).shape.n == 3
+    else:
+        assert tensor_loads(out.read_text()).shape.n == 3
 
 
 def test_compute_dR_is_zero_everywhere(tmp_path):

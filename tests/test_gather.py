@@ -9,10 +9,9 @@ import pytest
 
 from natforms.generators import apply_scheme, enumerate_schemes
 from natforms.geometry import (
+    Invariants,
     curvature,
     exterior_derivative,
-    normal0,
-    normal1,
     tensor_identity,
     torsion,
     wedge_endo_identity,
@@ -51,7 +50,7 @@ def assert_same(got, want):
 @SEEDED_CONNECTIONS
 def test_normal1_matches_loop(n, density, seed):
     conn = seeded_connection(n, density, seed)
-    got = normal1(conn)
+    got = Invariants(conn).normal1
     assert_same(got, normal1_loop(conn))
     assert not got.is_zero
 
@@ -119,10 +118,10 @@ def test_schemes_42_to_31_with_delta_fills_count():
 def test_every_scheme_matches_loop_on_normal_tensors(n, density, seed):
     conn = seeded_connection(n, density, seed)
     shape31 = TensorShape(3, 1, n)
-    n1 = normal1(conn)
+    n1 = Invariants(conn).normal1
     for scheme in enumerate_schemes(shape31, shape31):
         assert_same(apply_scheme(scheme, n1), apply_scheme_loop(scheme, n1))
-    n0 = normal0(conn)
+    n0 = Invariants(conn).normal0
     n0_squared = tensor_product(n0, n0)
     nonzero = 0
     for scheme in enumerate_schemes(TensorShape(4, 2, n), shape31):

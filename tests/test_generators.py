@@ -15,9 +15,8 @@ from natforms.generators import (
     doubled_d5_variant,
     dropped_c3_generator,
     enumerate_schemes,
-    family_from_connection,
 )
-from natforms.geometry import normal0, normal1
+from natforms.geometry import Invariants
 from natforms.poly import Polynomial
 from natforms.tensor import (
     TensorField,
@@ -28,18 +27,19 @@ from natforms.tensor import (
     permute_covariant,
     zero,
 )
+from natforms.verify import Derived
 
 N = 4
 
 
 @pytest.fixture(scope="module")
 def ref_n0(ref_conn):
-    return normal0(ref_conn)
+    return Invariants(ref_conn).normal0
 
 
 @pytest.fixture(scope="module")
 def ref_n1(ref_conn):
-    return normal1(ref_conn)
+    return Invariants(ref_conn).normal1
 
 
 # -- C and D families ------------------------------------------------------------
@@ -114,12 +114,12 @@ def test_d_component_formulas(ref_n0):
 # -- the T family -----------------------------------------------------------------
 
 def test_family_on_flat_connection_is_zero(flat_conn):
-    family = family_from_connection(flat_conn)
+    family = Derived(flat_conn).family
     assert all(entry.form.tensor.is_zero for entry in family.entries)
 
 
 def test_family_labels_and_provenance(ref_conn):
-    family = family_from_connection(ref_conn)
+    family = Derived(ref_conn).family
     assert family.labels() == [f"T{i}" for i in range(1, 20)]
     assert family["T1"].base == "C0"
     assert family["T12"].base == "D1"
@@ -129,7 +129,7 @@ def test_family_labels_and_provenance(ref_conn):
 
 
 def test_family_entries_are_two_forms(ref_conn):
-    family = family_from_connection(ref_conn)
+    family = Derived(ref_conn).family
     for entry in family.entries:
         assert is_antisymmetric(entry.form.tensor, 1, 2), entry.label
 
@@ -153,11 +153,11 @@ def test_d3_jki_pattern_vanishes_identically(ref_n0, crooked_conn):
     from natforms.generators import vanishing_d3_pattern
 
     assert vanishing_d3_pattern(ref_n0).is_zero
-    assert vanishing_d3_pattern(normal0(crooked_conn)).is_zero
+    assert vanishing_d3_pattern(Invariants(crooked_conn).normal0).is_zero
 
 
 def test_torsion_free_connection_kills_d_part(symmetric_conn):
-    family = family_from_connection(symmetric_conn)
+    family = Derived(symmetric_conn).family
     for entry in family.entries[11:]:
         assert entry.form.tensor.is_zero, entry.label
     assert any(not entry.form.tensor.is_zero for entry in family.entries[:11])

@@ -9,6 +9,7 @@ import pytest
 
 from natforms.geometry import (
     EndValuedForm,
+    Invariants,
     VectorValuedForm,
     connection_from_entries,
     connection_from_json_obj,
@@ -20,8 +21,6 @@ from natforms.geometry import (
     exterior_derivative,
     identity_oneform,
     load_connection,
-    normal0,
-    normal1,
     reference_connection,
     tensor_identity,
     torsion,
@@ -498,23 +497,23 @@ def test_exterior_derivative_is_antisymmetric():
 # -- normal tensors -----------------------------------------------------------------------------
 
 def test_normal0_is_half_torsion(ref_conn):
-    n0 = normal0(ref_conn)
+    n0 = Invariants(ref_conn).normal0
     assert n0.get((1, 2), (1,)) == pp("1/2*x3")
     doubled = n0.scale(2)
     assert equal(doubled, torsion(ref_conn).tensor)
 
 
 def test_normal0_vanishes_for_flat_and_symmetric(flat_conn, symmetric_conn):
-    assert normal0(flat_conn).is_zero
-    assert normal0(symmetric_conn).is_zero
+    assert Invariants(flat_conn).normal0.is_zero
+    assert Invariants(symmetric_conn).normal0.is_zero
 
 
 def test_normal1_flat_is_zero(flat_conn):
-    assert normal1(flat_conn).is_zero
+    assert Invariants(flat_conn).normal1.is_zero
 
 
 def test_normal1_symmetric_reduces_to_curvature_terms(symmetric_conn):
-    n1 = normal1(symmetric_conn)
+    n1 = Invariants(symmetric_conn).normal1
     r = curvature(symmetric_conn).tensor
     third = Fraction(-1, 6)
     for i, j, k, l in itertools.product(range(1, 5), repeat=4):
@@ -554,7 +553,7 @@ def normal1_by_tensor_ops(conn):
 
 def test_normal1_matches_tensor_op_oracle(ref_conn, crooked_conn):
     for conn in (ref_conn, crooked_conn):
-        assert equal(normal1(conn), normal1_by_tensor_ops(conn))
+        assert equal(Invariants(conn).normal1, normal1_by_tensor_ops(conn))
 
 
 def s3_symmetrization(t):
@@ -570,4 +569,4 @@ def s3_symmetrization(t):
 
 def test_normal1_full_symmetrization_vanishes(ref_conn, crooked_conn, symmetric_conn):
     for conn in (ref_conn, crooked_conn, symmetric_conn):
-        assert s3_symmetrization(normal1(conn)).is_zero
+        assert s3_symmetrization(Invariants(conn).normal1).is_zero

@@ -142,6 +142,38 @@ def test_parse_parentheses_and_nested_negation():
     assert parse("-(x1 - (2 - x2))", 4) == parse("-x1 + 2 - x2", 4)
 
 
+def test_parse_sums_cancel_to_the_surviving_terms():
+    assert parse("x1 + x2 - x1", 4) == Polynomial.variable(4, 2)
+    assert parse("x1 - x1", 4).is_zero
+    assert parse("x1 - (x1 - x2) - x2", 4).is_zero
+
+
+def test_parse_parenthesised_sums_equal_polynomial_arithmetic():
+    x1, x2, x3 = (Polynomial.variable(4, i) for i in (1, 2, 3))
+    half = Polynomial.constant(4, Fraction(1, 2))
+    got = parse("(x1 + 2*x2)*(x1 - x2) - (x3 - (x1 + 1/2)) + 3*(x2 - x1)*(x2 - x1)", 4)
+    want = (x1 + x2 * 2) * (x1 - x2) - (x3 - (x1 + half)) + (x2 - x1) * (x2 - x1) * 3
+    assert got == want
+    # certificates render only Fraction coefficients as strings
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_parse_long_sum_is_linear_time():
+    # a quadratic-time sum takes minutes on 100,000 terms; the subprocess
+    # timeout turns such a regression into a failure, not a hang
+    code = (
+        "from natforms.poly import parse; "
+        "text = ' + '.join(f'{i + 1}*x1^{i}*x2' for i in range(100000)); "
+        "print(len(parse(text, 4).terms))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "100000"
+
+
 def test_parse_reports_position():
     with pytest.raises(ParseError) as err:
         parse("x1 + @", 4)

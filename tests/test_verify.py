@@ -1,10 +1,12 @@
 """Verdicts: pass on the reference connection, documented degenerate behavior
 elsewhere, deterministic sampling and reports."""
 
+import sys
+
 import pytest
 
+from natforms import geometry
 from natforms.exactla import flatten, rank
-from natforms.generators import family_from_connection
 from natforms.geometry import connection_from_entries, flat_connection
 from natforms.poly import parse
 from natforms.verify import (
@@ -15,6 +17,7 @@ from natforms.verify import (
     report_json,
     report_text,
     verdict_to_json_obj,
+    verify_all,
     verify_bianchi,
     verify_closed_forms,
     verify_dropped_generator,
@@ -59,7 +62,7 @@ def test_lemma_3_1_fails_on_flat(flat_conn):
 
 
 def test_symmetric_connection_rank_bounded(symmetric_conn):
-    family = family_from_connection(symmetric_conn)
+    family = Derived(symmetric_conn).family
     _, matrix = flatten(family.fields())
     observed = rank(matrix)
     assert observed <= 11
@@ -188,6 +191,48 @@ def test_bianchi_suite_rejects_count_below_one(count, monkeypatch):
     monkeypatch.setattr("natforms.verify.random_connections", no_draw)
     with pytest.raises(ValueError, match="count must be at least 1"):
         verify_bianchi(RandomConnectionSpec(seed=1), count)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_verify_all_refuses_count_before_any_claim(ref_conn, count, monkeypatch):
+    def no_claim(d):
+        raise AssertionError("a claim ran before the count was checked")
+
+    monkeypatch.setattr("natforms.verify.verify_lemma_3_1", no_claim)
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        verify_all(ref_conn, RandomConnectionSpec(seed=1), count)
+
+
+# -- one derivation per connection -----------------------------------------------------
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Count torsion and curvature evaluations, wrapping each function in
+    every natforms namespace that binds it."""
+    counts = {"torsion": 0, "curvature": 0}
+    for name in counts:
+        original = getattr(geometry, name)
+
+        def counted(conn, name=name, original=original):
+            counts[name] += 1
+            return original(conn)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "natforms" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_verify_all_derives_once_per_connection(ref_conn, derivations):
+    # the bundled connection plus the 20 bianchi draws
+    verify_all(ref_conn, RandomConnectionSpec(seed=1), 20)
+    assert derivations == {"torsion": 21, "curvature": 21}
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_bianchi_derives_once_per_connection(count, derivations):
+    verify_bianchi(RandomConnectionSpec(seed=1), count)
+    assert derivations == {"torsion": count, "curvature": count}
 
 
 # -- reports ----------------------------------------------------------------------------------
