@@ -118,7 +118,7 @@ def flatten(fields: Sequence[TensorField]) -> tuple[list[BasisLabel], RationalMa
     zero = Fraction(0)
     for pos, mono in positions:
         for f in fields:
-            entries.append(f.components[pos].terms.get(mono, zero))
+            entries.append(Fraction(f.components[pos].terms.get(mono, zero)))
     return manifest, RationalMatrix(len(positions), len(fields), tuple(entries))
 
 
@@ -157,7 +157,7 @@ def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
     One piece per component.  A component whose polynomials are the very
     objects of an earlier component (alternation stores one value at several
     orderings) has the same rows, which are counted but not streamed again.
-    Entries are the fields' ``Fraction`` coefficients and ``int`` zeros.
+    Entries are the fields' coefficients (``int`` or ``Fraction``) and ``int`` zeros.
     """
     cols = len(fields)
     # id of a component's first nonzero polynomial -> (position, row count);

@@ -1,10 +1,18 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A polynomial in n variables x1..xn is stored as a map from exponent tuples
-to nonzero rational coefficients (``fractions.Fraction``), so equality is
-exact and canonical: two polynomials are equal iff their term maps are.
-Every polynomial carries its ambient dimension n, checked on each binary
-operation; silent mixing of dimensions is the error this guards against.
+to nonzero rational coefficients, so equality is exact and canonical: two
+polynomials are equal iff their term maps are.  A coefficient is an ``int``
+when it is integral and a ``fractions.Fraction`` with denominator > 1
+otherwise; integral coefficients, by far the most common, then cost
+integer arithmetic only.  Coefficients given from outside must be ``int``
+(not ``bool``) or ``Fraction``: a float or string is refused, never
+converted.  Every polynomial carries its ambient dimension n, checked on
+each binary operation; silent mixing of dimensions is the error this
+guards against.
+
+Polynomials are immutable, so arithmetic shares rather than copies: a sum
+or product with a zero operand and a scaling by 1 return an operand itself.
 
 The canonical term order is graded lexicographic on exponent tuples
 (total degree first, then the tuple itself).  It fixes both the printed
@@ -19,6 +27,9 @@ from typing import Iterator, Mapping
 
 # Exponent tuple, one non-negative entry per coordinate x1..xn.
 Monomial = tuple[int, ...]
+
+# A coefficient: an int when integral, else a Fraction with denominator > 1.
+Coefficient = int | Fraction
 
 # A product of polynomials with |a| and |b| terms pairs every term of one with
 # every term of the other.  Products of more than this many term pairs are
@@ -38,6 +49,27 @@ def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     return (sum(mono), mono)
 
 
+def _coefficient(value: object) -> Coefficient:
+    """The canonical coefficient for an exact rational value: ``int`` when it
+    is integral, ``Fraction`` otherwise.  Anything but an ``int`` or a
+    ``Fraction`` is refused, ``bool`` included."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(
+        f"polynomial coefficients must be int or Fraction, got {type(value).__name__} {value!r}"
+    )
+
+
+def _ints_first(terms: dict[Monomial, Coefficient]) -> dict[Monomial, Coefficient]:
+    """Make the integral ``Fraction`` coefficients of a term map ``int``, in place."""
+    for mono, coeff in terms.items():
+        if type(coeff) is not int:
+            terms[mono] = _coefficient(coeff)
+    return terms
+
+
 class Polynomial:
     """Immutable multivariate polynomial with exact rational coefficients.
 
@@ -47,13 +79,13 @@ class Polynomial:
     __slots__ = ("dimension", "terms")
 
     dimension: int
-    terms: dict[Monomial, Fraction]
+    terms: dict[Monomial, Coefficient]  # int when integral, else Fraction
 
-    def __init__(self, dimension: int, terms: Mapping[Monomial, Fraction | int] | None = None):
+    def __init__(self, dimension: int, terms: Mapping[Monomial, Coefficient] | None = None):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         object.__setattr__(self, "dimension", dimension)
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Coefficient] = {}
         for mono, coeff in (terms or {}).items():
             mono = tuple(mono)
             if len(mono) != dimension:
@@ -62,10 +94,12 @@ class Polynomial:
                 )
             if any(e < 0 or not isinstance(e, int) for e in mono):
                 raise ValueError(f"exponents must be non-negative integers, got {mono}")
-            coeff = Fraction(coeff)
-            if coeff != 0:
-                clean[mono] = clean.get(mono, Fraction(0)) + coeff
-                if clean[mono] == 0:
+            coeff = _coefficient(coeff)
+            if coeff:
+                acc = _coefficient(clean.get(mono, 0) + coeff)
+                if acc:
+                    clean[mono] = acc
+                else:
                     del clean[mono]
         object.__setattr__(self, "terms", clean)
 
@@ -75,9 +109,10 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _clean(cls, dimension: int, terms: dict[Monomial, Fraction]) -> Polynomial:
+    def _clean(cls, dimension: int, terms: dict[Monomial, Coefficient]) -> Polynomial:
         """Wrap, unchecked and uncopied, a term map known to be clean: monomials
-        of length ``dimension``, nonzero ``Fraction`` coefficients."""
+        of length ``dimension``, nonzero coefficients as ``_coefficient`` makes
+        them."""
         result = cls.__new__(cls)
         object.__setattr__(result, "dimension", dimension)
         object.__setattr__(result, "terms", terms)
@@ -88,8 +123,8 @@ class Polynomial:
         return cls(dimension)
 
     @classmethod
-    def constant(cls, dimension: int, value: Fraction | int) -> Polynomial:
-        return cls(dimension, {(0,) * dimension: Fraction(value)})
+    def constant(cls, dimension: int, value: Coefficient) -> Polynomial:
+        return cls(dimension, {(0,) * dimension: value})
 
     @classmethod
     def variable(cls, dimension: int, index: int) -> Polynomial:
@@ -98,7 +133,7 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range 1..{dimension}")
         exps = [0] * dimension
         exps[index - 1] = 1
-        return cls(dimension, {tuple(exps): Fraction(1)})
+        return cls(dimension, {tuple(exps): 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -114,6 +149,9 @@ class Polynomial:
     __hash__ = None  # type: ignore[assignment]
 
     # -- arithmetic --------------------------------------------------------
+    #
+    # A sum or product with a zero operand and a scaling by 1 make no new
+    # polynomial: the result is an operand itself.
 
     def _check_dimension(self, other: Polynomial) -> None:
         if self.dimension != other.dimension:
@@ -121,44 +159,59 @@ class Polynomial:
                 f"dimension mismatch: {self.dimension} vs {other.dimension}"
             )
 
-    def __add__(self, other: Polynomial) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_dimension(other)
+    def _plus(self, other: Polynomial, sign: int) -> Polynomial:
+        """self + sign * other, for sign 1 or -1, in one pass over other."""
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             acc = out.get(mono)
             if acc is None:
-                out[mono] = coeff
+                out[mono] = coeff if sign > 0 else -coeff
             else:
-                acc = acc + coeff
-                if acc == 0:
-                    del out[mono]
+                acc = acc + coeff if sign > 0 else acc - coeff
+                if acc:
+                    out[mono] = acc if type(acc) is int else _coefficient(acc)
                 else:
-                    out[mono] = acc
+                    del out[mono]
         return Polynomial._clean(self.dimension, out)
 
-    def __neg__(self) -> Polynomial:
-        return Polynomial._clean(self.dimension, {m: -c for m, c in self.terms.items()})
+    def __add__(self, other: Polynomial) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        self._check_dimension(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return self._plus(other, 1)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
         self._check_dimension(other)
+        if not other.terms:
+            return self
+        return self._plus(other, -1)
+
+    def __neg__(self) -> Polynomial:
+        if not self.terms:
+            return self
+        return Polynomial._clean(self.dimension, {m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other: Polynomial | Coefficient) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            return self.scale(other)
+        self._check_dimension(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         pairs = len(self.terms) * len(other.terms)
         if pairs > _MAX_TERM_PAIRS:
             raise ValueError(
                 f"product of {len(self.terms)} and {len(other.terms)} terms exceeds "
                 f"{_MAX_TERM_PAIRS} term pairs"
             )
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coefficient] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mono = tuple(a + b for a, b in zip(ma, mb))
@@ -167,24 +220,29 @@ class Polynomial:
                     out[mono] = ca * cb
                 else:
                     acc = acc + ca * cb
-                    if acc == 0:
-                        del out[mono]
-                    else:
+                    if acc:
                         out[mono] = acc
-        return Polynomial._clean(self.dimension, out)
+                    else:
+                        del out[mono]
+        return Polynomial._clean(self.dimension, _ints_first(out))
 
-    def __rmul__(self, other: Fraction | int) -> Polynomial:
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
-        return NotImplemented
+    def __rmul__(self, other: Coefficient) -> Polynomial:
+        return self.scale(other)
 
-    def scale(self, factor: Fraction | int) -> Polynomial:
-        factor = Fraction(factor)
-        if factor == 0:
+    def scale(self, factor: Coefficient) -> Polynomial:
+        factor = _coefficient(factor)
+        if factor == 1 or not self.terms:
+            return self
+        if not factor:
             return Polynomial(self.dimension)
-        return Polynomial._clean(self.dimension, {m: c * factor for m, c in self.terms.items()})
+        out = {m: c * factor for m, c in self.terms.items()}
+        return Polynomial._clean(self.dimension, _ints_first(out))
 
     def __pow__(self, exponent: int) -> Polynomial:
+        if type(exponent) is not int:
+            raise TypeError(
+                f"polynomial exponents must be int, got {type(exponent).__name__} {exponent!r}"
+            )
         if exponent < 0:
             raise ValueError("negative powers are not defined for polynomials")
         # repeated squaring: one squaring per bit of the exponent
@@ -204,17 +262,17 @@ class Polynomial:
             raise ValueError(f"coordinate index {index} out of range 1..{self.dimension}")
         k = index - 1
         # lowering x_index is one-to-one on the monomials it keeps, and each
-        # coeff * e is a nonzero Fraction, so the map is clean as built
+        # coeff * e is nonzero, so the map is clean once its coefficients are
         out = {
             mono[:k] + (mono[k] - 1,) + mono[k + 1 :]: coeff * mono[k]
             for mono, coeff in self.terms.items()
             if mono[k]
         }
-        return Polynomial._clean(self.dimension, out)
+        return Polynomial._clean(self.dimension, _ints_first(out))
 
     # -- presentation ------------------------------------------------------
 
-    def sorted_terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> Iterator[tuple[Monomial, Coefficient]]:
         """Terms in the canonical graded-lexicographic order."""
         for mono in sorted(self.terms, key=grlex_key):
             yield mono, self.terms[mono]
@@ -336,7 +394,7 @@ class _Parser:
                     terms[mono] = terms.get(mono, 0) + (-coeff if negate else coeff)
             else:
                 clean = {mono: coeff for mono, coeff in terms.items() if coeff}
-                return Polynomial._clean(self.dimension, clean)
+                return Polynomial._clean(self.dimension, _ints_first(clean))
 
     def term(self) -> Polynomial:
         result = self.factor()

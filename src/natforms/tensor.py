@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .poly import Polynomial, parse, to_string
+from .poly import Coefficient, Polynomial, _coefficient, parse, to_string
 
 
 @dataclass(frozen=True)
@@ -101,24 +101,43 @@ class TensorField:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
+    # A zero component passes its partner through as it is, without a call
+    # into Polynomial; most components of the fields built here are zero.
+
     def __add__(self, other: TensorField) -> TensorField:
         if not isinstance(other, TensorField):
             return NotImplemented
         self._check_shape(other)
         return TensorField(
-            self.shape, tuple(a + b for a, b in zip(self.components, other.components))
+            self.shape,
+            tuple(
+                b if not a.terms else a if not b.terms else a + b
+                for a, b in zip(self.components, other.components)
+            ),
         )
 
     def __sub__(self, other: TensorField) -> TensorField:
         if not isinstance(other, TensorField):
             return NotImplemented
-        return self + (-other)
+        self._check_shape(other)
+        return TensorField(
+            self.shape,
+            tuple(
+                a if not b.terms else -b if not a.terms else a - b
+                for a, b in zip(self.components, other.components)
+            ),
+        )
 
     def __neg__(self) -> TensorField:
-        return TensorField(self.shape, tuple(-c for c in self.components))
+        return TensorField(self.shape, tuple(-c if c.terms else c for c in self.components))
 
-    def scale(self, factor) -> TensorField:
-        return TensorField(self.shape, tuple(c.scale(factor) for c in self.components))
+    def scale(self, factor: Coefficient) -> TensorField:
+        factor = _coefficient(factor)
+        if factor == 1:
+            return self
+        return TensorField(
+            self.shape, tuple(c.scale(factor) if c.terms else c for c in self.components)
+        )
 
     @property
     def is_zero(self) -> bool:

@@ -17,6 +17,11 @@ elimination over the whole integer-cleared matrix, every row kept, with
 their own back-substitution and normalisation: ``rank_bareiss``,
 ``kernel_basis_bareiss`` and ``in_span_bareiss`` share no code with the
 library's streamed echelon, and ``matrix_vector`` multiplies in Fractions.
+
+The polynomial oracles ``add_terms``, ``sub_terms``, ``mul_terms``,
+``scale_terms`` and ``partial_terms`` work on plain term maps with every
+coefficient a ``Fraction``: no ``int`` coefficients, no shared operands and
+no ``Polynomial``.
 """
 
 import itertools
@@ -394,3 +399,45 @@ def in_span_bareiss(
         if recomputed != vector[r]:
             raise AssertionError("in_span certificate failed re-substitution")
     return (True, tuple(coeffs))
+
+
+# -- polynomial arithmetic on all-Fraction term maps ------------------------------
+
+def fraction_terms(terms) -> dict:
+    """The term map with every coefficient a Fraction and no zero term."""
+    return {tuple(m): Fraction(c) for m, c in terms.items() if c}
+
+
+def add_terms(a, b) -> dict:
+    out = fraction_terms(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + Fraction(c)
+    return fraction_terms(out)
+
+
+def sub_terms(a, b) -> dict:
+    return add_terms(a, {m: -Fraction(c) for m, c in b.items()})
+
+
+def mul_terms(a, b) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return fraction_terms(out)
+
+
+def scale_terms(a, factor) -> dict:
+    return fraction_terms({m: Fraction(c) * Fraction(factor) for m, c in a.items()})
+
+
+def partial_terms(a, index: int) -> dict:
+    """d/dx_index, 1-based."""
+    k = index - 1
+    out: dict = {}
+    for m, c in a.items():
+        if m[k]:
+            lowered = m[:k] + (m[k] - 1,) + m[k + 1 :]
+            out[lowered] = out.get(lowered, Fraction(0)) + Fraction(c) * m[k]
+    return fraction_terms(out)

@@ -2,12 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import natforms
 from natforms.cli import COMPUTE_TARGETS, main
 from natforms.poly import parse
 from natforms.tensor import dumps as tensor_dumps
@@ -131,6 +134,20 @@ def test_verify_all_json_reports_are_byte_identical(capsys):
     assert first == second
     with open(GOLDEN_ALL, encoding="utf-8") as handle:
         assert first == handle.read()
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree():
+    # `python -m natforms` needs no installed console script
+    src = os.path.dirname(os.path.dirname(os.path.abspath(natforms.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "natforms", "verify", "lemma-3.5"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 0, out.stderr
+    assert "claim lemma-3.5: PASS" in out.stdout
 
 
 def test_verify_schemes_target(capsys):

@@ -427,3 +427,54 @@ def test_eliminations_on_the_paper_connection(monkeypatch, ref_conn):
     # the 19-column kernel once, then span_equal of [kernel | expected] and
     # [expected | kernel]
     assert widths == [19, 6, 6]
+
+
+def _seeded_draws(seed):
+    from natforms.verify import RandomConnectionSpec, random_connections
+
+    return random_connections(RandomConnectionSpec(seed=seed), 2)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_int_coefficient_fields_give_fraction_certificates(seed):
+    # torsion and curvature of a seeded `bianchi` draw have int coefficients
+    # only; every certificate built from them is still all Fraction
+    from natforms.geometry import Invariants
+
+    first, second = (Invariants(c) for c in _seeded_draws(seed))
+    for x, y in (
+        (first.torsion.tensor, second.torsion.tensor),
+        (first.curvature.tensor, second.curvature.tensor),
+    ):
+        assert all(type(c) is int for comp in x.components for c in comp.terms.values())
+        combined = x + y.scale(3)
+        ech = echelon([x, y, combined])
+        kernel = echelon_kernel(ech)
+        assert kernel == [(Fraction(1), Fraction(3), Fraction(-1))]
+        assert _fractions_only(kernel)
+        members = echelon_members(ech, 2)
+        assert members == [(True, (Fraction(1), Fraction(3)))]
+        assert _fractions_only(members)
+        ok, cert = span_equal([x, y], [x + y, x - y])
+        assert ok
+        assert _fractions_only(cert["a_in_b"]) and _fractions_only(cert["b_in_a"])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_family_rank_and_kernel_match_bareiss_on_seeded_connections(seed):
+    # d-nabla fills the alternated orderings of a form with the very polynomial
+    # objects it computed once, so `_field_rows` skips repeated components of
+    # the differentials; the rows it streams must still give Bareiss's results
+    from natforms.geometry import ext_cov_deriv_endo
+    from natforms.verify import Derived
+
+    conn = _seeded_draws(seed)[0]
+    family = Derived(conn).family
+    differentials = [ext_cov_deriv_endo(conn, e.form).tensor for e in family.entries]
+    assert any(not rows for _, rows in exactla._field_rows(differentials))
+    for fields in (family.fields(), differentials):
+        _, matrix = flatten(fields)
+        ech = echelon(fields)
+        assert ech.rows == matrix.rows
+        assert ech.rank == rank_bareiss(matrix)
+        assert echelon_kernel(ech) == kernel_basis_bareiss(matrix)

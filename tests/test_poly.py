@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,14 @@ from hypothesis import strategies as st
 
 import natforms
 from natforms.poly import ParseError, Polynomial, grlex_key, parse, to_string
+from reference_loops import (
+    add_terms,
+    fraction_terms,
+    mul_terms,
+    partial_terms,
+    scale_terms,
+    sub_terms,
+)
 
 # the directory natforms is imported from, for subprocesses
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(natforms.__file__)))
@@ -27,6 +36,44 @@ def test_rational_invariants():
     c = Fraction(4, -6)
     assert (c.numerator, c.denominator) == (-2, 3)
     assert (Fraction(0, 5).numerator, Fraction(0, 5).denominator) == (0, 1)
+
+
+def test_integral_coefficients_are_int():
+    assert Polynomial.constant(4, Fraction(6, 3)).terms == {(0, 0, 0, 0): 2}
+    assert type(Polynomial.constant(4, Fraction(6, 3)).terms[(0, 0, 0, 0)]) is int
+    half = p("1/2*x1")
+    assert type(half.terms[(1, 0, 0, 0)]) is Fraction
+    assert type((half + half).terms[(1, 0, 0, 0)]) is int
+    assert type(half.scale(4).terms[(1, 0, 0, 0)]) is int
+    assert type((half * p("2")).terms[(1, 0, 0, 0)]) is int
+    assert type(p("1/2*x1^2").partial_derivative(1).terms[(1, 0, 0, 0)]) is int
+
+
+# Values that are not an exact int or Fraction: a float, a string, a bool,
+# None, a complex number and a Decimal.
+INEXACT = [0.1, 0.5, 2.0, "1e-3", "1", True, False, None, 1 + 0j, Decimal("0.1")]
+
+
+@pytest.mark.parametrize("value", INEXACT, ids=repr)
+def test_inexact_coefficients_are_refused(value):
+    x1 = Polynomial.variable(4, 1)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        Polynomial(4, {(1, 0, 0, 0): value})
+    with pytest.raises(TypeError, match="int or Fraction"):
+        Polynomial.constant(4, value)
+    for poly in (x1, Polynomial.zero(4)):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            poly.scale(value)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            poly * value
+        with pytest.raises(TypeError, match="int or Fraction"):
+            value * poly
+
+
+@pytest.mark.parametrize("exponent", [2.0, True, "2", Fraction(2)], ids=repr)
+def test_non_int_exponents_are_refused(exponent):
+    with pytest.raises(TypeError, match="exponents must be int"):
+        Polynomial.variable(4, 1) ** exponent
 
 
 # -- addition ------------------------------------------------------------------
@@ -85,7 +132,7 @@ def test_huge_power_is_one_monomial():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[((0, 0, 99999999, 0), Fraction(1, 1))]"
+    assert out.stdout.strip() == "[((0, 0, 99999999, 0), 1)]"
 
 
 def test_scale_by_rational():
@@ -154,8 +201,9 @@ def test_parse_parenthesised_sums_equal_polynomial_arithmetic():
     got = parse("(x1 + 2*x2)*(x1 - x2) - (x3 - (x1 + 1/2)) + 3*(x2 - x1)*(x2 - x1)", 4)
     want = (x1 + x2 * 2) * (x1 - x2) - (x3 - (x1 + half)) + (x2 - x1) * (x2 - x1) * 3
     assert got == want
-    # certificates render only Fraction coefficients as strings
-    assert all(type(c) is Fraction for c in got.terms.values())
+    # the coefficient contract: int if and only if integral
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in got.terms.values())
+    assert got.terms[(1, 1, 0, 0)] == -5 and got.terms[(0, 0, 0, 0)] == Fraction(1, 2)
 
 
 def test_parse_long_sum_is_linear_time():
@@ -199,7 +247,7 @@ def test_parse_power_is_one_monomial():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[((0, 0, 99999999, 0), Fraction(1, 1))]"
+    assert out.stdout.strip() == "[((0, 0, 99999999, 0), 1)]"
 
 
 def test_parse_rejects_trailing_garbage():
@@ -278,6 +326,78 @@ def test_parse_to_string_round_trip(a):
 @given(polynomials)
 def test_subtraction_is_canonical(a):
     assert (a - a).terms == {}
+
+
+mixed_coefficients = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+
+term_maps = st.dictionaries(monomials, mixed_coefficients, max_size=5)
+
+
+def _reference_text(terms: dict) -> str:
+    """Polynomial text written straight from a term map, without to_string."""
+    pieces = [
+        f"({c})" + "".join(f"*x{i}^{e}" for i, e in enumerate(m, start=1))
+        for m, c in terms.items()
+    ]
+    return " + ".join(pieces) or "0"
+
+
+def _has_coefficient_contract(poly: Polynomial) -> bool:
+    """int if and only if integral, a Fraction otherwise, never zero."""
+    return all(
+        c != 0 and type(c) is (int if c.denominator == 1 else Fraction)
+        for c in poly.terms.values()
+    )
+
+
+@given(term_maps, term_maps, mixed_coefficients)
+@settings(max_examples=150)
+def test_arithmetic_equals_the_all_fraction_reference(ta, tb, factor):
+    a, b = Polynomial(N_VARS, ta), Polynomial(N_VARS, tb)
+    results = {
+        "init": (a, fraction_terms(ta)),
+        "add": (a + b, add_terms(ta, tb)),
+        "sub": (a - b, sub_terms(ta, tb)),
+        "neg": (-a, sub_terms({}, ta)),
+        "mul": (a * b, mul_terms(ta, tb)),
+        "scale": (a.scale(factor), scale_terms(ta, factor)),
+        "partial": (a.partial_derivative(2), partial_terms(ta, 2)),
+        "parse": (parse(_reference_text(ta), N_VARS), fraction_terms(ta)),
+        "parse sum": (
+            parse(f"({_reference_text(ta)}) - ({_reference_text(tb)})", N_VARS),
+            sub_terms(ta, tb),
+        ),
+        "parse product": (
+            parse(f"({_reference_text(ta)})*({_reference_text(tb)})", N_VARS),
+            mul_terms(ta, tb),
+        ),
+    }
+    for name, (got, want) in results.items():
+        assert got.terms == want, name
+        assert _has_coefficient_contract(got), name
+
+
+def test_zero_operands_and_unit_factors_are_shared():
+    x = p("x1 - 1/2*x3")
+    z = Polynomial.zero(4)
+    assert x + z is x
+    assert z + x is x
+    assert x - z is x
+    assert -z is z
+    assert x.scale(1) is x
+    assert x.scale(Fraction(2, 2)) is x
+    assert x * 1 is x and 1 * x is x
+    assert x * z is z and z * x is z
+    assert z.scale(Fraction(1, 3)) is z
+    assert z - x == -x
+    # a zero operand of another dimension is still refused
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        x + Polynomial.zero(3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Polynomial.zero(3) - x
 
 
 # -- term-count bounds --------------------------------------------------------

@@ -150,7 +150,7 @@ def test_antisymmetrize_sets_verified_metadata():
 
 def with_coefficients(n, terms):
     """A polynomial holding exactly these coefficient objects; the public
-    constructor would turn each into a Fraction."""
+    constructor would make an integral Fraction an int."""
     poly = Polynomial.__new__(Polynomial)
     object.__setattr__(poly, "dimension", n)
     object.__setattr__(poly, "terms", dict(terms))
@@ -207,6 +207,28 @@ def test_is_antisymmetric_rejects_invalid_slots(ref_conn):
     for s1, s2 in ((0, 3), (3, 3), (1, 4), (4, 1)):
         with pytest.raises(ValueError, match="invalid covariant slot pair"):
             is_antisymmetric(r, s1, s2)
+
+
+def test_pointwise_operations_pass_zero_components_through():
+    # a = (x1, 0, x2, 0) and b = (0, x1*x2, x2 - 1, 0) as (1,1) fields on R^2
+    a = field_from({((1,), (1,)): "x1", ((2,), (1,)): "x2"}, 1, 1, n=2)
+    b = field_from({((1,), (2,)): "x1*x2", ((2,), (1,)): "x2 - 1"}, 1, 1, n=2)
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = a.components, b.components
+    total = (a + b).components
+    assert total[0] is a0 and total[1] is b1 and total[3] is b3
+    assert total[2] == parse("2*x2 - 1", 2)
+    difference = (a - b).components
+    assert difference[0] is a0 and difference[3] is a3
+    assert difference[1] == -b1 and difference[2] == Polynomial.constant(2, 1)
+    negated = (-a).components
+    assert negated[1] is a1 and negated[3] is a3 and negated[0] == -a0
+    scaled = a.scale(Fraction(3, 2)).components
+    assert scaled[1] is a1 and scaled[3] is a3 and scaled[2] == parse("3/2*x2", 2)
+    assert a.scale(1) is a
+    with pytest.raises(TypeError, match="int or Fraction"):
+        zero(a.shape).scale(0.5)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a - zero(TensorShape(1, 1, 3))
 
 
 def test_equal_shape_mismatch_raises():
