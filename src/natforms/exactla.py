@@ -1,15 +1,22 @@
-"""Exact rational linear algebra over flattened tensor coefficient vectors.
+"""Exact rational linear algebra over tensor coefficient vectors.
 
 Every rank, kernel and span certificate reads one row echelon per matrix,
-built by :func:`echelon`.  The echelon streams its matrix one row at a time
-(for tensor fields straight from their polynomial terms, one row per
-(component, monomial) pair) and never builds a ``Fraction`` matrix.  Each
-row is cleared to a primitive integer row; zero rows and rows already seen
-up to sign and scale are dropped (the rows of a component whose polynomials
-are the very objects of an earlier component are known to repeat and are
-only counted), a new row is reduced against the pivot rows held so far with
-gcd normalisation, and reading stops once the rank equals the column count.  The pivot columns are the columns independent of
-the columns before them, so they and every certificate depend only on the
+built by :func:`echelon`, the one entry point into elimination.  Its
+matrix has one column per field or vector.  For tensor fields of one shape
+there is one row per (component, monomial) pair of the fields' joint
+support, holding each field's coefficient of that monomial in that
+component; row order is not part of the contract.  For coefficient vectors
+of one length there is one row per coordinate.
+
+The echelon streams its matrix one row at a time, straight from the
+polynomial terms or the vectors, and never builds a ``Fraction`` matrix.
+Each row is cleared to a primitive integer row; zero rows and rows already
+seen up to sign and scale are dropped (the rows of a component whose
+polynomials are the very objects of an earlier component are known to
+repeat and are only counted), a new row is reduced against the pivot rows
+held so far with gcd normalisation, and reading stops once the rank equals
+the column count.  The pivot columns are the columns independent of the
+columns before them, so they and every certificate depend only on the
 matrix, not on row order or repetition: a kernel vector is the null vector
 that is 1 at one free column and 0 at the others, and span coefficients
 are 0 at free basis columns.
@@ -25,60 +32,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .poly import Monomial, Polynomial, grlex_key
-from .tensor import TensorField, TensorShape, _flat
-
-# A flattening label: ((cov indices, contra indices), monomial), all 1-based.
-BasisLabel = tuple[tuple[tuple[int, ...], tuple[int, ...]], Monomial]
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]  # row-major
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-
-    def entry(self, r: int, c: int) -> Fraction:
-        return self.entries[r * self.cols + c]
-
-    def row(self, r: int) -> tuple[Fraction, ...]:
-        return self.entries[r * self.cols : (r + 1) * self.cols]
-
-    def column(self, c: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[r * self.cols + c] for r in range(self.rows))
-
-
-def matrix_from_rows(rows: Sequence[Sequence[Fraction]]) -> RationalMatrix:
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    flat = []
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged rows")
-        flat.extend(Fraction(v) for v in row)
-    return RationalMatrix(nrows, ncols, tuple(flat))
-
-
-def matrix_from_columns(columns: Sequence[Sequence[Fraction]]) -> RationalMatrix:
-    ncols = len(columns)
-    nrows = len(columns[0]) if ncols else 0
-    flat = []
-    for r in range(nrows):
-        for col in columns:
-            if len(col) != nrows:
-                raise ValueError("ragged columns")
-            flat.append(Fraction(col[r]))
-    return RationalMatrix(nrows, ncols, tuple(flat))
+from .poly import Monomial
+from .tensor import TensorField
 
 
 def _check_shapes(fields: Sequence[TensorField]) -> None:
@@ -86,58 +44,6 @@ def _check_shapes(fields: Sequence[TensorField]) -> None:
     for f in fields[1:]:
         if f.shape != shape:
             raise ValueError(f"shape mismatch: {f.shape} vs {shape}")
-
-
-def flatten(fields: Sequence[TensorField]) -> tuple[list[BasisLabel], RationalMatrix]:
-    """Coefficient matrix of the fields: one column per field.
-
-    Rows are indexed by (component, monomial) pairs over the union of the
-    fields' supports, ordered component-row-major then graded-lex.
-    """
-    if not fields:
-        raise ValueError("need at least one field")
-    _check_shapes(fields)
-    shape = fields[0].shape
-    support: dict[int, set[Monomial]] = {}
-    for f in fields:
-        for pos, poly in enumerate(f.components):
-            if poly.terms:
-                support.setdefault(pos, set()).update(poly.terms)
-    index_tuples = list(
-        itertools.product(range(1, shape.n + 1), repeat=shape.p + shape.q)
-    )
-    manifest: list[BasisLabel] = []
-    positions: list[tuple[int, Monomial]] = []
-    for pos in sorted(support):
-        idx = index_tuples[pos]
-        label_idx = (idx[: shape.p], idx[shape.p :])
-        for mono in sorted(support[pos], key=grlex_key):
-            manifest.append((label_idx, mono))
-            positions.append((pos, mono))
-    entries: list[Fraction] = []
-    zero = Fraction(0)
-    for pos, mono in positions:
-        for f in fields:
-            entries.append(Fraction(f.components[pos].terms.get(mono, zero)))
-    return manifest, RationalMatrix(len(positions), len(fields), tuple(entries))
-
-
-def reconstruct(
-    manifest: Sequence[BasisLabel], coords: Sequence[Fraction], shape: TensorShape
-) -> TensorField:
-    """Inverse of flatten for a single coefficient vector."""
-    if len(coords) != len(manifest):
-        raise ValueError("coordinate/manifest length mismatch")
-    terms: dict[int, dict[Monomial, Fraction]] = {}
-    for ((cov, contra), mono), value in zip(manifest, coords):
-        if value == 0:
-            continue
-        pos = _flat(shape.n, tuple(v - 1 for v in cov + contra))
-        terms.setdefault(pos, {})[mono] = Fraction(value)
-    comps = tuple(
-        Polynomial(shape.n, terms.get(pos, {})) for pos in range(shape.size)
-    )
-    return TensorField(shape, comps)
 
 
 # -- streamed rows -----------------------------------------------------------------
@@ -151,8 +57,8 @@ Piece = tuple[int, Sequence[Row]]
 
 
 def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
-    """The flattened rows of the fields, one per (component, monomial) pair of
-    their joint support, read straight from the polynomial terms.
+    """The rows of the fields, one per (component, monomial) pair of their
+    joint support, read straight from the polynomial terms.
 
     One piece per component.  A component whose polynomials are the very
     objects of an earlier component (alternation stores one value at several
@@ -298,9 +204,10 @@ def _eliminate(read: Callable[[Sequence[int]], Iterable[Piece]], cols: int) -> E
 def echelon(*blocks: Sequence[TensorField] | Sequence[Row]) -> Echelon:
     """Echelon of the matrix whose rows are the rows of each block in turn.
 
-    A block is a list of columns: tensor fields of one shape, flattened as
-    :func:`flatten` does (without building its matrix), or coefficient
-    vectors of one length.  Every block has the same number of columns.
+    A block is a list of columns: tensor fields of one shape, giving one row
+    per (component, monomial) pair of their joint support, or coefficient
+    vectors of one length, giving one row per coordinate.  Every block has
+    the same number of columns.
     """
     cols = len(blocks[0]) if blocks else 0
     for block in blocks:
@@ -414,36 +321,6 @@ def echelon_members(
         relations.append(relation)
     _check_null(ech, relations, "in_span")
     return out
-
-
-def _matrix_echelon(matrix: RationalMatrix) -> Echelon:
-    def read(columns: Sequence[int]) -> Iterator[Piece]:
-        for r in range(matrix.rows):
-            row = matrix.row(r)
-            yield 1, ([row[c] for c in columns],)
-
-    return _eliminate(read, matrix.cols)
-
-
-def rank(matrix: RationalMatrix) -> int:
-    """Exact rank of the matrix."""
-    return _matrix_echelon(matrix).rank
-
-
-def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space of the matrix; see :func:`echelon_kernel`."""
-    return echelon_kernel(_matrix_echelon(matrix))
-
-
-def in_span(
-    vector: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]
-) -> tuple[bool, tuple[Fraction, ...] | None]:
-    """Exact membership of vector in span(basis), with certificate coefficients.
-
-    The coefficients are zero at free basis columns, so the certificate is
-    deterministic; see :func:`echelon_members`.
-    """
-    return echelon_members(echelon([*basis, vector]), len(basis))[0]
 
 
 def span_equal(a: Sequence, b: Sequence) -> tuple[bool, dict]:

@@ -6,8 +6,9 @@ polynomials are equal iff their term maps are.  A coefficient is an ``int``
 when it is integral and a ``fractions.Fraction`` with denominator > 1
 otherwise; integral coefficients, by far the most common, then cost
 integer arithmetic only.  Coefficients given from outside must be ``int``
-(not ``bool``) or ``Fraction``: a float or string is refused, never
-converted.  Every polynomial carries its ambient dimension n, checked on
+(not ``bool``) or ``Fraction``, and exponents and coordinate indices
+``int`` (not ``bool``): a float or string is refused, never converted.
+Every polynomial carries its ambient dimension n, checked on
 each binary operation; silent mixing of dimensions is the error this
 guards against.
 
@@ -15,8 +16,7 @@ Polynomials are immutable, so arithmetic shares rather than copies: a sum
 or product with a zero operand and a scaling by 1 return an operand itself.
 
 The canonical term order is graded lexicographic on exponent tuples
-(total degree first, then the tuple itself).  It fixes both the printed
-form and the coefficient-vector order used by :mod:`natforms.exactla`.
+(total degree first, then the tuple itself).  It fixes the printed form.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class Polynomial:
                 raise ValueError(
                     f"exponent tuple {mono} has length {len(mono)}, expected {dimension}"
                 )
-            if any(e < 0 or not isinstance(e, int) for e in mono):
+            if any(type(e) is not int or e < 0 for e in mono):
                 raise ValueError(f"exponents must be non-negative integers, got {mono}")
             coeff = _coefficient(coeff)
             if coeff:
@@ -129,7 +129,7 @@ class Polynomial:
     @classmethod
     def variable(cls, dimension: int, index: int) -> Polynomial:
         """The coordinate polynomial x_index (1-based)."""
-        if not 1 <= index <= dimension:
+        if type(index) is not int or not 1 <= index <= dimension:
             raise ValueError(f"variable index {index} out of range 1..{dimension}")
         exps = [0] * dimension
         exps[index - 1] = 1
@@ -258,7 +258,7 @@ class Polynomial:
 
     def partial_derivative(self, index: int) -> Polynomial:
         """Formal partial derivative with respect to x_index (1-based)."""
-        if not 1 <= index <= self.dimension:
+        if type(index) is not int or not 1 <= index <= self.dimension:
             raise ValueError(f"coordinate index {index} out of range 1..{self.dimension}")
         k = index - 1
         # lowering x_index is one-to-one on the monomials it keeps, and each

@@ -2,8 +2,7 @@
 
 A (p,q)-tensor field over R^n is stored as a flat tuple of n^(p+q)
 polynomials in row-major order, covariant indices first, each index
-running over 1..n.  This fixed layout is the contract for the
-coefficient-flattening in :mod:`natforms.exactla`.  Symmetry in a slot
+running over 1..n.  Symmetry in a slot
 pair is a property of the components alone, checked exactly by
 :func:`is_antisymmetric`.
 
@@ -12,8 +11,9 @@ component sums the source at a remapped index over dummy indices, and is
 zero off a Kronecker-delta diagonal.  :func:`contract`,
 :func:`permute_covariant` and :func:`natforms.generators.apply_scheme`
 are gathers.  Outside this module only the derivative kernel of
-:mod:`natforms.geometry` and the flattening in :mod:`natforms.exactla`
-read the storage layout directly.
+:mod:`natforms.geometry` reads the storage layout directly; the echelon in
+:mod:`natforms.exactla` reads components by position and gives the
+indices no meaning.
 
 Slot arguments in the public API are 1-based throughout, matching the
 index conventions of the formulas this library implements.

@@ -17,6 +17,9 @@ elimination over the whole integer-cleared matrix, every row kept, with
 their own back-substitution and normalisation: ``rank_bareiss``,
 ``kernel_basis_bareiss`` and ``in_span_bareiss`` share no code with the
 library's streamed echelon, and ``matrix_vector`` multiplies in Fractions.
+They take plain rows of ``Fraction`` or ``int`` and a column count.
+``flatten_loop`` builds those rows from tensor fields, one per
+(component, monomial) pair, reading every component of every field.
 
 The polynomial oracles ``add_terms``, ``sub_terms``, ``mul_terms``,
 ``scale_terms`` and ``partial_terms`` work on plain term maps with every
@@ -306,10 +309,34 @@ def bareiss(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int
     return rows, pivot_cols
 
 
-def rank_bareiss(matrix) -> int:
+def flatten_loop(fields: Sequence[TensorField]) -> list[list[Fraction]]:
+    """The coefficient matrix of the fields, as plain rows: one column per
+    field and one row per (component, monomial) pair of their joint support,
+    components in storage order and monomials graded-lex within each."""
+    if not fields:
+        raise ValueError("need at least one field")
+    shape = fields[0].shape
+    for f in fields[1:]:
+        if f.shape != shape:
+            raise ValueError(f"shape mismatch: {f.shape} vs {shape}")
+    rows: list[list[Fraction]] = []
+    for pos in range(shape.size):
+        support = {m for f in fields for m in f.components[pos].terms}
+        for mono in sorted(support, key=lambda m: (sum(m), m)):
+            rows.append(
+                [Fraction(f.components[pos].terms.get(mono, 0)) for f in fields]
+            )
+    return rows
+
+
+def transpose(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Rows to columns or columns to rows, all of one length."""
+    return [list(v) for v in zip(*vectors)]
+
+
+def rank_bareiss(rows: Sequence[Sequence[Fraction]], cols: int) -> int:
     """Exact rank via fraction-free elimination."""
-    rows = _integer_rows(matrix.row(r) for r in range(matrix.rows))
-    _, pivot_cols = bareiss(rows, matrix.cols)
+    _, pivot_cols = bareiss(_integer_rows(rows), cols)
     return len(pivot_cols)
 
 
@@ -343,32 +370,31 @@ def _null_vector(
     return vec
 
 
-def kernel_basis_bareiss(matrix) -> list[tuple[Fraction, ...]]:
+def kernel_basis_bareiss(
+    rows: Sequence[Sequence[Fraction]], cols: int
+) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space {v : M v = 0}, one vector per free column.
 
     Vectors are normalized to coprime integers with positive leading entry
     and returned in ascending free-column order.
     """
-    rows = _integer_rows(matrix.row(r) for r in range(matrix.rows))
-    echelon, pivot_cols = bareiss(rows, matrix.cols)
+    echelon, pivot_cols = bareiss(_integer_rows(rows), cols)
     pivot_set = set(pivot_cols)
     return [
-        _normalize_vector(_null_vector(echelon, pivot_cols, free, matrix.cols))
-        for free in range(matrix.cols)
+        _normalize_vector(_null_vector(echelon, pivot_cols, free, cols))
+        for free in range(cols)
         if free not in pivot_set
     ]
 
 
-def matrix_vector(matrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def matrix_vector(
+    rows: Sequence[Sequence[Fraction]], cols: int, vec: Sequence[Fraction]
+) -> tuple[Fraction, ...]:
     """M vec, multiplied over vec's nonzero entries only."""
-    if len(vec) != matrix.cols:
+    if len(vec) != cols or any(len(row) != cols for row in rows):
         raise ValueError("length mismatch")
     support = [(c, v) for c, v in enumerate(vec) if v]
-    entries, cols = matrix.entries, matrix.cols
-    return tuple(
-        sum((entries[start + c] * v for c, v in support), Fraction(0))
-        for start in range(0, matrix.rows * cols, cols)
-    )
+    return tuple(sum((row[c] * v for c, v in support), Fraction(0)) for row in rows)
 
 
 def in_span_bareiss(

@@ -10,27 +10,21 @@ from hypothesis import strategies as st
 
 from natforms import exactla
 from natforms.exactla import (
-    RationalMatrix,
     echelon,
     echelon_kernel,
     echelon_members,
-    flatten,
-    in_span,
-    kernel_basis,
-    matrix_from_columns,
-    matrix_from_rows,
-    rank,
-    reconstruct,
     span_equal,
 )
 from natforms.geometry import reference_connection, torsion
 from natforms.poly import parse
-from natforms.tensor import TensorField, TensorShape, equal
+from natforms.tensor import TensorField, TensorShape
 from reference_loops import (
+    flatten_loop,
     in_span_bareiss,
     kernel_basis_bareiss,
     matrix_vector,
     rank_bareiss,
+    transpose,
 )
 
 
@@ -54,68 +48,69 @@ def gauss_rank(rows):
     return r
 
 
+def rows_echelon(rows, cols):
+    """The echelon of the matrix with the given rows, given as its columns."""
+    return echelon([[row[c] for row in rows] for c in range(cols)])
+
+
+def member(target, basis):
+    """Membership of one target in span(basis), read from the echelon of
+    [basis | target]."""
+    return echelon_members(echelon([*basis, target]), len(basis))[0]
+
+
 def test_rank_identity():
-    m = matrix_from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert rank(m) == 3
+    assert rows_echelon([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3).rank == 3
 
 
 def test_rank_zero_matrix():
-    m = matrix_from_rows([[0, 0], [0, 0], [0, 0]])
-    assert rank(m) == 0
+    assert rows_echelon([[0, 0], [0, 0], [0, 0]], 2).rank == 0
 
 
 def test_rank_duplicate_rows_hand_elimination():
     # rows 1 and 3 equal; eliminating row2 - 2*row1 leaves rank 2
-    m = matrix_from_rows([[1, 2, 3], [2, 4, 7], [1, 2, 3]])
-    assert rank(m) == 2
+    assert rows_echelon([[1, 2, 3], [2, 4, 7], [1, 2, 3]], 3).rank == 2
 
 
 def test_rank_transpose_invariant():
     rows = [[1, 2, 0, 5], [0, 1, 1, 1], [1, 3, 1, 6]]
-    m = matrix_from_rows(rows)
-    mt = matrix_from_rows([[rows[r][c] for r in range(3)] for c in range(4)])
-    assert rank(m) == rank(mt) == 2
+    # the columns of the transpose are the rows
+    assert rows_echelon(rows, 4).rank == echelon(rows).rank == 2
 
 
 def test_rank_scaling_invariant():
-    m = matrix_from_rows([[Fraction(1, 2), 2], [3, Fraction(5, 7)]])
-    scaled = matrix_from_rows([[Fraction(1, 2) * 6, 2 * 6], [3, Fraction(5, 7)]])
-    assert rank(m) == rank(scaled) == 2
+    m = rows_echelon([[Fraction(1, 2), 2], [3, Fraction(5, 7)]], 2)
+    scaled = rows_echelon([[Fraction(1, 2) * 6, 2 * 6], [3, Fraction(5, 7)]], 2)
+    assert m.rank == scaled.rank == 2
 
 
 def test_rank_column_rescaling_invariant():
     cols = [[1, 0, 2], [3, 1, 1], [4, 1, 3]]
-    m = matrix_from_columns(cols)
-    rescaled = matrix_from_columns(
-        [[Fraction(-1, 3) * v for v in cols[0]], cols[1], [7 * v for v in cols[2]]]
-    )
-    assert rank(m) == rank(rescaled)
+    rescaled = [[Fraction(-1, 3) * v for v in cols[0]], cols[1], [7 * v for v in cols[2]]]
+    assert echelon(cols).rank == echelon(rescaled).rank
 
 
 def test_rank_row_permutation_invariant():
     rows = [[1, 2, 0], [0, 1, 1], [1, 3, 1], [2, 0, 5]]
-    m = matrix_from_rows(rows)
-    permuted = matrix_from_rows([rows[2], rows[0], rows[3], rows[1]])
-    assert rank(m) == rank(permuted)
+    permuted = [rows[2], rows[0], rows[3], rows[1]]
+    assert rows_echelon(rows, 3).rank == rows_echelon(permuted, 3).rank
 
 
 def test_kernel_invertible_is_empty():
-    m = matrix_from_rows([[2, 1], [1, 1]])
-    assert kernel_basis(m) == []
+    assert echelon_kernel(rows_echelon([[2, 1], [1, 1]], 2)) == []
 
 
 def test_kernel_zero_matrix_is_full():
-    m = matrix_from_rows([[0, 0, 0]])
-    basis = kernel_basis(m)
+    rows = [[0, 0, 0]]
+    basis = echelon_kernel(rows_echelon(rows, 3))
     assert len(basis) == 3
     for vec in basis:
-        assert matrix_vector(m, vec) == (0,)
+        assert matrix_vector(rows, 3, vec) == (0,)
 
 
 def test_kernel_known_relation():
     # columns: c0 + c1 = c2
-    m = matrix_from_columns([[1, 0], [0, 1], [1, 1]])
-    basis = kernel_basis(m)
+    basis = echelon_kernel(echelon([[1, 0], [0, 1], [1, 1]]))
     assert len(basis) == 1
     assert basis[0] == (1, 1, -1)
 
@@ -123,11 +118,11 @@ def test_kernel_known_relation():
 def test_kernel_vectors_satisfy_matrix():
     rng = random.Random(3)
     rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)] for _ in range(4)]
-    m = matrix_from_rows(rows)
-    basis = kernel_basis(m)
-    assert rank(m) + len(basis) == 6
+    ech = rows_echelon(rows, 6)
+    basis = echelon_kernel(ech)
+    assert ech.rank + len(basis) == 6
     for vec in basis:
-        assert all(v == 0 for v in matrix_vector(m, vec))
+        assert all(v == 0 for v in matrix_vector(rows, 6, vec))
 
 
 def test_rank_matches_gauss_oracle_randomized():
@@ -142,40 +137,40 @@ def test_rank_matches_gauss_oracle_randomized():
         # force some dependence
         if nrows >= 2 and rng.random() < 0.5:
             rows[-1] = [2 * v for v in rows[0]]
-        m = matrix_from_rows(rows)
-        assert rank(m) == gauss_rank(rows), (trial, rows)
-        basis = kernel_basis(m)
-        assert rank(m) + len(basis) == ncols
+        ech = rows_echelon(rows, ncols)
+        assert ech.rank == gauss_rank(rows), (trial, rows)
+        basis = echelon_kernel(ech)
+        assert ech.rank + len(basis) == ncols
         for vec in basis:
-            assert all(v == 0 for v in matrix_vector(m, vec))
+            assert all(v == 0 for v in matrix_vector(rows, ncols, vec))
 
 
 def test_in_span_zero_vector():
-    ok, coeffs = in_span([0, 0, 0], [[1, 0, 1], [0, 1, 0]])
+    ok, coeffs = member([0, 0, 0], [[1, 0, 1], [0, 1, 0]])
     assert ok and coeffs == (0, 0)
 
 
 def test_in_span_basis_member():
-    ok, coeffs = in_span([1, 0, 1], [[1, 0, 1], [0, 1, 0]])
+    ok, coeffs = member([1, 0, 1], [[1, 0, 1], [0, 1, 0]])
     assert ok and coeffs == (1, 0)
 
 
 def test_in_span_combination_certificate():
     basis = [[1, 0, 2], [0, 3, 1]]
     target = [Fraction(1), Fraction(-3, 2), Fraction(3, 2)]
-    ok, coeffs = in_span(target, basis)
+    ok, coeffs = member(target, basis)
     assert ok
     assert coeffs == (1, Fraction(-1, 2))
 
 
 def test_in_span_rejects_outside_vector():
-    ok, coeffs = in_span([0, 0, 1], [[1, 0, 0], [0, 1, 0]])
+    ok, coeffs = member([0, 0, 1], [[1, 0, 0], [0, 1, 0]])
     assert not ok and coeffs is None
 
 
 def test_in_span_empty_basis():
-    assert in_span([0, 0], []) == (True, ())
-    assert in_span([1, 0], []) == (False, None)
+    assert member([0, 0], []) == (True, ())
+    assert member([1, 0], []) == (False, None)
 
 
 def test_span_equal_detects_equality_and_difference():
@@ -188,7 +183,7 @@ def test_span_equal_detects_equality_and_difference():
     assert not ok2
 
 
-# -- flattening -----------------------------------------------------------------
+# -- tensor-field columns ---------------------------------------------------------
 
 def make_field(entries, p, q, n=4):
     import itertools
@@ -203,49 +198,39 @@ def make_field(entries, p, q, n=4):
     return TensorField(shape, tuple(comps))
 
 
+def streamed_rows(ech):
+    """Every row the echelon streams, over all of its columns."""
+    return [list(row) for _, rows in ech.read(range(ech.cols)) for row in rows]
+
+
 def test_flatten_zero_field_gives_zero_column():
     t = make_field({((1, 2), (1,)): "x1"}, p=2, q=1)
     z = make_field({}, p=2, q=1)
-    manifest, matrix = flatten([t, z])
-    assert matrix.cols == 2
-    assert all(matrix.entry(r, 1) == 0 for r in range(matrix.rows))
+    ech = echelon([t, z])
+    assert ech.cols == 2 and ech.rows == 1 and ech.rank == 1
+    assert streamed_rows(ech) == [[1, 0]]
+    assert echelon_kernel(ech) == [(0, 1)]
 
 
 def test_flatten_scaled_column():
     t = make_field({((1, 2), (1,)): "x1 + 2*x3", ((2, 1), (4,)): "-x2"}, p=2, q=1)
-    manifest, matrix = flatten([t, t.scale(2)])
-    for r in range(matrix.rows):
-        assert matrix.entry(r, 1) == 2 * matrix.entry(r, 0)
-
-
-def test_flatten_round_trip():
-    t = make_field({((1, 2), (1,)): "x1*x4 + 2*x2^2", ((3, 3), (2,)): "-1/2*x2"}, p=2, q=1)
-    manifest, matrix = flatten([t])
-    back = reconstruct(manifest, matrix.column(0), t.shape)
-    assert equal(back, t)
+    ech = echelon([t, t.scale(2)])
+    assert ech.rows == 3
+    for row in streamed_rows(ech):
+        assert row[1] == 2 * row[0] != 0
+    assert echelon_kernel(ech) == [(2, -1)]
 
 
 def test_flatten_shape_mismatch():
     a = make_field({}, p=2, q=1)
     b = make_field({}, p=1, q=1)
     with pytest.raises(ValueError, match="shape mismatch"):
-        flatten([a, b])
-
-
-def test_flatten_manifest_ordering_is_deterministic():
-    tor = torsion(reference_connection()).tensor
-    manifest1, m1 = flatten([tor])
-    manifest2, m2 = flatten([tor])
-    assert manifest1 == manifest2
-    assert m1 == m2
-    # component order is row-major; monomials graded-lex within a component
-    assert manifest1[0][0] == ((1, 2), (1,))
+        echelon([a, b])
 
 
 def test_rank_of_torsion_and_double():
     tor = torsion(reference_connection()).tensor
-    _, matrix = flatten([tor, tor.scale(2)])
-    assert rank(matrix) == 1
+    assert echelon([tor, tor.scale(2)]).rank == 1
 
 
 # -- the streamed echelon against the Bareiss oracles -----------------------------
@@ -263,8 +248,9 @@ nonzero = small.filter(bool)
 
 @st.composite
 def matrices(draw):
-    """A product (m x r)(r x cols) of rank at most r, with copies of its rows up
-    to sign and scale, zero rows, and its rows permuted."""
+    """The rows and column count of a product (m x r)(r x cols) of rank at
+    most r, with copies of its rows up to sign and scale, zero rows, and its
+    rows permuted."""
     cols = draw(st.integers(1, 6))
     inner = draw(st.integers(0, cols))
     left = draw(st.lists(st.lists(small, min_size=inner, max_size=inner), max_size=6))
@@ -276,38 +262,38 @@ def matrices(draw):
             factor = draw(nonzero)
             rows.append([factor * v for v in draw(st.sampled_from(rows))])
     rows += [[Fraction(0)] * cols for _ in range(draw(st.integers(0, 2)))]
-    rows = draw(st.permutations(rows))
-    return RationalMatrix(len(rows), cols, tuple(v for row in rows for v in row))
+    return draw(st.permutations(rows)), cols
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_rank_and_kernel_match_bareiss(matrix):
-    assert rank(matrix) == rank_bareiss(matrix)
-    kernel = kernel_basis(matrix)
-    assert kernel == kernel_basis_bareiss(matrix)
+    rows, cols = matrix
+    ech = rows_echelon(rows, cols)
+    assert ech.rows == len(rows)
+    assert ech.rank == rank_bareiss(rows, cols)
+    kernel = echelon_kernel(ech)
+    assert kernel == kernel_basis_bareiss(rows, cols)
     assert _fractions_only(kernel)
-    assert echelon_kernel(exactla._matrix_echelon(matrix)) == kernel
 
 
 def test_full_column_rank_reached_early_counts_every_row():
     # the first three rows have full column rank; the rest are never eliminated
     rows = [[1, 2, 0], [0, 1, 5], [3, 0, 1]] + [[k, -k, 2 * k + 1] for k in range(40)]
-    matrix = matrix_from_rows(rows)
-    ech = exactla._matrix_echelon(matrix)
-    assert ech.rank == rank_bareiss(matrix) == 3
+    ech = rows_echelon(rows, 3)
+    assert ech.rank == rank_bareiss(rows, 3) == 3
     assert ech.rows == 43
-    assert kernel_basis(matrix) == kernel_basis_bareiss(matrix) == []
+    assert echelon_kernel(ech) == kernel_basis_bareiss(rows, 3) == []
 
 
 def test_repeated_rows_do_not_change_the_echelon():
     rows = [[2, 4, -6], [0, 1, 1]]
     copies = rows + [[-1, -2, 3], [Fraction(1, 2), 1, Fraction(-3, 2)], [0, 0, 0], [0, -3, -3]]
-    plain = exactla._matrix_echelon(matrix_from_rows(rows))
-    repeated = exactla._matrix_echelon(matrix_from_rows(copies))
+    plain = rows_echelon(rows, 3)
+    repeated = rows_echelon(copies, 3)
     assert repeated.pivots == plain.pivots
     assert repeated.rows == 6
-    assert kernel_basis(matrix_from_rows(copies)) == kernel_basis_bareiss(matrix_from_rows(rows))
+    assert echelon_kernel(repeated) == kernel_basis_bareiss(rows, 3)
 
 
 def combine(coeffs, vectors, length):
@@ -340,7 +326,7 @@ def test_memberships_of_many_targets_match_bareiss(problem):
     expected = [in_span_bareiss(t, basis) for t in targets]
     members = echelon_members(echelon([*basis, *targets]), len(basis))
     assert members == expected
-    assert [in_span(t, basis) for t in targets] == expected
+    assert [member(t, basis) for t in targets] == expected
     assert _fractions_only(members)
 
 
@@ -364,19 +350,19 @@ def test_span_equal_matches_bareiss(first, second):
     ok, cert = span_equal(a, b)
     a_in_b = [in_span_bareiss(v, b) for v in a]
     b_in_a = [in_span_bareiss(v, a) for v in b]
-    rank_a = rank_bareiss(matrix_from_columns(a))
-    rank_b = rank_bareiss(matrix_from_columns(b))
+    rank_a = rank_bareiss(transpose(a), len(a))
+    rank_b = rank_bareiss(transpose(b), len(b))
     assert cert == {"rank_a": rank_a, "rank_b": rank_b, "a_in_b": a_in_b, "b_in_a": b_in_a}
     assert ok == (rank_a == rank_b and all(m[0] for m in a_in_b + b_in_a))
 
 
 def test_field_echelon_matches_flattened_matrix(ref_differentials):
     fields = [form.tensor for form in ref_differentials]
-    _, matrix = flatten(fields)
+    rows = flatten_loop(fields)
     ech = echelon(fields)
-    assert ech.rows == matrix.rows
-    assert ech.rank == rank_bareiss(matrix)
-    assert echelon_kernel(ech) == kernel_basis_bareiss(matrix)
+    assert ech.rows == len(rows)
+    assert ech.rank == rank_bareiss(rows, len(fields))
+    assert echelon_kernel(ech) == kernel_basis_bareiss(rows, len(fields))
 
 
 def test_repeated_polynomial_objects_count_once_but_only_when_all_repeat():
@@ -391,20 +377,19 @@ def test_repeated_polynomial_objects_count_once_but_only_when_all_repeat():
     v = TensorField(shape, (parse("2*x1 + 4*x2", n), parse("x2 + x1*x2", n)))
     zero = Polynomial.zero(n)
     for fields in ([u, v], [v, u], [u, u], [u, TensorField(shape, (zero, zero))]):
-        _, matrix = flatten(fields)
+        rows = flatten_loop(fields)
         ech = echelon(fields)
-        assert ech.rows == matrix.rows
-        assert ech.rank == rank_bareiss(matrix)
-        assert echelon_kernel(ech) == kernel_basis_bareiss(matrix)
+        assert ech.rows == len(rows)
+        assert ech.rank == rank_bareiss(rows, len(fields))
+        assert echelon_kernel(ech) == kernel_basis_bareiss(rows, len(fields))
     assert echelon([u, v]).rank == 2
 
 
 def test_certificate_checks_reject_a_wrong_null_vector(wrong_null_vector):
-    matrix = matrix_from_columns([[1, 0, 2], [2, 0, 4]])
     with pytest.raises(AssertionError, match="kernel"):
-        kernel_basis(matrix)
+        echelon_kernel(echelon([[1, 0, 2], [2, 0, 4]]))
     with pytest.raises(AssertionError, match="in_span"):
-        in_span([3, 0, 6], [[1, 0, 2]])
+        member([3, 0, 6], [[1, 0, 2]])
 
 
 def test_eliminations_on_the_paper_connection(monkeypatch, ref_conn):
@@ -473,8 +458,8 @@ def test_family_rank_and_kernel_match_bareiss_on_seeded_connections(seed):
     differentials = [ext_cov_deriv_endo(conn, e.form).tensor for e in family.entries]
     assert any(not rows for _, rows in exactla._field_rows(differentials))
     for fields in (family.fields(), differentials):
-        _, matrix = flatten(fields)
+        rows = flatten_loop(fields)
         ech = echelon(fields)
-        assert ech.rows == matrix.rows
-        assert ech.rank == rank_bareiss(matrix)
-        assert echelon_kernel(ech) == kernel_basis_bareiss(matrix)
+        assert ech.rows == len(rows)
+        assert ech.rank == rank_bareiss(rows, len(fields))
+        assert echelon_kernel(ech) == kernel_basis_bareiss(rows, len(fields))

@@ -76,6 +76,16 @@ def test_non_int_exponents_are_refused(exponent):
         Polynomial.variable(4, 1) ** exponent
 
 
+@pytest.mark.parametrize("flag", [True, False], ids=repr)
+def test_bool_exponents_and_indices_are_refused(flag):
+    with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+        Polynomial(2, {(flag, 0): 3})
+    with pytest.raises(ValueError, match="variable index"):
+        Polynomial.variable(2, flag)
+    with pytest.raises(ValueError, match="coordinate index"):
+        Polynomial.variable(2, 1).partial_derivative(flag)
+
+
 # -- addition ------------------------------------------------------------------
 
 def test_add_inverse_cancels():
