@@ -60,7 +60,8 @@ def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
     """The rows of the fields, one per (component, monomial) pair of their
     joint support, read straight from the polynomial terms.
 
-    One piece per component.  A component whose polynomials are the very
+    One piece per component in the union of the fields' supports, in
+    ascending position.  A component whose polynomials are the very
     objects of an earlier component (alternation stores one value at several
     orderings) has the same rows, which are counted but not streamed again.
     Entries are the fields' coefficients (``int`` or ``Fraction``) and ``int`` zeros.
@@ -69,10 +70,9 @@ def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
     # id of a component's first nonzero polynomial -> (position, row count);
     # the fields hold every polynomial, so no id is reused meanwhile
     first: dict[int, tuple[int, int]] = {}
-    for pos, comps in enumerate(zip(*(f.components for f in fields))):
-        lead = next((poly for poly in comps if poly.terms), None)
-        if lead is None:
-            continue
+    for pos in sorted(set().union(*(f.support for f in fields))):
+        comps = [f.components[pos] for f in fields]
+        lead = next(poly for poly in comps if poly.terms)
         earlier = first.get(id(lead))
         if earlier is not None and all(
             f.components[earlier[0]] is poly for f, poly in zip(fields, comps)
@@ -100,7 +100,10 @@ def _block_rows(block: Sequence, columns: Sequence[int]) -> Iterator[Piece]:
 
 
 def _integer_row(row: Row) -> list[int]:
-    """The row times the lcm of its denominators, in integer arithmetic."""
+    """The row times the lcm of its denominators, in integer arithmetic; a
+    row of ``int`` entries only is already that."""
+    if all(type(v) is int for v in row):
+        return list(row)
     ratios = [v.as_integer_ratio() for v in row]
     scale = math.lcm(*[d for _, d in ratios])
     if scale == 1:

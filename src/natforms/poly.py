@@ -13,7 +13,8 @@ each binary operation; silent mixing of dimensions is the error this
 guards against.
 
 Polynomials are immutable, so arithmetic shares rather than copies: a sum
-or product with a zero operand and a scaling by 1 return an operand itself.
+or product with a zero operand, a scaling by 1 and a partial derivative of
+zero return an operand itself.
 
 The canonical term order is graded lexicographic on exponent tuples
 (total degree first, then the tuple itself).  It fixes the printed form.
@@ -42,6 +43,10 @@ _MAX_TERM_PAIRS = 1_000_000
 # pair per '*', so any of them parses; a product of many parenthesised sums
 # grows without bound and is refused once it has spent the budget.
 _PARSE_TERM_PAIRS = 10_000
+
+# Parenthesised subexpressions and unary minus signs may nest at most this
+# deep, so that the recursive-descent parser never runs out of stack.
+_MAX_NESTING = 100
 
 
 def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
@@ -260,6 +265,8 @@ class Polynomial:
         """Formal partial derivative with respect to x_index (1-based)."""
         if type(index) is not int or not 1 <= index <= self.dimension:
             raise ValueError(f"coordinate index {index} out of range 1..{self.dimension}")
+        if not self.terms:
+            return self
         k = index - 1
         # lowering x_index is one-to-one on the monomials it keeps, and each
         # coeff * e is nonzero, so the map is clean once its coefficients are
@@ -346,6 +353,8 @@ class _Parser:
     term   := factor ('*' factor)*
     factor := rational | var ('^' uint)? | '(' expr ')' | '-' factor
     rational := uint ('/' uint)? ;  var := 'x' uint (1-based, <= n)
+
+    '(' and unary '-' nest at most ``_MAX_NESTING`` deep.
     """
 
     def __init__(self, text: str, dimension: int):
@@ -354,6 +363,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
         self.pairs_left = _PARSE_TERM_PAIRS + len(text)
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         if self.index < len(self.tokens):
@@ -417,11 +427,16 @@ class _Parser:
     def factor(self) -> Polynomial:
         token = self.advance()
         kind, value, pos = token
-        if kind == "op" and value == "-":
-            return -self.factor()
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
+        if kind == "op" and value in ("-", "("):
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"nesting deeper than {_MAX_NESTING}", pos)
+            self.depth += 1
+            if value == "-":
+                inner = -self.factor()
+            else:
+                inner = self.expr()
+                self.expect_op(")")
+            self.depth -= 1
             return inner
         if kind == "int":
             numerator = int(value)

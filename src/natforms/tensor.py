@@ -1,4 +1,4 @@
-"""Dense tensor fields with polynomial components.
+"""Tensor fields with polynomial components: dense storage, sparse reading.
 
 A (p,q)-tensor field over R^n is stored as a flat tuple of n^(p+q)
 polynomials in row-major order, covariant indices first, each index
@@ -6,9 +6,16 @@ running over 1..n.  Symmetry in a slot
 pair is a property of the components alone, checked exactly by
 :func:`is_antisymmetric`.
 
+Most components of the fields built here are zero, so the kernels read
+only the nonzero ones: a field's :attr:`TensorField.support`, the ascending
+positions of its nonzero components, is computed on first read and kept on
+the immutable field.  :func:`is_antisymmetric`, :func:`tensor_product`,
+``is_zero`` and the echelon rows of :mod:`natforms.exactla` walk it.
+
 One private gather, ``_gather``, does every reindexing: an output
 component sums the source at a remapped index over dummy indices, and is
-zero off a Kronecker-delta diagonal.  :func:`contract`,
+zero off a Kronecker-delta diagonal.  It runs as a scatter over the
+source's support.  :func:`contract`,
 :func:`permute_covariant` and :func:`natforms.generators.apply_scheme`
 are gathers.  Outside this module only the derivative kernel of
 :mod:`natforms.geometry` reads the storage layout directly; the echelon in
@@ -24,6 +31,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .poly import Coefficient, Polynomial, _coefficient, parse, to_string
@@ -61,6 +70,9 @@ def _flat(n: int, idx: Sequence[int]) -> int:
     return f
 
 
+_terms = attrgetter("terms")
+
+
 @dataclass(frozen=True)
 class TensorField:
     """Immutable dense tensor field; components indexed covariant-first."""
@@ -77,6 +89,12 @@ class TensorField:
     @property
     def n(self) -> int:
         return self.shape.n
+
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        """Positions of the nonzero components, ascending; computed once."""
+        comps = self.components
+        return tuple(itertools.compress(range(len(comps)), map(_terms, comps)))
 
     def get(self, cov: Sequence[int] = (), contra: Sequence[int] = ()) -> Polynomial:
         """Component at the given 1-based covariant/contravariant indices."""
@@ -141,7 +159,7 @@ class TensorField:
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
+        return not self.support
 
 
 def zero(shape: TensorShape) -> TensorField:
@@ -178,25 +196,50 @@ def _gather(a: TensorField, out_shape: TensorShape, feeds: Sequence[int], fills=
     (I + D)[feeds[s]]: I is the output index and D the dummy indices, which
     number after the output slots, so two slots fed by one dummy contract.
     An output component sums the source over all dummy values, and is zero
-    where the two output slots of a pair (u, v) in ``fills`` differ.
+    where the two output slots of a pair (u, v) in ``fills`` differ; the
+    pairs are disjoint.
+
+    Dense storage, sparse reading: the gather runs as a scatter over the
+    source's support.  Each nonzero source component is decoded into slot
+    digits, dropped unless the slots that read one index agree, and added
+    into its output position; an index that no source slot reads, such as a
+    delta-filled pair, runs over its n values.  A lone contribution is the
+    source polynomial itself.
     """
     n, out_slots, src_slots = a.n, out_shape.p + out_shape.q, a.shape.p + a.shape.q
-    weights = [0] * max(out_slots, max(feeds, default=-1) + 1)
-    for s, f in enumerate(feeds):
-        weights[f] += n ** (src_slots - 1 - s)
-    bases: list[int | None] = _offsets(n, weights[:out_slots])
-    dummies = _offsets(n, weights[out_slots:])
+    # one index per output slot and per dummy; a fill makes its second slot
+    # read the index of its first, so the two move together
+    count = max(out_slots, max(feeds, default=-1) + 1)
+    index_of = list(range(count))
     for u, v in fills:
-        su, sv = n ** (out_slots - 1 - u), n ** (out_slots - 1 - v)
-        bases = [b if pos // su % n == pos // sv % n else None for pos, b in enumerate(bases)]
+        index_of[v] = u
+    weight = [0] * count
+    for o in range(out_slots):
+        weight[index_of[o]] += n ** (out_slots - 1 - o)
+    # the first source slot that reads an index sets it; later ones must agree
+    setters, checks, reader = [], [], {}
+    for s, f in enumerate(feeds):
+        stride, index = n ** (src_slots - 1 - s), index_of[f]
+        if index in reader:
+            checks.append((reader[index], stride))
+        else:
+            reader[index] = stride
+            if weight[index]:
+                setters.append((stride, weight[index]))
+    spread = _offsets(n, [weight[v] for v in range(count) if index_of[v] == v and v not in reader])
+    positions = a.support
+    for s1, s2 in checks:
+        positions = [pos for pos in positions if pos // s1 % n == pos // s2 % n]
+    bases = [0] * len(positions)
+    for stride, w in setters:
+        bases = [b + pos // stride % n * w for b, pos in zip(bases, positions)]
     src, zero_poly = a.components, Polynomial.zero(n)
-    comps = []
-    for base in bases:
-        acc = zero_poly
-        for comp in () if base is None else (src[base + d] for d in dummies):
-            if comp.terms:
-                acc = comp if acc is zero_poly else acc + comp
-        comps.append(acc)
+    comps = [zero_poly] * out_shape.size
+    for pos, base in zip(positions, bases):
+        comp = src[pos]
+        for off in spread:
+            acc = comps[base + off]
+            comps[base + off] = comp if acc is zero_poly else acc + comp
     return TensorField(out_shape, tuple(comps))
 
 
@@ -211,12 +254,12 @@ def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     strides = [n**s for s in reversed(range(pa + pb + qa + qb))]
     a_offsets = _offsets(n, strides[:pa] + strides[pa + pb : pa + pb + qa])
     b_offsets = _offsets(n, strides[pa : pa + pb] + strides[pa + pb + qa :])
+    b_terms = [(b_offsets[pos], b.components[pos]) for pos in b.support]
     comps = [Polynomial.zero(n)] * out_shape.size
-    for a_off, poly_a in zip(a_offsets, a.components):
-        if poly_a.terms:
-            for b_off, poly_b in zip(b_offsets, b.components):
-                if poly_b.terms:
-                    comps[a_off + b_off] = poly_a * poly_b
+    for pos in a.support:
+        a_off, poly_a = a_offsets[pos], a.components[pos]
+        for b_off, poly_b in b_terms:
+            comps[a_off + b_off] = poly_a * poly_b
     return TensorField(out_shape, tuple(comps))
 
 
@@ -292,19 +335,21 @@ def _negatives(x: Polynomial, y: Polynomial) -> bool:
 def is_antisymmetric(a: TensorField, s1: int, s2: int) -> bool:
     """Whether swapping distinct covariant slots s1 and s2 negates a.
 
-    Each component is compared once with its slot-swapped partner; a
-    component with equal indices in the two slots must be zero.
+    Only the support is read.  A nonzero component with equal indices i == j
+    in the two slots fails; one with i < j is compared with its slot-swapped
+    partner; one with i > j needs a nonzero partner, whose own comparison
+    covers the pair.
     """
     _check_slot_pair(a.shape.p, s1, s2)
     n, slots = a.shape.n, a.shape.p + a.shape.q
     stride1, stride2 = n ** (slots - s1), n ** (slots - s2)
     comps = a.components
-    for pos, comp in enumerate(comps):
+    for pos in a.support:
         i, j = pos // stride1 % n, pos // stride2 % n
         if i == j:
-            if comp.terms:
-                return False
-        elif i < j and not _negatives(comp, comps[pos + (j - i) * (stride1 - stride2)]):
+            return False
+        partner = comps[pos + (j - i) * (stride1 - stride2)]
+        if not (_negatives(comps[pos], partner) if i < j else partner.terms):
             return False
     return True
 

@@ -300,6 +300,38 @@ def test_tensor_document_type_errors_exit_2(tmp_path, capsys, document, message)
     assert message in capsys.readouterr().err
 
 
+# 101 levels of unary minus or of parentheses, one past the parser's limit
+TOO_DEEP = ["-" * 3000 + "x1", "(" * 3000 + "x1" + ")" * 3000, "-(" * 50 + "-x1" + ")" * 50]
+
+
+@pytest.mark.parametrize("text", TOO_DEEP, ids=["minus", "parentheses", "mixed"])
+def test_deeply_nested_connection_text_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 4, "christoffel": [dict(GOOD_ENTRY, poly=text)]}))
+    assert run(["verify", "lemma-3.5", "--connection", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "nesting deeper than 100 (at position 100)" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", TOO_DEEP, ids=["minus", "parentheses", "mixed"])
+def test_deeply_nested_tensor_text_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(tensor_doc([dict(GOOD_COMPONENT, poly=text)])))
+    assert run(["rank", str(bad)]) == 2
+    assert "nesting deeper than 100 (at position 100)" in capsys.readouterr().err
+
+
+def test_nesting_100_deep_still_parses(tmp_path, capsys):
+    assert parse("-" * 100 + "x1", 4) == parse("x1", 4)
+    assert parse("(" * 100 + "x1" + ")" * 100, 4) == parse("x1", 4)
+    assert parse("-(" * 50 + "x1" + ")" * 50, 4) == parse("x1", 4)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(tensor_doc([dict(GOOD_COMPONENT, poly="-" * 100 + "x1")])))
+    assert run(["rank", str(good)]) == 0
+    assert "rank 1" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_verify_rejects_count_below_one(capsys, count):
     assert run(["verify", "bianchi", "--count", count]) == 2

@@ -59,6 +59,16 @@ def member(target, basis):
     return echelon_members(echelon([*basis, target]), len(basis))[0]
 
 
+def test_integer_row_passes_an_all_int_row_through():
+    row = exactla._integer_row((3, 0, -2))
+    assert row == [3, 0, -2] and all(type(v) is int for v in row)
+
+
+def test_integer_row_clears_denominators_of_a_mixed_row():
+    row = exactla._integer_row([1, Fraction(-1, 2), 0, Fraction(2, 3)])
+    assert row == [6, -3, 0, 4] and all(type(v) is int for v in row)
+
+
 def test_rank_identity():
     assert rows_echelon([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3).rank == 3
 

@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from natforms.generators import apply_scheme, enumerate_schemes
 from natforms.geometry import (
@@ -35,6 +36,7 @@ from reference_loops import (
     wedge_oneform_identity_loop,
 )
 from test_geometry import SEEDED_CONNECTIONS, random_field, random_form
+from test_tensor import field_from, sparse_fields
 
 
 def seeded_connection(n, density, seed):
@@ -140,3 +142,32 @@ def test_every_scheme_matches_loop_on_random_fields(seed):
         field = random_field(rng, n, source.p, source.q)
         for scheme in enumerate_schemes(source, shape31):
             assert_same(apply_scheme(scheme, field), apply_scheme_loop(scheme, field))
+
+
+# -- sparse fields: the scatter reads only the support -----------------------------
+
+
+@given(sparse_fields())
+@settings(max_examples=60, deadline=None)
+def test_contract_and_permute_on_sparse_fields_match_loops(field):
+    p, q = field.shape.p, field.shape.q
+    for ci, ki in itertools.product(range(1, p + 1), range(1, q + 1)):
+        assert_same(contract(field, ci, ki), contract_loop(field, ci, ki))
+    for perm in itertools.permutations(range(1, p + 1)):
+        assert_same(permute_covariant(field, perm), permute_covariant_loop(field, perm))
+
+
+@given(sparse_fields([(3, 1), (4, 2)]))
+@settings(max_examples=20, deadline=None)
+def test_every_scheme_on_sparse_fields_matches_loop(field):
+    for scheme in enumerate_schemes(field.shape, TensorShape(3, 1, field.shape.n)):
+        assert_same(apply_scheme(scheme, field), apply_scheme_loop(scheme, field))
+
+
+def test_lone_contribution_is_the_source_component_itself():
+    field = field_from({((3, 1), (3,)): "x1 - 2"}, 2, 1, n=3)
+    source = field.get((3, 1), (3,))
+    assert contract(field, 1, 1).get((1,), ()) is source  # sums (m,1;m) over m
+    swapped = permute_covariant(field, (2, 1))
+    assert swapped.get((1, 3), (3,)) is source
+    assert len(swapped.support) == 1

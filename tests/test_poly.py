@@ -172,6 +172,14 @@ def test_derivative_index_out_of_range():
         p("x1").partial_derivative(0)
 
 
+
+def test_derivative_of_zero_is_the_operand_after_the_index_check():
+    z = Polynomial.zero(3)
+    assert z.partial_derivative(2) is z
+    for bad in (4, True):
+        with pytest.raises(ValueError, match="out of range"):
+            z.partial_derivative(bad)
+
 # -- parsing ---------------------------------------------------------------------
 
 def test_parse_single_variable():

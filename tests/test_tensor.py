@@ -24,7 +24,7 @@ from natforms.tensor import (
     to_json_obj,
     zero,
 )
-from reference_loops import is_antisymmetric_by_permutation
+from reference_loops import is_antisymmetric_by_permutation, permute_covariant_loop
 
 N = 4
 
@@ -312,3 +312,68 @@ def test_is_antisymmetric_matches_permutation_reference(t, s1, s2):
     assert_antisymmetry_matches_reference(t)
     if s1 != s2:
         assert_antisymmetry_matches_reference(antisymmetrize_pair(t, s1, s2))
+
+
+# -- sparse fields: the support and the readers that walk it ----------------------
+
+
+def nonzero_polys(n):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 1)] * n),
+        st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(lambda c: c != 0),
+        min_size=1,
+        max_size=2,
+    ).map(lambda terms: Polynomial(n, terms))
+
+
+@st.composite
+def sparse_fields(draw, shapes=None):
+    """A field in dimension 2 or 3 with 0 to 3 nonzero components, of one of
+    the given (p, q) types, by default any with p + q <= 4."""
+    p, q = draw(st.sampled_from(shapes or [(p, s - p) for s in range(5) for p in range(s + 1)]))
+    shape = TensorShape(p, q, draw(st.integers(2, 3)))
+    comps = [Polynomial.zero(shape.n)] * shape.size
+    for pos in draw(st.lists(st.integers(0, shape.size - 1), max_size=3, unique=True)):
+        comps[pos] = draw(nonzero_polys(shape.n))
+    return TensorField(shape, tuple(comps))
+
+
+@given(sparse_fields())
+@settings(max_examples=60)
+def test_support_is_the_nonzero_positions(t):
+    assert t.support == tuple(pos for pos, c in enumerate(t.components) if not c.is_zero)
+    assert t.is_zero == (t.support == ())
+    assert t.is_zero == all(c.is_zero for c in t.components)
+
+
+@given(sparse_fields([(p, q) for p in range(2, 5) for q in range(5 - p)]))
+@settings(max_examples=60)
+def test_is_antisymmetric_on_sparse_fields_matches_permutation_reference(t):
+    assert_antisymmetry_matches_reference(t)
+    # and on a field that is antisymmetric in slots 1, 2, built by the loop
+    anti = t - permute_covariant_loop(t, (2, 1, *range(3, t.shape.p + 1)))
+    assert is_antisymmetric(anti, 1, 2)
+    assert_antisymmetry_matches_reference(anti)
+
+
+def test_zero_field_has_empty_support():
+    z = zero(TensorShape(2, 1, 3))
+    assert z.support == () and z.is_zero
+    assert is_antisymmetric(z, 1, 2)
+    assert contract(z, 1, 1).is_zero and permute_covariant(z, (2, 1)).is_zero
+
+
+def test_lone_component_below_the_diagonal_is_not_antisymmetric():
+    # (2,1;1) sits below the diagonal of slots 1, 2 and its partner (1,2;1) is zero
+    t = field_from({((2, 1), (1,)): "x1"}, 2, 1, n=3)
+    assert t.support == (tensor._flat(3, (1, 0, 0)),)
+    assert not is_antisymmetric(t, 1, 2)
+    assert not is_antisymmetric(t, 2, 1)
+    assert_antisymmetry_matches_reference(t)
+
+
+def test_lone_diagonal_component_is_not_antisymmetric():
+    t = field_from({((2, 1, 2), ()): "3/2"}, 3, 0, n=2)
+    assert not is_antisymmetric(t, 1, 3)
+    assert not is_antisymmetric(t, 1, 2)  # its partner (1,2,2) is zero
+    assert_antisymmetry_matches_reference(t)
