@@ -5,11 +5,12 @@ built by :func:`echelon`, the one entry point into elimination.  Its
 matrix has one column per field or vector.  For tensor fields of one shape
 there is one row per (component, monomial) pair of the fields' joint
 support, holding each field's coefficient of that monomial in that
-component; row order is not part of the contract.  For coefficient vectors
-of one length there is one row per coordinate.
+component, the rows of one component scaled by one positive integer that
+clears their denominators; row order is not part of the contract.  For
+coefficient vectors of one length there is one row per coordinate.
 
 The echelon streams its matrix one row at a time, straight from the
-polynomial terms or the vectors, and never builds a ``Fraction`` matrix.
+polynomial numerators or the vectors, and never builds a ``Fraction`` matrix.
 Each row is cleared to a primitive integer row; zero rows and rows already
 seen up to sign and scale are dropped (the rows of a component whose
 polynomials are the very objects of an earlier component are known to
@@ -48,23 +49,26 @@ def _check_shapes(fields: Sequence[TensorField]) -> None:
 
 # -- streamed rows -----------------------------------------------------------------
 
-Row = Sequence[Fraction]
+# A coefficient vector, or a row of one: exact rationals, int or Fraction.
+Row = Sequence[int | Fraction]
 
 # A stream of matrix rows comes in pieces (count, rows): count rows of the
-# matrix, of which ``rows`` lists those not streamed before; the others
-# repeat rows already streamed.
-Piece = tuple[int, Sequence[Row]]
+# matrix, of which ``rows`` lists those not streamed before, each cleared to
+# integers by a positive factor; the others repeat rows already streamed.
+Piece = tuple[int, Sequence[list[int]]]
 
 
 def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
     """The rows of the fields, one per (component, monomial) pair of their
-    joint support, read straight from the polynomial terms.
+    joint support, read straight from the polynomial numerators.
 
     One piece per component in the union of the fields' supports, in
     ascending position.  A component whose polynomials are the very
     objects of an earlier component (alternation stores one value at several
     orderings) has the same rows, which are counted but not streamed again.
-    Entries are the fields' coefficients (``int`` or ``Fraction``) and ``int`` zeros.
+    The rows of a piece are cleared to the lcm of its polynomials'
+    denominators, a positive scaling that changes no rank, kernel or span,
+    so every entry is an ``int``.
     """
     cols = len(fields)
     # id of a component's first nonzero polynomial -> (position, row count);
@@ -72,20 +76,22 @@ def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
     first: dict[int, tuple[int, int]] = {}
     for pos in sorted(set().union(*(f.support for f in fields))):
         comps = [f.components[pos] for f in fields]
-        lead = next(poly for poly in comps if poly.terms)
+        lead = next(poly for poly in comps if poly.numerators)
         earlier = first.get(id(lead))
         if earlier is not None and all(
             f.components[earlier[0]] is poly for f, poly in zip(fields, comps)
         ):
             yield earlier[1], ()
             continue
-        row_of: dict[Monomial, list] = {}
+        scale = math.lcm(*[poly.denominator for poly in comps])
+        row_of: dict[Monomial, list[int]] = {}
         for j, poly in enumerate(comps):
-            for mono, coeff in poly.terms.items():
+            factor = scale // poly.denominator
+            for mono, num in poly.numerators.items():
                 row = row_of.get(mono)
                 if row is None:
                     row = row_of[mono] = [0] * cols
-                row[j] = coeff
+                row[j] = num * factor
         first.setdefault(id(lead), (pos, len(row_of)))
         yield len(row_of), list(row_of.values())
 
@@ -96,12 +102,14 @@ def _block_rows(block: Sequence, columns: Sequence[int]) -> Iterator[Piece]:
     chosen = [block[c] for c in columns]
     if block and isinstance(block[0], TensorField):
         return _field_rows(chosen)
-    return ((1, (row,)) for row in zip(*chosen))
+    return ((1, (_integer_row(row),)) for row in zip(*chosen))
 
 
 def _integer_row(row: Row) -> list[int]:
     """The row times the lcm of its denominators, in integer arithmetic; a
-    row of ``int`` entries only is already that."""
+    row of ``int`` entries only is already that.  Coefficient-vector rows
+    and certificate vectors carry ``Fraction`` entries; field rows come out
+    of ``_field_rows`` as integers and need no clearing."""
     if all(type(v) is int for v in row):
         return list(row)
     ratios = [v.as_integer_ratio() for v in row]
@@ -186,8 +194,7 @@ def _eliminate(read: Callable[[Sequence[int]], Iterable[Piece]], cols: int) -> E
         count += rows_here
         if len(pivots) == cols:
             continue  # full column rank: the remaining rows are only counted
-        for row in rows:
-            ints = _integer_row(row)
+        for ints in rows:
             g = math.gcd(*ints)
             if not g:
                 continue
@@ -270,8 +277,7 @@ def _check_null(ech: Echelon, vectors: Sequence[Sequence[Fraction]], what: str) 
         for vec in vectors
     ]
     for _, rows in ech.read(columns):
-        for row in rows:
-            ints = _integer_row(row)
+        for ints in rows:
             for support in supports:
                 if sum(ints[i] * v for i, v in support):
                     raise AssertionError(f"{what} certificate failed re-multiplication")

@@ -29,6 +29,9 @@ Conventions, fixed once here and relied on everywhere else:
   alternates; its wrapper checks that), so components with a repeated
   direction are zero.  ``torsion`` and ``curvature`` keep their own
   formulas, so the Bianchi identities check the kernel, not restate it.
+  ``curvature`` reads the kernel's sparse Christoffel tables, so a fault in
+  those tables would pass the identities; the independent sympy oracle of
+  the test suite is what checks them.
 * ``Invariants`` is the one place where those formulas are applied to a
   connection: it computes torsion and curvature once, and from them the
   normal tensors and both structure differentials, for every caller.
@@ -255,22 +258,34 @@ def torsion(conn: Connection) -> VectorValuedForm:
 
 
 def curvature(conn: Connection) -> EndValuedForm:
-    """Curvature as an endomorphism-valued 2-form; see the module docstring."""
+    """Curvature as an endomorphism-valued 2-form; see the module docstring.
+
+    Only nonzero Christoffel symbols are read: the derivative terms are
+    taken of nonzero Gamma^l_{jk} and Gamma^l_{ik} only, and the sums over
+    m run over the nonzero Gamma^m_{jk} and Gamma^m_{ik}.
+    """
     n = conn.dimension
+    gamma = conn.christoffel  # Gamma^l_{ij} at ((l * n) + i) * n + j, 0-based
+    in_table, _ = _gamma_tables(conn)
+    zero = Polynomial.zero(n)
     comps = []
-    for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
-        acc = conn.gamma(l, j, k).partial_derivative(i) - conn.gamma(l, i, k).partial_derivative(j)
-        for m in range(1, n + 1):
-            g_jk = conn.gamma(m, j, k)
-            if not g_jk.is_zero:
-                g_im = conn.gamma(l, i, m)
-                if not g_im.is_zero:
-                    acc = acc + g_jk * g_im
-            g_ik = conn.gamma(m, i, k)
-            if not g_ik.is_zero:
-                g_jm = conn.gamma(l, j, m)
-                if not g_jm.is_zero:
-                    acc = acc - g_ik * g_jm
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        acc = zero
+        g = gamma[(l * n + j) * n + k]  # Gamma^l_{jk}
+        if not g.is_zero:
+            acc = g.partial_derivative(i + 1)
+        g = gamma[(l * n + i) * n + k]  # Gamma^l_{ik}
+        if not g.is_zero:
+            acc = acc - g.partial_derivative(j + 1)
+        # in_table[j][k] lists (m, Gamma^m_{jk}) over the nonzero entries
+        for m, g_jk in in_table[j][k]:
+            g_im = gamma[(l * n + i) * n + m]
+            if not g_im.is_zero:
+                acc = acc + g_jk * g_im
+        for m, g_ik in in_table[i][k]:
+            g_jm = gamma[(l * n + j) * n + m]
+            if not g_jm.is_zero:
+                acc = acc - g_ik * g_jm
         comps.append(acc)
     return EndValuedForm(2, TensorField(TensorShape(3, 1, n), tuple(comps)))
 
@@ -424,9 +439,10 @@ def identity_oneform(n: int) -> VectorValuedForm:
 # -- everything derived from torsion and curvature --------------------------------
 
 class Invariants:
-    """Torsion, curvature, the normal tensors and both structure
-    differentials of one connection.  Each is computed on first use and
-    kept, so callers share one derivation and read, never modify, it.
+    """Torsion, curvature, the normal tensors, both structure differentials
+    and the differential of the identity of one connection.  Each is
+    computed on first use and kept, so callers share one derivation and
+    read, never modify, it.
     """
 
     def __init__(self, conn: Connection) -> None:
@@ -479,3 +495,8 @@ class Invariants:
     def d_curvature(self) -> EndValuedForm:
         """d R; the second structure identity says it vanishes."""
         return ext_cov_deriv_endo(self.conn, self.curvature)
+
+    @cached_property
+    def d_identity(self) -> VectorValuedForm:
+        """d I of the identity 1-form; it equals the torsion."""
+        return ext_cov_deriv_vector(self.conn, identity_oneform(self.conn.dimension))

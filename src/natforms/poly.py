@@ -1,13 +1,22 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A polynomial in n variables x1..xn is stored as a map from exponent tuples
-to nonzero rational coefficients, so equality is exact and canonical: two
-polynomials are equal iff their term maps are.  A coefficient is an ``int``
-when it is integral and a ``fractions.Fraction`` with denominator > 1
-otherwise; integral coefficients, by far the most common, then cost
-integer arithmetic only.  Coefficients given from outside must be ``int``
-(not ``bool``) or ``Fraction``, and exponents and coordinate indices
-``int`` (not ``bool``): a float or string is refused, never converted.
+to nonzero ``int`` numerators and one positive ``int`` denominator, kept
+coprime to the numerators' content; zero has denominator 1.  Equality is
+exact and canonical: two polynomials are equal iff their dimensions,
+denominators and numerator maps are.  Sums, products, scalings and partial
+derivatives run in integer arithmetic: a sum brings the two denominators to
+their lcm, a product multiplies them, and one gcd over the result restores
+lowest terms, skipped when the denominator is 1, as it is for the integral
+polynomials that make up most of the work.
+
+:attr:`Polynomial.terms` is the coefficient view: a coefficient is an
+``int`` when it is integral and a ``fractions.Fraction`` with denominator
+> 1 otherwise.  Over denominator 1 the view is the numerator map itself;
+otherwise it is built on first read and kept, so it is built at most once.
+Coefficients given from outside must be ``int`` (not ``bool``) or
+``Fraction``, and exponents and coordinate indices ``int`` (not ``bool``):
+a float or string is refused, never converted.
 Every polynomial carries its ambient dimension n, checked on
 each binary operation; silent mixing of dimensions is the error this
 guards against.
@@ -22,6 +31,7 @@ The canonical term order is graded lexicographic on exponent tuples
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -67,30 +77,36 @@ def _coefficient(value: object) -> Coefficient:
     )
 
 
-def _ints_first(terms: dict[Monomial, Coefficient]) -> dict[Monomial, Coefficient]:
-    """Make the integral ``Fraction`` coefficients of a term map ``int``, in place."""
-    for mono, coeff in terms.items():
-        if type(coeff) is not int:
-            terms[mono] = _coefficient(coeff)
-    return terms
+def _numerators(coeffs: Mapping[Monomial, Coefficient]) -> tuple[dict[Monomial, int], int]:
+    """The nonzero values of a map of exact coefficients as ``int`` numerators
+    over their least common denominator.  A map of ``int`` values only is its
+    own numerator map over 1, and no lcm is taken."""
+    nonzero = {mono: c for mono, c in coeffs.items() if c}
+    if all(type(c) is int for c in nonzero.values()):
+        return nonzero, 1
+    # every value is in lowest terms, so the numerators over the lcm of the
+    # denominators have no factor in common with it
+    den = math.lcm(*[c.denominator for c in nonzero.values()])
+    return {mono: c.numerator * (den // c.denominator) for mono, c in nonzero.items()}, den
 
 
 class Polynomial:
-    """Immutable multivariate polynomial with exact rational coefficients.
+    """Immutable multivariate polynomial with exact rational coefficients,
+    held as ``int`` numerators over one positive ``int`` denominator.
 
     Values are never mutated after construction and may be shared freely.
     """
 
-    __slots__ = ("dimension", "terms")
+    __slots__ = ("dimension", "numerators", "denominator", "_terms")
 
     dimension: int
-    terms: dict[Monomial, Coefficient]  # int when integral, else Fraction
+    numerators: dict[Monomial, int]  # nonzero; gcd(denominator, *numerators) == 1
+    denominator: int  # positive; 1 for zero
 
     def __init__(self, dimension: int, terms: Mapping[Monomial, Coefficient] | None = None):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
-        object.__setattr__(self, "dimension", dimension)
-        clean: dict[Monomial, Coefficient] = {}
+        coeffs: dict[Monomial, Coefficient] = {}
         for mono, coeff in (terms or {}).items():
             mono = tuple(mono)
             if len(mono) != dimension:
@@ -101,12 +117,11 @@ class Polynomial:
                 raise ValueError(f"exponents must be non-negative integers, got {mono}")
             coeff = _coefficient(coeff)
             if coeff:
-                acc = _coefficient(clean.get(mono, 0) + coeff)
-                if acc:
-                    clean[mono] = acc
-                else:
-                    del clean[mono]
-        object.__setattr__(self, "terms", clean)
+                coeffs[mono] = coeffs.get(mono, 0) + coeff
+        numerators, denominator = _numerators(coeffs)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -114,14 +129,31 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _clean(cls, dimension: int, terms: dict[Monomial, Coefficient]) -> Polynomial:
-        """Wrap, unchecked and uncopied, a term map known to be clean: monomials
-        of length ``dimension``, nonzero coefficients as ``_coefficient`` makes
-        them."""
+    def _make(cls, dimension: int, numerators: dict[Monomial, int], denominator: int) -> Polynomial:
+        """Wrap, unchecked and uncopied, numerators known to be clean: monomials
+        of length ``dimension``, nonzero ``int`` numerators in lowest terms
+        over the positive ``denominator``, which is 1 if there are none."""
         result = cls.__new__(cls)
         object.__setattr__(result, "dimension", dimension)
-        object.__setattr__(result, "terms", terms)
+        object.__setattr__(result, "numerators", numerators)
+        object.__setattr__(result, "denominator", denominator)
         return result
+
+    @classmethod
+    def _lowest_terms(
+        cls, dimension: int, numerators: dict[Monomial, int], denominator: int
+    ) -> Polynomial:
+        """Wrap nonzero ``int`` numerators over a positive denominator, divided
+        by the gcd of all of them; over denominator 1 there is nothing to do."""
+        if denominator != 1:
+            if not numerators:
+                denominator = 1
+            else:
+                g = math.gcd(denominator, *numerators.values())
+                if g != 1:
+                    denominator //= g
+                    numerators = {mono: c // g for mono, c in numerators.items()}
+        return cls._make(dimension, numerators, denominator)
 
     @classmethod
     def zero(cls, dimension: int) -> Polynomial:
@@ -140,16 +172,37 @@ class Polynomial:
         exps[index - 1] = 1
         return cls(dimension, {tuple(exps): 1})
 
-    # -- predicates --------------------------------------------------------
+    # -- coefficients and predicates ----------------------------------------
+
+    @property
+    def terms(self) -> dict[Monomial, Coefficient]:
+        """The coefficients: ``int`` when integral, ``Fraction`` otherwise.
+
+        Over denominator 1 this is the numerator map itself; otherwise it is
+        built on first read and kept.  Read it, never modify it.
+        """
+        den = self.denominator
+        if den == 1:
+            return self.numerators
+        try:
+            return self._terms
+        except AttributeError:
+            view = {mono: _coefficient(Fraction(c, den)) for mono, c in self.numerators.items()}
+            object.__setattr__(self, "_terms", view)
+            return view
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dimension == other.dimension and self.terms == other.terms
+        return (
+            self.dimension == other.dimension
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -165,27 +218,35 @@ class Polynomial:
             )
 
     def _plus(self, other: Polynomial, sign: int) -> Polynomial:
-        """self + sign * other, for sign 1 or -1, in one pass over other."""
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
+        """self + sign * other, for sign 1 or -1, in one pass over other, over
+        the lcm of the two denominators."""
+        den, other_den = self.denominator, other.denominator
+        if den == other_den:
+            out = dict(self.numerators)
+        else:
+            den = math.lcm(den, other_den)
+            factor = den // self.denominator
+            out = {mono: c * factor for mono, c in self.numerators.items()}
+            sign *= den // other_den
+        for mono, coeff in other.numerators.items():
             acc = out.get(mono)
             if acc is None:
-                out[mono] = coeff if sign > 0 else -coeff
+                out[mono] = coeff * sign
             else:
-                acc = acc + coeff if sign > 0 else acc - coeff
+                acc += coeff * sign
                 if acc:
-                    out[mono] = acc if type(acc) is int else _coefficient(acc)
+                    out[mono] = acc
                 else:
                     del out[mono]
-        return Polynomial._clean(self.dimension, out)
+        return Polynomial._lowest_terms(self.dimension, out, den)
 
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dimension(other)
-        if not other.terms:
+        if not other.numerators:
             return self
-        if not self.terms:
+        if not self.numerators:
             return other
         return self._plus(other, 1)
 
@@ -193,55 +254,61 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dimension(other)
-        if not other.terms:
+        if not other.numerators:
             return self
         return self._plus(other, -1)
 
     def __neg__(self) -> Polynomial:
-        if not self.terms:
+        if not self.numerators:
             return self
-        return Polynomial._clean(self.dimension, {m: -c for m, c in self.terms.items()})
+        return Polynomial._make(
+            self.dimension, {m: -c for m, c in self.numerators.items()}, self.denominator
+        )
 
     def __mul__(self, other: Polynomial | Coefficient) -> Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_dimension(other)
-        if not self.terms:
+        a, b = self.numerators, other.numerators
+        if not a:
             return self
-        if not other.terms:
+        if not b:
             return other
-        pairs = len(self.terms) * len(other.terms)
+        pairs = len(a) * len(b)
         if pairs > _MAX_TERM_PAIRS:
             raise ValueError(
-                f"product of {len(self.terms)} and {len(other.terms)} terms exceeds "
+                f"product of {len(a)} and {len(b)} terms exceeds "
                 f"{_MAX_TERM_PAIRS} term pairs"
             )
-        out: dict[Monomial, Coefficient] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = tuple(a + b for a, b in zip(ma, mb))
+        out: dict[Monomial, int] = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                mono = tuple(x + y for x, y in zip(ma, mb))
                 acc = out.get(mono)
                 if acc is None:
                     out[mono] = ca * cb
                 else:
-                    acc = acc + ca * cb
+                    acc += ca * cb
                     if acc:
                         out[mono] = acc
                     else:
                         del out[mono]
-        return Polynomial._clean(self.dimension, _ints_first(out))
+        return Polynomial._lowest_terms(
+            self.dimension, out, self.denominator * other.denominator
+        )
 
     def __rmul__(self, other: Coefficient) -> Polynomial:
         return self.scale(other)
 
     def scale(self, factor: Coefficient) -> Polynomial:
         factor = _coefficient(factor)
-        if factor == 1 or not self.terms:
+        if factor == 1 or not self.numerators:
             return self
         if not factor:
             return Polynomial(self.dimension)
-        out = {m: c * factor for m, c in self.terms.items()}
-        return Polynomial._clean(self.dimension, _ints_first(out))
+        num = factor.numerator
+        out = {m: c * num for m, c in self.numerators.items()}
+        return Polynomial._lowest_terms(self.dimension, out, self.denominator * factor.denominator)
 
     def __pow__(self, exponent: int) -> Polynomial:
         if type(exponent) is not int:
@@ -265,24 +332,25 @@ class Polynomial:
         """Formal partial derivative with respect to x_index (1-based)."""
         if type(index) is not int or not 1 <= index <= self.dimension:
             raise ValueError(f"coordinate index {index} out of range 1..{self.dimension}")
-        if not self.terms:
+        if not self.numerators:
             return self
         k = index - 1
         # lowering x_index is one-to-one on the monomials it keeps, and each
-        # coeff * e is nonzero, so the map is clean once its coefficients are
+        # numerator * e is nonzero; only the common factor may change
         out = {
             mono[:k] + (mono[k] - 1,) + mono[k + 1 :]: coeff * mono[k]
-            for mono, coeff in self.terms.items()
+            for mono, coeff in self.numerators.items()
             if mono[k]
         }
-        return Polynomial._clean(self.dimension, _ints_first(out))
+        return Polynomial._lowest_terms(self.dimension, out, self.denominator)
 
     # -- presentation ------------------------------------------------------
 
     def sorted_terms(self) -> Iterator[tuple[Monomial, Coefficient]]:
         """Terms in the canonical graded-lexicographic order."""
-        for mono in sorted(self.terms, key=grlex_key):
-            yield mono, self.terms[mono]
+        terms = self.terms
+        for mono in sorted(terms, key=grlex_key):
+            yield mono, terms[mono]
 
     def __str__(self) -> str:
         return to_string(self)
@@ -403,8 +471,7 @@ class _Parser:
                 for mono, coeff in self.term().terms.items():
                     terms[mono] = terms.get(mono, 0) + (-coeff if negate else coeff)
             else:
-                clean = {mono: coeff for mono, coeff in terms.items() if coeff}
-                return Polynomial._clean(self.dimension, _ints_first(clean))
+                return Polynomial._make(self.dimension, *_numerators(terms))
 
     def term(self) -> Polynomial:
         result = self.factor()
@@ -413,7 +480,7 @@ class _Parser:
             if token is not None and token[0] == "op" and token[1] == "*":
                 self.index += 1
                 rhs = self.factor()
-                self.pairs_left -= len(result.terms) * len(rhs.terms)
+                self.pairs_left -= len(result.numerators) * len(rhs.numerators)
                 if self.pairs_left < 0:
                     raise ParseError(
                         f"products exceed {_PARSE_TERM_PAIRS} + {len(self.text)} term "

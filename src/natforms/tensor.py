@@ -70,7 +70,7 @@ def _flat(n: int, idx: Sequence[int]) -> int:
     return f
 
 
-_terms = attrgetter("terms")
+_numerators = attrgetter("numerators")
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class TensorField:
     def support(self) -> tuple[int, ...]:
         """Positions of the nonzero components, ascending; computed once."""
         comps = self.components
-        return tuple(itertools.compress(range(len(comps)), map(_terms, comps)))
+        return tuple(itertools.compress(range(len(comps)), map(_numerators, comps)))
 
     def get(self, cov: Sequence[int] = (), contra: Sequence[int] = ()) -> Polynomial:
         """Component at the given 1-based covariant/contravariant indices."""
@@ -129,7 +129,7 @@ class TensorField:
         return TensorField(
             self.shape,
             tuple(
-                b if not a.terms else a if not b.terms else a + b
+                b if not a.numerators else a if not b.numerators else a + b
                 for a, b in zip(self.components, other.components)
             ),
         )
@@ -141,20 +141,20 @@ class TensorField:
         return TensorField(
             self.shape,
             tuple(
-                a if not b.terms else -b if not a.terms else a - b
+                a if not b.numerators else -b if not a.numerators else a - b
                 for a, b in zip(self.components, other.components)
             ),
         )
 
     def __neg__(self) -> TensorField:
-        return TensorField(self.shape, tuple(-c if c.terms else c for c in self.components))
+        return TensorField(self.shape, tuple(-c if c.numerators else c for c in self.components))
 
     def scale(self, factor: Coefficient) -> TensorField:
         factor = _coefficient(factor)
         if factor == 1:
             return self
         return TensorField(
-            self.shape, tuple(c.scale(factor) if c.terms else c for c in self.components)
+            self.shape, tuple(c.scale(factor) if c.numerators else c for c in self.components)
         )
 
     @property
@@ -313,21 +313,19 @@ def antisymmetrize_pair(a: TensorField, s1: int, s2: int) -> TensorField:
 
 
 def _negatives(x: Polynomial, y: Polynomial) -> bool:
-    """x == -y, decided on the term maps without building -y.
+    """x == -y, decided on the numerator maps without building -y.
 
-    Coefficients (Fraction or int) are in lowest terms with a positive
-    denominator, so two are equal iff numerators and denominators are.
+    Both are in lowest terms over a positive denominator, so x == -y iff
+    the denominators are equal and each numerator of x is the negated
+    numerator of y at its monomial.
     """
-    if x.dimension != y.dimension or len(x.terms) != len(y.terms):
+    if x.denominator != y.denominator or x.dimension != y.dimension:
         return False
-    y_terms = y.terms
-    for mono, coeff in x.terms.items():
-        other = y_terms.get(mono)
-        if (
-            other is None
-            or coeff.numerator != -other.numerator
-            or coeff.denominator != other.denominator
-        ):
+    x_nums, y_nums = x.numerators, y.numerators
+    if len(x_nums) != len(y_nums):
+        return False
+    for mono, coeff in x_nums.items():
+        if y_nums.get(mono) != -coeff:
             return False
     return True
 
@@ -349,7 +347,7 @@ def is_antisymmetric(a: TensorField, s1: int, s2: int) -> bool:
         if i == j:
             return False
         partner = comps[pos + (j - i) * (stride1 - stride2)]
-        if not (_negatives(comps[pos], partner) if i < j else partner.terms):
+        if not (_negatives(comps[pos], partner) if i < j else partner.numerators):
             return False
     return True
 

@@ -473,3 +473,33 @@ def test_family_rank_and_kernel_match_bareiss_on_seeded_connections(seed):
         assert ech.rows == len(rows)
         assert ech.rank == rank_bareiss(rows, len(fields))
         assert echelon_kernel(ech) == kernel_basis_bareiss(rows, len(fields))
+
+
+def test_columns_over_different_denominators_match_bareiss(ref_conn, crooked_conn):
+    # a component's rows are cleared to the lcm of its polynomials'
+    # denominators: halves, thirds and sixths of one field, an integral field
+    # and a mix must give Bareiss's results on the Fraction matrix
+    from natforms.geometry import curvature
+
+    t = curvature(crooked_conn).tensor
+    u = curvature(ref_conn).tensor
+    assert any(poly.denominator == 2 for poly in t.components)
+    assert all(poly.denominator == 1 for poly in u.components)
+    fields = [
+        t.scale(Fraction(1, 2)),
+        t.scale(Fraction(1, 3)),
+        u,
+        t.scale(Fraction(1, 6)),
+        u.scale(2) - t.scale(Fraction(1, 3)),
+        t + u,
+    ]
+    rows = flatten_loop(fields)
+    ech = echelon(fields)
+    assert ech.rows == len(rows)
+    assert ech.rank == rank_bareiss(rows, len(fields)) == 2
+    assert echelon_kernel(ech) == kernel_basis_bareiss(rows, len(fields))
+    columns = transpose(rows)
+    for k in (1, 3):
+        members = echelon_members(ech, k)
+        assert members == [in_span_bareiss(v, columns[:k]) for v in columns[k:]]
+    assert [m[0] for m in echelon_members(ech, 1)] == [True, False, True, False, False]

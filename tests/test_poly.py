@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: pinned examples, ring laws, parser round-trip."""
 
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +48,32 @@ def test_integral_coefficients_are_int():
     assert type(half.scale(4).terms[(1, 0, 0, 0)]) is int
     assert type((half * p("2")).terms[(1, 0, 0, 0)]) is int
     assert type(p("1/2*x1^2").partial_derivative(1).terms[(1, 0, 0, 0)]) is int
+
+
+def test_numerators_over_one_denominator():
+    half = p("1/2*x1 - 1/3*x2 + 5/6")
+    assert half.denominator == 6
+    assert half.numerators == {(1, 0, 0, 0): 3, (0, 1, 0, 0): -2, (0, 0, 0, 0): 5}
+    # the gcd step: (1/6 + 1/6) x1 is 1/3 x1, not 2/6 x1
+    sixth = p("1/6*x1 + 1/6*x2")
+    assert (sixth + sixth).numerators == {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}
+    assert (sixth + sixth).denominator == 3
+    mixed = half + p("1/2*x1 - 1/6")
+    assert (mixed.numerators, mixed.denominator) == (
+        {(1, 0, 0, 0): 3, (0, 1, 0, 0): -1, (0, 0, 0, 0): 2}, 3
+    )
+    assert (p("1/3*x1") * p("3/2*x2")).denominator == 2
+    assert (half - half).denominator == 1 and (half - half).is_zero
+    assert p("1/2*x1^2").partial_derivative(1).denominator == 1
+    assert half.scale(6).denominator == 1
+
+
+def test_coefficient_view_is_built_once():
+    half = p("1/2*x1 + x2")
+    assert half.terms is half.terms
+    assert half.terms == {(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): 1}
+    whole = p("2*x1 + x2")
+    assert whole.terms is whole.numerators
 
 
 # Values that are not an exact int or Fraction: a float, a string, a bool,
@@ -371,6 +398,19 @@ def _has_coefficient_contract(poly: Polynomial) -> bool:
     )
 
 
+def _has_lowest_terms(poly: Polynomial) -> bool:
+    """Nonzero int numerators over a positive int denominator, with no factor
+    common to all of them; zero over 1."""
+    den, nums = poly.denominator, poly.numerators
+    return (
+        type(den) is int
+        and den >= 1
+        and all(type(c) is int and c for c in nums.values())
+        and math.gcd(den, *nums.values()) == 1
+        and (den == 1 or bool(nums))
+    )
+
+
 @given(term_maps, term_maps, mixed_coefficients)
 @settings(max_examples=150)
 def test_arithmetic_equals_the_all_fraction_reference(ta, tb, factor):
@@ -396,6 +436,7 @@ def test_arithmetic_equals_the_all_fraction_reference(ta, tb, factor):
     for name, (got, want) in results.items():
         assert got.terms == want, name
         assert _has_coefficient_contract(got), name
+        assert _has_lowest_terms(got), name
 
 
 def test_zero_operands_and_unit_factors_are_shared():

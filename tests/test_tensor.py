@@ -148,15 +148,6 @@ def test_antisymmetrize_sets_verified_metadata():
     assert is_antisymmetric(antisymmetrize_pair(t, 2, 1), 1, 2)
 
 
-def with_coefficients(n, terms):
-    """A polynomial holding exactly these coefficient objects; the public
-    constructor would make an integral Fraction an int."""
-    poly = Polynomial.__new__(Polynomial)
-    object.__setattr__(poly, "dimension", n)
-    object.__setattr__(poly, "terms", dict(terms))
-    return poly
-
-
 def assert_antisymmetry_matches_reference(t):
     p = t.shape.p
     for s1, s2 in itertools.permutations(range(1, p + 1), 2):
@@ -192,14 +183,28 @@ def test_is_antisymmetric_compares_coefficient_values():
 
     def pair(upper, lower):
         comps = [zero_poly] * N**2
-        comps[tensor._flat(N, (0, 1))] = with_coefficients(N, {mono: upper})
-        comps[tensor._flat(N, (1, 0))] = with_coefficients(N, {mono: lower})
+        comps[tensor._flat(N, (0, 1))] = Polynomial(N, {mono: upper})
+        comps[tensor._flat(N, (1, 0))] = Polynomial(N, {mono: lower})
         return TensorField(TensorShape(2, 0, N), tuple(comps))
 
+    # numerators past the small-int cache: a comparison of int objects by
+    # identity instead of value would fail here
+    assert is_antisymmetric(pair(int("9" * 30), -int("9" * 30)), 1, 2)
     assert is_antisymmetric(pair(Fraction(3), -3), 1, 2)
     assert not is_antisymmetric(pair(Fraction(3), 3), 1, 2)
-    assert_antisymmetry_matches_reference(pair(Fraction(3), -3))
-    assert_antisymmetry_matches_reference(pair(Fraction(3), 3))
+    # the numerators negate each other but the denominators differ
+    assert not is_antisymmetric(pair(Fraction(3, 2), Fraction(-3, 4)), 1, 2)
+    assert not is_antisymmetric(pair(Fraction(3, 2), -3), 1, 2)
+    # a/6 against -a/6
+    assert is_antisymmetric(pair(Fraction(5, 6), Fraction(-5, 6)), 1, 2)
+    assert not is_antisymmetric(pair(Fraction(5, 6), Fraction(5, 6)), 1, 2)
+    for upper, lower in (
+        (Fraction(3), -3),
+        (Fraction(3), 3),
+        (Fraction(3, 2), -3),
+        (Fraction(5, 6), Fraction(-5, 6)),
+    ):
+        assert_antisymmetry_matches_reference(pair(upper, lower))
 
 
 def test_is_antisymmetric_rejects_invalid_slots(ref_conn):
