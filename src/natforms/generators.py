@@ -101,6 +101,7 @@ class GeneratorEntry:
 @dataclass(frozen=True)
 class GeneratorFamily:
     entries: tuple[GeneratorEntry, ...]
+    bases: dict[str, TensorField]  # C0..C3 and D1..D5, each built once
 
     def __post_init__(self) -> None:
         if len(self.entries) != 19:
@@ -153,9 +154,8 @@ def build_T_list(n0: TensorField, n1: TensorField) -> GeneratorFamily:
     Both degenerate variants stay available so reports can show them
     side by side with the family actually used.
     """
-    cs = dict(zip(["C0", "C1", "C2", "C3"], build_C_family(n1)))
-    ds = dict(zip(["D1", "D2", "D3", "D4", "D5"], build_D_family(n0)))
-    bases = {**cs, **ds}
+    bases = dict(zip(["C0", "C1", "C2", "C3", "D1", "D2", "D3", "D4", "D5"],
+                     build_C_family(n1) + build_D_family(n0)))
     entries = []
     for index, (base, pattern) in enumerate(_C_RECIPE + _D_RECIPE, start=1):
         field = apply_pattern(bases[base], pattern)
@@ -167,26 +167,25 @@ def build_T_list(n0: TensorField, n1: TensorField) -> GeneratorFamily:
                 pattern=pattern,
             )
         )
-    return GeneratorFamily(tuple(entries))
+    return GeneratorFamily(tuple(entries), bases)
 
 
-def dropped_c3_generator(n1: TensorField) -> TensorField:
+def dropped_c3_generator(family: GeneratorFamily) -> TensorField:
     """The (kij)-(kji) pattern on C3, removed from the family because it is
     a combination of T5, T6, T8, T9 and T11; the verification suite emits
     the exact coefficients."""
-    c3 = build_C_family(n1)[3]
-    return apply_pattern(c3, PATTERN_KIJ)
+    return apply_pattern(family.bases["C3"], PATTERN_KIJ)
 
 
-def doubled_d5_variant(n0: TensorField) -> TensorField:
+def doubled_d5_variant(family: GeneratorFamily) -> TensorField:
     """Twice D5: symmetric in (i,j), hence not a valid 2-form entry."""
-    return build_D_family(n0)[4].scale(2)
+    return family.bases["D5"].scale(2)
 
 
-def vanishing_d3_pattern(n0: TensorField) -> TensorField:
+def vanishing_d3_pattern(family: GeneratorFamily) -> TensorField:
     """The (jki)-(ikj) pattern on D3, identically zero for every input
     because the double trace N^m_{si} N^s_{mk} is symmetric in (i,k)."""
-    return apply_pattern(build_D_family(n0)[2], PATTERN_JKI)
+    return apply_pattern(family.bases["D3"], PATTERN_JKI)
 
 
 # -- contraction schemes -------------------------------------------------------

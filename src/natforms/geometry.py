@@ -16,22 +16,24 @@ Conventions, fixed once here and relied on everywhere else:
   so no bracket terms appear).  For degree 1 applied to the identity this
   yields exactly the torsion, and the two Bianchi identities hold
   componentwise; the test suite enforces both, which pins the convention.
-* One private kernel computes every derivative here.  ``_direction_term``
+* One private loop computes every derivative here.  ``_direction_term``
   takes d_k of one component and adds -Gamma for each covariant slot and
-  +Gamma for each contravariant slot it is given; ``_exterior_differential``
-  sums direction terms with alternating signs, letting Gamma act on every
-  slot after the form slots.  So Gamma acts on every slot in
-  ``covariant_derivative``, on the vector slot in ``ext_cov_deriv_vector``,
-  on the endomorphism input and output in ``ext_cov_deriv_endo``, and on
-  no slot in ``exterior_derivative``.  The alternating sum is evaluated
-  only at strictly increasing direction tuples, each direction term once,
-  and every other ordering is filled by alternation (the input form
+  +Gamma for each contravariant slot it is given; its only caller,
+  ``_exterior_differential``, sums direction terms with alternating signs,
+  letting Gamma act on every slot after the form slots.  The covariant
+  derivative is that differential in degree 0, where Gamma acts on every
+  slot, with the direction slot then moved from first to last.  Gamma acts
+  on the vector slot in ``ext_cov_deriv_vector``, on the endomorphism input
+  and output in ``ext_cov_deriv_endo``, and on no slot in
+  ``exterior_derivative``.  The alternating sum is evaluated only at
+  strictly increasing direction tuples, each direction term once, and
+  every other ordering is filled by alternation (the input form
   alternates; its wrapper checks that), so components with a repeated
   direction are zero.  ``torsion`` and ``curvature`` keep their own
-  formulas, so the Bianchi identities check the kernel, not restate it.
-  ``curvature`` reads the kernel's sparse Christoffel tables, so a fault in
-  those tables would pass the identities; the independent sympy oracle of
-  the test suite is what checks them.
+  formulas, so the Bianchi identities check the loop, not restate it.
+  Gamma's sparse tables are built once per connection and read by
+  ``curvature`` too, so a fault in them would pass the identities; the
+  independent sympy oracle of the test suite is what checks them.
 * ``Invariants`` is the one place where those formulas are applied to a
   connection: it computes torsion and curvature once, and from them the
   normal tensors and both structure differentials, for every caller.
@@ -89,6 +91,25 @@ class Connection:
         """Christoffel symbol with upper index l and lower indices (i, j), 1-based."""
         n = self.dimension
         return self.christoffel[((l - 1) * n + (i - 1)) * n + (j - 1)]
+
+    @cached_property
+    def _gamma_tables(self):
+        """Sparse views of the Christoffel symbols, keyed by direction, 0-based,
+        built once per connection.
+
+        in_table[k][a] lists (m, Gamma^m_{ka}) over nonzero entries: the terms
+        feeding a covariant slot.  out_table[k][l] lists (m, Gamma^l_{km}): the
+        terms feeding a contravariant slot.  Returned as (in_table, out_table).
+        """
+        n = self.dimension
+        in_table: list[list[list[tuple[int, Polynomial]]]] = [[[] for _ in range(n)] for _ in range(n)]
+        out_table: list[list[list[tuple[int, Polynomial]]]] = [[[] for _ in range(n)] for _ in range(n)]
+        for l, i, j in itertools.product(range(n), repeat=3):
+            poly = self.gamma(l + 1, i + 1, j + 1)
+            if not poly.is_zero:
+                in_table[i][j].append((l, poly))
+                out_table[i][l].append((j, poly))
+        return in_table, out_table
 
 
 def connection_from_entries(n: int, entries: dict[tuple[int, int, int], Polynomial]) -> Connection:
@@ -170,31 +191,12 @@ def connection_to_json_obj(conn: Connection) -> dict:
         poly = conn.gamma(l, i, j)
         if not poly.is_zero:
             items.append({"upper": l, "lower": [i, j], "poly": to_string(poly)})
-    items.sort(key=lambda e: (e["upper"], e["lower"]))
     return {"dim": n, "christoffel": items}
 
 
 def load_connection(path: str) -> Connection:
     with open(path, "r", encoding="utf-8") as handle:
         return connection_from_json_obj(json.load(handle))
-
-
-def _gamma_tables(conn: Connection):
-    """Sparse views of the Christoffel symbols, keyed by direction, 0-based.
-
-    in_table[k][a] lists (m, Gamma^m_{ka}) over nonzero entries: the terms
-    feeding a covariant slot.  out_table[k][l] lists (m, Gamma^l_{km}): the
-    terms feeding a contravariant slot.  Returned as (in_table, out_table).
-    """
-    n = conn.dimension
-    in_table: list[list[list[tuple[int, Polynomial]]]] = [[[] for _ in range(n)] for _ in range(n)]
-    out_table: list[list[list[tuple[int, Polynomial]]]] = [[[] for _ in range(n)] for _ in range(n)]
-    for l, i, j in itertools.product(range(n), repeat=3):
-        poly = conn.gamma(l + 1, i + 1, j + 1)
-        if not poly.is_zero:
-            in_table[i][j].append((l, poly))
-            out_table[i][l].append((j, poly))
-    return in_table, out_table
 
 
 # -- form wrappers ---------------------------------------------------------------
@@ -266,7 +268,7 @@ def curvature(conn: Connection) -> EndValuedForm:
     """
     n = conn.dimension
     gamma = conn.christoffel  # Gamma^l_{ij} at ((l * n) + i) * n + j, 0-based
-    in_table, _ = _gamma_tables(conn)
+    in_table, _ = conn._gamma_tables
     zero = Polynomial.zero(n)
     comps = []
     for i, j, k, l in itertools.product(range(n), repeat=4):
@@ -312,22 +314,17 @@ def covariant_derivative(conn: Connection, field: TensorField) -> TensorField:
 
     One -Gamma term per covariant slot, one +Gamma term per contravariant
     slot, e.g. (DTor)^l_{ijk} = Tor^l_{ij,k} - Gamma^m_{ki} Tor^l_{mj}
-    - Gamma^m_{kj} Tor^l_{im} + Gamma^l_{km} Tor^m_{ij}.
+    - Gamma^m_{kj} Tor^l_{im} + Gamma^l_{km} Tor^m_{ij}.  It is the
+    exterior covariant differential in degree 0, which puts the direction
+    first, with the direction slot then moved last.
     """
     if field.shape.n != conn.dimension:
         raise ValueError(
             f"dimension mismatch: field n={field.shape.n}, connection n={conn.dimension}"
         )
-    n, p, q = field.shape.n, field.shape.p, field.shape.q
-    tables = _gamma_tables(conn)
-    covariant, contravariant = range(p), range(p, p + q)
-    comps = [
-        _direction_term(
-            tables, field.components, n, idx[p], idx[:p] + idx[p + 1 :], covariant, contravariant
-        )
-        for idx in itertools.product(range(n), repeat=p + 1 + q)
-    ]
-    return TensorField(TensorShape(p + 1, q, n), tuple(comps))
+    p = field.shape.p
+    differential = _exterior_differential(conn._gamma_tables, field, 0)
+    return permute_covariant(differential, (p + 1, *range(1, p + 1)))
 
 
 # -- exterior differentials ---------------------------------------------------------
@@ -358,16 +355,14 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
     values = list(itertools.product(range(n), repeat=p + q - degree))
     for directions in itertools.combinations(range(n), degree + 1):
         targets = [(_flat(n, ordering) * block, sign) for ordering, sign in _orderings(directions)]
-        for value in values:
-            acc = zero
-            for r in range(degree + 1):
-                rest = directions[:r] + directions[r + 1 :] + value
-                term = _direction_term(tables, src, n, directions[r], rest, cov, contra)
-                acc = acc - term if r % 2 else acc + term
+        omitted = [(k, directions[:r] + directions[r + 1 :]) for r, k in enumerate(directions)]
+        for offset, value in enumerate(values):  # product order is flat order
+            for r, (k, rest) in enumerate(omitted):
+                term = _direction_term(tables, src, n, k, rest + value, cov, contra)
+                acc = (acc - term if r % 2 else acc + term) if r else term
             if acc.is_zero:
                 continue
-            offset = _flat(n, value)
-            negated = -acc
+            negated = -acc if degree else acc  # degree 0 has one ordering, the identity
             for pos, sign in targets:
                 comps[pos + offset] = acc if sign > 0 else negated
     return TensorField(TensorShape(p + 1, q, n), tuple(comps))
@@ -381,7 +376,7 @@ def ext_cov_deriv_vector(conn: Connection, alpha: VectorValuedForm) -> VectorVal
     """
     if alpha.n != conn.dimension:
         raise ValueError("dimension mismatch between form and connection")
-    tensor = _exterior_differential(_gamma_tables(conn), alpha.tensor, alpha.degree)
+    tensor = _exterior_differential(conn._gamma_tables, alpha.tensor, alpha.degree)
     return VectorValuedForm(alpha.degree + 1, tensor)
 
 
@@ -391,7 +386,7 @@ def ext_cov_deriv_endo(conn: Connection, beta: EndValuedForm) -> EndValuedForm:
     on the endomorphism input slot."""
     if beta.n != conn.dimension:
         raise ValueError("dimension mismatch between form and connection")
-    tensor = _exterior_differential(_gamma_tables(conn), beta.tensor, beta.degree)
+    tensor = _exterior_differential(conn._gamma_tables, beta.tensor, beta.degree)
     return EndValuedForm(beta.degree + 1, tensor)
 
 
@@ -418,8 +413,7 @@ def tensor_identity(omega: TensorField) -> EndValuedForm:
     """Scalar 2-form times the identity endomorphism: components w_ij delta^l_a."""
     if omega.shape.p != 2 or omega.shape.q != 0:
         raise ValueError(f"expected a 2-form, got shape {omega.shape}")
-    if not is_antisymmetric(omega, 1, 2):
-        raise ValueError("2-form must be antisymmetric")
+    # EndValuedForm checks slots (1,2) of the product, which alternate iff omega's do
     return EndValuedForm(2, tensor_product(omega, delta(omega.n)))
 
 

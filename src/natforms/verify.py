@@ -236,8 +236,7 @@ def verify_lemma_3_1(d: Derived) -> Verdict:
     fields = family.fields()
     matrix = echelon(fields)
     observed_rank = matrix.rank
-    n0 = d.normal0
-    doubled = doubled_d5_variant(n0)
+    doubled = doubled_d5_variant(family)
     certificate = {
         "labels": family.labels(),
         "matrix_rows": matrix.rows,
@@ -249,7 +248,7 @@ def verify_lemma_3_1(d: Derived) -> Verdict:
         },
         "t16_variants": {
             "family_uses": "(ijk)-(jik) pattern on D3",
-            "printed_jki_pattern_is_identically_zero": vanishing_d3_pattern(n0).is_zero,
+            "printed_jki_pattern_is_identically_zero": vanishing_d3_pattern(family).is_zero,
         },
     }
     return Verdict(
@@ -264,7 +263,7 @@ def verify_lemma_3_1(d: Derived) -> Verdict:
 def verify_dropped_generator(d: Derived) -> Verdict:
     """The removed C3 pattern is a combination of T5, T6, T8, T9, T11."""
     family = d.family
-    dropped = dropped_c3_generator(d.normal1)
+    dropped = dropped_c3_generator(family)
     keep = ["T5", "T6", "T8", "T9", "T11"]
     fields = [family[label].form.tensor for label in keep] + [dropped]
     [(member, coeffs)] = echelon_members(echelon(fields), len(keep))

@@ -1,6 +1,11 @@
 import pytest
 
-from natforms.geometry import connection_from_entries, flat_connection, reference_connection
+from natforms.geometry import (
+    Connection,
+    connection_from_entries,
+    flat_connection,
+    reference_connection,
+)
 from natforms.poly import parse
 
 
@@ -74,3 +79,17 @@ def symmetric_conn():
             (2, 3, 3): "x2^2",
         }
     )
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Each connection whose Gamma tables get built, once per build."""
+    builds = []
+    build = Connection._gamma_tables.func
+
+    def counted(conn):
+        builds.append(conn)
+        return build(conn)
+
+    monkeypatch.setattr(Connection._gamma_tables, "func", counted)
+    return builds

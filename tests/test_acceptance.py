@@ -151,9 +151,9 @@ def test_c07_normal_tensor_properties(seeded_connections):
     report(7, "normal tensors: half-torsion and symmetrization-zero", started, "exact, 20/20")
 
 
-def test_c08_dropped_generator_dependency(paper_conn, paper_family):
+def test_c08_dropped_generator_dependency(paper_family):
     started = time.time()
-    dropped = dropped_c3_generator(Invariants(paper_conn).normal1)
+    dropped = dropped_c3_generator(paper_family)
     keep = ["T5", "T6", "T8", "T9", "T11"]
     fields = [paper_family[label].form.tensor for label in keep] + [dropped]
     columns = transpose(flatten_loop(fields))

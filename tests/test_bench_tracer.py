@@ -40,3 +40,14 @@ def test_tracer_sees_a_verdict_and_restores_the_library(tracer_module, capsys):
     assert tracer.calls["exactla.echelon"] >= 1
     assert exactla.echelon is echelon
     assert TensorField.__dict__["get"] is get
+
+
+def test_tracer_counts_every_call_that_cprofile_sees(monkeypatch):
+    # a library call made through a captured reference bypasses the wrapped
+    # binding, so the tracer would undercount it
+    monkeypatch.syspath_prepend(PERFBENCH)
+    for name in ("selfcheck", "run", "workloads", "tracer", "hostspeed"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import selfcheck
+
+    assert selfcheck.check_coverage() == []

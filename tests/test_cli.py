@@ -256,6 +256,14 @@ GOOD_ENTRY = {"upper": 1, "lower": [1, 2], "poly": "x3"}
             {"dim": 4, "christoffel": [dict(GOOD_ENTRY, poly="*".join(["(x1+x2+x3+x4)"] * 40))]},
             "term pairs",
         ),
+        ({"dim": 4, "christoffel": [dict(GOOD_ENTRY, upper=5)]}, "(5, 1, 2) out of range 1..4"),
+        ({"dim": 4, "christoffel": [dict(GOOD_ENTRY, upper=0)]}, "(0, 1, 2) out of range 1..4"),
+        ({"dim": 4, "christoffel": [dict(GOOD_ENTRY, lower=[1, 5])]}, "(1, 1, 5) out of range 1..4"),
+        ({"dim": 4, "christoffel": [dict(GOOD_ENTRY, lower=[-1, 2])]}, "(1, -1, 2) out of range 1..4"),
+        (
+            {"dim": 4, "christoffel": [dict(GOOD_ENTRY, lower=[1, 2, 3])]},
+            "lower index list must have 2 entries",
+        ),
     ],
 )
 def test_connection_document_type_errors_exit_2(tmp_path, capsys, document, message):

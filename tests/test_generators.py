@@ -143,17 +143,19 @@ def test_doubling_patterns_agree(ref_n0, ref_n1):
     assert equal(family["T17"].form.tensor, d4.scale(2))
 
 
-def test_doubled_d5_is_not_a_two_form(ref_n0):
-    doubled = doubled_d5_variant(ref_n0)
+def test_doubled_d5_is_not_a_two_form(ref_n0, ref_family):
+    doubled = doubled_d5_variant(ref_family)
+    assert equal(doubled, build_D_family(ref_n0)[4].scale(2))
     assert not doubled.is_zero
     assert not is_antisymmetric(doubled, 1, 2)
 
 
-def test_d3_jki_pattern_vanishes_identically(ref_n0, crooked_conn):
+def test_d3_jki_pattern_vanishes_identically(ref_family, crooked_conn):
     from natforms.generators import vanishing_d3_pattern
 
-    assert vanishing_d3_pattern(ref_n0).is_zero
-    assert vanishing_d3_pattern(Invariants(crooked_conn).normal0).is_zero
+    crooked = Invariants(crooked_conn)
+    assert vanishing_d3_pattern(ref_family).is_zero
+    assert vanishing_d3_pattern(build_T_list(crooked.normal0, crooked.normal1)).is_zero
 
 
 def test_torsion_free_connection_kills_d_part(symmetric_conn):
@@ -168,8 +170,8 @@ def test_family_rank_is_19_on_reference(ref_family):
     assert rank_bareiss(flatten_loop(fields), len(fields)) == 19
 
 
-def test_dropped_generator_is_dependent(ref_conn, ref_family, ref_n1):
-    dropped = dropped_c3_generator(ref_n1)
+def test_dropped_generator_is_dependent(ref_family):
+    dropped = dropped_c3_generator(ref_family)
     keep = ["T5", "T6", "T8", "T9", "T11"]
     fields = [ref_family[label].form.tensor for label in keep] + [dropped]
     columns = transpose(flatten_loop(fields))

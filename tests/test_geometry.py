@@ -228,6 +228,20 @@ def test_covariant_derivative_reference_spot_values(ref_conn):
 
 # -- exterior covariant differential ------------------------------------------------------
 
+def test_gamma_tables_are_built_once_per_connection(table_builds):
+    conn = reference_connection()
+    invariants = Invariants(conn)
+    for _ in range(2):
+        covariant_derivative(conn, invariants.torsion.tensor)
+        ext_cov_deriv_vector(conn, invariants.torsion)
+        ext_cov_deriv_endo(conn, curvature(conn))
+    assert equal(invariants.d_torsion.tensor, wedge_endo_identity(invariants.curvature).tensor)
+    assert invariants.d_curvature.tensor.is_zero
+    assert equal(invariants.d_identity.tensor, invariants.torsion.tensor)
+    assert not invariants.normal1.is_zero
+    assert len(table_builds) == 1 and table_builds[0] is conn
+
+
 def test_differential_of_identity_is_torsion(ref_conn, crooked_conn, symmetric_conn):
     for conn in (ref_conn, crooked_conn, symmetric_conn):
         d_id = ext_cov_deriv_vector(conn, identity_oneform(conn.dimension))
@@ -464,6 +478,13 @@ def test_tensor_identity_trace(ref_conn):
     traced = contract(lifted, 3, 1)
     for i, j in itertools.product(range(1, 5), repeat=2):
         assert traced.get((i, j), ()) == omega.get((i, j), ()).scale(N)
+
+
+def test_tensor_identity_refuses_a_non_antisymmetric_two_form():
+    comps = [Polynomial.zero(N)] * N**2
+    comps[1] = pp("x1")  # omega_12 = x1 while omega_21 = 0
+    with pytest.raises(ValueError, match="antisymmetric"):
+        tensor_identity(TensorField(TensorShape(2, 0, N), tuple(comps)))
 
 
 # -- exterior derivative -----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from natforms import geometry
-from natforms.geometry import connection_from_entries, flat_connection
+from natforms.geometry import connection_from_entries, flat_connection, reference_connection
 from natforms.poly import parse
 from natforms.verify import (
     Derived,
@@ -227,6 +227,12 @@ def test_verify_all_derives_once_per_connection(ref_conn, derivations):
     # the bundled connection plus the 20 bianchi draws
     verify_all(ref_conn, RandomConnectionSpec(seed=1), 20)
     assert derivations == {"torsion": 21, "curvature": 21}
+
+
+def test_verify_all_builds_gamma_tables_once_per_connection(table_builds):
+    # a fresh bundled connection plus the 20 bianchi draws
+    verify_all(reference_connection(), RandomConnectionSpec(seed=1), 20)
+    assert len(table_builds) == len(set(map(id, table_builds))) == 21
 
 
 @pytest.mark.parametrize("count", [1, 4])
