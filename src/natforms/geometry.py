@@ -16,17 +16,18 @@ Conventions, fixed once here and relied on everywhere else:
   so no bracket terms appear).  For degree 1 applied to the identity this
   yields exactly the torsion, and the two Bianchi identities hold
   componentwise; the test suite enforces both, which pins the convention.
-* One private loop computes every derivative here.  ``_direction_term``
-  takes d_k of one component and adds -Gamma for each covariant slot and
-  +Gamma for each contravariant slot it is given; its only caller,
-  ``_exterior_differential``, sums direction terms with alternating signs,
-  letting Gamma act on every slot after the form slots.  The covariant
-  derivative is that differential in degree 0, where Gamma acts on every
-  slot, with the direction slot then moved from first to last.  Gamma acts
+* One private loop, ``_exterior_differential``, computes every derivative
+  here.  For each output component it collects, over every direction with
+  its alternating sign, d_k of the component, -Gamma times it for each
+  covariant slot after the form slots and +Gamma times it for each
+  contravariant slot, and sums them in one accumulation,
+  ``Polynomial.combination``.  The covariant derivative is that
+  differential in degree 0, where Gamma acts on every slot, with the
+  direction slot then moved from first to last.  Gamma acts
   on the vector slot in ``ext_cov_deriv_vector``, on the endomorphism input
   and output in ``ext_cov_deriv_endo``, and on no slot in
   ``exterior_derivative``.  The alternating sum is evaluated only at
-  strictly increasing direction tuples, each direction term once, and
+  strictly increasing direction tuples, one accumulation each, and
   every other ordering is filled by alternation (the input form
   alternates; its wrapper checks that), so components with a repeated
   direction are zero.  ``torsion`` and ``curvature`` keep their own
@@ -37,12 +38,14 @@ Conventions, fixed once here and relied on everywhere else:
 * ``Invariants`` is the one place where those formulas are applied to a
   connection: it computes torsion and curvature once, and from them the
   normal tensors and both structure differentials, for every caller.
+  Curvature and N1 are, like the differentials, one accumulation per
+  component: N1 sums permuted copies of R and D Tor with ``combine`` and
+  adds the torsion products read from Tor's nonzero components.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -54,10 +57,11 @@ from .tensor import (
     TensorShape,
     _doc_indices,
     _doc_int,
+    _doc_json,
     _doc_text,
     _flat,
     antisymmetrize_pair,
-    contract,
+    combine,
     delta,
     is_antisymmetric,
     permute_covariant,
@@ -196,7 +200,8 @@ def connection_to_json_obj(conn: Connection) -> dict:
 
 def load_connection(path: str) -> Connection:
     with open(path, "r", encoding="utf-8") as handle:
-        return connection_from_json_obj(json.load(handle))
+        text = handle.read()
+    return connection_from_json_obj(_doc_json(text, "connection document"))
 
 
 # -- form wrappers ---------------------------------------------------------------
@@ -272,41 +277,26 @@ def curvature(conn: Connection) -> EndValuedForm:
     zero = Polynomial.zero(n)
     comps = []
     for i, j, k, l in itertools.product(range(n), repeat=4):
-        acc = zero
+        pairs = []
         g = gamma[(l * n + j) * n + k]  # Gamma^l_{jk}
-        if not g.is_zero:
-            acc = g.partial_derivative(i + 1)
+        if g.numerators:
+            pairs.append((1, g.partial_derivative(i + 1)))
         g = gamma[(l * n + i) * n + k]  # Gamma^l_{ik}
-        if not g.is_zero:
-            acc = acc - g.partial_derivative(j + 1)
+        if g.numerators:
+            pairs.append((-1, g.partial_derivative(j + 1)))
         # in_table[j][k] lists (m, Gamma^m_{jk}) over the nonzero entries
-        for m, g_jk in in_table[j][k]:
-            g_im = gamma[(l * n + i) * n + m]
-            if not g_im.is_zero:
-                acc = acc + g_jk * g_im
-        for m, g_ik in in_table[i][k]:
-            g_jm = gamma[(l * n + j) * n + m]
-            if not g_jm.is_zero:
-                acc = acc - g_ik * g_jm
-        comps.append(acc)
+        products = [
+            (1, g_jk, g_im)
+            for m, g_jk in in_table[j][k]
+            if (g_im := gamma[(l * n + i) * n + m]).numerators
+        ]
+        products += [
+            (-1, g_ik, g_jm)
+            for m, g_ik in in_table[i][k]
+            if (g_jm := gamma[(l * n + j) * n + m]).numerators
+        ]
+        comps.append(Polynomial.combination(n, pairs, products) if pairs or products else zero)
     return EndValuedForm(2, TensorField(TensorShape(3, 1, n), tuple(comps)))
-
-
-def _direction_term(tables, src, n, k, base, covariant, contravariant) -> Polynomial:
-    """d_k of the component of ``src`` at ``base`` (0-based indices over all
-    slots, direction k 0-based), minus Gamma^m_{k a} times the component with
-    a -> m for each slot position in ``covariant``, plus Gamma^l_{k m} times
-    the component with l -> m for each slot position in ``contravariant``."""
-    pos = _flat(n, base)
-    term = src[pos].partial_derivative(k + 1)
-    for slots, table, sign in zip((covariant, contravariant), tables, (-1, 1)):
-        for s in slots:
-            step = n ** (len(base) - 1 - s)
-            for m, g in table[k][base[s]]:
-                comp = src[pos + (m - base[s]) * step]
-                if not comp.is_zero:
-                    term = term + g * comp if sign > 0 else term - g * comp
-    return term
 
 
 def covariant_derivative(conn: Connection, field: TensorField) -> TensorField:
@@ -337,17 +327,22 @@ def _orderings(directions: tuple[int, ...]):
 
 
 def _exterior_differential(tables, field: TensorField, degree: int) -> TensorField:
-    """Alternating sum of direction terms of a field whose first ``degree``
-    covariant slots alternate; Gamma acts on every later slot.
+    """Alternating sum of covariant derivatives of a field whose first
+    ``degree`` covariant slots alternate; Gamma acts on every later slot.
 
     (d field)_{i0..ik, v} = sum_r (-1)^r D_{i_r} field_{..omit r.., v}, where
-    v runs over the slots after the form slots.  The sum is evaluated at
-    strictly increasing (i0..ik) only, each term once; every other ordering
-    gets the same value times the permutation's sign, and components with a
-    repeated direction are zero.
+    v runs over the slots after the form slots and D_k is d_k minus
+    Gamma^m_{k a} on each covariant slot a and plus Gamma^l_{k m} on each
+    contravariant slot l.  The sum is evaluated at strictly increasing
+    (i0..ik) only, as one combination of the d_k terms and Gamma products;
+    every other ordering gets the same value times the permutation's sign,
+    and components with a repeated direction are zero.
     """
     n, p, q = field.shape.n, field.shape.p, field.shape.q
-    cov, contra = range(degree, p), range(p, p + q)
+    in_table, out_table = tables
+    # (slot, stride, table, sign) for each slot Gamma acts on
+    acted = [(s, n ** (p + q - 1 - s), in_table, -1) for s in range(degree, p)]
+    acted += [(s, n ** (p + q - 1 - s), out_table, 1) for s in range(p, p + q)]
     src = field.components
     zero = Polynomial.zero(n)
     comps = [zero] * n ** (p + 1 + q)
@@ -355,11 +350,27 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
     values = list(itertools.product(range(n), repeat=p + q - degree))
     for directions in itertools.combinations(range(n), degree + 1):
         targets = [(_flat(n, ordering) * block, sign) for ordering, sign in _orderings(directions)]
-        omitted = [(k, directions[:r] + directions[r + 1 :]) for r, k in enumerate(directions)]
+        omitted = [
+            (k, -1 if r % 2 else 1, directions[:r] + directions[r + 1 :])
+            for r, k in enumerate(directions)
+        ]
         for offset, value in enumerate(values):  # product order is flat order
-            for r, (k, rest) in enumerate(omitted):
-                term = _direction_term(tables, src, n, k, rest + value, cov, contra)
-                acc = (acc - term if r % 2 else acc + term) if r else term
+            pairs, products = [], []
+            for k, sign, rest in omitted:
+                index = rest + value
+                pos = _flat(n, index)
+                comp = src[pos]
+                if comp.numerators:
+                    pairs.append((sign, comp.partial_derivative(k + 1)))
+                for s, stride, table, gamma_sign in acted:
+                    a = index[s]
+                    for m, g in table[k][a]:
+                        comp = src[pos + (m - a) * stride]
+                        if comp.numerators:
+                            products.append((sign * gamma_sign, g, comp))
+            if not pairs and not products:
+                continue
+            acc = Polynomial.combination(n, pairs, products)
             if acc.is_zero:
                 continue
             negated = -acc if degree else acc  # degree 0 has one ordering, the identity
@@ -459,26 +470,43 @@ class Invariants:
     def normal1(self) -> TensorField:
         """First-order normal tensor, expressed through curvature and torsion:
 
-        N^l_{ijk} = -1/6 ( -3 R^l_{kij} + R^l_{jki} - R^l_{ijk}
-                           - 2 (DTor)^l_{ijk} - 2 (DTor)^l_{kji}
-                           + Tor^m_{kj} Tor^l_{mi} + 1/2 Tor^m_{ij} Tor^l_{km} ).
+        N^l_{ijk} = 1/12 ( 6 R^l_{kij} - 2 R^l_{jki} + 2 R^l_{ijk}
+                           + 4 (DTor)^l_{ijk} + 4 (DTor)^l_{kji}
+                           - 2 Tor^m_{kj} Tor^l_{mi} - Tor^m_{ij} Tor^l_{km} ),
 
-        Its full symmetrization over (i,j,k) vanishes; the verification suite
-        checks that identity on randomized connections.
+        one combination per component; the torsion products pair nonzero
+        components only.  Its full symmetrization over (i,j,k) vanishes; the
+        verification suite checks that identity on randomized connections.
         """
+        n = self.conn.dimension
         tor = self.torsion.tensor
         r = self.curvature.tensor
         dtor = covariant_derivative(self.conn, tor)
-        tor_tor = tensor_product(tor, tor)  # Tor^m_{ab} Tor^l_{cd}: cov (a,b,c,d), contra (m,l)
-        total = (
-            permute_covariant(r, (3, 1, 2)).scale(-3)
-            + permute_covariant(r, (2, 3, 1))
-            - r
-            - (dtor + permute_covariant(dtor, (3, 2, 1))).scale(2)
-            + permute_covariant(contract(tor_tor, 3, 1), (3, 2, 1))  # Tor^m_{kj} Tor^l_{mi}
-            + contract(tor_tor, 4, 1).scale(Fraction(1, 2))  # Tor^m_{ij} Tor^l_{km}
-        )
-        return total.scale(Fraction(-1, 6))
+        # nonzero Tor^m_{ab} as (a, b, m, component), 0-based, and listed by
+        # first lower index a as (b, m, component) and by second b as (a, m, component)
+        entries = [
+            (pos // (n * n), pos // n % n, pos % n, tor.components[pos]) for pos in tor.support
+        ]
+        by_first: list[list] = [[] for _ in range(n)]
+        by_second: list[list] = [[] for _ in range(n)]
+        for a, b, m, t in entries:
+            by_first[a].append((b, m, t))
+            by_second[b].append((a, m, t))
+        products: dict[int, list] = {}
+        for a, b, m, t in entries:
+            for i, l, u in by_first[m]:  # Tor^m_{kj} Tor^l_{mi} with (k, j) = (a, b)
+                products.setdefault(((i * n + b) * n + a) * n + l, []).append((-2, t, u))
+            for k, l, u in by_second[m]:  # Tor^m_{ij} Tor^l_{km} with (i, j) = (a, b)
+                products.setdefault(((a * n + b) * n + k) * n + l, []).append((-1, t, u))
+        identity = (1, 2, 3)
+        terms = [
+            (6, r, (3, 1, 2)),
+            (-2, r, (2, 3, 1)),
+            (2, r, identity),
+            (4, dtor, identity),
+            (4, dtor, (3, 2, 1)),
+        ]
+        return combine(r.shape, terms, products).scale(Fraction(1, 12))
 
     @cached_property
     def d_torsion(self) -> VectorValuedForm:

@@ -25,6 +25,13 @@ Polynomials are immutable, so arithmetic shares rather than copies: a sum
 or product with a zero operand, a scaling by 1 and a partial derivative of
 zero return an operand itself.
 
+:meth:`Polynomial.combination` is the fused kernel behind the sums that
+make up a derived quantity: it adds integer multiples of many polynomials
+and of many products of two into one numerator map over the lcm of the
+term denominators, with one gcd at the end, where a chain of ``+``, ``-``
+and ``*`` would build a polynomial per operation.  Its product loop is the
+one ``*`` runs.
+
 The canonical term order is graded lexicographic on exponent tuples
 (total degree first, then the tuple itself).  It fixes the printed form.
 """
@@ -34,7 +41,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, Mapping
+from operator import add
+from typing import Iterator, Mapping, Sequence
 
 # Exponent tuple, one non-negative entry per coordinate x1..xn.
 Monomial = tuple[int, ...]
@@ -88,6 +96,32 @@ def _numerators(coeffs: Mapping[Monomial, Coefficient]) -> tuple[dict[Monomial, 
     # denominators have no factor in common with it
     den = math.lcm(*[c.denominator for c in nonzero.values()])
     return {mono: c.numerator * (den // c.denominator) for mono, c in nonzero.items()}, den
+
+
+def _check_pairs(a: Mapping, b: Mapping) -> None:
+    """Refuse a product of more than ``_MAX_TERM_PAIRS`` term pairs."""
+    if len(a) * len(b) > _MAX_TERM_PAIRS:
+        raise ValueError(
+            f"product of {len(a)} and {len(b)} terms exceeds {_MAX_TERM_PAIRS} term pairs"
+        )
+
+
+def _add_product(
+    out: dict[Monomial, int], a: Mapping[Monomial, int], b: Mapping[Monomial, int], factor: int
+) -> None:
+    """Add factor * a * b into the numerator map ``out``; entries may cancel
+    to 0 and are left for the caller to drop."""
+    get = out.get
+    for ma, ca in a.items():
+        ca *= factor
+        for mb, cb in b.items():
+            mono = tuple(map(add, ma, mb))
+            out[mono] = get(mono, 0) + ca * cb
+
+
+def _nonzero(out: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The numerator map without the entries that cancelled to 0."""
+    return {mono: c for mono, c in out.items() if c} if 0 in out.values() else out
 
 
 class Polynomial:
@@ -154,6 +188,58 @@ class Polynomial:
                     denominator //= g
                     numerators = {mono: c // g for mono, c in numerators.items()}
         return cls._make(dimension, numerators, denominator)
+
+    @classmethod
+    def combination(
+        cls,
+        dimension: int,
+        pairs: Sequence[tuple[int, Polynomial]],
+        products: Sequence[tuple[int, Polynomial, Polynomial]] = (),
+    ) -> Polynomial:
+        """sum c * p over the (c, p) pairs plus sum c * p * q over the
+        (c, p, q) products, each c an ``int``.
+
+        Every term is added into one numerator map over the lcm of the term
+        denominators, and lowest terms are restored once.  Each product is
+        held to the term-pair bound of ``*``, and all of them are checked
+        before any term is added.  A lone pair (1, p) is p itself.
+        """
+        den = 1
+        for c, p in pairs:
+            if type(c) is not int or p.dimension != dimension:
+                cls._refuse_term(dimension, c, p)
+            if p.denominator != 1:
+                den = math.lcm(den, p.denominator)
+        for c, p, q in products:
+            if type(c) is not int or p.dimension != dimension or q.dimension != dimension:
+                cls._refuse_term(dimension, c, p, q)
+            _check_pairs(p.numerators, q.numerators)
+            if p.denominator != 1 or q.denominator != 1:
+                den = math.lcm(den, p.denominator * q.denominator)
+        if not products and len(pairs) == 1 and pairs[0][0] == 1:
+            return pairs[0][1]
+        out: dict[Monomial, int] = {}
+        get = out.get
+        for c, p in pairs:
+            factor = c * (den // p.denominator)
+            for mono, num in p.numerators.items():
+                out[mono] = get(mono, 0) + num * factor
+        for c, p, q in products:
+            factor = c * (den // (p.denominator * q.denominator))
+            _add_product(out, p.numerators, q.numerators, factor)
+        return cls._lowest_terms(dimension, _nonzero(out), den)
+
+    @staticmethod
+    def _refuse_term(dimension: int, c: object, *polys: Polynomial) -> None:
+        """Raise for a combination term whose coefficient is not an ``int`` or
+        whose polynomials are not in ``dimension`` variables."""
+        if type(c) is not int:
+            raise TypeError(
+                f"combination coefficients must be int, got {type(c).__name__} {c!r}"
+            )
+        for poly in polys:
+            if poly.dimension != dimension:
+                raise ValueError(f"dimension mismatch: {dimension} vs {poly.dimension}")
 
     @classmethod
     def zero(cls, dimension: int) -> Polynomial:
@@ -274,27 +360,11 @@ class Polynomial:
             return self
         if not b:
             return other
-        pairs = len(a) * len(b)
-        if pairs > _MAX_TERM_PAIRS:
-            raise ValueError(
-                f"product of {len(a)} and {len(b)} terms exceeds "
-                f"{_MAX_TERM_PAIRS} term pairs"
-            )
+        _check_pairs(a, b)
         out: dict[Monomial, int] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                acc = out.get(mono)
-                if acc is None:
-                    out[mono] = ca * cb
-                else:
-                    acc += ca * cb
-                    if acc:
-                        out[mono] = acc
-                    else:
-                        del out[mono]
+        _add_product(out, a, b, 1)
         return Polynomial._lowest_terms(
-            self.dimension, out, self.denominator * other.denominator
+            self.dimension, _nonzero(out), self.denominator * other.denominator
         )
 
     def __rmul__(self, other: Coefficient) -> Polynomial:

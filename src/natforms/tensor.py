@@ -10,15 +10,19 @@ Most components of the fields built here are zero, so the kernels read
 only the nonzero ones: a field's :attr:`TensorField.support`, the ascending
 positions of its nonzero components, is computed on first read and kept on
 the immutable field.  :func:`is_antisymmetric`, :func:`tensor_product`,
-``is_zero`` and the echelon rows of :mod:`natforms.exactla` walk it.
+:func:`combine`, ``is_zero`` and the echelon rows of :mod:`natforms.exactla`
+walk it.
 
 One private gather, ``_gather``, does every reindexing: an output
 component sums the source at a remapped index over dummy indices, and is
 zero off a Kronecker-delta diagonal.  It runs as a scatter over the
 source's support.  :func:`contract`,
 :func:`permute_covariant` and :func:`natforms.generators.apply_scheme`
-are gathers.  Outside this module only the derivative kernel of
-:mod:`natforms.geometry` reads the storage layout directly; the echelon in
+are gathers.  :func:`combine` sums integer multiples of slot-permuted
+fields the same way, as one scatter over each field's support followed by
+one :meth:`Polynomial.combination` per touched position.  Outside this
+module only the derivative kernel and N1 of :mod:`natforms.geometry` read
+the storage layout directly; the echelon in
 :mod:`natforms.exactla` reads components by position and gives the
 indices no meaning.
 
@@ -31,9 +35,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .poly import Coefficient, Polynomial, _coefficient, parse, to_string
 
@@ -292,6 +296,49 @@ def permute_covariant(a: TensorField, perm: Sequence[int]) -> TensorField:
     return _gather(a, a.shape, [s - 1 for s in perm] + list(range(p, p + q)))
 
 
+@lru_cache(maxsize=64)
+def _permuted_positions(n: int, p: int, q: int, perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Where each source position of a (p,q) field lands under
+    ``permute_covariant`` by perm: source slot s reads output slot
+    perm[s] - 1, and the contravariant slots stay."""
+    slots = p + q
+    weights = [n ** (slots - o) for o in perm]
+    weights += [n ** (slots - 1 - s) for s in range(p, slots)]
+    return tuple(_offsets(n, weights))
+
+
+def combine(
+    shape: TensorShape,
+    terms: Sequence[tuple[int, TensorField, Sequence[int]]],
+    products: Mapping[int, Sequence[tuple[int, Polynomial, Polynomial]]] | None = None,
+) -> TensorField:
+    """sum c * permute_covariant(field, perm) over the (c, field, perm) terms,
+    each c an ``int`` and each field of ``shape``, plus, at each storage
+    position in ``products``, sum c * f * g over its (c, f, g) triples.
+
+    One scatter over each field's support collects the polynomials that land
+    at each output position; each touched position is then one
+    :meth:`Polynomial.combination`, so a lone (1, p) term is p itself.
+    """
+    n, p, q = shape.n, shape.p, shape.q
+    collected: dict[int, list[tuple[int, Polynomial]]] = {}
+    for c, field, perm in terms:
+        if field.shape != shape:
+            raise ValueError(f"shape mismatch: {field.shape} vs {shape}")
+        perm = tuple(perm)
+        _check_permutation(perm, p)
+        lands = _permuted_positions(n, p, q, perm)
+        comps = field.components
+        for pos in field.support:
+            collected.setdefault(lands[pos], []).append((c, comps[pos]))
+    products = products or {}
+    zero_poly = Polynomial.zero(n)
+    out = [zero_poly] * shape.size
+    for pos in collected.keys() | products.keys():
+        out[pos] = Polynomial.combination(n, collected.get(pos, ()), products.get(pos, ()))
+    return TensorField(shape, tuple(out))
+
+
 def _swap_perm(p: int, s1: int, s2: int) -> tuple[int, ...]:
     perm = list(range(1, p + 1))
     perm[s1 - 1], perm[s2 - 1] = perm[s2 - 1], perm[s1 - 1]
@@ -429,5 +476,14 @@ def dumps(a: TensorField) -> str:
     return json.dumps(to_json_obj(a), indent=2)
 
 
+def _doc_json(text: str, what: str):
+    """Decode a JSON document; nesting deeper than the decoder can follow is a
+    ValueError like any other malformed document."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} nests deeper than the JSON decoder can follow") from None
+
+
 def loads(text: str) -> TensorField:
-    return from_json_obj(json.loads(text))
+    return from_json_obj(_doc_json(text, "tensor document"))

@@ -57,10 +57,10 @@ from .tensor import (
     TensorField,
     TensorShape,
     antisymmetrize_pair,
+    combine,
     contract,
     equal,
     is_antisymmetric,
-    permute_covariant,
     tensor_product,
     zero,
 )
@@ -459,8 +459,8 @@ def verify_bianchi(spec: RandomConnectionSpec, count: int = 20) -> Verdict:
         second = q.d_curvature.tensor.is_zero
         d_identity = equal(q.d_identity.tensor, q.torsion.tensor)
         n1 = q.normal1
-        pieces = [permute_covariant(n1, perm) for perm in itertools.permutations((1, 2, 3))]
-        symmetrization_zero = sum(pieces[1:], pieces[0]).is_zero
+        symmetrization = [(1, n1, perm) for perm in itertools.permutations((1, 2, 3))]
+        symmetrization_zero = combine(n1.shape, symmetrization).is_zero
         ok = first and second and d_identity and symmetrization_zero
         all_ok = all_ok and ok
         runs.append(

@@ -330,6 +330,19 @@ def test_deeply_nested_tensor_text_exits_2(tmp_path, capsys, text):
     assert "nesting deeper than 100 (at position 100)" in capsys.readouterr().err
 
 
+def test_json_nested_past_the_decoder_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" * 100000)
+    assert run(["verify", "lemma-3.4", "--connection", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "connection document nests deeper than the JSON decoder can follow" in captured.err
+    assert captured.out == ""
+    assert run(["rank", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "tensor document nests deeper than the JSON decoder can follow" in captured.err
+    assert captured.out == ""
+
+
 def test_nesting_100_deep_still_parses(tmp_path, capsys):
     assert parse("-" * 100 + "x1", 4) == parse("x1", 4)
     assert parse("(" * 100 + "x1" + ")" * 100, 4) == parse("x1", 4)

@@ -486,3 +486,71 @@ def test_parse_budget_admits_small_products_and_expanded_text():
     assert len(parse("*".join(["(x1+x2+x3+x4)"] * 8), 4).terms) == 165
     expanded = " + ".join(f"{i + 1}*x1^{i}*x2*x3^2*x4" for i in range(3000))
     assert len(parse(expanded, 4).terms) == 3000
+
+
+# -- the fused combination kernel ---------------------------------------------------
+
+int_factors = st.integers(min_value=-5, max_value=5)
+
+
+@given(
+    st.lists(st.tuples(int_factors, term_maps), max_size=4),
+    st.lists(st.tuples(int_factors, term_maps, term_maps), max_size=3),
+)
+@settings(max_examples=150)
+def test_combination_equals_the_all_fraction_reference(pairs, products):
+    want: dict = {}
+    for c, t in pairs:
+        want = add_terms(want, scale_terms(t, c))
+    for c, ta, tb in products:
+        want = add_terms(want, scale_terms(mul_terms(ta, tb), c))
+    got = Polynomial.combination(
+        N_VARS,
+        [(c, Polynomial(N_VARS, t)) for c, t in pairs],
+        [(c, Polynomial(N_VARS, ta), Polynomial(N_VARS, tb)) for c, ta, tb in products],
+    )
+    assert got.terms == want
+    assert _has_coefficient_contract(got)
+    assert _has_lowest_terms(got)
+
+
+def test_combination_that_cancels_fully_is_zero_over_one():
+    a, b = p("1/3*x1 - 1/6*x2^2"), p("1/2*x3 + 2/5")
+    one = Polynomial.constant(4, 1)
+    got = Polynomial.combination(4, [(3, a), (-1, a * b)], [(-3, a, one), (1, a, b)])
+    assert got.is_zero
+    assert (got.numerators, got.denominator) == ({}, 1)
+    assert got == Polynomial.zero(4)
+
+
+def test_combination_of_a_lone_unit_pair_is_the_operand():
+    x = p("x1 - 1/2*x3")
+    assert Polynomial.combination(4, [(1, x)]) is x
+    assert Polynomial.combination(4, [(-1, x)]) == -x
+    assert Polynomial.combination(4, []) == Polynomial.zero(4)
+
+
+def test_combination_refuses_bad_terms():
+    x = p("x1")
+    with pytest.raises(TypeError, match="must be int"):
+        Polynomial.combination(4, [(Fraction(1, 2), x)])
+    with pytest.raises(TypeError, match="must be int"):
+        Polynomial.combination(4, [], [(True, x, x)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Polynomial.combination(4, [(1, p("x1", 3))])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Polynomial.combination(4, [], [(1, x, p("x1", 3))])
+
+
+def test_combination_refuses_a_product_above_the_bound_before_any_work(monkeypatch):
+    from natforms import poly
+    from natforms.poly import _MAX_TERM_PAIRS
+
+    a = Polynomial(2, {(e, 0): 1 for e in range(1001)})
+    b = Polynomial(2, {(0, e): 1 for e in range(_MAX_TERM_PAIRS // 1001 + 1)})
+    added = []
+    monkeypatch.setattr(poly, "_add_product", lambda *args: added.append(args))
+    # the refused product comes after one of 1001 * 1000 pairs, within the bound
+    with pytest.raises(ValueError, match="term pairs"):
+        Polynomial.combination(2, [(1, a)], [(1, a, a.partial_derivative(1)), (2, a, b)])
+    assert added == []

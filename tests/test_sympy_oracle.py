@@ -1,11 +1,15 @@
-"""Torsion, curvature and d-nabla Tor against an independent sympy computation.
+"""The connection calculus against an independent sympy computation.
 
-The reference side parses each Christoffel entry's text with sympy and
-evaluates the formulas of the ``natforms.geometry`` module docstring and of
-``ext_cov_deriv_vector``'s docstring in sympy expressions; no natforms
-function runs on it.  Each component is compared exactly, as a map from
-exponent tuple to ``Fraction``: ``Polynomial.terms`` on the library side,
-``sympy.Poly(...).as_dict()`` on the reference side.  Internal identities
+Torsion, curvature, the covariant derivative of the torsion, d-nabla Tor,
+d-nabla R, d-nabla of the endomorphism-valued 2-form dGamma (the part of R
+linear in Gamma, which is not closed) and the normal tensor N1.  The
+reference side parses each Christoffel entry's text with sympy and
+evaluates the formulas of the ``natforms.geometry`` docstrings in sympy
+polynomials over the rationals, N1 in its original -1/6 form and every
+ordering of the form directions directly; no natforms function runs on it.
+Each component is compared exactly, as a map from exponent tuple to
+``Fraction``: ``Polynomial.terms`` on the library side,
+``sympy.Poly.as_dict()`` on the reference side.  Internal identities
 such as the Bianchi identities can all pass with one sign error running
 through every function; this comparison cannot.
 """
@@ -19,12 +23,17 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from natforms.geometry import (  # noqa: E402
+    EndValuedForm,
+    Invariants,
     connection_from_entries,
+    covariant_derivative,
     curvature,
+    ext_cov_deriv_endo,
     ext_cov_deriv_vector,
     torsion,
 )
 from natforms.poly import parse  # noqa: E402
+from natforms.tensor import TensorField, TensorShape  # noqa: E402
 
 # The bundled connection, as in testdata/paper_connection.json.
 BUNDLED = {(1, 1, 2): "x3", (3, 3, 1): "x2*x4", (3, 4, 3): "x1*x4"}
@@ -62,21 +71,49 @@ CONNECTIONS = {
 
 
 def sympy_invariants(n, entries):
-    """Tor^l_{ij}, R^l_{ijk} and (d Tor)^l_{i0 i1 i2}, keyed by (l, lower
-    indices), all 1-based, as sympy expressions."""
+    """The reference quantities as ``sympy.Poly`` values, keyed by (l, lower
+    indices), all 1-based: Tor^l_{ij}, R^l_{ijk}, (D Tor)^l_{ijk} with the
+    direction k last, (d Tor)^l_{i0 i1 i2}, (d R)^l_{i0 i1 i2 a}, dGamma^l_{ij a}
+    = d_i Gamma^l_{ja} - d_j Gamma^l_{ia}, (d dGamma)^l_{i0 i1 i2 a} and
+    N^l_{ijk}."""
     xs = sympy.symbols(f"x1:{n + 1}")
     names = {str(x): x for x in xs}
     gamma = {
-        key: sympy.parse_expr(text.replace("^", "**"), local_dict=names)
+        key: sympy.Poly(
+            sympy.parse_expr(text.replace("^", "**"), local_dict=names), *xs, domain="QQ"
+        )
         for key, text in entries.items()
     }
+    zero = sympy.Poly(0, *xs, domain="QQ")
     idx = range(1, n + 1)
 
     def g(l, i, j):
-        return gamma.get((l, i, j), sympy.Integer(0))
+        return gamma.get((l, i, j), zero)
 
-    def d(expr, i):
-        return sympy.diff(expr, xs[i - 1])
+    def d(poly, i):
+        return poly.diff(xs[i - 1])
+
+    def times(a, b):
+        return zero if a.is_zero or b.is_zero else a * b
+
+    def total(polys):
+        return sum((p for p in polys if not p.is_zero), zero)
+
+    def d_nabla_endo(beta):
+        """d-nabla of an endomorphism-valued 2-form keyed (l, i, j, a)."""
+        out = {}
+        for l, *directions, a in itertools.product(idx, repeat=5):
+            terms = []
+            for r, i_r in enumerate(directions):
+                rest = tuple(directions[:r] + directions[r + 1 :])
+                term = (
+                    d(beta[(l, *rest, a)], i_r)
+                    + total(times(g(l, i_r, m), beta[(m, *rest, a)]) for m in idx)
+                    - total(times(g(m, i_r, a), beta[(l, *rest, m)]) for m in idx)
+                )
+                terms.append(-term if r % 2 else term)
+            out[(l, *directions, a)] = total(terms)
+        return out
 
     tor = {(l, i, j): g(l, i, j) - g(l, j, i) for l, i, j in itertools.product(idx, repeat=3)}
     curv = {}
@@ -84,22 +121,54 @@ def sympy_invariants(n, entries):
         curv[l, i, j, k] = (
             d(g(l, j, k), i)
             - d(g(l, i, k), j)
-            + sum(g(m, j, k) * g(l, i, m) - g(m, i, k) * g(l, j, m) for m in idx)
+            + total(times(g(m, j, k), g(l, i, m)) - times(g(m, i, k), g(l, j, m)) for m in idx)
+        )
+    cov_tor = {}
+    for l, i, j, k in itertools.product(idx, repeat=4):
+        cov_tor[l, i, j, k] = d(tor[l, i, j], k) + total(
+            times(g(l, k, m), tor[m, i, j])
+            - times(g(m, k, i), tor[l, m, j])
+            - times(g(m, k, j), tor[l, i, m])
+            for m in idx
         )
     d_tor = {}
     for l, *directions in itertools.product(idx, repeat=4):
-        total = sympy.Integer(0)
+        terms = []
         for r, i_r in enumerate(directions):
             rest = tuple(directions[:r] + directions[r + 1 :])
-            total += (-1) ** r * (
-                d(tor[(l, *rest)], i_r) + sum(g(l, i_r, m) * tor[(m, *rest)] for m in idx)
+            term = d(tor[(l, *rest)], i_r) + total(
+                times(g(l, i_r, m), tor[(m, *rest)]) for m in idx
             )
-        d_tor[(l, *directions)] = total
-    return xs, tor, curv, d_tor
+            terms.append(-term if r % 2 else term)
+        d_tor[(l, *directions)] = total(terms)
+    d_gamma = {
+        (l, i, j, a): d(g(l, j, a), i) - d(g(l, i, a), j)
+        for l, i, j, a in itertools.product(idx, repeat=4)
+    }
+    normal1 = {}
+    for l, i, j, k in itertools.product(idx, repeat=4):
+        normal1[l, i, j, k] = (
+            -3 * curv[l, k, i, j]
+            + curv[l, j, k, i]
+            - curv[l, i, j, k]
+            - 2 * cov_tor[l, i, j, k]
+            - 2 * cov_tor[l, k, j, i]
+            + total(times(tor[m, k, j], tor[l, m, i]) for m in idx)
+            + total(times(tor[m, i, j], tor[l, k, m]) for m in idx) * sympy.Rational(1, 2)
+        ) * sympy.Rational(-1, 6)
+    return {
+        "torsion": tor,
+        "curvature": curv,
+        "cov_torsion": cov_tor,
+        "d_torsion": d_tor,
+        "d_curvature": d_nabla_endo(curv),
+        "d_gamma": d_gamma,
+        "d_d_gamma": d_nabla_endo(d_gamma),
+        "normal1": normal1,
+    }
 
 
-def sympy_terms(expr, xs):
-    poly = sympy.Poly(sympy.expand(expr), *xs)
+def sympy_terms(poly):
     return {
         tuple(int(e) for e in mono): Fraction(int(c.p), int(c.q))
         for mono, c in poly.as_dict().items()
@@ -118,31 +187,74 @@ def both_sides(request):
     return request.param, conn, sympy_invariants(n, entries)
 
 
-def assert_components_agree(field, reference, xs):
-    for (l, *lower), expr in reference.items():
+def assert_components_agree(field, reference):
+    for (l, *lower), poly in reference.items():
         got = natforms_terms(field.get(tuple(lower), (l,)))
-        assert got == sympy_terms(expr, xs), (l, *lower)
+        assert got == sympy_terms(poly), (l, *lower)
+
+
+def d_gamma_form(conn):
+    """dGamma^l_{ij a} = d_i Gamma^l_{ja} - d_j Gamma^l_{ia}, built by hand."""
+    n = conn.dimension
+    comps = []
+    for i, j, a, l in itertools.product(range(1, n + 1), repeat=4):
+        comps.append(
+            conn.gamma(l, j, a).partial_derivative(i) - conn.gamma(l, i, a).partial_derivative(j)
+        )
+    return EndValuedForm(2, TensorField(TensorShape(3, 1, n), tuple(comps)))
 
 
 def test_torsion_matches_sympy(both_sides):
-    _, conn, (xs, tor, _, _) = both_sides
-    assert_components_agree(torsion(conn).tensor, tor, xs)
+    _, conn, reference = both_sides
+    assert_components_agree(torsion(conn).tensor, reference["torsion"])
 
 
 def test_curvature_matches_sympy(both_sides):
-    _, conn, (xs, _, curv, _) = both_sides
-    assert_components_agree(curvature(conn).tensor, curv, xs)
+    _, conn, reference = both_sides
+    assert_components_agree(curvature(conn).tensor, reference["curvature"])
 
 
 def test_d_torsion_matches_sympy(both_sides):
-    _, conn, (xs, _, _, d_tor) = both_sides
-    assert_components_agree(ext_cov_deriv_vector(conn, torsion(conn)).tensor, d_tor, xs)
+    _, conn, reference = both_sides
+    d_tor = ext_cov_deriv_vector(conn, torsion(conn)).tensor
+    assert_components_agree(d_tor, reference["d_torsion"])
+
+
+def test_covariant_derivative_of_torsion_matches_sympy(both_sides):
+    _, conn, reference = both_sides
+    cov_tor = covariant_derivative(conn, torsion(conn).tensor)
+    assert_components_agree(cov_tor, reference["cov_torsion"])
+
+
+def test_d_curvature_matches_sympy(both_sides):
+    _, conn, reference = both_sides
+    d_curv = ext_cov_deriv_endo(conn, curvature(conn)).tensor
+    assert_components_agree(d_curv, reference["d_curvature"])
+
+
+def test_d_of_an_unclosed_endomorphism_form_matches_sympy(both_sides):
+    _, conn, reference = both_sides
+    form = d_gamma_form(conn)
+    assert_components_agree(form.tensor, reference["d_gamma"])
+    assert_components_agree(ext_cov_deriv_endo(conn, form).tensor, reference["d_d_gamma"])
+
+
+def test_normal1_matches_sympy(both_sides):
+    _, conn, reference = both_sides
+    assert_components_agree(Invariants(conn).normal1, reference["normal1"])
 
 
 def test_the_oracle_sees_nonzero_quantities(both_sides):
     # a comparison of zeros alone would show nothing: every connection here
-    # is curved, and all but the symmetric one have torsion and d Tor
-    name, _, (_, tor, curv, d_tor) = both_sides
-    assert any(sympy.expand(e) != 0 for e in curv.values())
-    for quantity in (tor, d_tor):
-        assert any(sympy.expand(e) != 0 for e in quantity.values()) == (name != "symmetric")
+    # is curved and has a non-closed dGamma, and all but the symmetric one
+    # have torsion, D Tor and d Tor; d R vanishes on every one of them
+    name, _, reference = both_sides
+
+    def nonzero(quantity):
+        return any(not poly.is_zero for poly in reference[quantity].values())
+
+    for quantity in ("curvature", "d_gamma", "d_d_gamma", "normal1"):
+        assert nonzero(quantity), quantity
+    for quantity in ("torsion", "cov_torsion", "d_torsion"):
+        assert nonzero(quantity) == (name != "symmetric"), quantity
+    assert not nonzero("d_curvature")

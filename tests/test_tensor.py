@@ -14,6 +14,7 @@ from natforms.tensor import (
     TensorField,
     TensorShape,
     antisymmetrize_pair,
+    combine,
     contract,
     delta,
     equal,
@@ -382,3 +383,42 @@ def test_lone_diagonal_component_is_not_antisymmetric():
     assert not is_antisymmetric(t, 1, 3)
     assert not is_antisymmetric(t, 1, 2)  # its partner (1,2,2) is zero
     assert_antisymmetry_matches_reference(t)
+
+
+# -- combine: one scatter, one combination per touched position ---------------------
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_combine_matches_permute_scale_and_add(data):
+    t = data.draw(sparse_fields())
+    u = data.draw(sparse_fields([(t.shape.p, t.shape.q)]).filter(lambda f: f.n == t.n))
+    slots = range(1, t.shape.p + 1)
+    terms = data.draw(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.sampled_from([t, u]), st.permutations(slots)),
+            max_size=4,
+        )
+    )
+    want = zero(t.shape)
+    for c, field, perm in terms:
+        want = want + permute_covariant_loop(field, perm).scale(c)
+    assert equal(combine(t.shape, terms), want)
+    # products added at t's nonzero positions; the factor read from u may be zero
+    products = {pos: [(2, t.components[pos], u.components[-1 - pos])] for pos in t.support}
+    comps = list(want.components)
+    for pos, [(c, f, g)] in products.items():
+        comps[pos] = comps[pos] + (f * g).scale(c)
+    assert equal(combine(t.shape, terms, products), TensorField(t.shape, tuple(comps)))
+
+
+def test_combine_shares_a_lone_unit_term_and_checks_its_terms():
+    t = field_from({((1, 2), (1,)): "x1 - 1/2*x3", ((2, 1), (2,)): "3"}, 2, 1)
+    got = combine(t.shape, [(1, t, (2, 1))])
+    assert equal(got, permute_covariant(t, (2, 1)))
+    assert got.get((2, 1), (1,)) is t.get((1, 2), (1,))
+    assert combine(t.shape, [(1, t, (1, 2)), (-1, t, (1, 2))]).is_zero
+    with pytest.raises(ValueError, match="shape mismatch"):
+        combine(TensorShape(2, 0, N), [(1, t, (1, 2))])
+    with pytest.raises(ValueError, match="not a permutation"):
+        combine(t.shape, [(1, t, (1, 1))])
