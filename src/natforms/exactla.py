@@ -23,10 +23,10 @@ that is 1 at one free column and 0 at the others, and span coefficients
 are 0 at free basis columns.
 
 Every certificate is re-checked before it is returned, in integer
-arithmetic over every row of the matrix, streamed again from its source
-(a row that is the very same objects as an earlier one is multiplied
-once): kernel vectors are multiplied back and span coefficients
-re-substituted.  A mismatch raises ``AssertionError``.
+arithmetic over every distinct row of the matrix, which the echelon keeps
+as it eliminates: kernel vectors are multiplied back and span coefficients
+re-substituted.  Every other row is zero or a multiple of a kept one, so
+this covers the whole matrix.  A mismatch raises ``AssertionError``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .poly import Monomial
 from .tensor import TensorField
@@ -96,13 +96,11 @@ def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
         yield len(row_of), list(row_of.values())
 
 
-def _block_rows(block: Sequence, columns: Sequence[int]) -> Iterator[Piece]:
-    """The block's rows restricted to the given columns; rows that are zero
-    there may be left out."""
-    chosen = [block[c] for c in columns]
+def _block_rows(block: Sequence) -> Iterator[Piece]:
+    """The block's rows, in pieces; rows that are zero may be left out."""
     if block and isinstance(block[0], TensorField):
-        return _field_rows(chosen)
-    return ((1, (_integer_row(row),)) for row in zip(*chosen))
+        return _field_rows(block)
+    return ((1, (_integer_row(row),)) for row in zip(*block))
 
 
 def _integer_row(row: Row) -> list[int]:
@@ -122,26 +120,26 @@ def _integer_row(row: Row) -> list[int]:
 # -- one echelon per matrix -------------------------------------------------------
 
 class Echelon:
-    """Row echelon form of a matrix, with the means to stream the matrix again.
+    """Row echelon form of a matrix, with the distinct rows it was built from.
 
     ``pivots`` maps each pivot column to a primitive integer row whose first
     nonzero entry sits in that column.  ``rows`` counts every row of the
     matrix, zero and repeated rows included, also those not eliminated once
-    the rank reached ``cols``.  ``read(columns)`` returns a fresh stream of
-    the rows restricted to those columns, in pieces (see ``Piece``), leaving
-    out only rows that are zero on all of them.
+    the rank reached ``cols``.  ``distinct`` holds the primitive rows, first
+    nonzero entry positive, of every nonzero row read: below full column
+    rank every row of the matrix is zero or a nonzero multiple of one of them.
     """
 
-    __slots__ = ("read", "cols", "rows", "pivots")
+    __slots__ = ("distinct", "cols", "rows", "pivots")
 
     def __init__(
         self,
-        read: Callable[[Sequence[int]], Iterable[Piece]],
+        distinct: set[tuple[int, ...]],
         cols: int,
         rows: int,
         pivots: dict[int, list[int]],
     ) -> None:
-        self.read = read
+        self.distinct = distinct
         self.cols = cols
         self.rows = rows
         self.pivots = pivots
@@ -185,12 +183,12 @@ def _reduce(pivots: dict[int, list[int]], row: list[int], lead: int) -> None:
             row = [x // g for x in row]
 
 
-def _eliminate(read: Callable[[Sequence[int]], Iterable[Piece]], cols: int) -> Echelon:
+def _eliminate(pieces: Iterator[Piece], cols: int) -> Echelon:
     """The one elimination behind every rank, kernel and span certificate."""
     pivots: dict[int, list[int]] = {}
     seen: set[tuple[int, ...]] = set()
     count = 0
-    for rows_here, rows in read(range(cols)):
+    for rows_here, rows in pieces:
         count += rows_here
         if len(pivots) == cols:
             continue  # full column rank: the remaining rows are only counted
@@ -208,7 +206,7 @@ def _eliminate(read: Callable[[Sequence[int]], Iterable[Piece]], cols: int) -> E
                 continue
             seen.add(key)
             _reduce(pivots, ints, lead)
-    return Echelon(read, cols, count, pivots)
+    return Echelon(seen, cols, count, pivots)
 
 
 def echelon(*blocks: Sequence[TensorField] | Sequence[Row]) -> Echelon:
@@ -227,12 +225,7 @@ def echelon(*blocks: Sequence[TensorField] | Sequence[Row]) -> Echelon:
             _check_shapes(block)
         elif any(len(v) != len(block[0]) for v in block):
             raise ValueError("ragged columns")
-    return _eliminate(
-        lambda columns: itertools.chain.from_iterable(
-            _block_rows(block, columns) for block in blocks
-        ),
-        cols,
-    )
+    return _eliminate(itertools.chain.from_iterable(map(_block_rows, blocks)), cols)
 
 
 def _normalize_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
@@ -266,21 +259,18 @@ def _null_vector(
 
 
 def _check_null(ech: Echelon, vectors: Sequence[Sequence[Fraction]], what: str) -> None:
-    """Multiply each vector, cleared to integers, into every row of the matrix.
+    """Multiply each vector, cleared to integers, into every distinct row of
+    the matrix, which covers every row: the others are zero or multiples.
 
-    Only the columns where some vector is nonzero are read: every other
-    product is exactly zero.
+    The distinct rows miss the rows never eliminated once the rank reached
+    the column count, but then there is no kernel vector and no column is a
+    member, so there is no vector to check.
     """
-    columns = sorted({c for vec in vectors for c, v in enumerate(vec) if v})
-    supports = [
-        [(i, v) for i, v in enumerate(_integer_row([vec[c] for c in columns])) if v]
-        for vec in vectors
-    ]
-    for _, rows in ech.read(columns):
-        for ints in rows:
-            for support in supports:
-                if sum(ints[i] * v for i, v in support):
-                    raise AssertionError(f"{what} certificate failed re-multiplication")
+    supports = [[(i, v) for i, v in enumerate(_integer_row(vec)) if v] for vec in vectors]
+    for ints in ech.distinct:
+        for support in supports:
+            if sum(ints[i] * v for i, v in support):
+                raise AssertionError(f"{what} certificate failed re-multiplication")
 
 
 def echelon_kernel(ech: Echelon) -> list[tuple[Fraction, ...]]:

@@ -530,18 +530,16 @@ class _Parser:
         return result
 
     def expr(self) -> Polynomial:
-        # one running term map for the whole sum, so a sum of T terms costs
-        # O(T) rather than a copy of the running sum per '+'
-        terms = dict(self.term().terms)
+        # one combination for the whole sum, so a sum of T terms costs O(T)
+        # rather than a copy of the running sum per '+'
+        pairs = [(1, self.term())]
         while True:
             token = self.peek()
             if token is not None and token[0] == "op" and token[1] in "+-":
                 self.index += 1
-                negate = token[1] == "-"
-                for mono, coeff in self.term().terms.items():
-                    terms[mono] = terms.get(mono, 0) + (-coeff if negate else coeff)
+                pairs.append((-1 if token[1] == "-" else 1, self.term()))
             else:
-                return Polynomial._make(self.dimension, *_numerators(terms))
+                return Polynomial.combination(self.dimension, pairs)
 
     def term(self) -> Polynomial:
         result = self.factor()

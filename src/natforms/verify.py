@@ -3,11 +3,12 @@
 Each claim is reproduced as a named Verdict carrying exact certificates
 (ranks, kernel vectors, combination coefficients), which are re-checked
 independently before the verdict is emitted: kernel vectors are multiplied
-back into every row of the matrix and memberships are re-substituted (both
-by :mod:`natforms.exactla`, in integers), and the closed combinations are
-re-differentiated on the tensor fields themselves.  Each matrix is
-eliminated once, by :func:`natforms.exactla.echelon`, and every rank,
-kernel and membership of that matrix reads the one echelon.
+back into every distinct row of the matrix and memberships are
+re-substituted there (both by :mod:`natforms.exactla`, in integers), and
+the closed combinations are re-differentiated on the tensor fields
+themselves.  Each matrix is eliminated once, by
+:func:`natforms.exactla.echelon`, and every rank, kernel and membership of
+that matrix reads the one echelon.
 
 Every quantity that two or more verdicts read is derived once per
 connection by :class:`Derived`, which extends
@@ -178,6 +179,12 @@ class Derived(Invariants):
 
 # -- randomized connections ------------------------------------------------------
 
+# Every sampled term has degree at most MAX_DEGREE and a nonzero integer
+# coefficient in [-COEFFICIENT_BOUND, COEFFICIENT_BOUND].
+MAX_DEGREE = 2
+COEFFICIENT_BOUND = 3
+
+
 @dataclass(frozen=True)
 class RandomConnectionSpec:
     """Deterministic sampler parameters; identical specs yield identical draws.
@@ -186,28 +193,25 @@ class RandomConnectionSpec:
     connection it picks ``density`` distinct Christoffel positions
     (``rng.sample`` over all (upper, i, j) triples in lexicographic order),
     then fills each with a polynomial of 1..3 terms: every term gets a
-    nonzero integer coefficient in [-coefficient_bound, coefficient_bound]
+    nonzero integer coefficient in [-COEFFICIENT_BOUND, COEFFICIENT_BOUND]
     and a monomial built from ``degree`` uniform variable draws with
-    degree in 0..max_degree.  Entries that cancel to zero are redrawn.
+    degree in 0..MAX_DEGREE.  Entries that cancel to zero are redrawn.
     """
 
     seed: int = 1
     dimension: int = 4
-    max_degree: int = 2
-    coefficient_bound: int = 3
     density: int = 6
 
 
 def _random_polynomial(rng: random.Random, spec: RandomConnectionSpec) -> Polynomial:
     n = spec.dimension
-    bound = spec.coefficient_bound
-    nonzero = [c for c in range(-bound, bound + 1) if c != 0]
+    nonzero = [c for c in range(-COEFFICIENT_BOUND, COEFFICIENT_BOUND + 1) if c != 0]
     while True:
         terms: dict[tuple[int, ...], int] = {}
         for _ in range(rng.randint(1, 3)):
             coeff = rng.choice(nonzero)
             exps = [0] * n
-            for _ in range(rng.randint(0, spec.max_degree)):
+            for _ in range(rng.randint(0, MAX_DEGREE)):
                 exps[rng.randrange(n)] += 1
             mono = tuple(exps)
             terms[mono] = terms.get(mono, 0) + coeff
@@ -478,8 +482,8 @@ def verify_bianchi(spec: RandomConnectionSpec, count: int = 20) -> Verdict:
         "count": count,
         "spec": {
             "dimension": spec.dimension,
-            "max_degree": spec.max_degree,
-            "coefficient_bound": spec.coefficient_bound,
+            "max_degree": MAX_DEGREE,
+            "coefficient_bound": COEFFICIENT_BOUND,
             "density": spec.density,
         },
         "runs": runs,

@@ -38,7 +38,7 @@ from natforms.verify import (
 )
 from reference_loops import flatten_loop, in_span_bareiss, rank_bareiss, transpose
 
-SEEDED = RandomConnectionSpec(seed=1, dimension=4, max_degree=2, coefficient_bound=3, density=6)
+SEEDED = RandomConnectionSpec(seed=1, dimension=4, density=6)
 
 
 @pytest.fixture(scope="module")

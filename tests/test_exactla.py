@@ -208,9 +208,9 @@ def make_field(entries, p, q, n=4):
     return TensorField(shape, tuple(comps))
 
 
-def streamed_rows(ech):
-    """Every row the echelon streams, over all of its columns."""
-    return [list(row) for _, rows in ech.read(range(ech.cols)) for row in rows]
+def kept_rows(ech):
+    """The distinct primitive rows the echelon kept, in sorted order."""
+    return sorted(list(row) for row in ech.distinct)
 
 
 def test_flatten_zero_field_gives_zero_column():
@@ -218,7 +218,7 @@ def test_flatten_zero_field_gives_zero_column():
     z = make_field({}, p=2, q=1)
     ech = echelon([t, z])
     assert ech.cols == 2 and ech.rows == 1 and ech.rank == 1
-    assert streamed_rows(ech) == [[1, 0]]
+    assert kept_rows(ech) == [[1, 0]]
     assert echelon_kernel(ech) == [(0, 1)]
 
 
@@ -226,7 +226,7 @@ def test_flatten_scaled_column():
     t = make_field({((1, 2), (1,)): "x1 + 2*x3", ((2, 1), (4,)): "-x2"}, p=2, q=1)
     ech = echelon([t, t.scale(2)])
     assert ech.rows == 3
-    for row in streamed_rows(ech):
+    for row in kept_rows(ech):
         assert row[1] == 2 * row[0] != 0
     assert echelon_kernel(ech) == [(2, -1)]
 
@@ -250,6 +250,21 @@ def _fractions_only(value):
     if isinstance(value, (list, tuple)):
         return all(_fractions_only(v) for v in value)
     return value is None or isinstance(value, (bool, Fraction))
+
+
+def _direction(row):
+    """The row scaled to 1 at its first nonzero entry: equal for two rows
+    iff each is a nonzero multiple of the other."""
+    lead = next(v for v in row if v)
+    return tuple(Fraction(v) / lead for v in row)
+
+
+def assert_kept_rows_cover(rows, ech):
+    """Every row is zero or a nonzero multiple of a kept row, and every kept
+    row is a multiple of a row: the rows a certificate is multiplied into
+    stand for the whole matrix."""
+    assert ech.rank < ech.cols
+    assert {_direction(row) for row in rows if any(row)} == set(map(_direction, ech.distinct))
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -285,6 +300,8 @@ def test_rank_and_kernel_match_bareiss(matrix):
     kernel = echelon_kernel(ech)
     assert kernel == kernel_basis_bareiss(rows, cols)
     assert _fractions_only(kernel)
+    if ech.rank < cols:
+        assert_kept_rows_cover(rows, ech)
 
 
 def test_full_column_rank_reached_early_counts_every_row():
@@ -294,6 +311,27 @@ def test_full_column_rank_reached_early_counts_every_row():
     assert ech.rank == rank_bareiss(rows, 3) == 3
     assert ech.rows == 43
     assert echelon_kernel(ech) == kernel_basis_bareiss(rows, 3) == []
+
+
+def test_kept_rows_of_zero_repeated_and_proportional_rows():
+    rows = [
+        [2, 4, -6, 0], [0, 0, 0, 0], [0, 1, 1, 1], [-1, -2, 3, 0], [2, 4, -6, 0],
+        [Fraction(1, 3), Fraction(2, 3), -1, 0], [0, -5, -5, -5], [0, 0, 0, 0],
+    ]
+    ech = rows_echelon(rows, 4)
+    assert ech.rows == 8 and ech.rank == 2
+    assert kept_rows(ech) == [[0, 1, 1, 1], [1, 2, -3, 0]]
+    assert_kept_rows_cover(rows, ech)
+
+
+def test_kept_rows_of_the_paper_differentials(ref_differentials):
+    # the 19 differentials have a 3-dimensional kernel, and `_field_rows`
+    # skips the components that are the very objects of earlier ones
+    fields = [form.tensor for form in ref_differentials]
+    ech = echelon(fields)
+    assert any(not rows for _, rows in exactla._field_rows(fields))
+    assert ech.rank == 16
+    assert_kept_rows_cover(flatten_loop(fields), ech)
 
 
 def test_repeated_rows_do_not_change_the_echelon():
@@ -402,15 +440,31 @@ def test_certificate_checks_reject_a_wrong_null_vector(wrong_null_vector):
         member([3, 0, 6], [[1, 0, 2]])
 
 
+def test_certificate_checks_read_the_rows_not_only_the_pivot_rows(monkeypatch):
+    # an elimination that loses every row after the first gives certificates
+    # that its own pivot rows accept; the distinct rows it read refuse them
+    reduce = exactla._reduce
+
+    def lossy(pivots, row, lead):
+        if not pivots:
+            reduce(pivots, row, lead)
+
+    monkeypatch.setattr(exactla, "_reduce", lossy)
+    with pytest.raises(AssertionError, match="kernel"):
+        echelon_kernel(rows_echelon([[1, 2, 0], [0, 1, 1]], 3))
+    with pytest.raises(AssertionError, match="in_span"):
+        member([1, 1, 0], [[1, 0, 0]])
+
+
 def test_eliminations_on_the_paper_connection(monkeypatch, ref_conn):
     from natforms.verify import Derived, verify_schemes, verify_thm_3_2
 
     widths = []
     eliminate = exactla._eliminate
 
-    def counted(read, cols):
+    def counted(pieces, cols):
         widths.append(cols)
-        return eliminate(read, cols)
+        return eliminate(pieces, cols)
 
     monkeypatch.setattr(exactla, "_eliminate", counted)
     d = Derived(ref_conn)

@@ -440,6 +440,55 @@ def test_differentials_above_the_dimension_are_zero():
             assert ext_cov_deriv_vector(conn, form).tensor.is_zero
 
 
+# -- the form wrappers' refusals ------------------------------------------------------------
+# d-nabla fills every ordering of its output by alternation, which is only
+# right because the wrappers refuse a source that does not alternate.
+
+def field_from(entries, p, q=1):
+    """The (p, q) field at N with the given (cov, contra) -> text entries, zero elsewhere."""
+    table = {cov + contra: pp(text) for (cov, contra), text in entries.items()}
+    comps = [
+        table.get(idx, Polynomial.zero(N))
+        for idx in itertools.product(range(1, N + 1), repeat=p + q)
+    ]
+    return TensorField(TensorShape(p, q, N), tuple(comps))
+
+
+# alternating in covariant slots (1,2) but not in (2,3)
+FIRST_PAIR_ONLY = {((1, 2, 3), (1,)): "x1", ((2, 1, 3), (1,)): "-x1"}
+
+
+@pytest.mark.parametrize(
+    "form, degree, shape",
+    [
+        (VectorValuedForm, 2, (3, 1)),
+        (VectorValuedForm, 2, (2, 0)),
+        (EndValuedForm, 2, (2, 1)),
+        (EndValuedForm, 1, (2, 2)),
+    ],
+)
+def test_form_wrappers_refuse_a_wrong_shape(form, degree, shape):
+    with pytest.raises(ValueError, match="needs shape"):
+        form(degree, field_from({}, *shape))
+
+
+def test_form_wrappers_refuse_a_field_that_does_not_alternate():
+    with pytest.raises(ValueError, match=r"form slots \(1,2\) are not antisymmetric"):
+        VectorValuedForm(2, field_from({((1, 2), (1,)): "x1"}, 2))
+    with pytest.raises(ValueError, match=r"form slots \(2,3\) are not antisymmetric"):
+        VectorValuedForm(3, field_from(FIRST_PAIR_ONLY, 3))
+    with pytest.raises(ValueError, match=r"form slots \(1,2\) are not antisymmetric"):
+        EndValuedForm(2, field_from({((1, 2, 3), (1,)): "x1"}, 3))
+    with pytest.raises(ValueError, match=r"form slots \(2,3\) are not antisymmetric"):
+        EndValuedForm(3, field_from({((1, 2, 3, 4), (1,)): "x1", ((2, 1, 3, 4), (1,)): "-x1"}, 4))
+
+
+def test_endomorphism_input_slot_is_free():
+    field = field_from(FIRST_PAIR_ONLY, 3)
+    assert is_antisymmetric(field, 1, 2) and not is_antisymmetric(field, 2, 3)
+    assert EndValuedForm(2, field).tensor is field
+
+
 # -- wedges with the identity ---------------------------------------------------------------
 
 def test_wedge_endo_identity_of_zero(ref_conn, flat_conn):

@@ -163,7 +163,7 @@ def test_random_connections_are_reproducible():
 
 
 def test_random_connections_respect_spec():
-    spec = RandomConnectionSpec(seed=5, density=6, max_degree=2, coefficient_bound=3)
+    spec = RandomConnectionSpec(seed=5, density=6)
     for conn in random_connections(spec, 4):
         nonzero = [g for g in conn.christoffel if not g.is_zero]
         assert len(nonzero) == 6
