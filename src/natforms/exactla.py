@@ -18,9 +18,11 @@ repeat and are only counted), a new row is reduced against the pivot rows
 held so far with gcd normalisation, and reading stops once the rank equals
 the column count.  The pivot columns are the columns independent of the
 columns before them, so they and every certificate depend only on the
-matrix, not on row order or repetition: a kernel vector is the null vector
-that is 1 at one free column and 0 at the others, and span coefficients
-are 0 at free basis columns.
+matrix, not on row order or repetition: a kernel vector is the primitive
+integer null vector that is nonzero at its own free column and 0 at the
+others, and span coefficients are 0 at free basis columns.
+Back-substitution is fraction-free, so every vector stays in integers
+until it is returned.
 
 Every certificate is re-checked before it is returned, in integer
 arithmetic over every distinct row of the matrix, which the echelon keeps
@@ -106,8 +108,8 @@ def _block_rows(block: Sequence) -> Iterator[Piece]:
 def _integer_row(row: Row) -> list[int]:
     """The row times the lcm of its denominators, in integer arithmetic; a
     row of ``int`` entries only is already that.  Coefficient-vector rows
-    and certificate vectors carry ``Fraction`` entries; field rows come out
-    of ``_field_rows`` as integers and need no clearing."""
+    and returned span coefficients carry ``Fraction`` entries; field rows
+    come out of ``_field_rows`` as integers and need no clearing."""
     if all(type(v) is int for v in row):
         return list(row)
     ratios = [v.as_integer_ratio() for v in row]
@@ -162,6 +164,17 @@ class Echelon:
         return [self.pivots[c] for c in cols], cols
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries, first nonzero entry
+    positive; a zero row is returned as it is."""
+    g = math.gcd(*row)
+    if not g:
+        return row
+    if next(filter(None, row)) < 0:
+        g = -g
+    return row if g == 1 else [v // g for v in row]
+
+
 def _reduce(pivots: dict[int, list[int]], row: list[int], lead: int) -> None:
     """Reduce a primitive row, first nonzero at ``lead``, against the pivot
     rows; keep what is left, if anything, as a new pivot row."""
@@ -193,19 +206,12 @@ def _eliminate(pieces: Iterator[Piece], cols: int) -> Echelon:
         if len(pivots) == cols:
             continue  # full column rank: the remaining rows are only counted
         for ints in rows:
-            g = math.gcd(*ints)
-            if not g:
-                continue
-            lead = next(c for c, v in enumerate(ints) if v)
-            if ints[lead] < 0:
-                g = -g
-            if g != 1:
-                ints = [v // g for v in ints]
+            ints = _primitive(ints)
             key = tuple(ints)
-            if key in seen:
+            if key in seen or not any(key):
                 continue
             seen.add(key)
-            _reduce(pivots, ints, lead)
+            _reduce(pivots, ints, next(c for c, v in enumerate(ints) if v))
     return Echelon(seen, cols, count, pivots)
 
 
@@ -228,45 +234,32 @@ def echelon(*blocks: Sequence[TensorField] | Sequence[Row]) -> Echelon:
     return _eliminate(itertools.chain.from_iterable(map(_block_rows, blocks)), cols)
 
 
-def _normalize_vector(vec: list[Fraction]) -> tuple[Fraction, ...]:
-    scale = math.lcm(*(v.denominator for v in vec))
-    ints = [int(v * scale) for v in vec]
-    g = math.gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 1)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
-
-
 def _null_vector(
     echelon: list[list[int]], pivot_cols: list[int], free: int, cols: int
-) -> list[Fraction]:
-    """The null vector of the echelon rows that is 1 at free column ``free``
-    and 0 at every other free column, by back-substitution."""
-    vec = [Fraction(0)] * cols
-    vec[free] = Fraction(1)
-    for i in range(len(pivot_cols) - 1, -1, -1):
-        pc = pivot_cols[i]
-        acc = Fraction(0)
-        row = echelon[i]
-        for c in range(pc + 1, cols):
-            if row[c] and vec[c]:
-                acc += Fraction(row[c]) * vec[c]
-        vec[pc] = -acc / row[pc]
+) -> list[int]:
+    """An integer null vector of the echelon rows, nonzero at free column
+    ``free`` and 0 at every other free column, by fraction-free
+    back-substitution."""
+    vec = [0] * cols
+    vec[free] = 1
+    for pc, row in zip(reversed(pivot_cols), reversed(echelon)):
+        # row is 0 before pc and vec[pc] is still 0, so s sums the rest of row * vec
+        s = sum(a * v for a, v in zip(row, vec))
+        g = math.gcd(s, row[pc])
+        vec = [v * (row[pc] // g) for v in vec]
+        vec[pc] = -s // g
     return vec
 
 
-def _check_null(ech: Echelon, vectors: Sequence[Sequence[Fraction]], what: str) -> None:
-    """Multiply each vector, cleared to integers, into every distinct row of
-    the matrix, which covers every row: the others are zero or multiples.
+def _check_null(ech: Echelon, vectors: Sequence[list[int]], what: str) -> None:
+    """Multiply each integer vector into every distinct row of the matrix,
+    which covers every row: the others are zero or multiples.
 
     The distinct rows miss the rows never eliminated once the rank reached
     the column count, but then there is no kernel vector and no column is a
     member, so there is no vector to check.
     """
-    supports = [[(i, v) for i, v in enumerate(_integer_row(vec)) if v] for vec in vectors]
+    supports = [[(i, v) for i, v in enumerate(vec) if v] for vec in vectors]
     for ints in ech.distinct:
         for support in supports:
             if sum(ints[i] * v for i, v in support):
@@ -276,22 +269,19 @@ def _check_null(ech: Echelon, vectors: Sequence[Sequence[Fraction]], what: str) 
 def echelon_kernel(ech: Echelon) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space {v : M v = 0}, one vector per free column.
 
-    Vectors are normalized to coprime integers with positive leading entry
-    and returned in ascending free-column order, after each is multiplied
-    back into every row of M.
+    Vectors are coprime integers with positive leading entry, returned in
+    ascending free-column order after each is multiplied back into every
+    row of M.
     """
     rows, pivot_cols = ech.pivot_rows()
     free_cols = [c for c in range(ech.cols) if c not in ech.pivots]
-    kernel = [
-        _normalize_vector(_null_vector(rows, pivot_cols, free, ech.cols))
-        for free in free_cols
-    ]
+    kernel = [_primitive(_null_vector(rows, pivot_cols, free, ech.cols)) for free in free_cols]
     # nonzero at its own free column and zero at the others: independent
     for vec, own in zip(kernel, free_cols):
         if any((vec[free] != 0) != (free == own) for free in free_cols):
             raise AssertionError("kernel certificate is not a basis")
     _check_null(ech, kernel, "kernel")
-    return kernel
+    return [tuple(map(Fraction, vec)) for vec in kernel]
 
 
 def echelon_members(
@@ -307,17 +297,20 @@ def echelon_members(
     basis_rows, basis_cols = ech.pivot_rows(stop=k)
     target_rows, _ = ech.pivot_rows(start=k)
     out: list[tuple[bool, tuple[Fraction, ...] | None]] = []
-    relations = []
     for t in range(k, ech.cols):
         if any(row[t] for row in target_rows):
             out.append((False, None))
             continue
-        coeffs = tuple(-v for v in _null_vector(basis_rows, basis_cols, t, ech.cols)[:k])
-        out.append((True, coeffs))
-        # basis * coeffs - column t must vanish on every row
-        relation = [*coeffs] + [Fraction(0)] * (ech.cols - k)
-        relation[t] = Fraction(-1)
-        relations.append(relation)
+        vec = _null_vector(basis_rows, basis_cols, t, ech.cols)
+        out.append((True, tuple(Fraction(-v, vec[t]) for v in vec[:k])))
+    # basis * coeffs - column t must vanish on every row, for the very
+    # coefficients returned
+    relations = []
+    for t, (member, coeffs) in enumerate(out, k):
+        if member:
+            relation = [*coeffs] + [0] * (ech.cols - k)
+            relation[t] = -1
+            relations.append(_integer_row(relation))
     _check_null(ech, relations, "in_span")
     return out
 

@@ -522,6 +522,15 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         self.index += 1
 
+    @staticmethod
+    def numeral(digits: str, pos: int) -> int:
+        """The value of a numeral token; one too long for ``int`` is refused
+        at its position rather than with Python's conversion error."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise ParseError(f"numeral of {len(digits)} digits is too long", pos) from None
+
     def parse(self) -> Polynomial:
         result = self.expr()
         token = self.peek()
@@ -574,20 +583,20 @@ class _Parser:
             self.depth -= 1
             return inner
         if kind == "int":
-            numerator = int(value)
+            numerator = self.numeral(value, pos)
             nxt = self.peek()
             if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
                 self.index += 1
                 den_token = self.advance()
                 if den_token[0] != "int":
                     raise ParseError("expected denominator", den_token[2])
-                denominator = int(den_token[1])
+                denominator = self.numeral(den_token[1], den_token[2])
                 if denominator == 0:
                     raise ParseError("zero denominator", den_token[2])
                 return Polynomial.constant(self.dimension, Fraction(numerator, denominator))
             return Polynomial.constant(self.dimension, numerator)
         if kind == "var":
-            index = int(value[1:])
+            index = self.numeral(value[1:], pos + 1)
             if not 1 <= index <= self.dimension:
                 raise ParseError(
                     f"variable {value} out of range 1..{self.dimension}", pos
@@ -599,7 +608,7 @@ class _Parser:
                 exp_token = self.advance()
                 if exp_token[0] != "int":
                     raise ParseError("expected non-negative integer exponent", exp_token[2])
-                exponent = int(exp_token[1])
+                exponent = self.numeral(exp_token[1], exp_token[2])
             # one monomial, so a large exponent costs no repeated multiplication
             exps = [0] * self.dimension
             exps[index - 1] = exponent

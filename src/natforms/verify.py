@@ -447,7 +447,7 @@ def verify_thm_3_5(d: Derived) -> Verdict:
     )
 
 
-def verify_bianchi(spec: RandomConnectionSpec, count: int = 20) -> Verdict:
+def verify_bianchi(spec: RandomConnectionSpec, count: int) -> Verdict:
     """Both structure identities, the differential of the identity 1-form,
     and the normal-tensor symmetrization, on seeded random connections."""
     if count < 1:
@@ -581,7 +581,7 @@ def verify_claim(target: str, conn: Connection) -> list[Verdict]:
     return [claim(d) for claim in CLAIMS[target]]
 
 
-def verify_all(conn: Connection, spec: RandomConnectionSpec, count: int = 20) -> list[Verdict]:
+def verify_all(conn: Connection, spec: RandomConnectionSpec, count: int) -> list[Verdict]:
     """Every CLAIMS verdict in registry order, then the bianchi suite;
     aggregate passes iff all pass.  Both refusals (dimension, count) come
     before any claim runs."""

@@ -264,6 +264,11 @@ GOOD_ENTRY = {"upper": 1, "lower": [1, 2], "poly": "x3"}
             {"dim": 4, "christoffel": [dict(GOOD_ENTRY, lower=[1, 2, 3])]},
             "lower index list must have 2 entries",
         ),
+        (
+            {"dim": 4, "christoffel": [dict(GOOD_ENTRY, poly="x1 + " + "7" * 5000)]},
+            "invalid polynomial for upper=1, lower=[1, 2]: numeral of 5000 digits is too long "
+            "(at position 5)",
+        ),
     ],
 )
 def test_connection_document_type_errors_exit_2(tmp_path, capsys, document, message):

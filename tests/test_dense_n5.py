@@ -1,7 +1,7 @@
 """The claims on a dense dimension-5 connection (seed 2, density 40).
 
-These take minutes, so they are deselected by default; run them with
-``python -m pytest -m slow``.
+These take under a minute, so they are deselected by default; run them
+with ``python -m pytest -m slow``.
 """
 
 import pytest

@@ -273,6 +273,30 @@ def test_parse_reports_position():
     assert err.value.position == 5
 
 
+LONG = "7" * 5000  # past Python's default limit of 4300 digits for int(str)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        (LONG, 0),
+        (f"x1 + 1/{LONG}", 7),
+        (f"x2^{LONG}", 3),
+        (f"3*x{LONG}", 3),  # the digits after the x
+    ],
+    ids=["coefficient", "denominator", "exponent", "variable-index"],
+)
+def test_parse_refuses_a_numeral_too_long_for_int_at_its_position(text, position):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError, match="numeral of 5000 digits is too long") as err:
+            parse(text, 4)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.value.position == position
+
+
 def test_parse_rejects_negative_exponent():
     with pytest.raises(ParseError):
         parse("x2^-1", 4)

@@ -7,6 +7,8 @@ reference side parses each Christoffel entry's text with sympy and
 evaluates the formulas of the ``natforms.geometry`` docstrings in sympy
 polynomials over the rationals, N1 in its original -1/6 form and every
 ordering of the form directions directly; no natforms function runs on it.
+Three fixed connections are checked on every quantity, and hypothesis
+draws sparse dimension-3 connections for the quantities the claims read.
 Each component is compared exactly, as a map from exponent tuple to
 ``Fraction``: ``Polynomial.terms`` on the library side,
 ``sympy.Poly.as_dict()`` on the reference side.  Internal identities
@@ -19,6 +21,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -258,3 +262,36 @@ def test_the_oracle_sees_nonzero_quantities(both_sides):
     for quantity in ("torsion", "cov_torsion", "d_torsion"):
         assert nonzero(quantity) == (name != "symmetric"), quantity
     assert not nonzero("d_curvature")
+
+
+# -- drawn connections -------------------------------------------------------------------
+
+coefficients = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+# a term is a coefficient times the variables of a monomial of degree at most two
+terms = st.tuples(coefficients, st.lists(st.integers(1, 3), max_size=2))
+entry_texts = st.lists(terms, min_size=1, max_size=3).map(
+    lambda drawn: " + ".join(
+        "*".join([f"({coeff})"] + [f"x{v}" for v in variables]) for coeff, variables in drawn
+    )
+)
+sparse_n3_entries = st.dictionaries(
+    st.tuples(*[st.integers(1, 3)] * 3), entry_texts, min_size=1, max_size=4
+)
+
+
+# the drawn connections are small already, and shrinking one through the
+# sympy side takes minutes, so a failure reports the example as drawn
+@settings(
+    max_examples=25, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate]
+)
+@given(sparse_n3_entries)
+def test_invariants_of_drawn_sparse_connections_match_sympy(entries):
+    conn = connection_from_entries(3, {k: parse(t, 3) for k, t in entries.items()})
+    reference = sympy_invariants(3, entries)
+    tor, curv = torsion(conn), curvature(conn)
+    assert_components_agree(tor.tensor, reference["torsion"])
+    assert_components_agree(curv.tensor, reference["curvature"])
+    assert_components_agree(covariant_derivative(conn, tor.tensor), reference["cov_torsion"])
+    assert_components_agree(ext_cov_deriv_vector(conn, tor).tensor, reference["d_torsion"])
+    assert_components_agree(ext_cov_deriv_endo(conn, curv).tensor, reference["d_curvature"])
+    assert_components_agree(Invariants(conn).normal1, reference["normal1"])
