@@ -16,13 +16,27 @@ seen up to sign and scale are dropped (the rows of a component whose
 polynomials are the very objects of an earlier component are known to
 repeat and are only counted), a new row is reduced against the pivot rows
 held so far with gcd normalisation, and reading stops once the rank equals
-the column count.  The pivot columns are the columns independent of the
-columns before them, so they and every certificate depend only on the
-matrix, not on row order or repetition: a kernel vector is the primitive
-integer null vector that is nonzero at its own free column and 0 at the
-others, and span coefficients are 0 at free basis columns.
-Back-substitution is fraction-free, so every vector stays in integers
-until it is returned.
+the column count.
+
+Once a row has reduced to zero, and fewer columns are free than pivots are
+held (``cols - rank < rank``), the null vectors of the pivot rows become a
+candidate kernel, and each later new row is verified against it before it
+is reduced: k dot products, for k free columns, in place of a reduction
+against every pivot.  A row that every candidate vector annihilates lies
+in the pivots' row space, where reduction would take it to zero, so it is
+not reduced; any other row raises the rank, is reduced as before, and the
+candidate is dropped until the next row that reduces to zero.  Wide
+matrices of low rank, whose candidate would be wider than the rank, are
+reduced row by row throughout.  A verified row is still made primitive and
+kept among the distinct rows, so the echelon, its pivots and the rows the
+certificates are checked against are those of full elimination.
+
+The pivot columns are the columns independent of the columns before them,
+so they and every certificate depend only on the matrix, not on row order
+or repetition: a kernel vector is the primitive integer null vector that is
+nonzero at its own free column and 0 at the others, and span coefficients
+are 0 at free basis columns.  Back-substitution is fraction-free, so every
+vector stays in integers until it is returned.
 
 Every certificate is re-checked before it is returned, in integer
 arithmetic over every distinct row of the matrix, which the echelon keeps
@@ -35,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -130,6 +145,9 @@ class Echelon:
     the rank reached ``cols``.  ``distinct`` holds the primitive rows, first
     nonzero entry positive, of every nonzero row read: below full column
     rank every row of the matrix is zero or a nonzero multiple of one of them.
+    A row verified against a candidate kernel rather than reduced is read
+    all the same, so ``pivots``, ``distinct`` and ``rows`` are those of full
+    elimination.
     """
 
     __slots__ = ("distinct", "cols", "rows", "pivots")
@@ -197,9 +215,18 @@ def _reduce(pivots: dict[int, list[int]], row: list[int], lead: int) -> None:
 
 
 def _eliminate(pieces: Iterator[Piece], cols: int) -> Echelon:
-    """The one elimination behind every rank, kernel and span certificate."""
+    """The one elimination behind every rank, kernel and span certificate.
+
+    A distinct row is checked against ``candidate``, the null vectors of the
+    pivot rows, when there is one: a row they all annihilate lies in the
+    pivots' row space, reduces to zero and is not reduced; any other row
+    raises the rank, so it is reduced and the candidate dropped.  A
+    candidate is formed when a row reduces to zero while fewer columns are
+    free than pivots are held.
+    """
     pivots: dict[int, list[int]] = {}
     seen: set[tuple[int, ...]] = set()
+    candidate: list[list[int]] | None = None
     count = 0
     for rows_here, rows in pieces:
         count += rows_here
@@ -211,7 +238,14 @@ def _eliminate(pieces: Iterator[Piece], cols: int) -> Echelon:
             if key in seen or not any(key):
                 continue
             seen.add(key)
+            if candidate is not None:
+                if not any(sum(map(operator.mul, ints, vec)) for vec in candidate):
+                    continue
+                candidate = None
+            rank = len(pivots)
             _reduce(pivots, ints, next(c for c, v in enumerate(ints) if v))
+            if len(pivots) == rank and cols - rank < rank:
+                candidate = _kernel(pivots, cols)[1]
     return Echelon(seen, cols, count, pivots)
 
 
@@ -251,6 +285,15 @@ def _null_vector(
     return vec
 
 
+def _kernel(pivots: dict[int, list[int]], cols: int) -> tuple[list[int], list[list[int]]]:
+    """The free columns of the pivot rows and one primitive integer null
+    vector per free column, nonzero there and 0 at the other free columns."""
+    pivot_cols = sorted(pivots)
+    rows = [pivots[c] for c in pivot_cols]
+    free_cols = [c for c in range(cols) if c not in pivots]
+    return free_cols, [_primitive(_null_vector(rows, pivot_cols, free, cols)) for free in free_cols]
+
+
 def _check_null(ech: Echelon, vectors: Sequence[list[int]], what: str) -> None:
     """Multiply each integer vector into every distinct row of the matrix,
     which covers every row: the others are zero or multiples.
@@ -273,9 +316,7 @@ def echelon_kernel(ech: Echelon) -> list[tuple[Fraction, ...]]:
     ascending free-column order after each is multiplied back into every
     row of M.
     """
-    rows, pivot_cols = ech.pivot_rows()
-    free_cols = [c for c in range(ech.cols) if c not in ech.pivots]
-    kernel = [_primitive(_null_vector(rows, pivot_cols, free, ech.cols)) for free in free_cols]
+    free_cols, kernel = _kernel(ech.pivots, ech.cols)
     # nonzero at its own free column and zero at the others: independent
     for vec, own in zip(kernel, free_cols):
         if any((vec[free] != 0) != (free == own) for free in free_cols):

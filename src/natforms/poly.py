@@ -468,7 +468,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<var>x\d+)|(?P<int>\d+)|(?P<op>[-+*/^()])")
+_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<var>x[0-9]+)|(?P<int>[0-9]+)|(?P<op>[-+*/^()])")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

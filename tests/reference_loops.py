@@ -20,6 +20,9 @@ library's streamed echelon, and ``matrix_vector`` multiplies in Fractions.
 They take plain rows of ``Fraction`` or ``int`` and a column count.
 ``flatten_loop`` builds those rows from tensor fields, one per
 (component, monomial) pair, reading every component of every field.
+``eliminate_full`` is the library's streamed elimination without the
+candidate kernel: it reduces every distinct row against the pivot rows,
+sharing only ``_primitive`` and ``Echelon`` with the library.
 
 The polynomial oracles ``add_terms``, ``sub_terms``, ``mul_terms``,
 ``scale_terms`` and ``partial_terms`` work on plain term maps with every
@@ -30,8 +33,9 @@ no ``Polynomial``.
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
+from natforms.exactla import Echelon, Piece, _primitive
 from natforms.geometry import (
     EndValuedForm,
     VectorValuedForm,
@@ -385,6 +389,47 @@ def kernel_basis_bareiss(
         for free in range(cols)
         if free not in pivot_set
     ]
+
+
+def _reduce_full(pivots: dict[int, list[int]], row: list[int], lead: int) -> None:
+    """Reduce a primitive row, first nonzero at ``lead``, against the pivot
+    rows; keep what is left, if anything, as a new pivot row."""
+    cols = len(row)
+    while True:
+        pivot_row = pivots.get(lead)
+        if pivot_row is None:
+            pivots[lead] = row
+            return
+        a, b = pivot_row[lead], row[lead]
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        row = [a * x - b * y for x, y in zip(row, pivot_row)]
+        lead = next((c for c in range(lead + 1, cols) if row[c]), None)
+        if lead is None:
+            return
+        g = math.gcd(*row)
+        if g != 1:
+            row = [x // g for x in row]
+
+
+def eliminate_full(pieces: Iterator[Piece], cols: int) -> Echelon:
+    """The streamed elimination that reduces every distinct row against the
+    pivot rows, the reference for the library's verify-then-reduce."""
+    pivots: dict[int, list[int]] = {}
+    seen: set[tuple[int, ...]] = set()
+    count = 0
+    for rows_here, rows in pieces:
+        count += rows_here
+        if len(pivots) == cols:
+            continue  # full column rank: the remaining rows are only counted
+        for ints in rows:
+            ints = _primitive(ints)
+            key = tuple(ints)
+            if key in seen or not any(key):
+                continue
+            seen.add(key)
+            _reduce_full(pivots, ints, next(c for c, v in enumerate(ints) if v))
+    return Echelon(seen, cols, count, pivots)
 
 
 def matrix_vector(

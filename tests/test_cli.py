@@ -269,6 +269,10 @@ GOOD_ENTRY = {"upper": 1, "lower": [1, 2], "poly": "x3"}
             "invalid polynomial for upper=1, lower=[1, 2]: numeral of 5000 digits is too long "
             "(at position 5)",
         ),
+        (
+            {"dim": 4, "christoffel": [dict(GOOD_ENTRY, poly="x\u0663")]},
+            "invalid polynomial for upper=1, lower=[1, 2]: unexpected character 'x' (at position 0)",
+        ),
     ],
 )
 def test_connection_document_type_errors_exit_2(tmp_path, capsys, document, message):

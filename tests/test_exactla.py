@@ -19,6 +19,7 @@ from natforms.geometry import reference_connection, torsion
 from natforms.poly import parse
 from natforms.tensor import TensorField, TensorShape
 from reference_loops import (
+    eliminate_full,
     flatten_loop,
     in_span_bareiss,
     kernel_basis_bareiss,
@@ -342,6 +343,107 @@ def test_repeated_rows_do_not_change_the_echelon():
     assert repeated.pivots == plain.pivots
     assert repeated.rows == 6
     assert echelon_kernel(repeated) == kernel_basis_bareiss(rows, 3)
+
+
+# -- verify-then-reduce against full elimination ----------------------------------
+
+def assert_same_echelon(ech, reference):
+    assert ech.cols == reference.cols
+    assert ech.rows == reference.rows
+    assert ech.pivots == reference.pivots
+    assert ech.distinct == reference.distinct
+
+
+def counted_reductions(monkeypatch):
+    """Patch ``_reduce`` to count its calls: one per distinct row that was
+    reduced rather than verified against a candidate kernel."""
+    calls = []
+    reduce = exactla._reduce
+
+    def counted(pivots, row, lead):
+        calls.append(lead)
+        reduce(pivots, row, lead)
+
+    monkeypatch.setattr(exactla, "_reduce", counted)
+    return calls
+
+
+@st.composite
+def narrow_kernel_matrices(draw):
+    """Tall integer matrices, in pieces of one to three rows, whose kernel is
+    mostly narrower than their rank: more than cols/2 generator rows and
+    integer combinations of them, with repeats, scaled copies and zero rows,
+    permuted.
+    Each generator is left out of a combination with probability 2/3, so
+    many rows lie in the span of a few generators and reduce to zero before
+    the rank stops growing."""
+    cols = draw(st.integers(3, 8))
+    entry = st.integers(-3, 3)
+    gens = draw(
+        st.lists(
+            st.lists(entry, min_size=cols, max_size=cols),
+            min_size=cols // 2 + 1,
+            max_size=cols,
+        )
+    )
+    rows = list(gens)
+    coeff = st.sampled_from((0, 0, 1))
+    for coeffs in draw(
+        st.lists(st.lists(coeff, min_size=len(gens), max_size=len(gens)), max_size=16)
+    ):
+        rows.append([sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(cols)])
+    for _ in range(draw(st.integers(0, 4))):
+        factor = draw(st.sampled_from((1, -1, 2, -3)))
+        rows.append([factor * v for v in draw(st.sampled_from(rows))])
+    rows += [[0] * cols for _ in range(draw(st.integers(0, 2)))]
+    rows = draw(st.permutations(rows))
+    pieces, start = [], 0
+    while start < len(rows):
+        stop = start + draw(st.integers(1, 3))
+        pieces.append((len(rows[start:stop]), rows[start:stop]))
+        start = stop
+    return pieces, cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(narrow_kernel_matrices())
+def test_verified_rows_give_the_full_elimination(matrix):
+    pieces, cols = matrix
+    ech = exactla._eliminate(iter(pieces), cols)
+    assert_same_echelon(ech, eliminate_full(iter(pieces), cols))
+    rows = [row for _, piece in pieces for row in piece]
+    assert echelon_kernel(ech) == kernel_basis_bareiss(rows, cols)
+
+
+def test_a_late_row_raises_the_rank_after_the_candidate_formed(monkeypatch):
+    rows = [
+        [1, 0, 2, 0, 0], [0, 1, -1, 0, 0], [0, 0, 1, 0, 0],  # rank 3, 2 free columns
+        [1, 1, 1, 0, 0],  # reduces to zero: the candidate kernel forms
+        [2, -1, 5, 0, 0],  # annihilated by the candidate: verified, not reduced
+        [0, 1, 0, 3, 3],  # late row: raises the rank to 4, the candidate is dropped
+        [1, 2, 0, 0, 0],  # reduces to zero: a candidate forms again, 1 free column
+        [0, 0, 1, 3, 3],  # verified, though outside the span of the first rows
+    ]
+    pieces = [(1, [row]) for row in rows]
+    calls = counted_reductions(monkeypatch)
+    ech = exactla._eliminate(iter(pieces), 5)
+    assert len(calls) == 6 and len(ech.distinct) == 8
+    assert ech.rank == rank_bareiss(rows, 5) == 4
+    assert echelon_kernel(ech) == kernel_basis_bareiss(rows, 5) == [(0, 0, 0, 1, -1)]
+    assert_same_echelon(ech, eliminate_full(iter(pieces), 5))
+
+
+def test_paper_differentials_verify_rows_and_give_the_full_elimination(
+    monkeypatch, ref_differentials
+):
+    # thm-3.2's matrix has rank 16 of 19 columns, so once the rank stops
+    # growing the rows are verified against a 3-vector candidate kernel
+    fields = [form.tensor for form in ref_differentials]
+    calls = counted_reductions(monkeypatch)
+    ech = echelon(fields)
+    assert ech.rank == 16 and len(ech.distinct) == 44
+    assert len(calls) < len(ech.distinct)
+    assert_same_echelon(ech, eliminate_full(exactla._field_rows(fields), len(fields)))
 
 
 def combine(coeffs, vectors, length):

@@ -297,6 +297,18 @@ def test_parse_refuses_a_numeral_too_long_for_int_at_its_position(text, position
     assert err.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("\u0663*x1", 0), ("x\u0663", 0), ("x1^\u0662", 3), ("3*x1\u0661", 4), ("\uff11 + x1", 0)],
+    ids=["arabic-indic-coefficient", "arabic-indic-index", "exponent", "index-tail", "fullwidth"],
+)
+def test_parse_refuses_digits_outside_ascii(text, position):
+    # the grammar's uint is ASCII 0-9; other Unicode decimal digits are refused
+    with pytest.raises(ParseError) as err:
+        parse(text, 4)
+    assert err.value.position == position
+
+
 def test_parse_rejects_negative_exponent():
     with pytest.raises(ParseError):
         parse("x2^-1", 4)
