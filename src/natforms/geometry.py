@@ -16,31 +16,37 @@ Conventions, fixed once here and relied on everywhere else:
   so no bracket terms appear).  For degree 1 applied to the identity this
   yields exactly the torsion, and the two Bianchi identities hold
   componentwise; the test suite enforces both, which pins the convention.
-* One private loop, ``_exterior_differential``, computes every derivative
-  here.  For each output component it collects, over every direction with
-  its alternating sign, d_k of the component, -Gamma times it for each
-  covariant slot after the form slots and +Gamma times it for each
-  contravariant slot, and sums them in one accumulation,
-  ``Polynomial.combination``.  The covariant derivative is that
-  differential in degree 0, where Gamma acts on every slot, with the
-  direction slot then moved from first to last.  Gamma acts
-  on the vector slot in ``ext_cov_deriv_vector``, on the endomorphism input
-  and output in ``ext_cov_deriv_endo``, and on no slot in
-  ``exterior_derivative``.  The alternating sum is evaluated only at
-  strictly increasing direction tuples, one accumulation each, and
-  every other ordering is filled by alternation (the input form
-  alternates; its wrapper checks that), so components with a repeated
-  direction are zero.  ``torsion`` and ``curvature`` keep their own
-  formulas, so the Bianchi identities check the loop, not restate it.
-  Gamma's sparse tables are built once per connection and read by
-  ``curvature`` too, so a fault in them would pass the identities; the
+* One private kernel, ``_exterior_differential``, computes every
+  derivative here.  It is a scatter over the source field's support: each
+  nonzero component at strictly increasing form indices I (the others are
+  its alternation copies, which the form wrapper has checked) feeds, for
+  every direction k outside I, its d_k term and one Gamma product per
+  entry of the inverted Gamma tables, -Gamma on each covariant slot after
+  the form slots and +Gamma on each contravariant slot, each with the
+  sign of sorting k into I.  Each output at strictly increasing directions
+  is then one accumulation, ``Polynomial.combination``, and every other
+  ordering is filled by alternation: every even ordering holds that one
+  object and every odd ordering its one negation, and components with a
+  repeated direction are zero.  Antisymmetry checks of the result answer
+  by that identity, and the echelon streams the rows of shared objects
+  once.  The covariant derivative is that differential in degree 0, where
+  Gamma acts on every slot, with the direction slot then moved from first
+  to last.  Gamma acts on the vector slot in ``ext_cov_deriv_vector``, on
+  the endomorphism input and output in ``ext_cov_deriv_endo``, and on no
+  slot in ``exterior_derivative``.  ``torsion`` and ``curvature`` keep
+  their own formulas, so the Bianchi identities check the kernel, not
+  restate it.  Gamma's sparse tables, by lower index pair for
+  ``curvature`` and inverted by upper index for the scatter, are built
+  once per connection, so a fault in them would pass the identities; the
   independent sympy oracle of the test suite is what checks them.
 * ``Invariants`` is the one place where those formulas are applied to a
   connection: it computes torsion and curvature once, and from them the
   normal tensors and both structure differentials, for every caller.
-  Curvature and N1 are, like the differentials, one accumulation per
-  component: N1 sums permuted copies of R and D Tor with ``combine`` and
-  adds the torsion products read from Tor's nonzero components.
+  Curvature is computed at i < j only, its (j, i) partner holding the
+  negation.  Curvature and N1 are, like the differentials, one
+  accumulation per component: N1 sums permuted copies of R and D Tor with
+  ``combine``, adds the torsion products read from Tor's nonzero
+  components and divides by 12 in the same accumulation.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .poly import ParseError, Polynomial, parse, to_string
 from .tensor import (
@@ -98,22 +104,26 @@ class Connection:
 
     @cached_property
     def _gamma_tables(self):
-        """Sparse views of the Christoffel symbols, keyed by direction, 0-based,
-        built once per connection.
+        """Sparse views of the nonzero Christoffel symbols, keyed by
+        direction, 0-based, built once per connection.
 
-        in_table[k][a] lists (m, Gamma^m_{ka}) over nonzero entries: the terms
-        feeding a covariant slot.  out_table[k][l] lists (m, Gamma^l_{km}): the
-        terms feeding a contravariant slot.  Returned as (in_table, out_table).
+        lower[k][a] lists (m, Gamma^m_{ka}): the sum over m that curvature
+        reads.  covariant[k][m] lists (a, Gamma^m_{ka}): a covariant slot
+        holding m feeds the output with a in that slot.  contravariant[k][m]
+        lists (l, Gamma^l_{km}): a contravariant slot holding m feeds the
+        output with l there.  Returned as (lower, covariant, contravariant).
         """
         n = self.dimension
-        in_table: list[list[list[tuple[int, Polynomial]]]] = [[[] for _ in range(n)] for _ in range(n)]
-        out_table: list[list[list[tuple[int, Polynomial]]]] = [[[] for _ in range(n)] for _ in range(n)]
+        lower, covariant, contravariant = (
+            [[[] for _ in range(n)] for _ in range(n)] for _ in range(3)
+        )
         for l, i, j in itertools.product(range(n), repeat=3):
             poly = self.gamma(l + 1, i + 1, j + 1)
             if not poly.is_zero:
-                in_table[i][j].append((l, poly))
-                out_table[i][l].append((j, poly))
-        return in_table, out_table
+                lower[i][j].append((l, poly))
+                covariant[i][l].append((j, poly))
+                contravariant[i][j].append((l, poly))
+        return lower, covariant, contravariant
 
 
 def connection_from_entries(n: int, entries: dict[tuple[int, int, int], Polynomial]) -> Connection:
@@ -267,35 +277,42 @@ def torsion(conn: Connection) -> VectorValuedForm:
 def curvature(conn: Connection) -> EndValuedForm:
     """Curvature as an endomorphism-valued 2-form; see the module docstring.
 
-    Only nonzero Christoffel symbols are read: the derivative terms are
-    taken of nonzero Gamma^l_{jk} and Gamma^l_{ik} only, and the sums over
-    m run over the nonzero Gamma^m_{jk} and Gamma^m_{ik}.
+    Only i < j is computed; the (j, i) partner holds the negation of that
+    one value and i = j stays zero.  Only nonzero Christoffel symbols are
+    read: the derivative terms are taken of nonzero Gamma^l_{jk} and
+    Gamma^l_{ik} only, and the sums over m run over the nonzero
+    Gamma^m_{jk} and Gamma^m_{ik}.
     """
     n = conn.dimension
     gamma = conn.christoffel  # Gamma^l_{ij} at ((l * n) + i) * n + j, 0-based
-    in_table, _ = conn._gamma_tables
-    zero = Polynomial.zero(n)
-    comps = []
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        pairs = []
-        g = gamma[(l * n + j) * n + k]  # Gamma^l_{jk}
-        if g.numerators:
-            pairs.append((1, g.partial_derivative(i + 1)))
-        g = gamma[(l * n + i) * n + k]  # Gamma^l_{ik}
-        if g.numerators:
-            pairs.append((-1, g.partial_derivative(j + 1)))
-        # in_table[j][k] lists (m, Gamma^m_{jk}) over the nonzero entries
-        products = [
-            (1, g_jk, g_im)
-            for m, g_jk in in_table[j][k]
-            if (g_im := gamma[(l * n + i) * n + m]).numerators
-        ]
-        products += [
-            (-1, g_ik, g_jm)
-            for m, g_ik in in_table[i][k]
-            if (g_jm := gamma[(l * n + j) * n + m]).numerators
-        ]
-        comps.append(Polynomial.combination(n, pairs, products) if pairs or products else zero)
+    lower = conn._gamma_tables[0]
+    comps = [Polynomial.zero(n)] * n**4
+    for i, j in itertools.combinations(range(n), 2):
+        for k, l in itertools.product(range(n), repeat=2):
+            pairs = []
+            g = gamma[(l * n + j) * n + k]  # Gamma^l_{jk}
+            if g.numerators:
+                pairs.append((1, g.partial_derivative(i + 1)))
+            g = gamma[(l * n + i) * n + k]  # Gamma^l_{ik}
+            if g.numerators:
+                pairs.append((-1, g.partial_derivative(j + 1)))
+            # lower[j][k] lists (m, Gamma^m_{jk}) over the nonzero entries
+            products = [
+                (1, g_jk, g_im)
+                for m, g_jk in lower[j][k]
+                if (g_im := gamma[(l * n + i) * n + m]).numerators
+            ]
+            products += [
+                (-1, g_ik, g_jm)
+                for m, g_ik in lower[i][k]
+                if (g_jm := gamma[(l * n + j) * n + m]).numerators
+            ]
+            if not pairs and not products:
+                continue
+            acc = Polynomial.combination(n, pairs, products)
+            if acc.numerators:
+                comps[((i * n + j) * n + k) * n + l] = acc
+                comps[((j * n + i) * n + k) * n + l] = -acc
     return EndValuedForm(2, TensorField(TensorShape(3, 1, n), tuple(comps)))
 
 
@@ -319,11 +336,42 @@ def covariant_derivative(conn: Connection, field: TensorField) -> TensorField:
 
 # -- exterior differentials ---------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _signed_permutations(length: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each permutation of range(length) with its sign, built once per length."""
+    signed = []
+    for perm in itertools.permutations(range(length)):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        signed.append((perm, -1 if inversions % 2 else 1))
+    return tuple(signed)
+
+
 def _orderings(directions: tuple[int, ...]):
     """Each ordering of the distinct directions, with its permutation's sign."""
-    for perm in itertools.permutations(range(len(directions))):
-        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
-        yield tuple(directions[p] for p in perm), -1 if inversions % 2 else 1
+    for perm, sign in _signed_permutations(len(directions)):
+        yield tuple(directions[p] for p in perm), sign
+
+
+@lru_cache(maxsize=64)
+def _insertions(n: int, degree: int, block: int) -> dict[int, tuple[tuple[int, int, int], ...]]:
+    """Where a direction joins each strictly increasing tuple of ``degree``
+    form indices in 0..n-1, keyed by the tuple's flat position.
+
+    For each direction k outside the tuple, (k, sign, base): sorting k in at
+    place r gives the output directions, sign is (-1)^r, and base is their
+    flat position times ``block``, the size of the value slots.
+    """
+    out = {}
+    for rest in itertools.combinations(range(n), degree):
+        heads = []
+        for k in range(n):
+            if k in rest:
+                continue
+            r = sum(1 for v in rest if v < k)
+            directions = rest[:r] + (k,) + rest[r:]
+            heads.append((k, -1 if r % 2 else 1, _flat(n, directions) * block))
+        out[_flat(n, rest)] = tuple(heads)
+    return out
 
 
 def _exterior_differential(tables, field: TensorField, degree: int) -> TensorField:
@@ -333,49 +381,60 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
     (d field)_{i0..ik, v} = sum_r (-1)^r D_{i_r} field_{..omit r.., v}, where
     v runs over the slots after the form slots and D_k is d_k minus
     Gamma^m_{k a} on each covariant slot a and plus Gamma^l_{k m} on each
-    contravariant slot l.  The sum is evaluated at strictly increasing
-    (i0..ik) only, as one combination of the d_k terms and Gamma products;
-    every other ordering gets the same value times the permutation's sign,
-    and components with a repeated direction are zero.
+    contravariant slot l.
+
+    The sum runs as a scatter over the field's support.  Only components
+    whose form indices strictly increase are read; the others are their
+    alternation copies.  Each one, at form indices I and value u, feeds,
+    for every direction k outside I with k sorted into I at place r:
+    (-1)^r d_k of it at (I + k, u), and (-1)^r times each Gamma in the
+    inverted tables, at u with the acted slot's index m replaced by the
+    a (or l) that the table lists for (k, m).  Each touched output, at
+    strictly increasing directions, is then one ``Polynomial.combination``,
+    in ascending output order.  Every even ordering of its directions holds
+    that one object and every odd ordering its one negation, so an
+    antisymmetry check of the result answers by identity and the echelon
+    streams the rows of repeated components once; components with a
+    repeated direction are zero.
     """
     n, p, q = field.shape.n, field.shape.p, field.shape.q
-    in_table, out_table = tables
-    # (slot, stride, table, sign) for each slot Gamma acts on
-    acted = [(s, n ** (p + q - 1 - s), in_table, -1) for s in range(degree, p)]
-    acted += [(s, n ** (p + q - 1 - s), out_table, 1) for s in range(p, p + q)]
+    _, covariant, contravariant = tables
+    block = n ** (p + q - degree)
+    # (stride, inverted table, sign) for each slot Gamma acts on
+    acted = [(n ** (p + q - 1 - s), covariant, -1) for s in range(degree, p)]
+    acted += [(n ** (p + q - 1 - s), contravariant, 1) for s in range(p, p + q)]
+    insertions = _insertions(n, degree, block)
     src = field.components
+    pairs: dict[int, list[tuple[int, Polynomial]]] = {}
+    products: dict[int, list[tuple[int, Polynomial, Polynomial]]] = {}
+    for pos in field.support:
+        heads = insertions.get(pos // block)
+        if heads is None:  # form indices not strictly increasing
+            continue
+        comp, offset = src[pos], pos % block
+        for k, sign, base in heads:
+            partial = comp.partial_derivative(k + 1)
+            if partial.numerators:
+                pairs.setdefault(base + offset, []).append((sign, partial))
+            for stride, table, gamma_sign in acted:
+                m = offset // stride % n
+                for a, g in table[k][m]:
+                    target = base + offset + (a - m) * stride
+                    products.setdefault(target, []).append((sign * gamma_sign, g, comp))
     zero = Polynomial.zero(n)
     comps = [zero] * n ** (p + 1 + q)
-    block = n ** (p + q - degree)
-    values = list(itertools.product(range(n), repeat=p + q - degree))
-    for directions in itertools.combinations(range(n), degree + 1):
-        targets = [(_flat(n, ordering) * block, sign) for ordering, sign in _orderings(directions)]
-        omitted = [
-            (k, -1 if r % 2 else 1, directions[:r] + directions[r + 1 :])
-            for r, k in enumerate(directions)
-        ]
-        for offset, value in enumerate(values):  # product order is flat order
-            pairs, products = [], []
-            for k, sign, rest in omitted:
-                index = rest + value
-                pos = _flat(n, index)
-                comp = src[pos]
-                if comp.numerators:
-                    pairs.append((sign, comp.partial_derivative(k + 1)))
-                for s, stride, table, gamma_sign in acted:
-                    a = index[s]
-                    for m, g in table[k][a]:
-                        comp = src[pos + (m - a) * stride]
-                        if comp.numerators:
-                            products.append((sign * gamma_sign, g, comp))
-            if not pairs and not products:
-                continue
-            acc = Polynomial.combination(n, pairs, products)
-            if acc.is_zero:
-                continue
-            negated = -acc if degree else acc  # degree 0 has one ordering, the identity
-            for pos, sign in targets:
-                comps[pos + offset] = acc if sign > 0 else negated
+    targets: dict[int, list[tuple[int, int]]] = {}
+    for out in sorted(pairs.keys() | products.keys()):
+        acc = Polynomial.combination(n, pairs.get(out, ()), products.get(out, ()))
+        if not acc.numerators:
+            continue
+        head, offset = divmod(out, block)
+        if head not in targets:
+            directions = tuple(head // n ** (degree - d) % n for d in range(degree + 1))
+            targets[head] = [(_flat(n, o) * block, sign) for o, sign in _orderings(directions)]
+        negated = -acc if degree else acc  # degree 0 has one ordering, the identity
+        for start, sign in targets[head]:
+            comps[start + offset] = acc if sign > 0 else negated
     return TensorField(TensorShape(p + 1, q, n), tuple(comps))
 
 
@@ -409,8 +468,8 @@ def wedge_endo_identity(beta: EndValuedForm) -> VectorValuedForm:
     if beta.degree != 2:
         raise ValueError(f"wedge with identity implemented for degree 2, got {beta.degree}")
     t = beta.tensor
-    cycled = permute_covariant(t, (2, 3, 1)) + permute_covariant(t, (3, 1, 2))
-    return VectorValuedForm(3, t + cycled)
+    cyclic = [(1, t, (1, 2, 3)), (1, t, (2, 3, 1)), (1, t, (3, 1, 2))]
+    return VectorValuedForm(3, combine(t.shape, cyclic))
 
 
 def wedge_oneform_identity(theta: TensorField) -> VectorValuedForm:
@@ -433,7 +492,7 @@ def exterior_derivative(theta: TensorField) -> TensorField:
     if theta.shape.p != 1 or theta.shape.q != 0:
         raise ValueError(f"expected a 1-form, got shape {theta.shape}")
     # a 1-form has no slot after its form slot, so no Gamma table is read
-    return _exterior_differential(((), ()), theta, 1)
+    return _exterior_differential(((), (), ()), theta, 1)
 
 
 def identity_oneform(n: int) -> VectorValuedForm:
@@ -506,7 +565,7 @@ class Invariants:
             (4, dtor, identity),
             (4, dtor, (3, 2, 1)),
         ]
-        return combine(r.shape, terms, products).scale(Fraction(1, 12))
+        return combine(r.shape, terms, products, 12)
 
     @cached_property
     def d_torsion(self) -> VectorValuedForm:

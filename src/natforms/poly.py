@@ -23,14 +23,15 @@ guards against.
 
 Polynomials are immutable, so arithmetic shares rather than copies: a sum
 or product with a zero operand, a scaling by 1 and a partial derivative of
-zero return an operand itself.
+zero return an operand itself.  A negation records the polynomial it
+negated, so an antisymmetry check that meets the pair answers by identity.
 
 :meth:`Polynomial.combination` is the fused kernel behind the sums that
 make up a derived quantity: it adds integer multiples of many polynomials
 and of many products of two into one numerator map over the lcm of the
 term denominators, with one gcd at the end, where a chain of ``+``, ``-``
-and ``*`` would build a polynomial per operation.  Its product loop is the
-one ``*`` runs.
+and ``*`` would build a polynomial per operation; a common integer divisor
+goes into the same denominator.  Its product loop is the one ``*`` runs.
 
 The canonical term order is graded lexicographic on exponent tuples
 (total degree first, then the tuple itself).  It fixes the printed form.
@@ -131,7 +132,7 @@ class Polynomial:
     Values are never mutated after construction and may be shared freely.
     """
 
-    __slots__ = ("dimension", "numerators", "denominator", "_terms")
+    __slots__ = ("dimension", "numerators", "denominator", "_terms", "_negated")
 
     dimension: int
     numerators: dict[Monomial, int]  # nonzero; gcd(denominator, *numerators) == 1
@@ -195,14 +196,17 @@ class Polynomial:
         dimension: int,
         pairs: Sequence[tuple[int, Polynomial]],
         products: Sequence[tuple[int, Polynomial, Polynomial]] = (),
+        divisor: int = 1,
     ) -> Polynomial:
         """sum c * p over the (c, p) pairs plus sum c * p * q over the
-        (c, p, q) products, each c an ``int``.
+        (c, p, q) products, each c an ``int``, divided by the positive
+        ``int`` divisor.
 
         Every term is added into one numerator map over the lcm of the term
-        denominators, and lowest terms are restored once.  Each product is
-        held to the term-pair bound of ``*``, and all of them are checked
-        before any term is added.  A lone pair (1, p) is p itself.
+        denominators times the divisor, and lowest terms are restored once.
+        Each product is held to the term-pair bound of ``*``, and all of
+        them are checked before any term is added.  A lone pair (1, p) with
+        divisor 1 is p itself.
         """
         den = 1
         for c, p in pairs:
@@ -216,7 +220,7 @@ class Polynomial:
             _check_pairs(p.numerators, q.numerators)
             if p.denominator != 1 or q.denominator != 1:
                 den = math.lcm(den, p.denominator * q.denominator)
-        if not products and len(pairs) == 1 and pairs[0][0] == 1:
+        if not products and len(pairs) == 1 and pairs[0][0] == 1 and divisor == 1:
             return pairs[0][1]
         out: dict[Monomial, int] = {}
         get = out.get
@@ -227,7 +231,7 @@ class Polynomial:
         for c, p, q in products:
             factor = c * (den // (p.denominator * q.denominator))
             _add_product(out, p.numerators, q.numerators, factor)
-        return cls._lowest_terms(dimension, _nonzero(out), den)
+        return cls._lowest_terms(dimension, _nonzero(out), den * divisor)
 
     @staticmethod
     def _refuse_term(dimension: int, c: object, *polys: Polynomial) -> None:
@@ -345,11 +349,15 @@ class Polynomial:
         return self._plus(other, -1)
 
     def __neg__(self) -> Polynomial:
+        """-self; the result records self as ``_negated``, so that a caller
+        holding both can tell they are negatives without comparing terms."""
         if not self.numerators:
             return self
-        return Polynomial._make(
+        result = Polynomial._make(
             self.dimension, {m: -c for m, c in self.numerators.items()}, self.denominator
         )
+        object.__setattr__(result, "_negated", self)
+        return result
 
     def __mul__(self, other: Polynomial | Coefficient) -> Polynomial:
         if not isinstance(other, Polynomial):

@@ -10,8 +10,12 @@ Most components of the fields built here are zero, so the kernels read
 only the nonzero ones: a field's :attr:`TensorField.support`, the ascending
 positions of its nonzero components, is computed on first read and kept on
 the immutable field.  :func:`is_antisymmetric`, :func:`tensor_product`,
-:func:`combine`, ``is_zero`` and the echelon rows of :mod:`natforms.exactla`
-walk it.
+:func:`combine`, :func:`symmetrization_vanishes`, ``is_zero`` and the
+echelon rows of :mod:`natforms.exactla` walk it.  :func:`is_antisymmetric`
+answers a pair stored as x and -x by identity, since a negation records
+what it negated, and compares numerators otherwise.
+:func:`symmetrization_vanishes` reads one group per orbit of the covariant
+slot permutations, not every permuted copy.
 
 One private gather, ``_gather``, does every reindexing: an output
 component sums the source at a remapped index over dummy indices, and is
@@ -311,14 +315,17 @@ def combine(
     shape: TensorShape,
     terms: Sequence[tuple[int, TensorField, Sequence[int]]],
     products: Mapping[int, Sequence[tuple[int, Polynomial, Polynomial]]] | None = None,
+    divisor: int = 1,
 ) -> TensorField:
     """sum c * permute_covariant(field, perm) over the (c, field, perm) terms,
     each c an ``int`` and each field of ``shape``, plus, at each storage
-    position in ``products``, sum c * f * g over its (c, f, g) triples.
+    position in ``products``, sum c * f * g over its (c, f, g) triples, all
+    divided by the positive ``int`` divisor.
 
     One scatter over each field's support collects the polynomials that land
     at each output position; each touched position is then one
-    :meth:`Polynomial.combination`, so a lone (1, p) term is p itself.
+    :meth:`Polynomial.combination`, so a lone (1, p) term with divisor 1 is
+    p itself.
     """
     n, p, q = shape.n, shape.p, shape.q
     collected: dict[int, list[tuple[int, Polynomial]]] = {}
@@ -335,8 +342,38 @@ def combine(
     zero_poly = Polynomial.zero(n)
     out = [zero_poly] * shape.size
     for pos in collected.keys() | products.keys():
-        out[pos] = Polynomial.combination(n, collected.get(pos, ()), products.get(pos, ()))
+        out[pos] = Polynomial.combination(
+            n, collected.get(pos, ()), products.get(pos, ()), divisor
+        )
     return TensorField(shape, tuple(out))
+
+
+@lru_cache(maxsize=16)
+def _sorted_positions(n: int, p: int, q: int) -> tuple[int, ...]:
+    """For each position of a (p,q) field, the position with the same
+    contravariant indices and its covariant indices sorted ascending."""
+    return tuple(
+        _flat(n, sorted(idx[:p]) + list(idx[p:]))
+        for idx in itertools.product(range(n), repeat=p + q)
+    )
+
+
+def symmetrization_vanishes(a: TensorField) -> bool:
+    """Whether the sum of a over all orderings of its covariant slots is zero.
+
+    That sum is the same at every ordering of one index multiset, and it is
+    a positive multiple (the number of permutations that fix an ordering)
+    of the sum of a over the multiset's distinct orderings.  So the support is grouped by sorted
+    covariant indices, with the contravariant ones, and each group is one
+    :meth:`Polynomial.combination` of its components, each read once.
+    """
+    n, p, q = a.shape.n, a.shape.p, a.shape.q
+    rep = _sorted_positions(n, p, q)
+    groups: dict[int, list[tuple[int, Polynomial]]] = {}
+    comps = a.components
+    for pos in a.support:
+        groups.setdefault(rep[pos], []).append((1, comps[pos]))
+    return all(not Polynomial.combination(n, pairs).numerators for pairs in groups.values())
 
 
 def _swap_perm(p: int, s1: int, s2: int) -> tuple[int, ...]:
@@ -360,12 +397,15 @@ def antisymmetrize_pair(a: TensorField, s1: int, s2: int) -> TensorField:
 
 
 def _negatives(x: Polynomial, y: Polynomial) -> bool:
-    """x == -y, decided on the numerator maps without building -y.
+    """x == -y, decided without building -y.
 
-    Both are in lowest terms over a positive denominator, so x == -y iff
-    the denominators are equal and each numerator of x is the negated
-    numerator of y at its monomial.
+    A negation records what it negated, so a pair built as x and -x (or -y
+    and y) answers at once.  Otherwise both are in lowest terms over a
+    positive denominator, so x == -y iff the denominators are equal and each
+    numerator of x is the negated numerator of y at its monomial.
     """
+    if getattr(y, "_negated", None) is x or getattr(x, "_negated", None) is y:
+        return True
     if x.denominator != y.denominator or x.dimension != y.dimension:
         return False
     x_nums, y_nums = x.numerators, y.numerators

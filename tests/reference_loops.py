@@ -10,7 +10,10 @@ the normal tensor N1 and the wedge/tensor products with the identity read
 components one 1-based index at a time through ``TensorField.get``, so
 none of them goes through the library's index gather.  The library
 computes the same results with less work and shared kernels; the tests
-require exact equality with these versions.
+require exact equality with these versions.  ``symmetrization_is_zero``
+is the full S3 symmetrization as the library once computed it, a
+``combine`` of all six slot orderings; it checks the library's
+orbit-representative test against every ordering summed.
 
 The exact linear algebra oracles are the earlier fraction-free (Bareiss)
 elimination over the whole integer-cleared matrix, every row kept, with
@@ -44,7 +47,7 @@ from natforms.geometry import (
     torsion,
 )
 from natforms.poly import Polynomial
-from natforms.tensor import TensorField, TensorShape, _flat, _swap_perm
+from natforms.tensor import TensorField, TensorShape, _flat, _swap_perm, combine
 
 
 def ext_cov_deriv_vector_all_orderings(conn, alpha):
@@ -271,6 +274,13 @@ def normal1_loop(conn):
                 acc = acc + (t_ij * tor.get((k, m), (l,))).scale(half)
         comps.append(acc.scale(minus_sixth))
     return TensorField(TensorShape(3, 1, n), tuple(comps))
+
+
+def symmetrization_is_zero(n1):
+    """Whether the sum of a (3,1) field over all six orderings of its
+    covariant slots is zero."""
+    symmetrization = [(1, n1, perm) for perm in itertools.permutations((1, 2, 3))]
+    return combine(n1.shape, symmetrization).is_zero
 
 
 # -- exact linear algebra: whole-matrix Bareiss elimination ----------------------

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natforms.geometry import (
     EndValuedForm,
@@ -31,6 +33,7 @@ from natforms.poly import Polynomial, parse
 from natforms.tensor import (
     TensorField,
     TensorShape,
+    _flat,
     contract,
     equal,
     is_antisymmetric,
@@ -43,6 +46,7 @@ from reference_loops import (
     ext_cov_deriv_vector_all_orderings,
     exterior_derivative_loop,
 )
+from test_tensor import nonzero_polys
 
 N = 4
 
@@ -336,21 +340,32 @@ def random_form(rng, n, degree, input_slots):
     strictly increasing form indices, so the alternation keeps each one."""
     p = degree + input_slots
     comps = [Polynomial.zero(n)] * n ** (p + 1)
-    increasing = [
+    increasing = increasing_positions(n, degree, p)
+    for pos in rng.sample(increasing, min(2 * n, len(increasing))):
+        comps[pos] = random_poly(rng, n) + Polynomial.constant(n, 1)
+    return alternated_form(TensorField(TensorShape(p, 1, n), tuple(comps)), degree)
+
+
+def increasing_positions(n, degree, p):
+    """Positions of a (p, 1) field whose first ``degree`` indices strictly increase."""
+    return [
         pos
         for pos, idx in enumerate(itertools.product(range(n), repeat=p + 1))
         if all(a < b for a, b in zip(idx[:degree], idx[1:degree]))
     ]
-    for pos in rng.sample(increasing, min(2 * n, len(increasing))):
-        comps[pos] = random_poly(rng, n) + Polynomial.constant(n, 1)
-    raw = TensorField(TensorShape(p, 1, n), tuple(comps))
+
+
+def alternated_form(raw, degree):
+    """The form that alternates raw over its first ``degree`` slots: a
+    vector-valued form for a (degree, 1) field, else endomorphism-valued."""
+    p = raw.shape.p
     total = None
     for perm in itertools.permutations(range(1, degree + 1)):
         inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
         piece = permute_covariant(raw, perm + tuple(range(degree + 1, p + 1)))
         piece = -piece if inversions % 2 else piece
         total = piece if total is None else total + piece
-    wrap = EndValuedForm if input_slots else VectorValuedForm
+    wrap = EndValuedForm if p > degree else VectorValuedForm
     return wrap(degree, total)
 
 
@@ -438,6 +453,109 @@ def test_differentials_above_the_dimension_are_zero():
             assert ext_cov_deriv_endo(conn, form).tensor.is_zero
         else:
             assert ext_cov_deriv_vector(conn, form).tensor.is_zero
+
+
+# -- the scatter: sparse sources, and one object per alternation class ---------------
+
+def assert_orderings_share(tensor, degree):
+    """Every even ordering of the first ``degree`` slots holds the one object
+    at strictly increasing indices, and every odd ordering its one recorded
+    negation; repeated indices hold zero."""
+    n = tensor.shape.n
+    block = n ** (tensor.shape.p + tensor.shape.q - degree)
+    comps = tensor.components
+    signed = []
+    for perm in itertools.permutations(range(degree)):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        signed.append((perm, inversions % 2))
+    for head in itertools.product(range(n), repeat=degree):
+        if len(set(head)) < degree:
+            start = _flat(n, head) * block
+            assert all(not c.numerators for c in comps[start : start + block])
+    for directions in itertools.combinations(range(n), degree):
+        for offset in range(block):
+            value = comps[_flat(n, directions) * block + offset]
+            odd_held = set()
+            for perm, odd in signed:
+                comp = comps[_flat(n, [directions[i] for i in perm]) * block + offset]
+                if not value.numerators:
+                    assert not comp.numerators
+                elif odd:
+                    assert comp._negated is value
+                    odd_held.add(id(comp))
+                else:
+                    assert comp is value
+            assert len(odd_held) <= 1
+
+
+@st.composite
+def sparse_connections_and_forms(draw):
+    """A connection in dimension 3 or 4 with up to 4 nonzero Christoffel
+    symbols, and a form on it alternated from 0 to 3 components at strictly
+    increasing form indices (of degree at most 3 at n = 3, 2 at n = 4)."""
+    n = draw(st.sampled_from((3, 4)))
+    keys = draw(st.lists(st.tuples(*[st.integers(1, n)] * 3), max_size=4, unique=True))
+    conn = connection_from_entries(n, {key: draw(nonzero_polys(n)) for key in keys})
+    degree = draw(st.integers(0, 3 if n == 3 else 2))
+    p = degree + draw(st.integers(0, 1))
+    comps = [Polynomial.zero(n)] * n ** (p + 1)
+    positions = increasing_positions(n, degree, p)
+    for pos in draw(st.lists(st.sampled_from(positions), max_size=3, unique=True)):
+        comps[pos] = draw(nonzero_polys(n))
+    return conn, alternated_form(TensorField(TensorShape(p, 1, n), tuple(comps)), degree)
+
+
+@given(sparse_connections_and_forms())
+@settings(max_examples=40, deadline=None)
+def test_scatter_matches_all_orderings_reference_on_sparse_sources(drawn):
+    conn, form = drawn
+    got = assert_matches_reference(conn, form)
+    assert_orderings_share(got.tensor, got.degree)
+    field = form.tensor
+    assert equal(covariant_derivative(conn, field), covariant_derivative_loop(conn, field))
+
+
+def test_scatter_of_a_single_component_reaches_only_its_outputs():
+    # one component of a vector field at x1^2 e_2 and one Christoffel symbol
+    conn = connection_from_entries(3, {(3, 1, 2): parse("x2", 3)})
+    comps = [Polynomial.zero(3)] * 3
+    comps[1] = parse("x1^2", 3)
+    form = VectorValuedForm(0, TensorField(TensorShape(0, 1, 3), tuple(comps)))
+    got = assert_matches_reference(conn, form).tensor
+    # D_1 of it: d_1 x1^2 at (1; 2) and Gamma^3_{12} x1^2 at (1; 3)
+    assert got.support == (_flat(3, (0, 1)), _flat(3, (0, 2)))
+    assert got.get((1,), (2,)) == parse("2*x1", 3) and got.get((1,), (3,)) == parse("x1^2*x2", 3)
+
+
+def test_differentials_share_one_object_per_alternation_class(ref_conn, crooked_conn, ref_family):
+    for conn in (ref_conn, crooked_conn):
+        q = Invariants(conn)
+        assert_orderings_share(q.curvature.tensor, 2)
+        assert_orderings_share(q.d_torsion.tensor, 3)
+        assert_orderings_share(q.d_curvature.tensor, 3)
+        assert_orderings_share(q.d_identity.tensor, 2)
+    for label in ("T1", "T2", "T13", "T19"):
+        assert_orderings_share(ext_cov_deriv_endo(ref_conn, ref_family[label].form).tensor, 3)
+
+
+def test_curvature_computes_one_of_each_antisymmetric_pair(monkeypatch):
+    # a dense draw: the (j, i) partners and i = j would double the calls
+    conn = random_connections(RandomConnectionSpec(seed=2, dimension=4, density=20), 1)[0]
+    calls = []
+    combination = Polynomial.combination.__func__
+
+    def counted(cls, dimension, pairs, products=(), divisor=1):
+        calls.append(1)
+        return combination(cls, dimension, pairs, products, divisor)
+
+    monkeypatch.setattr(Polynomial, "combination", classmethod(counted))
+    r = curvature(conn).tensor
+    monkeypatch.undo()
+    assert 0 < len(calls) <= 6 * 16  # the pairs i < j of 1..4, times (k, l)
+    assert_orderings_share(r, 2)
+    values = curvature_by_formula(conn)
+    indices = itertools.product(range(1, 5), repeat=4)
+    assert r.components == tuple(values[(l, i, j, k)] for i, j, k, l in indices)
 
 
 # -- the form wrappers' refusals ------------------------------------------------------------

@@ -566,6 +566,40 @@ def test_combination_of_a_lone_unit_pair_is_the_operand():
     assert Polynomial.combination(4, []) == Polynomial.zero(4)
 
 
+@given(
+    st.lists(st.tuples(int_factors, term_maps), max_size=3),
+    st.lists(st.tuples(int_factors, term_maps, term_maps), max_size=2),
+    st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=60)
+def test_combination_with_a_divisor_equals_the_scaled_combination(pairs, products, divisor):
+    pairs = [(c, Polynomial(N_VARS, t)) for c, t in pairs]
+    products = [(c, Polynomial(N_VARS, ta), Polynomial(N_VARS, tb)) for c, ta, tb in products]
+    got = Polynomial.combination(N_VARS, pairs, products, divisor)
+    assert got == Polynomial.combination(N_VARS, pairs, products).scale(Fraction(1, divisor))
+    assert _has_coefficient_contract(got)
+    assert _has_lowest_terms(got)
+
+
+def test_combination_divides_a_lone_unit_pair():
+    x = p("x1 - 1/2*x3")
+    assert Polynomial.combination(4, [(1, x)], divisor=12) == p("1/12*x1 - 1/24*x3")
+    assert Polynomial.combination(4, [(6, x)], divisor=12) == p("1/2*x1 - 1/4*x3")
+    assert Polynomial.combination(4, [(3, x), (-3, x)], divisor=12) == Polynomial.zero(4)
+
+
+def test_negation_records_the_polynomial_it_negated():
+    x = p("x1 - 1/2*x3")
+    negated = -x
+    assert negated._negated is x and negated == p("-x1 + 1/2*x3")
+    assert -negated == x and (-negated)._negated is negated
+    zero = Polynomial.zero(4)
+    assert -zero is zero
+    # arithmetic that is not a negation records nothing
+    assert getattr(x - x - x, "_negated", None) is None
+    assert getattr(x.scale(-1), "_negated", None) is None
+
+
 def test_combination_refuses_bad_terms():
     x = p("x1")
     with pytest.raises(TypeError, match="must be int"):

@@ -21,11 +21,16 @@ from natforms.tensor import (
     from_json_obj,
     is_antisymmetric,
     permute_covariant,
+    symmetrization_vanishes,
     tensor_product,
     to_json_obj,
     zero,
 )
-from reference_loops import is_antisymmetric_by_permutation, permute_covariant_loop
+from reference_loops import (
+    is_antisymmetric_by_permutation,
+    permute_covariant_loop,
+    symmetrization_is_zero,
+)
 
 N = 4
 
@@ -422,3 +427,91 @@ def test_combine_shares_a_lone_unit_term_and_checks_its_terms():
         combine(TensorShape(2, 0, N), [(1, t, (1, 2))])
     with pytest.raises(ValueError, match="not a permutation"):
         combine(t.shape, [(1, t, (1, 1))])
+
+
+# -- antisymmetry answered by negation identity ------------------------------------
+
+
+def test_recorded_negation_is_antisymmetric_by_identity():
+    x = parse("x1 + 2*x2", N)
+    comps = [Polynomial.zero(N)] * N**3
+    comps[tensor._flat(N, (0, 1, 0))], comps[tensor._flat(N, (1, 0, 0))] = x, -x
+    t = TensorField(TensorShape(2, 1, N), tuple(comps))
+    assert t.get((2, 1), (1,))._negated is t.get((1, 2), (1,))
+    assert tensor._negatives(x, -x) and tensor._negatives(-x, x)
+    assert is_antisymmetric(t, 1, 2) and is_antisymmetric(-t, 1, 2)
+
+
+def test_separately_built_negations_are_compared_by_value():
+    pair = {((1, 2), (1,)): "x1 + 2*x2"}
+    # an equal-valued negation built on its own, not by negating x
+    same = field_from({**pair, ((2, 1), (1,)): "-x1 - 2*x2"}, 2, 1)
+    assert is_antisymmetric(same, 1, 2)
+    x, partner = same.get((1, 2), (1,)), same.get((2, 1), (1,))
+    assert getattr(partner, "_negated", None) is not x and tensor._negatives(x, partner)
+    # the negation of a different polynomial is not a partner
+    other = parse("x1 + 3*x2", N)
+    comps = list(same.components)
+    comps[tensor._flat(N, (1, 0, 0))] = -other
+    assert not is_antisymmetric(TensorField(same.shape, tuple(comps)), 1, 2)
+    assert not tensor._negatives(x, -other) and not tensor._negatives(-other, x)
+    # nor is the negation of an equal-valued copy of a different component
+    comps[tensor._flat(N, (1, 0, 0))] = -parse("x1 + 2*x2 + x3", N)
+    assert not is_antisymmetric(TensorField(same.shape, tuple(comps)), 1, 2)
+
+
+def test_a_recorded_negation_at_the_wrong_partner_fails():
+    x, y = parse("x1", N), parse("x2", N)
+    comps = [Polynomial.zero(N)] * N**3
+    comps[tensor._flat(N, (0, 1, 0))], comps[tensor._flat(N, (1, 0, 0))] = x, -y
+    comps[tensor._flat(N, (0, 2, 0))], comps[tensor._flat(N, (2, 0, 0))] = y, -x
+    assert not is_antisymmetric(TensorField(TensorShape(2, 1, N), tuple(comps)), 1, 2)
+
+
+# -- the symmetrization over one representative per orbit ----------------------------
+
+
+def antisymmetrized(draw, t):
+    s1, s2 = draw(st.sampled_from([(1, 2), (1, 3), (2, 3)]))
+    return antisymmetrize_pair(t, s1, s2)
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_symmetrization_vanishes_matches_the_six_permutation_reference(data):
+    t = data.draw(sparse_fields([(3, 1)]))
+    assert symmetrization_vanishes(t) == symmetrization_is_zero(t)
+    # antisymmetric in one pair: the full symmetrization is zero
+    anti = antisymmetrized(data.draw, t)
+    assert symmetrization_vanishes(anti) and symmetrization_is_zero(anti)
+    # the sum of the two stays zero iff t's symmetrization does
+    both = t + anti
+    assert symmetrization_vanishes(both) == symmetrization_is_zero(both)
+    assert symmetrization_vanishes(both) == symmetrization_is_zero(t)
+
+
+@pytest.mark.parametrize(
+    "entries, vanishes",
+    [
+        ({}, True),
+        ({((1, 2, 3), (1,)): "x1"}, False),
+        ({((1, 2, 3), (1,)): "x1", ((3, 1, 2), (1,)): "-x1"}, True),
+        ({((1, 2, 3), (1,)): "x1", ((3, 1, 2), (2,)): "-x1"}, False),
+        ({((1, 1, 2), (1,)): "x1", ((2, 1, 1), (1,)): "-1/2*x1"}, False),
+        ({((1, 1, 2), (1,)): "x1", ((2, 1, 1), (1,)): "-x1"}, True),
+        ({((2, 2, 2), (4,)): "3"}, False),
+        ({((1, 2, 3), (1,)): "x1", ((2, 1, 3), (1,)): "x2", ((3, 2, 1), (1,)): "-x1 - x2"}, True),
+    ],
+)
+def test_symmetrization_vanishes_on_pinned_fields(entries, vanishes):
+    t = field_from(entries, 3, 1)
+    assert symmetrization_vanishes(t) == symmetrization_is_zero(t) == vanishes
+
+
+def test_symmetrization_of_curvature_terms():
+    from natforms.geometry import Invariants, reference_connection
+
+    q = Invariants(reference_connection())
+    assert symmetrization_vanishes(q.normal1)
+    r = q.curvature.tensor
+    assert symmetrization_vanishes(r) == symmetrization_is_zero(r)
