@@ -53,7 +53,6 @@ import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .poly import Monomial
 from .tensor import TensorField
 
 
@@ -77,7 +76,9 @@ Piece = tuple[int, Sequence[list[int]]]
 
 def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
     """The rows of the fields, one per (component, monomial) pair of their
-    joint support, read straight from the polynomial numerators.
+    joint support, read straight from the polynomial numerators.  A row is
+    keyed by the monomial's packed code, the key of ``numerators``, which is
+    only hashed and compared here, never decoded.
 
     One piece per component in the union of the fields' supports, in
     ascending position.  A component whose polynomials are the very
@@ -101,7 +102,7 @@ def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
             yield earlier[1], ()
             continue
         scale = math.lcm(*[poly.denominator for poly in comps])
-        row_of: dict[Monomial, list[int]] = {}
+        row_of: dict[int, list[int]] = {}  # packed monomial -> row
         for j, poly in enumerate(comps):
             factor = scale // poly.denominator
             for mono, num in poly.numerators.items():

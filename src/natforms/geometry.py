@@ -266,11 +266,20 @@ class EndValuedForm:
 # -- first-order invariants ------------------------------------------------------
 
 def torsion(conn: Connection) -> VectorValuedForm:
-    """Tor^l_{ij} = Gamma^l_{ij} - Gamma^l_{ji}, a vector-valued 2-form."""
+    """Tor^l_{ij} = Gamma^l_{ij} - Gamma^l_{ji}, a vector-valued 2-form.
+
+    Only i < j is computed; the (j, i) partner holds the negation of that
+    one value and i = j stays zero, as in :func:`curvature`.
+    """
     n = conn.dimension
-    comps = []
-    for i, j, l in itertools.product(range(1, n + 1), repeat=3):
-        comps.append(conn.gamma(l, i, j) - conn.gamma(l, j, i))
+    gamma = conn.christoffel  # Gamma^l_{ij} at ((l * n) + i) * n + j, 0-based
+    comps = [Polynomial.zero(n)] * n**3
+    for i, j in itertools.combinations(range(n), 2):
+        for l in range(n):
+            acc = gamma[(l * n + i) * n + j] - gamma[(l * n + j) * n + i]
+            if acc.numerators:
+                comps[(i * n + j) * n + l] = acc
+                comps[(j * n + i) * n + l] = -acc
     return VectorValuedForm(2, TensorField(TensorShape(2, 1, n), tuple(comps)))
 
 

@@ -1,6 +1,6 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial in n variables x1..xn is stored as a map from exponent tuples
+A polynomial in n variables x1..xn is stored as a map from packed monomials
 to nonzero ``int`` numerators and one positive ``int`` denominator, kept
 coprime to the numerators' content; zero has denominator 1.  Equality is
 exact and canonical: two polynomials are equal iff their dimensions,
@@ -10,10 +10,24 @@ their lcm, a product multiplies them, and one gcd over the result restores
 lowest terms, skipped when the denominator is 1, as it is for the integral
 polynomials that make up most of the work.
 
-:attr:`Polynomial.terms` is the coefficient view: a coefficient is an
-``int`` when it is integral and a ``fractions.Fraction`` with denominator
-> 1 otherwise.  Over denominator 1 the view is the numerator map itself;
-otherwise it is built on first read and kept, so it is built at most once.
+A monomial x1^e1 ... xn^en is packed into one ``int`` code, the key of
+:attr:`Polynomial.numerators`: each exponent fills a field of 32 bits, x1
+the most significant and xn the least, so the code is
+e1 * 2^(32(n-1)) + ... + en.  The code of a product monomial is the sum of
+its factors' codes, one integer addition, and a lookup hashes one ``int``
+rather than a tuple.  Among codes of one dimension, integer order is
+lexicographic order on exponent tuples: the most significant field that
+differs decides both.  Every exponent is below 2^31, so the top bit of each
+field is a guard bit that no valid code sets.  A product whose exponent
+would reach 2^31 sets it, and is refused with ``ValueError`` before the
+field can carry into its neighbour; ``Polynomial(n, terms)`` and the parser
+refuse such an exponent too.  Codes stay inside this module: callers give
+exponent tuples to ``Polynomial(n, terms)`` and read them from ``terms``.
+
+:attr:`Polynomial.terms` is the coefficient view, keyed by exponent tuples:
+a coefficient is an ``int`` when it is integral and a
+``fractions.Fraction`` with denominator > 1 otherwise.  It is built on
+first read and kept, so it is built at most once.
 Coefficients given from outside must be ``int`` (not ``bool``) or
 ``Fraction``, and exponents and coordinate indices ``int`` (not ``bool``):
 a float or string is refused, never converted.
@@ -41,15 +55,67 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from fractions import Fraction
-from operator import add
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 # Exponent tuple, one non-negative entry per coordinate x1..xn.
 Monomial = tuple[int, ...]
 
 # A coefficient: an int when integral, else a Fraction with denominator > 1.
 Coefficient = int | Fraction
+
+# Bits per exponent field of a packed monomial; the struct format "I" of
+# ``_Layout`` unpacks fields of exactly this width.
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+# Every exponent is below this, so the top bit of each field is a guard bit.
+_EXPONENT_BOUND = 1 << (_FIELD_BITS - 1)
+
+
+def _exponent_message(exponent: int) -> str:
+    return f"exponent {exponent} is not below the bound 2^{_FIELD_BITS - 1} = {_EXPONENT_BOUND}"
+
+
+def _pack(dimension: int, mono: Sequence[int]) -> int:
+    """The code of an exponent sequence given from outside, validated in the
+    same pass that packs it."""
+    mono = tuple(mono)
+    if len(mono) != dimension:
+        raise ValueError(f"exponent tuple {mono} has length {len(mono)}, expected {dimension}")
+    code = 0
+    for e in mono:
+        if type(e) is not int or e < 0:
+            raise ValueError(f"exponents must be non-negative integers, got {mono}")
+        if e >= _EXPONENT_BOUND:
+            raise ValueError(_exponent_message(e))
+        code = code << _FIELD_BITS | e
+    return code
+
+
+class _Layout:
+    """The packing of monomials in one dimension: ``guard`` has the top bit of
+    every field set, and ``decode`` turns a code into its exponent tuple."""
+
+    __slots__ = ("guard", "decode")
+
+    def __init__(self, dimension: int):
+        self.guard = sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1) for i in range(dimension))
+        unpack = struct.Struct(f">{dimension}I").unpack
+        size = _FIELD_BITS // 8 * dimension
+        self.decode: Callable[[int], Monomial] = lambda code: unpack(code.to_bytes(size, "big"))
+
+
+class _Layouts(dict):
+    """dimension -> its ``_Layout``, made on the first lookup, so a lookup that
+    hits is one dict subscript and no Python call."""
+
+    def __missing__(self, dimension: int) -> _Layout:
+        layout = self[dimension] = _Layout(dimension)
+        return layout
+
+
+_LAYOUTS = _Layouts()
 
 # A product of polynomials with |a| and |b| terms pairs every term of one with
 # every term of the other.  Products of more than this many term pairs are
@@ -86,7 +152,7 @@ def _coefficient(value: object) -> Coefficient:
     )
 
 
-def _numerators(coeffs: Mapping[Monomial, Coefficient]) -> tuple[dict[Monomial, int], int]:
+def _numerators(coeffs: Mapping[int, Coefficient]) -> tuple[dict[int, int], int]:
     """The nonzero values of a map of exact coefficients as ``int`` numerators
     over their least common denominator.  A map of ``int`` values only is its
     own numerator map over 1, and no lcm is taken."""
@@ -108,19 +174,24 @@ def _check_pairs(a: Mapping, b: Mapping) -> None:
 
 
 def _add_product(
-    out: dict[Monomial, int], a: Mapping[Monomial, int], b: Mapping[Monomial, int], factor: int
+    out: dict[int, int], a: Mapping[int, int], b: Mapping[int, int], factor: int, guard: int
 ) -> None:
     """Add factor * a * b into the numerator map ``out``; entries may cancel
-    to 0 and are left for the caller to drop."""
+    to 0 and are left for the caller to drop.  A product monomial that sets
+    a ``guard`` bit has an exponent of at least 2^31 and is refused."""
     get = out.get
     for ma, ca in a.items():
         ca *= factor
         for mb, cb in b.items():
-            mono = tuple(map(add, ma, mb))
+            mono = ma + mb
+            if mono & guard:
+                raise ValueError(
+                    f"a product has an exponent not below the bound 2^{_FIELD_BITS - 1}"
+                )
             out[mono] = get(mono, 0) + ca * cb
 
 
-def _nonzero(out: dict[Monomial, int]) -> dict[Monomial, int]:
+def _nonzero(out: dict[int, int]) -> dict[int, int]:
     """The numerator map without the entries that cancelled to 0."""
     return {mono: c for mono, c in out.items() if c} if 0 in out.values() else out
 
@@ -135,24 +206,18 @@ class Polynomial:
     __slots__ = ("dimension", "numerators", "denominator", "_terms", "_negated")
 
     dimension: int
-    numerators: dict[Monomial, int]  # nonzero; gcd(denominator, *numerators) == 1
+    numerators: dict[int, int]  # packed monomial -> nonzero; gcd(denominator, *values) == 1
     denominator: int  # positive; 1 for zero
 
     def __init__(self, dimension: int, terms: Mapping[Monomial, Coefficient] | None = None):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
-        coeffs: dict[Monomial, Coefficient] = {}
+        coeffs: dict[int, Coefficient] = {}
         for mono, coeff in (terms or {}).items():
-            mono = tuple(mono)
-            if len(mono) != dimension:
-                raise ValueError(
-                    f"exponent tuple {mono} has length {len(mono)}, expected {dimension}"
-                )
-            if any(type(e) is not int or e < 0 for e in mono):
-                raise ValueError(f"exponents must be non-negative integers, got {mono}")
+            code = _pack(dimension, mono)
             coeff = _coefficient(coeff)
             if coeff:
-                coeffs[mono] = coeffs.get(mono, 0) + coeff
+                coeffs[code] = coeffs.get(code, 0) + coeff
         numerators, denominator = _numerators(coeffs)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "numerators", numerators)
@@ -164,10 +229,11 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, dimension: int, numerators: dict[Monomial, int], denominator: int) -> Polynomial:
-        """Wrap, unchecked and uncopied, numerators known to be clean: monomials
-        of length ``dimension``, nonzero ``int`` numerators in lowest terms
-        over the positive ``denominator``, which is 1 if there are none."""
+    def _make(cls, dimension: int, numerators: dict[int, int], denominator: int) -> Polynomial:
+        """Wrap, unchecked and uncopied, numerators known to be clean: codes of
+        monomials in ``dimension`` variables, nonzero ``int`` numerators in
+        lowest terms over the positive ``denominator``, which is 1 if there
+        are none."""
         result = cls.__new__(cls)
         object.__setattr__(result, "dimension", dimension)
         object.__setattr__(result, "numerators", numerators)
@@ -176,7 +242,7 @@ class Polynomial:
 
     @classmethod
     def _lowest_terms(
-        cls, dimension: int, numerators: dict[Monomial, int], denominator: int
+        cls, dimension: int, numerators: dict[int, int], denominator: int
     ) -> Polynomial:
         """Wrap nonzero ``int`` numerators over a positive denominator, divided
         by the gcd of all of them; over denominator 1 there is nothing to do."""
@@ -222,15 +288,17 @@ class Polynomial:
                 den = math.lcm(den, p.denominator * q.denominator)
         if not products and len(pairs) == 1 and pairs[0][0] == 1 and divisor == 1:
             return pairs[0][1]
-        out: dict[Monomial, int] = {}
+        out: dict[int, int] = {}
         get = out.get
         for c, p in pairs:
             factor = c * (den // p.denominator)
             for mono, num in p.numerators.items():
                 out[mono] = get(mono, 0) + num * factor
+        if products:
+            guard = _LAYOUTS[dimension].guard
         for c, p, q in products:
             factor = c * (den // (p.denominator * q.denominator))
-            _add_product(out, p.numerators, q.numerators, factor)
+            _add_product(out, p.numerators, q.numerators, factor, guard)
         return cls._lowest_terms(dimension, _nonzero(out), den * divisor)
 
     @staticmethod
@@ -266,18 +334,23 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[Monomial, Coefficient]:
-        """The coefficients: ``int`` when integral, ``Fraction`` otherwise.
+        """The coefficients by exponent tuple: ``int`` when integral,
+        ``Fraction`` otherwise.
 
-        Over denominator 1 this is the numerator map itself; otherwise it is
-        built on first read and kept.  Read it, never modify it.
+        Built on first read and kept.  Read it, never modify it.
         """
-        den = self.denominator
-        if den == 1:
-            return self.numerators
         try:
             return self._terms
         except AttributeError:
-            view = {mono: _coefficient(Fraction(c, den)) for mono, c in self.numerators.items()}
+            decode = _LAYOUTS[self.dimension].decode
+            den = self.denominator
+            if den == 1:
+                view = {decode(code): c for code, c in self.numerators.items()}
+            else:
+                view = {
+                    decode(code): _coefficient(Fraction(c, den))
+                    for code, c in self.numerators.items()
+                }
             object.__setattr__(self, "_terms", view)
             return view
 
@@ -369,8 +442,8 @@ class Polynomial:
         if not b:
             return other
         _check_pairs(a, b)
-        out: dict[Monomial, int] = {}
-        _add_product(out, a, b, 1)
+        out: dict[int, int] = {}
+        _add_product(out, a, b, 1, _LAYOUTS[self.dimension].guard)
         return Polynomial._lowest_terms(
             self.dimension, _nonzero(out), self.denominator * other.denominator
         )
@@ -412,23 +485,34 @@ class Polynomial:
             raise ValueError(f"coordinate index {index} out of range 1..{self.dimension}")
         if not self.numerators:
             return self
-        k = index - 1
+        shift = _FIELD_BITS * (self.dimension - index)
+        unit = 1 << shift
         # lowering x_index is one-to-one on the monomials it keeps, and each
         # numerator * e is nonzero; only the common factor may change
         out = {
-            mono[:k] + (mono[k] - 1,) + mono[k + 1 :]: coeff * mono[k]
-            for mono, coeff in self.numerators.items()
-            if mono[k]
+            code - unit: coeff * e
+            for code, coeff in self.numerators.items()
+            if (e := (code >> shift) & _FIELD_MASK)
         }
         return Polynomial._lowest_terms(self.dimension, out, self.denominator)
 
     # -- presentation ------------------------------------------------------
 
     def sorted_terms(self) -> Iterator[tuple[Monomial, Coefficient]]:
-        """Terms in the canonical graded-lexicographic order."""
-        terms = self.terms
-        for mono in sorted(terms, key=grlex_key):
-            yield mono, terms[mono]
+        """Terms in the canonical graded-lexicographic order.
+
+        Decoded here rather than through the kept ``terms`` view, since a
+        printed polynomial is seldom read again: a report that prints many
+        would otherwise keep a second map per polynomial.
+        """
+        decode = _LAYOUTS[self.dimension].decode
+        den = self.denominator
+        decoded = sorted(
+            ((decode(code), c) for code, c in self.numerators.items()),
+            key=lambda term: grlex_key(term[0]),
+        )
+        for mono, c in decoded:
+            yield mono, c if den == 1 else _coefficient(Fraction(c, den))
 
     def __str__(self) -> str:
         return to_string(self)
@@ -617,10 +701,12 @@ class _Parser:
                 if exp_token[0] != "int":
                     raise ParseError("expected non-negative integer exponent", exp_token[2])
                 exponent = self.numeral(exp_token[1], exp_token[2])
-            # one monomial, so a large exponent costs no repeated multiplication
-            exps = [0] * self.dimension
-            exps[index - 1] = exponent
-            return Polynomial(self.dimension, {tuple(exps): 1})
+                if exponent >= _EXPONENT_BOUND:
+                    raise ParseError(_exponent_message(exponent), exp_token[2])
+            # one monomial, packed directly, so a large exponent costs no
+            # repeated multiplication
+            code = exponent << (_FIELD_BITS * (self.dimension - index))
+            return Polynomial._make(self.dimension, {code: 1}, 1)
         raise ParseError(f"unexpected token {value!r}", pos)
 
 

@@ -30,12 +30,20 @@ sharing only ``_primitive`` and ``Echelon`` with the library.
 The polynomial oracles ``add_terms``, ``sub_terms``, ``mul_terms``,
 ``scale_terms`` and ``partial_terms`` work on plain term maps with every
 coefficient a ``Fraction``: no ``int`` coefficients, no shared operands and
-no ``Polynomial``.
+no ``Polynomial``.  ``add_product_tuples``, ``partial_derivative_tuples``
+and ``combination_tuples`` are the library's product, derivative and
+combination loops as they ran on numerator maps keyed by exponent tuples,
+before monomials were packed into ``int`` codes; they take and return
+(numerators, denominator) pairs, in the library's insertion order, so
+``tuple_view`` of a result can be compared with ``Polynomial.terms`` item by
+item, order included.  ``torsion_loop`` evaluates every torsion component
+through ``Connection.gamma``.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from natforms.exactla import Echelon, Piece, _primitive
@@ -522,3 +530,77 @@ def partial_terms(a, index: int) -> dict:
             lowered = m[:k] + (m[k] - 1,) + m[k + 1 :]
             out[lowered] = out.get(lowered, Fraction(0)) + Fraction(c) * m[k]
     return fraction_terms(out)
+
+
+# -- the polynomial kernels on exponent-tuple keys --------------------------------
+
+def tuple_numerators(poly: Polynomial) -> tuple[dict, int]:
+    """The polynomial's (numerators, denominator), keyed by exponent tuples."""
+    den = poly.denominator
+    return {mono: int(c * den) for mono, c in poly.terms.items()}, den
+
+
+def tuple_view(numerators: dict, denominator: int) -> dict:
+    """The coefficient view of (numerators, denominator): ``int`` when
+    integral, ``Fraction`` otherwise, without the entries that cancelled."""
+    view = {}
+    for mono, c in numerators.items():
+        if c:
+            coeff = Fraction(c, denominator)
+            view[mono] = coeff.numerator if coeff.denominator == 1 else coeff
+    return view
+
+
+def add_product_tuples(out: dict, a: dict, b: dict, factor: int) -> None:
+    """Add factor * a * b into the numerator map ``out``; entries may cancel
+    to 0 and are left for the caller to drop."""
+    get = out.get
+    for ma, ca in a.items():
+        ca *= factor
+        for mb, cb in b.items():
+            mono = tuple(map(add, ma, mb))
+            out[mono] = get(mono, 0) + ca * cb
+
+
+def partial_derivative_tuples(numerators: dict, denominator: int, index: int) -> tuple[dict, int]:
+    """Formal partial derivative with respect to x_index (1-based)."""
+    k = index - 1
+    out = {
+        mono[:k] + (mono[k] - 1,) + mono[k + 1 :]: coeff * mono[k]
+        for mono, coeff in numerators.items()
+        if mono[k]
+    }
+    return out, denominator
+
+
+def combination_tuples(pairs, products=()) -> tuple[dict, int]:
+    """sum c * p over the (c, p) pairs plus sum c * p * q over the (c, p, q)
+    products, each p and q a (numerators, denominator) pair; entries that
+    cancelled to 0 are kept."""
+    den = 1
+    for c, (_, p_den) in pairs:
+        den = math.lcm(den, p_den)
+    for c, (_, p_den), (_, q_den) in products:
+        den = math.lcm(den, p_den * q_den)
+    out: dict = {}
+    get = out.get
+    for c, (p_nums, p_den) in pairs:
+        factor = c * (den // p_den)
+        for mono, num in p_nums.items():
+            out[mono] = get(mono, 0) + num * factor
+    for c, (p_nums, p_den), (q_nums, q_den) in products:
+        factor = c * (den // (p_den * q_den))
+        add_product_tuples(out, p_nums, q_nums, factor)
+    return out, den
+
+
+# -- torsion at every index tuple -------------------------------------------------
+
+def torsion_loop(conn) -> VectorValuedForm:
+    """Tor^l_{ij} = Gamma^l_{ij} - Gamma^l_{ji} at every (i, j, l)."""
+    n = conn.dimension
+    comps = [
+        conn.gamma(l, i, j) - conn.gamma(l, j, i)
+        for i, j, l in itertools.product(range(1, n + 1), repeat=3)
+    ]
+    return VectorValuedForm(2, TensorField(TensorShape(2, 1, n), tuple(comps)))

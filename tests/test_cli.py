@@ -273,6 +273,11 @@ GOOD_ENTRY = {"upper": 1, "lower": [1, 2], "poly": "x3"}
             {"dim": 4, "christoffel": [dict(GOOD_ENTRY, poly="x\u0663")]},
             "invalid polynomial for upper=1, lower=[1, 2]: unexpected character 'x' (at position 0)",
         ),
+        (
+            {"dim": 4, "christoffel": [dict(GOOD_ENTRY, poly="x2^2147483648")]},
+            "invalid polynomial for upper=1, lower=[1, 2]: exponent 2147483648 is not below "
+            "the bound 2^31 = 2147483648 (at position 3)",
+        ),
     ],
 )
 def test_connection_document_type_errors_exit_2(tmp_path, capsys, document, message):
@@ -282,6 +287,23 @@ def test_connection_document_type_errors_exit_2(tmp_path, capsys, document, mess
     assert run(["compute", "torsion", "--connection", str(bad), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_curvature_product_past_the_exponent_bound_exits_2(tmp_path, capsys):
+    # Gamma^2_{21} Gamma^1_{12} is a term of R^1_{121}: x1^(2^30) * x1^(2^30)
+    half = "x1^1073741824"
+    entries = [
+        {"upper": 1, "lower": [1, 2], "poly": half},
+        {"upper": 2, "lower": [2, 1], "poly": half},
+    ]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"dim": 4, "christoffel": entries}))
+    out = tmp_path / "out.json"
+    assert run(["compute", "torsion", "--connection", str(doc), "--out", str(out)]) == 0
+    assert run(["compute", "curvature", "--connection", str(doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: a product has an exponent not below the bound 2^31" in err
+    assert "Traceback" not in err
 
 
 GOOD_COMPONENT = {"cov": [1, 2], "contra": [3], "poly": "x1"}

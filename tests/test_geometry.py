@@ -45,6 +45,7 @@ from reference_loops import (
     ext_cov_deriv_endo_all_orderings,
     ext_cov_deriv_vector_all_orderings,
     exterior_derivative_loop,
+    torsion_loop,
 )
 from test_tensor import nonzero_polys
 
@@ -401,6 +402,16 @@ def test_differentials_match_all_orderings_reference(n, density, seed):
     for degree, input_slots in itertools.product(range(4), (0, 1)):
         form = random_form(rng, n, degree, input_slots)
         assert not assert_matches_reference(conn, form).tensor.is_zero
+
+
+@SEEDED_CONNECTIONS
+def test_torsion_matches_the_loop_reference(n, density, seed):
+    conn = random_connections(RandomConnectionSpec(seed=seed, dimension=n, density=density), 1)[0]
+    tor = torsion(conn).tensor
+    assert tor.components == torsion_loop(conn).tensor.components
+    assert not tor.is_zero
+    # (j, i) holds the recorded negation of (i, j), and i = j is zero
+    assert_orderings_share(tor, 2)
 
 
 def random_field(rng, n, p, q):

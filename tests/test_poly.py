@@ -12,14 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import natforms
-from natforms.poly import ParseError, Polynomial, grlex_key, parse, to_string
+from natforms.poly import _LAYOUTS, ParseError, Polynomial, _pack, grlex_key, parse, to_string
 from reference_loops import (
+    add_product_tuples,
     add_terms,
+    combination_tuples,
     fraction_terms,
     mul_terms,
+    partial_derivative_tuples,
     partial_terms,
     scale_terms,
     sub_terms,
+    tuple_numerators,
+    tuple_view,
 )
 
 # the directory natforms is imported from, for subprocesses
@@ -50,17 +55,22 @@ def test_integral_coefficients_are_int():
     assert type(p("1/2*x1^2").partial_derivative(1).terms[(1, 0, 0, 0)]) is int
 
 
+def packed(terms: dict) -> dict:
+    """The numerator map of exponent-tuple terms, keyed as ``numerators`` is."""
+    return {_pack(4, mono): c for mono, c in terms.items()}
+
+
 def test_numerators_over_one_denominator():
     half = p("1/2*x1 - 1/3*x2 + 5/6")
     assert half.denominator == 6
-    assert half.numerators == {(1, 0, 0, 0): 3, (0, 1, 0, 0): -2, (0, 0, 0, 0): 5}
+    assert half.numerators == packed({(1, 0, 0, 0): 3, (0, 1, 0, 0): -2, (0, 0, 0, 0): 5})
     # the gcd step: (1/6 + 1/6) x1 is 1/3 x1, not 2/6 x1
     sixth = p("1/6*x1 + 1/6*x2")
-    assert (sixth + sixth).numerators == {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}
+    assert (sixth + sixth).numerators == packed({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
     assert (sixth + sixth).denominator == 3
     mixed = half + p("1/2*x1 - 1/6")
     assert (mixed.numerators, mixed.denominator) == (
-        {(1, 0, 0, 0): 3, (0, 1, 0, 0): -1, (0, 0, 0, 0): 2}, 3
+        packed({(1, 0, 0, 0): 3, (0, 1, 0, 0): -1, (0, 0, 0, 0): 2}), 3
     )
     assert (p("1/3*x1") * p("3/2*x2")).denominator == 2
     assert (half - half).denominator == 1 and (half - half).is_zero
@@ -73,7 +83,9 @@ def test_coefficient_view_is_built_once():
     assert half.terms is half.terms
     assert half.terms == {(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): 1}
     whole = p("2*x1 + x2")
-    assert whole.terms is whole.numerators
+    assert whole.terms is whole.terms
+    assert whole.terms == {(1, 0, 0, 0): 2, (0, 1, 0, 0): 1}
+    assert whole.numerators == packed(whole.terms)
 
 
 # Values that are not an exact int or Fraction: a float, a string, a bool,
@@ -624,3 +636,142 @@ def test_combination_refuses_a_product_above_the_bound_before_any_work(monkeypat
     with pytest.raises(ValueError, match="term pairs"):
         Polynomial.combination(2, [(1, a)], [(1, a, a.partial_derivative(1)), (2, a, b)])
     assert added == []
+
+
+# -- packed monomials: the tuple-keyed oracle and the exponent bound ----------------
+
+BOUND = 2**31
+
+near_bound = st.sampled_from([2**30 - 1, 2**30, BOUND - 2, BOUND - 1])
+
+
+@st.composite
+def monomials_near_bound(draw, n):
+    """Small exponents, one of them near 2^31 in every fourth monomial."""
+    mono = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        mono[draw(st.integers(min_value=0, max_value=n - 1))] = draw(near_bound)
+    return tuple(mono)
+
+
+def near_bound_polynomials(n):
+    return st.dictionaries(monomials_near_bound(n), mixed_coefficients, max_size=4).map(
+        lambda terms: Polynomial(n, terms)
+    )
+
+
+def overflows(numerators: dict) -> bool:
+    return any(e >= BOUND for mono in numerators for e in mono)
+
+
+def assert_matches(got, want, name):
+    """``got`` (a thunk) equals the oracle's (numerators, denominator), read
+    through ``terms`` item by item, order included, or raises at the bound
+    when the oracle formed an exponent of 2^31 or more."""
+    if overflows(want[0]):
+        with pytest.raises(ValueError, match="bound 2\\^31"):
+            got()
+        return
+    result = got()
+    assert list(result.terms.items()) == list(tuple_view(*want).items()), name
+    assert _has_coefficient_contract(result), name
+    assert _has_lowest_terms(result), name
+
+
+@given(st.data())
+@settings(max_examples=50)
+def test_packed_kernels_equal_the_tuple_keyed_oracle(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    a, b, c = (data.draw(near_bound_polynomials(n)) for _ in range(3))
+    ta, tb, tc = tuple_numerators(a), tuple_numerators(b), tuple_numerators(c)
+    factor = data.draw(mixed_coefficients)
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    c1, c2, c3 = (data.draw(int_factors) for _ in range(3))
+
+    product: dict = {}
+    add_product_tuples(product, ta[0], tb[0], 1)
+    assert_matches(lambda: a * b, (product, ta[1] * tb[1]), "mul")
+    assert_matches(lambda: a + b, combination_tuples([(1, ta), (1, tb)]), "add")
+    assert_matches(lambda: a - b, combination_tuples([(1, ta), (-1, tb)]), "sub")
+    assert_matches(lambda: -a, combination_tuples([(-1, ta)]), "neg")
+    assert_matches(lambda: a.partial_derivative(k), partial_derivative_tuples(*ta, k), "partial")
+    f = Fraction(factor)
+    scaled = {mono: num * f.numerator for mono, num in ta[0].items()}
+    assert_matches(lambda: a.scale(factor), (scaled, ta[1] * f.denominator), "scale")
+    assert_matches(
+        lambda: Polynomial.combination(n, [(c1, a), (c2, c)], [(c3, b, c), (c1, a, b)]),
+        combination_tuples([(c1, ta), (c2, tc)], [(c3, tb, tc), (c1, ta, tb)]),
+        "combination",
+    )
+    assert parse(to_string(a), n) == a
+
+
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.lists(monomials_near_bound(n), min_size=1, max_size=8)
+))
+@settings(max_examples=50)
+def test_sorted_codes_decode_to_sorted_tuples(monos):
+    # integer order on codes is lexicographic order on exponent tuples,
+    # which grlex_key and sorted_terms rely on
+    n = len(monos[0])
+    decode = _LAYOUTS[n].decode
+    codes = [_pack(n, mono) for mono in monos]
+    assert [decode(code) for code in codes] == monos
+    assert [decode(code) for code in sorted(codes)] == sorted(monos)
+    poly = Polynomial(n, {mono: 1 for mono in monos})
+    assert [mono for mono, _ in poly.sorted_terms()] == sorted(set(monos), key=grlex_key)
+
+
+def test_exponent_bound_is_refused_on_construction():
+    with pytest.raises(ValueError, match="exponent 2147483648 is not below the bound 2\\^31"):
+        Polynomial(4, {(0, BOUND, 0, 0): 1})
+    with pytest.raises(ValueError, match="bound 2\\^31"):
+        Polynomial(1, {(2**40,): 1})
+    top = Polynomial(4, {(BOUND - 1, 0, 0, BOUND - 1): 3})
+    assert top.terms == {(BOUND - 1, 0, 0, BOUND - 1): 3}
+    assert to_string(top) == "3*x1^2147483647*x4^2147483647"
+    assert parse(to_string(top), 4) == top
+
+
+def monomial(**exponents):
+    """The monomial in 4 variables with the given exponents, x1=... to x4=..."""
+    mono = [0] * 4
+    for name, e in exponents.items():
+        mono[int(name[1:]) - 1] = e
+    return Polynomial(4, {tuple(mono): 1})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_products_past_the_bound_are_refused_and_never_carry(k):
+    # x_k next to a neighbouring variable at 5, so that a carry would show
+    var, neighbour = f"x{k}", f"x{k - 1 if k > 1 else 2}"
+    top = monomial(**{var: BOUND - 1, neighbour: 5})
+    x_k, half = Polynomial.variable(4, k), monomial(**{var: 2**30})
+    for refused in (
+        lambda: top * x_k,
+        lambda: x_k * top,
+        lambda: half * half,
+        lambda: Polynomial.combination(4, [(1, top)], [(1, top, x_k)]),
+        lambda: Polynomial.combination(4, [], [(2, half, half), (-2, half, half)]),
+        lambda: x_k**BOUND,
+        lambda: half**2,
+    ):
+        with pytest.raises(ValueError, match="bound 2\\^31"):
+            refused()
+    # the near miss: x_k reaches 2^31 - 1 exactly and its neighbour keeps 5
+    lower = monomial(**{var: 2**30 - 1, neighbour: 5})
+    assert lower * half == top
+    assert Polynomial.combination(4, [], [(1, half, lower)]) == top
+    assert x_k ** (BOUND - 1) == monomial(**{var: BOUND - 1})
+    assert top.partial_derivative(k) == monomial(**{var: BOUND - 2, neighbour: 5}).scale(BOUND - 1)
+
+
+def test_parse_refuses_an_exponent_at_the_bound():
+    with pytest.raises(ParseError, match="exponent 2147483648 is not below the bound") as err:
+        parse("x2^2147483648", 4)
+    assert err.value.position == 3
+    with pytest.raises(ParseError) as err:
+        parse("x1 + x3^99999999999", 4)
+    assert err.value.position == 8
+    assert parse("x2^2147483647", 4).terms == {(0, BOUND - 1, 0, 0): 1}
+
