@@ -73,7 +73,8 @@ def _write(path: str, text: str) -> None:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     conn = _load_connection_arg(args.connection)
-    log.info("input digest sha256:%s", _digest(args.connection))
+    digest = _digest(args.connection)
+    log.info("input digest sha256:%s", digest)
     what = args.what
     result = COMPUTE_TARGETS[what](Invariants(conn))
     if what == "generators":
@@ -81,7 +82,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         manifest = {
             "tool": "natforms",
             "version": __version__,
-            "connection_digest": _digest(args.connection),
+            "connection_digest": digest,
             "entries": [],
         }
         for entry in result.entries:
@@ -104,7 +105,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    paths = list(args.paths) + list(args.tensors or [])
+    paths = args.paths
     if not paths:
         raise ValueError("no tensor files given")
     fields = []
@@ -173,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rank_cmd = sub.add_parser("rank", help="exact rank of flattened tensor files")
     rank_cmd.add_argument("paths", nargs="*", help="tensor JSON files")
-    rank_cmd.add_argument("--tensors", nargs="+", help="additional tensor JSON files")
     rank_cmd.add_argument("--kernel", action="store_true", help="also print a kernel basis")
     rank_cmd.add_argument("--format", choices=("json", "text"), default="text")
     rank_cmd.set_defaults(func=cmd_rank)

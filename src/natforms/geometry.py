@@ -27,11 +27,14 @@ Conventions, fixed once here and relied on everywhere else:
   is then one accumulation, ``Polynomial.combination``, and every other
   ordering is filled by alternation: every even ordering holds that one
   object and every odd ordering its one negation, and components with a
-  repeated direction are zero.  Antisymmetry checks of the result answer
-  by that identity, and the echelon streams the rows of shared objects
-  once.  The covariant derivative is that differential in degree 0, where
-  Gamma acts on every slot, with the direction slot then moved from first
-  to last.  Gamma acts on the vector slot in ``ext_cov_deriv_vector``, on
+  repeated direction are zero.  All of the index bookkeeping comes from one
+  cached table, ``_alternation``, and its two maps: the insertions (where
+  each k sorts into each I, with sign) and the orderings (every ordering of
+  each output's directions, with sign).  Antisymmetry checks of the result
+  answer by that identity, and the echelon streams the rows of shared
+  objects once.  The covariant derivative is that differential in degree
+  0, where Gamma acts on every slot, with the direction slot then moved
+  from first to last.  Gamma acts on the vector slot in ``ext_cov_deriv_vector``, on
   the endomorphism input and output in ``ext_cov_deriv_endo``, and on no
   slot in ``exterior_derivative``.  ``torsion`` and ``curvature`` keep
   their own formulas, so the Bianchi identities check the kernel, not
@@ -345,42 +348,36 @@ def covariant_derivative(conn: Connection, field: TensorField) -> TensorField:
 
 # -- exterior differentials ---------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _signed_permutations(length: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each permutation of range(length) with its sign, built once per length."""
-    signed = []
-    for perm in itertools.permutations(range(length)):
-        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
-        signed.append((perm, -1 if inversions % 2 else 1))
-    return tuple(signed)
-
-
-def _orderings(directions: tuple[int, ...]):
-    """Each ordering of the distinct directions, with its permutation's sign."""
-    for perm, sign in _signed_permutations(len(directions)):
-        yield tuple(directions[p] for p in perm), sign
-
-
 @lru_cache(maxsize=64)
-def _insertions(n: int, degree: int, block: int) -> dict[int, tuple[tuple[int, int, int], ...]]:
-    """Where a direction joins each strictly increasing tuple of ``degree``
-    form indices in 0..n-1, keyed by the tuple's flat position.
+def _alternation(n: int, degree: int, block: int):
+    """The index table of the exterior differential of a ``degree``-form in
+    directions 0..n-1 whose value slots span ``block`` flat positions, built
+    once per (n, degree, block).  Returns two maps, keyed by the flat
+    position of a strictly increasing tuple.
 
-    For each direction k outside the tuple, (k, sign, base): sorting k in at
-    place r gives the output directions, sign is (-1)^r, and base is their
-    flat position times ``block``, the size of the value slots.
+    insertions: for each tuple of ``degree`` form indices, (k, sign, base)
+    for every direction k outside it, where sorting k in at place r gives
+    the output directions, sign is (-1)^r, and base is their flat position
+    times ``block``.  orderings: for each tuple of degree + 1 output
+    directions, (start, sign) for every ordering of it, where start is the
+    ordering's flat position times ``block`` and sign is the parity of its
+    inversions.
     """
-    out = {}
+    insertions = {}
     for rest in itertools.combinations(range(n), degree):
         heads = []
         for k in range(n):
-            if k in rest:
-                continue
-            r = sum(1 for v in rest if v < k)
-            directions = rest[:r] + (k,) + rest[r:]
-            heads.append((k, -1 if r % 2 else 1, _flat(n, directions) * block))
-        out[_flat(n, rest)] = tuple(heads)
-    return out
+            if k not in rest:
+                r = sum(1 for v in rest if v < k)
+                heads.append((k, (-1) ** r, _flat(n, rest[:r] + (k,) + rest[r:]) * block))
+        insertions[_flat(n, rest)] = tuple(heads)
+    orderings = {}
+    for head in itertools.combinations(range(n), degree + 1):
+        orderings[_flat(n, head)] = tuple(
+            (_flat(n, o) * block, (-1) ** sum(1 for a, b in itertools.combinations(o, 2) if a > b))
+            for o in itertools.permutations(head)
+        )
+    return insertions, orderings
 
 
 def _exterior_differential(tables, field: TensorField, degree: int) -> TensorField:
@@ -400,11 +397,14 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
     inverted tables, at u with the acted slot's index m replaced by the
     a (or l) that the table lists for (k, m).  Each touched output, at
     strictly increasing directions, is then one ``Polynomial.combination``,
-    in ascending output order.  Every even ordering of its directions holds
-    that one object and every odd ordering its one negation, so an
-    antisymmetry check of the result answers by identity and the echelon
-    streams the rows of repeated components once; components with a
-    repeated direction are zero.
+    in ascending output order.  Both steps read their indices and signs from
+    the one table ``_alternation(n, degree, block)``: its insertions map
+    gives (k, sign, base) for each source head I, and its orderings map
+    gives (start, sign) for each output head.  Every even ordering of an
+    output's directions holds that one object and every odd ordering its
+    one negation, so an antisymmetry check of the result answers by
+    identity and the echelon streams the rows of repeated components once;
+    components with a repeated direction are zero.
     """
     n, p, q = field.shape.n, field.shape.p, field.shape.q
     _, covariant, contravariant = tables
@@ -412,7 +412,7 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
     # (stride, inverted table, sign) for each slot Gamma acts on
     acted = [(n ** (p + q - 1 - s), covariant, -1) for s in range(degree, p)]
     acted += [(n ** (p + q - 1 - s), contravariant, 1) for s in range(p, p + q)]
-    insertions = _insertions(n, degree, block)
+    insertions, orderings = _alternation(n, degree, block)
     src = field.components
     pairs: dict[int, list[tuple[int, Polynomial]]] = {}
     products: dict[int, list[tuple[int, Polynomial, Polynomial]]] = {}
@@ -432,17 +432,13 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
                     products.setdefault(target, []).append((sign * gamma_sign, g, comp))
     zero = Polynomial.zero(n)
     comps = [zero] * n ** (p + 1 + q)
-    targets: dict[int, list[tuple[int, int]]] = {}
     for out in sorted(pairs.keys() | products.keys()):
         acc = Polynomial.combination(n, pairs.get(out, ()), products.get(out, ()))
         if not acc.numerators:
             continue
         head, offset = divmod(out, block)
-        if head not in targets:
-            directions = tuple(head // n ** (degree - d) % n for d in range(degree + 1))
-            targets[head] = [(_flat(n, o) * block, sign) for o, sign in _orderings(directions)]
         negated = -acc if degree else acc  # degree 0 has one ordering, the identity
-        for start, sign in targets[head]:
+        for start, sign in orderings[head]:
             comps[start + offset] = acc if sign > 0 else negated
     return TensorField(TensorShape(p + 1, q, n), tuple(comps))
 

@@ -72,7 +72,7 @@ def test_rank_with_kernel_on_dependent_pair(tmp_path, capsys):
 
     doubled.write_text(dumps(field))
     capsys.readouterr()
-    assert run(["rank", str(out), "--tensors", str(doubled), "--kernel", "--format", "json"]) == 0
+    assert run(["rank", str(out), str(doubled), "--kernel", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rank"] == 1
     assert payload["kernel"] == [["2", "-1"]]

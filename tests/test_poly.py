@@ -115,7 +115,7 @@ def test_non_int_exponents_are_refused(exponent):
         Polynomial.variable(4, 1) ** exponent
 
 
-@pytest.mark.parametrize("flag", [True, False], ids=repr)
+@pytest.mark.parametrize("flag", [True, False, 1.0, "1"], ids=repr)
 def test_bool_exponents_and_indices_are_refused(flag):
     with pytest.raises(ValueError, match="exponents must be non-negative integers"):
         Polynomial(2, {(flag, 0): 3})
