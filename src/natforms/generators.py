@@ -30,7 +30,7 @@ from .tensor import (
     TensorField,
     TensorShape,
     _gather,
-    antisymmetrize_pair,
+    combine,
     contract,
     delta,
     is_antisymmetric,
@@ -44,13 +44,18 @@ PATTERN_ID = "(ijk)-(jik)"
 PATTERN_JKI = "(jki)-(ikj)"
 PATTERN_KIJ = "(kij)-(kji)"
 
-_PATTERN_PERMS = {PATTERN_ID: None, PATTERN_JKI: (2, 3, 1), PATTERN_KIJ: (3, 1, 2)}
+# each pattern's two reindexings, as permute_covariant takes them: (2, 3, 1) reads base_{jki}
+_PATTERN_PERMS = {
+    PATTERN_ID: ((1, 2, 3), (2, 1, 3)),
+    PATTERN_JKI: ((2, 3, 1), (1, 3, 2)),
+    PATTERN_KIJ: ((3, 1, 2), (3, 2, 1)),
+}
 
 
 def apply_pattern(base: TensorField, pattern: str) -> TensorField:
-    perm = _PATTERN_PERMS[pattern]
-    reindexed = base if perm is None else permute_covariant(base, perm)
-    return antisymmetrize_pair(reindexed, 1, 2)
+    """A skew pattern of a (3,1) base, as one ``combine`` of its two reindexings."""
+    plus, minus = _PATTERN_PERMS[pattern]
+    return combine(base.shape, [(1, base, plus), (-1, base, minus)])
 
 
 def build_C_family(n1: TensorField) -> list[TensorField]:

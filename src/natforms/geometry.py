@@ -21,7 +21,7 @@ Conventions, fixed once here and relied on everywhere else:
   nonzero component at strictly increasing form indices I (the others are
   its alternation copies, which the form wrapper has checked) feeds, for
   every direction k outside I, its d_k term and one Gamma product per
-  entry of the inverted Gamma tables, -Gamma on each covariant slot after
+  entry of the two Gamma tables, -Gamma on each covariant slot after
   the form slots and +Gamma on each contravariant slot, each with the
   sign of sorting k into I.  Each output at strictly increasing directions
   is then one accumulation, ``Polynomial.combination``, and every other
@@ -38,10 +38,10 @@ Conventions, fixed once here and relied on everywhere else:
   the endomorphism input and output in ``ext_cov_deriv_endo``, and on no
   slot in ``exterior_derivative``.  ``torsion`` and ``curvature`` keep
   their own formulas, so the Bianchi identities check the kernel, not
-  restate it.  Gamma's sparse tables, by lower index pair for
-  ``curvature`` and inverted by upper index for the scatter, are built
-  once per connection, so a fault in them would pass the identities; the
-  independent sympy oracle of the test suite is what checks them.
+  restate it.  Gamma's two sparse tables, by lower index pair for
+  ``curvature`` and contravariant slots and inverted by upper index for
+  covariant slots, are built once per connection, so a fault in them would
+  pass the identities; the independent sympy oracle checks them.
 * ``Invariants`` is the one place where those formulas are applied to a
   connection: it computes torsion and curvature once, and from them the
   normal tensors and both structure differentials, for every caller.
@@ -111,22 +111,19 @@ class Connection:
         direction, 0-based, built once per connection.
 
         lower[k][a] lists (m, Gamma^m_{ka}): the sum over m that curvature
-        reads.  covariant[k][m] lists (a, Gamma^m_{ka}): a covariant slot
-        holding m feeds the output with a in that slot.  contravariant[k][m]
-        lists (l, Gamma^l_{km}): a contravariant slot holding m feeds the
-        output with l there.  Returned as (lower, covariant, contravariant).
+        reads, and the scatter's table for a contravariant slot, which,
+        holding a, feeds the output with m there.  covariant[k][m] lists
+        (a, Gamma^m_{ka}): a covariant slot holding m feeds the output with
+        a in that slot.  Returned as (lower, covariant).
         """
         n = self.dimension
-        lower, covariant, contravariant = (
-            [[[] for _ in range(n)] for _ in range(n)] for _ in range(3)
-        )
+        lower, covariant = ([[[] for _ in range(n)] for _ in range(n)] for _ in range(2))
         for l, i, j in itertools.product(range(n), repeat=3):
             poly = self.gamma(l + 1, i + 1, j + 1)
             if not poly.is_zero:
                 lower[i][j].append((l, poly))
                 covariant[i][l].append((j, poly))
-                contravariant[i][j].append((l, poly))
-        return lower, covariant, contravariant
+        return lower, covariant
 
 
 def connection_from_entries(n: int, entries: dict[tuple[int, int, int], Polynomial]) -> Connection:
@@ -394,11 +391,12 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
     alternation copies.  Each one, at form indices I and value u, feeds,
     for every direction k outside I with k sorted into I at place r:
     (-1)^r d_k of it at (I + k, u), and (-1)^r times each Gamma in the
-    inverted tables, at u with the acted slot's index m replaced by the
-    a (or l) that the table lists for (k, m).  Each touched output, at
-    strictly increasing directions, is then one ``Polynomial.combination``,
-    in ascending output order.  Both steps read their indices and signs from
-    the one table ``_alternation(n, degree, block)``: its insertions map
+    acted slot's table (covariant or lower), at u with that slot's index m
+    replaced by the a (or l) that the table lists for (k, m).  Each touched
+    output, at strictly increasing directions, is then one
+    ``Polynomial.combination``, in ascending output order.  Both steps read
+    their indices and signs from the one table
+    ``_alternation(n, degree, block)``: its insertions map
     gives (k, sign, base) for each source head I, and its orderings map
     gives (start, sign) for each output head.  Every even ordering of an
     output's directions holds that one object and every odd ordering its
@@ -407,11 +405,11 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
     components with a repeated direction are zero.
     """
     n, p, q = field.shape.n, field.shape.p, field.shape.q
-    _, covariant, contravariant = tables
+    lower, covariant = tables
     block = n ** (p + q - degree)
-    # (stride, inverted table, sign) for each slot Gamma acts on
+    # (stride, table, sign) for each slot Gamma acts on
     acted = [(n ** (p + q - 1 - s), covariant, -1) for s in range(degree, p)]
-    acted += [(n ** (p + q - 1 - s), contravariant, 1) for s in range(p, p + q)]
+    acted += [(n ** (p + q - 1 - s), lower, 1) for s in range(p, p + q)]
     insertions, orderings = _alternation(n, degree, block)
     src = field.components
     pairs: dict[int, list[tuple[int, Polynomial]]] = {}
@@ -497,7 +495,7 @@ def exterior_derivative(theta: TensorField) -> TensorField:
     if theta.shape.p != 1 or theta.shape.q != 0:
         raise ValueError(f"expected a 1-form, got shape {theta.shape}")
     # a 1-form has no slot after its form slot, so no Gamma table is read
-    return _exterior_differential(((), (), ()), theta, 1)
+    return _exterior_differential(((), ()), theta, 1)
 
 
 def identity_oneform(n: int) -> VectorValuedForm:

@@ -40,12 +40,13 @@ or product with a zero operand, a scaling by 1 and a partial derivative of
 zero return an operand itself.  A negation records the polynomial it
 negated, so an antisymmetry check that meets the pair answers by identity.
 
-:meth:`Polynomial.combination` is the fused kernel behind the sums that
-make up a derived quantity: it adds integer multiples of many polynomials
-and of many products of two into one numerator map over the lcm of the
-term denominators, with one gcd at the end, where a chain of ``+``, ``-``
-and ``*`` would build a polynomial per operation; a common integer divisor
-goes into the same denominator.  Its product loop is the one ``*`` runs.
+:meth:`Polynomial.combination` is the one polynomial sum: it adds integer
+multiples of many polynomials and of many products of two into one
+numerator map over the lcm of the term denominators, with one gcd at the
+end; a common integer divisor goes into the same denominator.  ``+`` and
+``-`` of two nonzero operands are each a two-pair combination.  A first
+pair with factor 1 starts the map as one C-level copy of its numerators,
+not term by term.  Its product loop is the one ``*`` runs.
 
 The canonical term order is graded lexicographic on exponent tuples
 (total degree first, then the tuple itself).  It fixes the printed form.
@@ -173,6 +174,16 @@ def _check_pairs(a: Mapping, b: Mapping) -> None:
         )
 
 
+def _check_divisor(divisor: object) -> None:
+    """Refuse a combination divisor that is not a positive ``int`` (``bool`` included)."""
+    if type(divisor) is not int:
+        raise TypeError(
+            f"combination divisors must be int, got {type(divisor).__name__} {divisor!r}"
+        )
+    if divisor < 1:
+        raise ValueError(f"combination divisors must be positive, got {divisor}")
+
+
 def _add_product(
     out: dict[int, int], a: Mapping[int, int], b: Mapping[int, int], factor: int, guard: int
 ) -> None:
@@ -272,8 +283,11 @@ class Polynomial:
         denominators times the divisor, and lowest terms are restored once.
         Each product is held to the term-pair bound of ``*``, and all of
         them are checked before any term is added.  A lone pair (1, p) with
-        divisor 1 is p itself.
+        divisor 1 is p itself, and a lone pair (-1, p) is ``-p``, which
+        records p.
         """
+        if type(divisor) is not int or divisor < 1:
+            _check_divisor(divisor)
         den = 1
         for c, p in pairs:
             if type(c) is not int or p.dimension != dimension:
@@ -286,11 +300,18 @@ class Polynomial:
             _check_pairs(p.numerators, q.numerators)
             if p.denominator != 1 or q.denominator != 1:
                 den = math.lcm(den, p.denominator * q.denominator)
-        if not products and len(pairs) == 1 and pairs[0][0] == 1 and divisor == 1:
-            return pairs[0][1]
+        if not products and len(pairs) == 1 and divisor == 1 and pairs[0][0] in (1, -1):
+            c, p = pairs[0]
+            return p if c == 1 else -p
         out: dict[int, int] = {}
+        rest = pairs
+        if pairs and pairs[0][0] == 1 and pairs[0][1].denominator == den:
+            # factor 1: the map starts as one C-level copy of the first
+            # operand's numerators rather than being built term by term
+            out = dict(pairs[0][1].numerators)
+            rest = pairs[1:]
         get = out.get
-        for c, p in pairs:
+        for c, p in rest:
             factor = c * (den // p.denominator)
             for mono, num in p.numerators.items():
                 out[mono] = get(mono, 0) + num * factor
@@ -372,36 +393,14 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
     #
     # A sum or product with a zero operand and a scaling by 1 make no new
-    # polynomial: the result is an operand itself.
+    # polynomial: the result is an operand itself.  Any other sum or
+    # difference is a two-pair combination.
 
     def _check_dimension(self, other: Polynomial) -> None:
         if self.dimension != other.dimension:
             raise ValueError(
                 f"dimension mismatch: {self.dimension} vs {other.dimension}"
             )
-
-    def _plus(self, other: Polynomial, sign: int) -> Polynomial:
-        """self + sign * other, for sign 1 or -1, in one pass over other, over
-        the lcm of the two denominators."""
-        den, other_den = self.denominator, other.denominator
-        if den == other_den:
-            out = dict(self.numerators)
-        else:
-            den = math.lcm(den, other_den)
-            factor = den // self.denominator
-            out = {mono: c * factor for mono, c in self.numerators.items()}
-            sign *= den // other_den
-        for mono, coeff in other.numerators.items():
-            acc = out.get(mono)
-            if acc is None:
-                out[mono] = coeff * sign
-            else:
-                acc += coeff * sign
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-        return Polynomial._lowest_terms(self.dimension, out, den)
 
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -411,7 +410,7 @@ class Polynomial:
             return self
         if not self.numerators:
             return other
-        return self._plus(other, 1)
+        return Polynomial.combination(self.dimension, [(1, self), (1, other)])
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -419,7 +418,7 @@ class Polynomial:
         self._check_dimension(other)
         if not other.numerators:
             return self
-        return self._plus(other, -1)
+        return Polynomial.combination(self.dimension, [(1, self), (-1, other)])
 
     def __neg__(self) -> Polynomial:
         """-self; the result records self as ``_negated``, so that a caller

@@ -20,13 +20,14 @@ slot permutations, not every permuted copy.
 One private gather, ``_gather``, does every reindexing: an output
 component sums the source at a remapped index over dummy indices, and is
 zero off a Kronecker-delta diagonal.  It runs as a scatter over the
-source's support.  :func:`contract`,
-:func:`permute_covariant` and :func:`natforms.generators.apply_scheme`
-are gathers.  :func:`combine` sums integer multiples of slot-permuted
-fields the same way, as one scatter over each field's support followed by
-one :meth:`Polynomial.combination` per touched position.  Outside this
-module only the derivative kernel and N1 of :mod:`natforms.geometry` read
-the storage layout directly; the echelon in
+source's support.  :func:`contract`, :func:`permute_covariant` and
+:func:`natforms.generators.apply_scheme` are gathers.  :func:`combine`,
+the one sum of fields, sums integer multiples of slot-permuted fields the
+same way, as one scatter over each field's support followed by one
+:meth:`Polynomial.combination` per touched position: ``+``, ``-`` and
+:func:`antisymmetrize_pair` are each one ``combine``, and build no
+permuted copy.  Outside this module only the derivative kernel and N1 of
+:mod:`natforms.geometry` read the storage layout directly; the echelon in
 :mod:`natforms.exactla` reads components by position and gives the
 indices no meaning.
 
@@ -43,7 +44,7 @@ from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
 
-from .poly import Coefficient, Polynomial, _coefficient, parse, to_string
+from .poly import Coefficient, Polynomial, _check_divisor, _coefficient, parse, to_string
 
 
 @dataclass(frozen=True)
@@ -127,32 +128,17 @@ class TensorField:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
-    # A zero component passes its partner through as it is, without a call
-    # into Polynomial; most components of the fields built here are zero.
-
     def __add__(self, other: TensorField) -> TensorField:
         if not isinstance(other, TensorField):
             return NotImplemented
-        self._check_shape(other)
-        return TensorField(
-            self.shape,
-            tuple(
-                b if not a.numerators else a if not b.numerators else a + b
-                for a, b in zip(self.components, other.components)
-            ),
-        )
+        identity = tuple(range(1, self.shape.p + 1))
+        return combine(self.shape, [(1, self, identity), (1, other, identity)])
 
     def __sub__(self, other: TensorField) -> TensorField:
         if not isinstance(other, TensorField):
             return NotImplemented
-        self._check_shape(other)
-        return TensorField(
-            self.shape,
-            tuple(
-                a if not b.numerators else -b if not a.numerators else a - b
-                for a, b in zip(self.components, other.components)
-            ),
-        )
+        identity = tuple(range(1, self.shape.p + 1))
+        return combine(self.shape, [(1, self, identity), (-1, other, identity)])
 
     def __neg__(self) -> TensorField:
         return TensorField(self.shape, tuple(-c if c.numerators else c for c in self.components))
@@ -325,8 +311,9 @@ def combine(
     One scatter over each field's support collects the polynomials that land
     at each output position; each touched position is then one
     :meth:`Polynomial.combination`, so a lone (1, p) term with divisor 1 is
-    p itself.
+    p itself.  The divisor is checked before any field is read.
     """
+    _check_divisor(divisor)
     n, p, q = shape.n, shape.p, shape.q
     collected: dict[int, list[tuple[int, Polynomial]]] = {}
     for c, field, perm in terms:
@@ -392,8 +379,9 @@ def antisymmetrize_pair(a: TensorField, s1: int, s2: int) -> TensorField:
 
     Applied to an already antisymmetric field this doubles it.
     """
-    _check_slot_pair(a.shape.p, s1, s2)
-    return a - permute_covariant(a, _swap_perm(a.shape.p, s1, s2))
+    p = a.shape.p
+    _check_slot_pair(p, s1, s2)
+    return combine(a.shape, [(1, a, tuple(range(1, p + 1))), (-1, a, _swap_perm(p, s1, s2))])
 
 
 def _negatives(x: Polynomial, y: Polynomial) -> bool:

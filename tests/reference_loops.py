@@ -8,7 +8,10 @@ slot-swapped field and negating it.  Christoffel symbols are read through
 derivative kernel.  Contraction, slot permutation, contraction schemes,
 the normal tensor N1 and the wedge/tensor products with the identity read
 components one 1-based index at a time through ``TensorField.get``, so
-none of them goes through the library's index gather.  The library
+none of them goes through the library's index gather.
+``combine_terms_loop`` sums slot-permuted fields and products one
+component at a time in the all-Fraction term maps below, so it shares no
+code with ``combine`` or with the polynomial sums behind it.  The library
 computes the same results with less work and shared kernels; the tests
 require exact equality with these versions.  ``symmetrization_is_zero``
 is the full S3 symmetrization as the library once computed it, a
@@ -282,6 +285,23 @@ def normal1_loop(conn):
                 acc = acc + (t_ij * tor.get((k, m), (l,))).scale(half)
         comps.append(acc.scale(minus_sixth))
     return TensorField(TensorShape(3, 1, n), tuple(comps))
+
+
+def combine_terms_loop(shape, terms, products=None):
+    """The all-Fraction term map at every position of the sum of
+    c * permute_covariant_loop(field, perm) over the (c, field, perm) terms,
+    plus c * f * g for each (c, f, g) that ``products`` lists at a position,
+    one component at a time."""
+    permuted = [(c, permute_covariant_loop(field, perm)) for c, field, perm in terms]
+    maps = []
+    for pos in range(shape.size):
+        acc: dict = {}
+        for c, field in permuted:
+            acc = add_terms(acc, scale_terms(field.components[pos].terms, c))
+        for c, f, g in (products or {}).get(pos, ()):
+            acc = add_terms(acc, scale_terms(mul_terms(f.terms, g.terms), c))
+        maps.append(acc)
+    return maps
 
 
 def symmetrization_is_zero(n1):

@@ -4,9 +4,14 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from natforms.generators import (
+    PATTERN_ID,
+    PATTERN_JKI,
+    PATTERN_KIJ,
     ContractionScheme,
+    apply_pattern,
     apply_scheme,
     build_C_family,
     build_D_family,
@@ -27,7 +32,14 @@ from natforms.tensor import (
     zero,
 )
 from natforms.verify import Derived
-from reference_loops import flatten_loop, in_span_bareiss, rank_bareiss, transpose
+from reference_loops import (
+    combine_terms_loop,
+    flatten_loop,
+    in_span_bareiss,
+    rank_bareiss,
+    transpose,
+)
+from test_tensor import sparse_fields
 
 N = 4
 
@@ -132,6 +144,31 @@ def test_family_entries_are_two_forms(ref_conn):
     family = Derived(ref_conn).family
     for entry in family.entries:
         assert is_antisymmetric(entry.form.tensor, 1, 2), entry.label
+
+
+def pattern_loop(base, pattern):
+    """The skew pattern read from its label: "(jki)-(ikj)" is base_{jki}
+    minus base_{ikj} at (i, j, k), each a loop permutation of the base."""
+    words = pattern[1:-1].split(")-(")
+    plus, minus = (tuple("ijk".index(ch) + 1 for ch in word) for word in words)
+    return combine_terms_loop(base.shape, [(1, base, plus), (-1, base, minus)])
+
+
+def assert_patterns_match_loop(base):
+    for pattern in (PATTERN_ID, PATTERN_JKI, PATTERN_KIJ):
+        got = [c.terms for c in apply_pattern(base, pattern).components]
+        assert got == pattern_loop(base, pattern), pattern
+
+
+def test_patterns_on_every_base_match_the_loop_reference(ref_family):
+    for base in ref_family.bases.values():
+        assert_patterns_match_loop(base)
+
+
+@given(sparse_fields([(3, 1)]))
+@settings(max_examples=40)
+def test_patterns_on_sparse_fields_match_the_loop_reference(base):
+    assert_patterns_match_loop(base)
 
 
 def test_doubling_patterns_agree(ref_n0, ref_n1):

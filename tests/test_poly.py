@@ -574,8 +574,34 @@ def test_combination_that_cancels_fully_is_zero_over_one():
 def test_combination_of_a_lone_unit_pair_is_the_operand():
     x = p("x1 - 1/2*x3")
     assert Polynomial.combination(4, [(1, x)]) is x
-    assert Polynomial.combination(4, [(-1, x)]) == -x
+    negated = Polynomial.combination(4, [(-1, x)])
+    assert negated == -x and negated._negated is x
     assert Polynomial.combination(4, []) == Polynomial.zero(4)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("x1 + 2*x2", "x1 - x3"),  # one denominator: the first map is copied
+        ("1/2*x1 + x2", "1/2*x1 - 1/2*x3"),
+        ("x1 + x2", "1/3*x2 - x1"),  # the first operand is rescaled
+        ("x1 + x2", "x1 + x2"),  # a - b cancels to zero
+    ],
+)
+def test_sums_leave_their_operands_unchanged(a, b):
+    a, b = p(a), p(b)
+    before = [(dict(q.numerators), q.denominator) for q in (a, b)]
+    results = [
+        a + b,
+        a - b,
+        b - a,
+        Polynomial.combination(4, [(1, a), (2, b)]),
+        Polynomial.combination(4, [(1, a), (-1, b)], [(1, a, b)], 3),
+    ]
+    for result in results:
+        for q, (numerators, denominator) in zip((a, b), before):
+            assert (q.numerators, q.denominator) == (numerators, denominator)
+            assert result.numerators is not q.numerators
 
 
 @given(
@@ -622,6 +648,15 @@ def test_combination_refuses_bad_terms():
         Polynomial.combination(4, [(1, p("x1", 3))])
     with pytest.raises(ValueError, match="dimension mismatch"):
         Polynomial.combination(4, [], [(1, x, p("x1", 3))])
+    # the divisor is refused before any term is read, a bad term included
+    for divisor in (0, -2):
+        with pytest.raises(ValueError, match="divisors must be positive"):
+            Polynomial.combination(4, [(1, x)], (), divisor)
+        with pytest.raises(ValueError, match="divisors must be positive"):
+            Polynomial.combination(4, [(Fraction(1, 2), x)], (), divisor)
+    for divisor in (True, 2.0, Fraction(2)):
+        with pytest.raises(TypeError, match="divisors must be int"):
+            Polynomial.combination(4, [(1, x)], (), divisor)
 
 
 def test_combination_refuses_a_product_above_the_bound_before_any_work(monkeypatch):

@@ -27,6 +27,7 @@ from natforms.tensor import (
     zero,
 )
 from reference_loops import (
+    combine_terms_loop,
     is_antisymmetric_by_permutation,
     permute_covariant_loop,
     symmetrization_is_zero,
@@ -43,6 +44,11 @@ def field_from(entries, p, q, n=N):
     for idx in _all_indices(shape):
         flat.append(comps.get(idx, Polynomial.zero(n)))
     return TensorField(shape, tuple(flat))
+
+
+def term_maps(field):
+    """The coefficient view of every component, in storage order."""
+    return [c.terms for c in field.components]
 
 
 def constant_scalar(value, n=N):
@@ -226,10 +232,10 @@ def test_pointwise_operations_pass_zero_components_through():
     b = field_from({((1,), (2,)): "x1*x2", ((2,), (1,)): "x2 - 1"}, 1, 1, n=2)
     (a0, a1, a2, a3), (b0, b1, b2, b3) = a.components, b.components
     total = (a + b).components
-    assert total[0] is a0 and total[1] is b1 and total[3] is b3
+    assert total[0] is a0 and total[1] is b1 and total[3].is_zero
     assert total[2] == parse("2*x2 - 1", 2)
     difference = (a - b).components
-    assert difference[0] is a0 and difference[3] is a3
+    assert difference[0] is a0 and difference[3].is_zero
     assert difference[1] == -b1 and difference[2] == Polynomial.constant(2, 1)
     negated = (-a).components
     assert negated[1] is a1 and negated[3] is a3 and negated[0] == -a0
@@ -405,16 +411,26 @@ def test_combine_matches_permute_scale_and_add(data):
             max_size=4,
         )
     )
-    want = zero(t.shape)
-    for c, field, perm in terms:
-        want = want + permute_covariant_loop(field, perm).scale(c)
-    assert equal(combine(t.shape, terms), want)
+    assert term_maps(combine(t.shape, terms)) == combine_terms_loop(t.shape, terms)
     # products added at t's nonzero positions; the factor read from u may be zero
     products = {pos: [(2, t.components[pos], u.components[-1 - pos])] for pos in t.support}
-    comps = list(want.components)
-    for pos, [(c, f, g)] in products.items():
-        comps[pos] = comps[pos] + (f * g).scale(c)
-    assert equal(combine(t.shape, terms, products), TensorField(t.shape, tuple(comps)))
+    assert term_maps(combine(t.shape, terms, products)) == combine_terms_loop(
+        t.shape, terms, products
+    )
+    # + and - of two fields are combine with identity permutations
+    identity = tuple(slots)
+    assert term_maps(t + u) == combine_terms_loop(t.shape, [(1, t, identity), (1, u, identity)])
+    assert term_maps(t - u) == combine_terms_loop(t.shape, [(1, t, identity), (-1, u, identity)])
+
+
+@given(sparse_fields([(p, q) for p in range(2, 5) for q in range(5 - p)]))
+@settings(max_examples=40)
+def test_antisymmetrize_pair_matches_the_loop_reference_at_every_slot_pair(t):
+    identity = tuple(range(1, t.shape.p + 1))
+    for s1, s2 in itertools.permutations(range(1, t.shape.p + 1), 2):
+        swap = tensor._swap_perm(t.shape.p, s1, s2)
+        want = combine_terms_loop(t.shape, [(1, t, identity), (-1, t, swap)])
+        assert term_maps(antisymmetrize_pair(t, s1, s2)) == want, (s1, s2)
 
 
 def test_combine_shares_a_lone_unit_term_and_checks_its_terms():
@@ -427,6 +443,12 @@ def test_combine_shares_a_lone_unit_term_and_checks_its_terms():
         combine(TensorShape(2, 0, N), [(1, t, (1, 2))])
     with pytest.raises(ValueError, match="not a permutation"):
         combine(t.shape, [(1, t, (1, 1))])
+    # the divisor is refused before any field is read, with no term at all too
+    for divisor, error in ((0, ValueError), (-2, ValueError), (True, TypeError), (2.0, TypeError)):
+        with pytest.raises(error, match="divisors must be"):
+            combine(t.shape, [], divisor=divisor)
+        with pytest.raises(error, match="divisors must be"):
+            combine(t.shape, [(1, t, (1, 2))], divisor=divisor)
 
 
 # -- antisymmetry answered by negation identity ------------------------------------
