@@ -29,6 +29,7 @@ from .tensor import dumps as tensor_dumps
 from .tensor import loads as tensor_loads
 from .verify import (
     CLAIMS,
+    MAX_COUNT,
     RandomConnectionSpec,
     aggregate_pass,
     report_json,
@@ -136,6 +137,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.count < 1:
         # zero connections would make the bianchi verdict a vacuous PASS
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.count > MAX_COUNT:
+        raise ValueError(f"--count must be at most {MAX_COUNT}, got {args.count}")
     spec = RandomConnectionSpec(seed=args.seed)
     log.info("seed %d", args.seed)
     target = args.target

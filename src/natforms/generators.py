@@ -18,24 +18,41 @@ There are exactly r! of them, r being the number of lower slots, and none
 when the covariant and contravariant defects differ.  ``apply_scheme``
 evaluates one as a single gather of :mod:`natforms.tensor`: contracted
 pairs share a dummy index and delta fills tie two target slots.
+
+``project_schemes`` antisymmetrizes every scheme's value in the target's
+first covariant pair, evaluating each scheme orbit once.  A slot symmetry
+of the source (N0 (x) N0 is antisymmetric in each factor's covariant pair
+and unchanged by swapping the factors) and the swap of the two
+antisymmetrized target slots act on the schemes by relabelling their
+slots; schemes of one orbit give one value up to a known sign, and an
+orbit whose stabilizer holds an odd element gives zero.  The orbit table
+is built from the scheme slots alone, once per shape pair.  Every scheme
+still gets its own column, equal to its own projected value, so a matrix
+of the columns, and every rank and membership coefficient read from it,
+is the one that evaluating each scheme gives.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 from .geometry import EndValuedForm
 from .tensor import (
     TensorField,
     TensorShape,
+    _check_slot_pair,
     _gather,
+    antisymmetrize_pair,
     combine,
     contract,
     delta,
     is_antisymmetric,
     permute_covariant,
     tensor_product,
+    zero,
 )
 
 # the three skew patterns used to turn a (3,1) base into a 2-form:
@@ -233,6 +250,12 @@ def enumerate_schemes(source: TensorShape, target: TensorShape) -> list[Contract
     Empty when the covariant/contravariant slot defects differ, which is
     exactly the vanishing criterion for the space of such maps.
     """
+    return _schemes(source, target)
+
+
+def _schemes(source: TensorShape, target: TensorShape) -> list[ContractionScheme]:
+    # the body of enumerate_schemes, which the cached orbit table reads, so
+    # that how often enumerate_schemes runs does not depend on that cache
     p, q = source.p, source.q
     pbar, qbar = target.p, target.q
     if p - pbar != q - qbar:
@@ -289,3 +312,127 @@ def apply_scheme(scheme: ContractionScheme, field: TensorField) -> TensorField:
         feeds[s - 1] = feeds[p + c - 1] = dummy
     fills = [(u - 1, pbar + v - 1) for u, v in scheme.delta_fills]
     return _gather(field, TensorShape(pbar, qbar, field.shape.n), feeds, fills)
+
+
+# -- scheme orbits -------------------------------------------------------------
+
+# A slot symmetry of a scheme source: (covariant images, contravariant images,
+# sign).  Source slot k becomes slot images[k - 1], and the field with its
+# slots so relabelled is sign times the field.
+Symmetry = tuple[tuple[int, ...], tuple[int, ...], int]
+
+# N1 is taken as it is: no slot symmetry is assumed.
+N1_SYMMETRIES: tuple[Symmetry, ...] = ()
+# N0 (x) N0, covariant (i, j, a, b) and contravariant (m, c): each factor is
+# antisymmetric in its covariant pair, and the two factors may be swapped.
+N0_SQUARED_SYMMETRIES: tuple[Symmetry, ...] = (
+    ((2, 1, 3, 4), (1, 2), -1),
+    ((1, 2, 4, 3), (1, 2), -1),
+    ((3, 4, 1, 2), (2, 1), 1),
+)
+
+
+def _relabel(
+    scheme: ContractionScheme,
+    cov: Sequence[int],
+    contra: Sequence[int],
+    target_cov: Sequence[int],
+) -> ContractionScheme:
+    """The scheme with its source covariant, source contravariant and target
+    covariant slots relabelled by the images given, each tuple re-sorted."""
+    return ContractionScheme(
+        source=scheme.source,
+        target=scheme.target,
+        contracted_pairs=tuple(sorted((cov[s - 1], contra[c - 1]) for s, c in scheme.contracted_pairs)),
+        cov_assignment=tuple(sorted((cov[s - 1], target_cov[t - 1]) for s, t in scheme.cov_assignment)),
+        contra_assignment=tuple(sorted((contra[c - 1], t) for c, t in scheme.contra_assignment)),
+        delta_fills=tuple(sorted((target_cov[t - 1], u) for t, u in scheme.delta_fills)),
+    )
+
+
+@lru_cache(maxsize=16)
+def _orbit_table(
+    source: TensorShape, target: TensorShape, symmetries: tuple[Symmetry, ...]
+) -> tuple[tuple[ContractionScheme, ...], tuple[tuple[int, int], ...]]:
+    """The schemes from source to target in enumeration order, and for each
+    one (representative, sign): the position of its orbit's first scheme and
+    the sign that turns that scheme's projected value into this one's, 0 on
+    an orbit whose projected values all vanish.
+
+    The orbits are those of the group generated by the source symmetries
+    and the swap of target covariant slots 1 and 2 with sign -1, since
+    antisymmetrizing in that pair negates a value with the two slots
+    swapped.  An orbit reached with both signs at one scheme has an odd
+    element in its stabilizer, so each of its values is its own negation.
+    """
+    schemes = tuple(_schemes(source, target))
+    position = {scheme: k for k, scheme in enumerate(schemes)}
+    identity_cov = tuple(range(1, source.p + 1))
+    identity_contra = tuple(range(1, source.q + 1))
+    identity_target = tuple(range(1, target.p + 1))
+    target_swap = (2, 1) + identity_target[2:]
+    generators = [(cov, contra, identity_target, sign) for cov, contra, sign in symmetries]
+    generators.append((identity_cov, identity_contra, target_swap, -1))
+    table: list[tuple[int, int] | None] = [None] * len(schemes)
+    for first in range(len(schemes)):
+        if table[first] is not None:
+            continue
+        signs = {first: 1}
+        stack = [first]
+        odd = False
+        while stack:
+            k = stack.pop()
+            for cov, contra, target_cov, sign in generators:
+                image = position[_relabel(schemes[k], cov, contra, target_cov)]
+                image_sign = signs[k] * sign
+                if image not in signs:
+                    signs[image] = image_sign
+                    stack.append(image)
+                elif signs[image] != image_sign:
+                    odd = True
+        for k, sign in signs.items():
+            table[k] = (first, 0 if odd else sign)
+    return schemes, tuple(table)
+
+
+def project_schemes(
+    schemes: Sequence[ContractionScheme], field: TensorField
+) -> list[TensorField]:
+    """``antisymmetrize_pair(apply_scheme(s, source), 1, 2)`` for each scheme s,
+    the schemes being all of one shape pair in ``enumerate_schemes`` order.
+
+    For schemes from (4,2), a (2,1) field is the factor N0 of the source
+    N0 (x) N0, built here, and must be antisymmetric in its covariant pair;
+    any other field is the source itself, with no symmetry assumed.  The
+    value is computed once per orbit of ``_orbit_table``: every column of
+    an orbit holds that one field or one shared negation of it, and every
+    column of a vanishing orbit one shared zero field.
+    """
+    if not schemes:
+        return []
+    source, target = schemes[0].source, schemes[0].target
+    _check_slot_pair(target.p, 1, 2)
+    symmetries = N1_SYMMETRIES
+    if (source.p, source.q) == (4, 2) and field.shape == TensorShape(2, 1, source.n):
+        if not is_antisymmetric(field, 1, 2):
+            raise ValueError("the factor of N0 (x) N0 must be antisymmetric in its covariant pair")
+        field, symmetries = tensor_product(field, field), N0_SQUARED_SYMMETRIES
+    enumerated, table = _orbit_table(source, target, symmetries)
+    if tuple(schemes) != enumerated:
+        raise ValueError(f"expected every scheme from {source} to {target}, in enumeration order")
+    # (representative, sign) -> its column; every vanishing orbit under None
+    values: dict[tuple[int, int] | None, TensorField] = {}
+    columns = []
+    for rep, sign in table:
+        key = (rep, sign) if sign else None
+        column = values.get(key)
+        if column is None:
+            if sign == 1:  # the representative, which comes first in its orbit
+                column = antisymmetrize_pair(apply_scheme(schemes[rep], field), 1, 2)
+            elif sign == -1:
+                column = -values[rep, 1]
+            else:
+                column = zero(target)
+            values[key] = column
+        columns.append(column)
+    return columns

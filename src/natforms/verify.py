@@ -32,11 +32,11 @@ from functools import cached_property
 from .exactla import echelon, echelon_kernel, echelon_members, span_equal
 from .generators import (
     GeneratorFamily,
-    apply_scheme,
     build_T_list,
     doubled_d5_variant,
     dropped_c3_generator,
     enumerate_schemes,
+    project_schemes,
     vanishing_d3_pattern,
 )
 from .geometry import (
@@ -57,12 +57,10 @@ from .poly import Polynomial
 from .tensor import (
     TensorField,
     TensorShape,
-    antisymmetrize_pair,
     contract,
     equal,
     is_antisymmetric,
     symmetrization_vanishes,
-    tensor_product,
     zero,
 )
 
@@ -183,6 +181,9 @@ class Derived(Invariants):
 # coefficient in [-COEFFICIENT_BOUND, COEFFICIENT_BOUND].
 MAX_DEGREE = 2
 COEFFICIENT_BOUND = 3
+# Most connections one bianchi suite draws; refused above, before any draw,
+# since the draws are listed before the first is checked.
+MAX_COUNT = 10_000
 
 
 @dataclass(frozen=True)
@@ -453,6 +454,8 @@ def verify_bianchi(spec: RandomConnectionSpec, count: int) -> Verdict:
     if count < 1:
         # zero connections would make the verdict a vacuous PASS
         raise ValueError(f"count must be at least 1, got {count}")
+    if count > MAX_COUNT:
+        raise ValueError(f"count must be at most {MAX_COUNT}, got {count}")
     connections = random_connections(spec, count)
     runs = []
     all_ok = True
@@ -497,7 +500,8 @@ def verify_bianchi(spec: RandomConnectionSpec, count: int) -> Verdict:
 
 def verify_schemes(d: Derived) -> Verdict:
     """Scheme enumeration counts and containment of the hand-built family
-    in the projected scheme spans."""
+    in the projected scheme spans, each scheme orbit evaluated once by
+    ``project_schemes``."""
     n = d.conn.dimension
     shape31 = TensorShape(3, 1, n)
     shape42 = TensorShape(4, 2, n)
@@ -508,13 +512,8 @@ def verify_schemes(d: Derived) -> Verdict:
         len(schemes31) == 24 and len(schemes42) == 120 and schemes_mismatch == []
     )
     family = d.family
-    projected31 = [
-        antisymmetrize_pair(apply_scheme(s, d.normal1), 1, 2) for s in schemes31
-    ]
-    n0_squared = tensor_product(d.normal0, d.normal0)
-    projected42 = [
-        antisymmetrize_pair(apply_scheme(s, n0_squared), 1, 2) for s in schemes42
-    ]
+    projected31 = project_schemes(schemes31, d.normal1)
+    projected42 = project_schemes(schemes42, d.normal0)
 
     def containment(projected, labels):
         matrix = echelon(projected + [family[label].form.tensor for label in labels])

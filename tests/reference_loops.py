@@ -9,6 +9,9 @@ derivative kernel.  Contraction, slot permutation, contraction schemes,
 the normal tensor N1 and the wedge/tensor products with the identity read
 components one 1-based index at a time through ``TensorField.get``, so
 none of them goes through the library's index gather.
+``project_schemes_all`` is the scheme projection as ``verify schemes`` once
+computed it: every scheme evaluated and antisymmetrized on its own, with no
+orbit table, so it checks each column the orbit path fills by sign.
 ``combine_terms_loop`` sums slot-permuted fields and products one
 component at a time in the all-Fraction term maps below, so it shares no
 code with ``combine`` or with the polynomial sums behind it.  The library
@@ -50,6 +53,7 @@ from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from natforms.exactla import Echelon, Piece, _primitive
+from natforms.generators import apply_scheme
 from natforms.geometry import (
     EndValuedForm,
     VectorValuedForm,
@@ -58,7 +62,14 @@ from natforms.geometry import (
     torsion,
 )
 from natforms.poly import Polynomial
-from natforms.tensor import TensorField, TensorShape, _flat, _swap_perm, combine
+from natforms.tensor import (
+    TensorField,
+    TensorShape,
+    _flat,
+    _swap_perm,
+    antisymmetrize_pair,
+    combine,
+)
 
 
 def ext_cov_deriv_vector_all_orderings(conn, alpha):
@@ -223,6 +234,12 @@ def apply_scheme_loop(scheme, field):
             acc = acc + field.get(scov, scontra)
         comps.append(acc)
     return TensorField(TensorShape(pbar, qbar, n), tuple(comps))
+
+
+def project_schemes_all(schemes, field):
+    """Each scheme's value on the source field, antisymmetrized in the
+    target's first covariant pair, one scheme at a time."""
+    return [antisymmetrize_pair(apply_scheme(s, field), 1, 2) for s in schemes]
 
 
 def wedge_endo_identity_loop(beta):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import natforms
+from natforms import verify
 from natforms.cli import COMPUTE_TARGETS, main
 from natforms.poly import parse
 from natforms.tensor import dumps as tensor_dumps
@@ -390,6 +391,20 @@ def test_verify_rejects_count_below_one(capsys, count):
     captured = capsys.readouterr()
     assert "--count must be at least 1" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("target", ["bianchi", "all"])
+def test_verify_rejects_count_above_ceiling_before_drawing(monkeypatch, capsys, target):
+    def no_draws(spec, count):
+        raise AssertionError(f"drew {count} connections")
+
+    monkeypatch.setattr(verify, "random_connections", no_draws)
+    assert run(["verify", target, "--count", str(verify.MAX_COUNT + 1)]) == 2
+    captured = capsys.readouterr()
+    assert f"--count must be at most {verify.MAX_COUNT}" in captured.err
+    assert captured.out == ""
+    with pytest.raises(ValueError, match="at most"):
+        verify.verify_bianchi(verify.RandomConnectionSpec(), verify.MAX_COUNT + 1)
 
 
 # -- malformed documents, drawn at random ----------------------------------------
