@@ -19,17 +19,19 @@ when the covariant and contravariant defects differ.  ``apply_scheme``
 evaluates one as a single gather of :mod:`natforms.tensor`: contracted
 pairs share a dummy index and delta fills tie two target slots.
 
-``project_schemes`` antisymmetrizes every scheme's value in the target's
-first covariant pair, evaluating each scheme orbit once.  A slot symmetry
-of the source (N0 (x) N0 is antisymmetric in each factor's covariant pair
-and unchanged by swapping the factors) and the swap of the two
-antisymmetrized target slots act on the schemes by relabelling their
-slots; schemes of one orbit give one value up to a known sign, and an
-orbit whose stabilizer holds an odd element gives zero.  The orbit table
-is built from the scheme slots alone, once per shape pair.  Every scheme
-still gets its own column, equal to its own projected value, so a matrix
-of the columns, and every rank and membership coefficient read from it,
-is the one that evaluating each scheme gives.
+``project_schemes`` antisymmetrizes the schemes' values in the target's
+first covariant pair, one value per scheme orbit.  A slot symmetry of the
+source (N0 (x) N0 is antisymmetric in each factor's covariant pair and
+unchanged by swapping the factors) and the swap of the two antisymmetrized
+target slots act on the schemes by relabelling their slots; schemes of one
+orbit give one value up to a known sign, and an orbit whose stabilizer
+holds an odd element gives zero.  The orbit table is built from the slot
+tuples alone, once per shape pair.  Only the nonzero orbits' first schemes
+are evaluated and returned, keyed by enumeration position.  Every other
+scheme's value is zero or plus or minus an earlier scheme's, so in a
+matrix of all the values it is never a pivot: the span, its rank and
+every nonzero membership coefficient (free ones are 0) are the same
+without it.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .tensor import (
     is_antisymmetric,
     permute_covariant,
     tensor_product,
-    zero,
 )
 
 # the three skew patterns used to turn a (3,1) base into a 2-form:
@@ -250,16 +251,18 @@ def enumerate_schemes(source: TensorShape, target: TensorShape) -> list[Contract
     Empty when the covariant/contravariant slot defects differ, which is
     exactly the vanishing criterion for the space of such maps.
     """
-    return _schemes(source, target)
+    return list(_schemes(source, target))
 
 
-def _schemes(source: TensorShape, target: TensorShape) -> list[ContractionScheme]:
-    # the body of enumerate_schemes, which the cached orbit table reads, so
-    # that how often enumerate_schemes runs does not depend on that cache
+@lru_cache(maxsize=16)
+def _schemes(source: TensorShape, target: TensorShape) -> tuple[ContractionScheme, ...]:
+    # the cached body of enumerate_schemes, which the orbit table and
+    # project_schemes read too; enumerate_schemes itself stays uncached, so
+    # how often it runs does not depend on this cache
     p, q = source.p, source.q
     pbar, qbar = target.p, target.q
     if p - pbar != q - qbar:
-        return []
+        return ()
     lower = [("scov", s) for s in range(1, p + 1)] + [
         ("tcontra", t) for t in range(1, qbar + 1)
     ]
@@ -292,7 +295,7 @@ def _schemes(source: TensorShape, target: TensorShape) -> list[ContractionScheme
                 delta_fills=tuple(sorted(fills)),
             )
         )
-    return schemes
+    return tuple(schemes)
 
 
 def apply_scheme(scheme: ContractionScheme, field: TensorField) -> TensorField:
@@ -332,30 +335,31 @@ N0_SQUARED_SYMMETRIES: tuple[Symmetry, ...] = (
 )
 
 
+# A scheme's four slot tuples: contracted pairs, covariant and contravariant
+# assignments, delta fills.
+Slots = tuple[tuple[tuple[int, int], ...], ...]
+
+
 def _relabel(
-    scheme: ContractionScheme,
-    cov: Sequence[int],
-    contra: Sequence[int],
-    target_cov: Sequence[int],
-) -> ContractionScheme:
-    """The scheme with its source covariant, source contravariant and target
-    covariant slots relabelled by the images given, each tuple re-sorted."""
-    return ContractionScheme(
-        source=scheme.source,
-        target=scheme.target,
-        contracted_pairs=tuple(sorted((cov[s - 1], contra[c - 1]) for s, c in scheme.contracted_pairs)),
-        cov_assignment=tuple(sorted((cov[s - 1], target_cov[t - 1]) for s, t in scheme.cov_assignment)),
-        contra_assignment=tuple(sorted((contra[c - 1], t) for c, t in scheme.contra_assignment)),
-        delta_fills=tuple(sorted((target_cov[t - 1], u) for t, u in scheme.delta_fills)),
+    slots: Slots, cov: Sequence[int], contra: Sequence[int], target_cov: Sequence[int]
+) -> Slots:
+    """A scheme's slots with its source covariant, source contravariant and
+    target covariant slots relabelled by the images given, each tuple re-sorted."""
+    pairs, cov_assignment, contra_assignment, fills = slots
+    return (
+        tuple(sorted((cov[s - 1], contra[c - 1]) for s, c in pairs)),
+        tuple(sorted((cov[s - 1], target_cov[t - 1]) for s, t in cov_assignment)),
+        tuple(sorted((contra[c - 1], t) for c, t in contra_assignment)),
+        tuple(sorted((target_cov[t - 1], u) for t, u in fills)),
     )
 
 
 @lru_cache(maxsize=16)
 def _orbit_table(
     source: TensorShape, target: TensorShape, symmetries: tuple[Symmetry, ...]
-) -> tuple[tuple[ContractionScheme, ...], tuple[tuple[int, int], ...]]:
-    """The schemes from source to target in enumeration order, and for each
-    one (representative, sign): the position of its orbit's first scheme and
+) -> tuple[tuple[int, int], ...]:
+    """For each scheme from source to target, in enumeration order,
+    (representative, sign): the position of its orbit's first scheme and
     the sign that turns that scheme's projected value into this one's, 0 on
     an orbit whose projected values all vanish.
 
@@ -365,16 +369,19 @@ def _orbit_table(
     swapped.  An orbit reached with both signs at one scheme has an odd
     element in its stabilizer, so each of its values is its own negation.
     """
-    schemes = tuple(_schemes(source, target))
-    position = {scheme: k for k, scheme in enumerate(schemes)}
+    slots = [
+        (s.contracted_pairs, s.cov_assignment, s.contra_assignment, s.delta_fills)
+        for s in _schemes(source, target)
+    ]
+    position = {key: k for k, key in enumerate(slots)}
     identity_cov = tuple(range(1, source.p + 1))
     identity_contra = tuple(range(1, source.q + 1))
     identity_target = tuple(range(1, target.p + 1))
     target_swap = (2, 1) + identity_target[2:]
     generators = [(cov, contra, identity_target, sign) for cov, contra, sign in symmetries]
     generators.append((identity_cov, identity_contra, target_swap, -1))
-    table: list[tuple[int, int] | None] = [None] * len(schemes)
-    for first in range(len(schemes)):
+    table: list[tuple[int, int] | None] = [None] * len(slots)
+    for first in range(len(slots)):
         if table[first] is not None:
             continue
         signs = {first: 1}
@@ -383,7 +390,7 @@ def _orbit_table(
         while stack:
             k = stack.pop()
             for cov, contra, target_cov, sign in generators:
-                image = position[_relabel(schemes[k], cov, contra, target_cov)]
+                image = position[_relabel(slots[k], cov, contra, target_cov)]
                 image_sign = signs[k] * sign
                 if image not in signs:
                     signs[image] = image_sign
@@ -392,47 +399,31 @@ def _orbit_table(
                     odd = True
         for k, sign in signs.items():
             table[k] = (first, 0 if odd else sign)
-    return schemes, tuple(table)
+    return tuple(table)
 
 
 def project_schemes(
-    schemes: Sequence[ContractionScheme], field: TensorField
-) -> list[TensorField]:
-    """``antisymmetrize_pair(apply_scheme(s, source), 1, 2)`` for each scheme s,
-    the schemes being all of one shape pair in ``enumerate_schemes`` order.
+    source: TensorShape, target: TensorShape, field: TensorField
+) -> dict[int, TensorField]:
+    """``antisymmetrize_pair(apply_scheme(s, source), 1, 2)`` for the first
+    scheme s of each orbit of ``_orbit_table`` whose values do not vanish,
+    keyed by its position in ``enumerate_schemes`` order.
 
-    For schemes from (4,2), a (2,1) field is the factor N0 of the source
+    For a (4,2) source, a (2,1) field is the factor N0 of the source
     N0 (x) N0, built here, and must be antisymmetric in its covariant pair;
-    any other field is the source itself, with no symmetry assumed.  The
-    value is computed once per orbit of ``_orbit_table``: every column of
-    an orbit holds that one field or one shared negation of it, and every
-    column of a vanishing orbit one shared zero field.
+    any other field is the source itself, with no symmetry assumed.  Every
+    other scheme's value is its representative's times the table's sign, or
+    zero, so it adds nothing to the span of these values.
     """
-    if not schemes:
-        return []
-    source, target = schemes[0].source, schemes[0].target
     _check_slot_pair(target.p, 1, 2)
     symmetries = N1_SYMMETRIES
     if (source.p, source.q) == (4, 2) and field.shape == TensorShape(2, 1, source.n):
         if not is_antisymmetric(field, 1, 2):
             raise ValueError("the factor of N0 (x) N0 must be antisymmetric in its covariant pair")
         field, symmetries = tensor_product(field, field), N0_SQUARED_SYMMETRIES
-    enumerated, table = _orbit_table(source, target, symmetries)
-    if tuple(schemes) != enumerated:
-        raise ValueError(f"expected every scheme from {source} to {target}, in enumeration order")
-    # (representative, sign) -> its column; every vanishing orbit under None
-    values: dict[tuple[int, int] | None, TensorField] = {}
-    columns = []
-    for rep, sign in table:
-        key = (rep, sign) if sign else None
-        column = values.get(key)
-        if column is None:
-            if sign == 1:  # the representative, which comes first in its orbit
-                column = antisymmetrize_pair(apply_scheme(schemes[rep], field), 1, 2)
-            elif sign == -1:
-                column = -values[rep, 1]
-            else:
-                column = zero(target)
-            values[key] = column
-        columns.append(column)
-    return columns
+    schemes = _schemes(source, target)
+    return {
+        k: antisymmetrize_pair(apply_scheme(schemes[k], field), 1, 2)
+        for k, entry in enumerate(_orbit_table(source, target, symmetries))
+        if entry == (k, 1)
+    }

@@ -500,60 +500,59 @@ def verify_bianchi(spec: RandomConnectionSpec, count: int) -> Verdict:
 
 def verify_schemes(d: Derived) -> Verdict:
     """Scheme enumeration counts and containment of the hand-built family
-    in the projected scheme spans, each scheme orbit evaluated once by
-    ``project_schemes``."""
+    in the projected scheme spans, read from the orbit values of
+    ``project_schemes``; each coefficient is keyed by its scheme's position."""
     n = d.conn.dimension
     shape31 = TensorShape(3, 1, n)
     shape42 = TensorShape(4, 2, n)
-    schemes31 = enumerate_schemes(shape31, shape31)
-    schemes42 = enumerate_schemes(shape42, shape31)
-    schemes_mismatch = enumerate_schemes(TensorShape(2, 1, n), shape31)
-    counts_ok = (
-        len(schemes31) == 24 and len(schemes42) == 120 and schemes_mismatch == []
+    counts = (
+        len(enumerate_schemes(shape31, shape31)),
+        len(enumerate_schemes(shape42, shape31)),
+        len(enumerate_schemes(TensorShape(2, 1, n), shape31)),
     )
     family = d.family
-    projected31 = project_schemes(schemes31, d.normal1)
-    projected42 = project_schemes(schemes42, d.normal0)
 
     def containment(projected, labels):
-        matrix = echelon(projected + [family[label].form.tensor for label in labels])
+        positions = list(projected)
+        matrix = echelon([*projected.values()] + [family[label].form.tensor for label in labels])
         memberships = {}
         for label, (member, coeffs) in zip(labels, echelon_members(matrix, len(projected))):
             memberships[label] = {
                 "member": member,
                 "coefficients": (
-                    {str(i): c for i, c in enumerate(coeffs) if c != 0}
+                    {str(positions[i]): c for i, c in enumerate(coeffs) if c != 0}
                     if member
                     else None
                 ),
             }
         return matrix.rank_of_first(len(projected)), memberships
 
-    rank31, members31 = containment(projected31, [f"T{i}" for i in range(1, 12)])
-    rank42, members42 = containment(projected42, [f"T{i}" for i in range(12, 20)])
+    rank31, members31 = containment(
+        project_schemes(shape31, shape31, d.normal1), [f"T{i}" for i in range(1, 12)]
+    )
+    rank42, members42 = containment(
+        project_schemes(shape42, shape31, d.normal0), [f"T{i}" for i in range(12, 20)]
+    )
     containment_ok = all(m["member"] for m in members31.values()) and all(
         m["member"] for m in members42.values()
     )
     certificate = {
-        "count_31_to_31": len(schemes31),
-        "count_42_to_31": len(schemes42),
-        "count_mismatched": len(schemes_mismatch),
+        "count_31_to_31": counts[0],
+        "count_42_to_31": counts[1],
+        "count_mismatched": counts[2],
         "projected_span_rank_31": rank31,
         "projected_span_rank_42": rank42,
         "memberships_c_part": members31,
         "memberships_d_part": members42,
     }
-    passed = counts_ok and containment_ok
+    passed = counts == (24, 120, 0) and containment_ok
     return Verdict(
         claim_id="schemes",
         expected=(
             "24 schemes for (3,1)->(3,1), 120 for (4,2)->(3,1), none for mismatched "
             "types; projected scheme spans contain the generator family"
         ),
-        observed=(
-            f"counts ({len(schemes31)}, {len(schemes42)}, {len(schemes_mismatch)}), "
-            f"containment {'holds' if containment_ok else 'fails'}"
-        ),
+        observed=f"counts {counts}, containment {'holds' if containment_ok else 'fails'}",
         passed=passed,
         certificate=certificate,
     )

@@ -11,7 +11,11 @@ components one 1-based index at a time through ``TensorField.get``, so
 none of them goes through the library's index gather.
 ``project_schemes_all`` is the scheme projection as ``verify schemes`` once
 computed it: every scheme evaluated and antisymmetrized on its own, with no
-orbit table, so it checks each column the orbit path fills by sign.
+orbit table, so it checks each value the orbit path infers by sign.
+``schemes_certificate_all`` is the ``schemes`` certificate as it was once
+computed: one echelon of all 144 of those values and the family, with
+coefficients keyed by column, so it checks that the 20 orbit values give
+the same ranks and coefficients.
 ``combine_terms_loop`` sums slot-permuted fields and products one
 component at a time in the all-Fraction term maps below, so it shares no
 code with ``combine`` or with the polynomial sums behind it.  The library
@@ -52,8 +56,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from natforms.exactla import Echelon, Piece, _primitive
-from natforms.generators import apply_scheme
+from natforms.exactla import Echelon, Piece, _primitive, echelon, echelon_members
+from natforms.generators import apply_scheme, enumerate_schemes
 from natforms.geometry import (
     EndValuedForm,
     VectorValuedForm,
@@ -69,6 +73,7 @@ from natforms.tensor import (
     _swap_perm,
     antisymmetrize_pair,
     combine,
+    tensor_product,
 )
 
 
@@ -240,6 +245,38 @@ def project_schemes_all(schemes, field):
     """Each scheme's value on the source field, antisymmetrized in the
     target's first covariant pair, one scheme at a time."""
     return [antisymmetrize_pair(apply_scheme(s, field), 1, 2) for s in schemes]
+
+
+def schemes_certificate_all(d):
+    """The ``schemes`` certificate from every scheme's projected value: one
+    echelon of all 24 (or 120) columns and the family part per shape pair,
+    each coefficient keyed by its column."""
+    n = d.conn.dimension
+    shape31, shape42 = TensorShape(3, 1, n), TensorShape(4, 2, n)
+    schemes31 = enumerate_schemes(shape31, shape31)
+    schemes42 = enumerate_schemes(shape42, shape31)
+    certificate = {
+        "count_31_to_31": len(schemes31),
+        "count_42_to_31": len(schemes42),
+        "count_mismatched": len(enumerate_schemes(TensorShape(2, 1, n), shape31)),
+    }
+    parts = [
+        ("31", "c", project_schemes_all(schemes31, d.normal1), range(1, 12)),
+        ("42", "d", project_schemes_all(schemes42, tensor_product(d.normal0, d.normal0)), range(12, 20)),
+    ]
+    for shapes, part, columns, labels in parts:
+        matrix = echelon(columns + [d.family[f"T{i}"].form.tensor for i in labels])
+        certificate[f"projected_span_rank_{shapes}"] = matrix.rank_of_first(len(columns))
+        certificate[f"memberships_{part}_part"] = {
+            f"T{i}": {
+                "member": member,
+                "coefficients": (
+                    {str(k): c for k, c in enumerate(coeffs) if c != 0} if member else None
+                ),
+            }
+            for i, (member, coeffs) in zip(labels, echelon_members(matrix, len(columns)))
+        }
+    return certificate
 
 
 def wedge_endo_identity_loop(beta):

@@ -583,7 +583,8 @@ def test_eliminations_on_the_paper_connection(monkeypatch, ref_conn):
     d = Derived(ref_conn)
     d.family, d.closed_combinations
     assert verify_schemes(d).passed
-    assert widths == [24 + 11, 120 + 8]
+    # the 12 and 8 nonzero orbit values of the schemes, then the family part
+    assert widths == [12 + 11, 8 + 8]
     widths.clear()
     assert verify_thm_3_2(d).passed
     # the 19-column kernel once, then span_equal of [kernel | expected] and

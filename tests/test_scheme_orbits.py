@@ -1,9 +1,12 @@
 """Contraction schemes evaluated once per orbit.
 
-The orbit table is checked from the scheme slots alone; ``project_schemes``
-is checked column by column against ``project_schemes_all``, which evaluates
-and antisymmetrizes every scheme on its own, on the bundled connection and
-on seeded n=3 and n=4 draws.
+The orbit table is checked from the scheme slots alone.  Against
+``project_schemes_all``, which evaluates and antisymmetrizes every scheme
+on its own, each of the 144 values is checked to be its representative's
+value from ``project_schemes`` times the table's sign, or zero on a
+vanishing orbit, on the bundled connection and on seeded n=3 and n=4
+draws.  The ``schemes`` certificate is checked against
+``schemes_certificate_all``, which eliminates all 144 values.
 """
 
 import random
@@ -20,19 +23,27 @@ from natforms.generators import (
     project_schemes,
 )
 from natforms.geometry import Invariants, reference_connection
-from natforms.tensor import TensorShape, equal, tensor_product
-from natforms.verify import RandomConnectionSpec, random_connections
-from reference_loops import project_schemes_all
+from natforms.tensor import TensorShape, tensor_product
+from natforms.verify import Derived, RandomConnectionSpec, random_connections, verify_schemes
+from reference_loops import project_schemes_all, schemes_certificate_all
 from test_geometry import random_field
 from test_tensor import field_from
 
 
 def tables(n):
     shape31 = TensorShape(3, 1, n)
+    shape42 = TensorShape(4, 2, n)
     return (
-        _orbit_table(shape31, shape31, N1_SYMMETRIES),
-        _orbit_table(TensorShape(4, 2, n), shape31, N0_SQUARED_SYMMETRIES),
+        (enumerate_schemes(shape31, shape31), _orbit_table(shape31, shape31, N1_SYMMETRIES)),
+        (
+            enumerate_schemes(shape42, shape31),
+            _orbit_table(shape42, shape31, N0_SQUARED_SYMMETRIES),
+        ),
     )
+
+
+def slots(scheme):
+    return scheme.contracted_pairs, scheme.cov_assignment, scheme.contra_assignment, scheme.delta_fills
 
 
 def orbits(table, nonzero):
@@ -68,11 +79,11 @@ def test_each_generator_keeps_the_representative_and_multiplies_signs():
         generators_.append(
             (tuple(range(1, source.p + 1)), tuple(range(1, source.q + 1)), (2, 1, 3), -1)
         )
-        position = {scheme: k for k, scheme in enumerate(schemes)}
+        position = {slots(scheme): k for k, scheme in enumerate(schemes)}
         for k, scheme in enumerate(schemes):
             rep, sign = table[k]
             for cov, contra, target_cov, generator_sign in generators_:
-                image = position[_relabel(scheme, cov, contra, target_cov)]
+                image = position[_relabel(slots(scheme), cov, contra, target_cov)]
                 assert table[image] == (rep, sign * generator_sign)
 
 
@@ -115,20 +126,18 @@ def scheme_calls(monkeypatch):
     return calls
 
 
-def assert_orbits_share_columns(columns, table):
-    negations, shared_zero = {}, None
-    for column, (rep, sign) in zip(columns, table):
-        if sign == 1:
-            assert column is columns[rep]
-        elif sign == -1:
-            assert column is negations.setdefault(rep, column)
-            assert column is not columns[rep]
-            assert equal(column, -columns[rep])
+def assert_matches_every_scheme(got, want, table):
+    """``got`` holds the nonzero representatives; every scheme's value in
+    ``want`` is its representative's times the table's sign, or zero."""
+    assert list(got) == sorted(orbits(table, True))
+    assert len(want) == len(table)
+    for k, (expected, (rep, sign)) in enumerate(zip(want, table)):
+        if sign:
+            column = got[rep] if sign == 1 else -got[rep]
+            assert column.shape == expected.shape
+            assert column.components == expected.components, k
         else:
-            if shared_zero is None:
-                shared_zero = column
-            assert column is shared_zero
-            assert column.is_zero
+            assert expected.is_zero, k
 
 
 @CONNECTIONS
@@ -142,30 +151,44 @@ def test_orbit_projection_matches_every_scheme(make, scheme_calls):
         (shape42, N0_SQUARED_SYMMETRIES, q.normal0, tensor_product(q.normal0, q.normal0), 8),
     ]
     for source_shape, symmetries, field, source, representatives in cases:
-        schemes = enumerate_schemes(source_shape, shape31)
         del scheme_calls[:]
-        got = project_schemes(schemes, field)
-        want = project_schemes_all(schemes, source)
-        assert len(got) == len(want)
-        for k, (column, expected) in enumerate(zip(got, want)):
-            assert column.shape == expected.shape
-            assert column.components == expected.components, k
+        got = project_schemes(source_shape, shape31, field)
         # once per orbit: a missing symmetry would evaluate more schemes
         assert len(scheme_calls) == representatives
-        _, table = _orbit_table(source_shape, shape31, symmetries)
-        assert_orbits_share_columns(got, table)
+        want = project_schemes_all(enumerate_schemes(source_shape, shape31), source)
+        assert_matches_every_scheme(got, want, _orbit_table(source_shape, shape31, symmetries))
         # every representative's value is nonzero, so a wrong sign shows
-        assert all(not got[rep].is_zero for rep in orbits(table, True))
+        assert not any(column.is_zero for column in got.values())
 
 
 def test_a_field_passed_as_the_source_assumes_no_symmetry():
     rng = random.Random(5)
     n = 2
     field = random_field(rng, n, 4, 2)
-    schemes = enumerate_schemes(field.shape, TensorShape(3, 1, n))
-    got = project_schemes(schemes, field)
-    for column, expected in zip(got, project_schemes_all(schemes, field)):
-        assert column.components == expected.components
+    target = TensorShape(3, 1, n)
+    got = project_schemes(field.shape, target, field)
+    want = project_schemes_all(enumerate_schemes(field.shape, target), field)
+    assert_matches_every_scheme(got, want, _orbit_table(field.shape, target, N1_SYMMETRIES))
+
+
+# -- the certificate against all 144 columns ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        reference_connection,
+        lambda: seeded_connection(4, 6, 3),
+        lambda: seeded_connection(4, 6, 4),
+        lambda: seeded_connection(4, 10, 5),
+    ],
+    ids=["bundled", "sparse-n4-s3", "sparse-n4-s4", "sparse-n4-s5"],
+)
+def test_certificate_equals_the_all_schemes_certificate(make):
+    # the draws at seeds 3 and 5 give certificates that differ from the
+    # generic one, so a wrong orbit or position shows in one of them
+    d = Derived(make())
+    assert verify_schemes(d).certificate == schemes_certificate_all(d)
 
 
 # -- refusals ---------------------------------------------------------------------------
@@ -175,20 +198,6 @@ def test_factor_without_antisymmetry_is_refused(scheme_calls):
     n = 3
     # N^1_{12} = x1 with no (2,1) partner: not antisymmetric
     lopsided = field_from({((1, 2), (1,)): "x1", ((2, 3), (2,)): "x2", ((3, 2), (2,)): "-x2"}, 2, 1, n)
-    schemes = enumerate_schemes(TensorShape(4, 2, n), TensorShape(3, 1, n))
     with pytest.raises(ValueError, match="antisymmetric"):
-        project_schemes(schemes, lopsided)
+        project_schemes(TensorShape(4, 2, n), TensorShape(3, 1, n), lopsided)
     assert scheme_calls == []
-
-
-def test_schemes_out_of_enumeration_order_are_refused():
-    q = Invariants(reference_connection())
-    shape31 = TensorShape(3, 1, 4)
-    schemes = enumerate_schemes(shape31, shape31)
-    for wrong in (schemes[1:], schemes[::-1]):
-        with pytest.raises(ValueError, match="enumeration order"):
-            project_schemes(wrong, q.normal1)
-
-
-def test_no_schemes_project_to_no_columns():
-    assert project_schemes([], Invariants(reference_connection()).normal1) == []
