@@ -16,8 +16,8 @@ covariant); pairs inside the source are contractions, pairs inside the
 target are Kronecker-delta insertions, and mixed pairs transport a slot.
 There are exactly r! of them, r being the number of lower slots, and none
 when the covariant and contravariant defects differ.  ``apply_scheme``
-evaluates one as a single gather of :mod:`natforms.tensor`: contracted
-pairs share a dummy index and delta fills tie two target slots.
+evaluates one as a term of the scatter kernel of :mod:`natforms.tensor`:
+contracted pairs share a dummy index and delta fills tie two target slots.
 
 ``project_schemes`` antisymmetrizes the schemes' values in the target's
 first covariant pair, one value per scheme orbit.  A slot symmetry of the
@@ -46,8 +46,7 @@ from .tensor import (
     TensorField,
     TensorShape,
     _check_slot_pair,
-    _gather,
-    antisymmetrize_pair,
+    _scatter,
     combine,
     contract,
     delta,
@@ -102,7 +101,7 @@ def build_D_family(n0: TensorField) -> list[TensorField]:
     trace1 = contract(n0, 1, 1)              # theta_k = N^m_{mk}
     d2 = tensor_product(n0, trace1)
     # D3_{ijk} = N^m_{si} N^s_{mk} delta^l_j
-    double = contract(contract(prod, 3, 1), 1, 1)  # B_{ik} = N^m_{si} N^s_{mk}
+    double = contract(d1, 1, 1)              # B_{ik} = N^m_{si} N^s_{mk}
     d3 = permute_covariant(tensor_product(double, d), (1, 3, 2))
     # D4_{ijk} = N^m_{ij} N^s_{ms} delta^l_k
     trace2 = contract(n0, 2, 1)              # psi_m = N^s_{ms}
@@ -298,23 +297,31 @@ def _schemes(source: TensorShape, target: TensorShape) -> tuple[ContractionSchem
     return tuple(schemes)
 
 
-def apply_scheme(scheme: ContractionScheme, field: TensorField) -> TensorField:
-    """Evaluate the scheme on a field of the source type, as one gather:
-    assigned slots feed target slots, each contracted pair reads one dummy
-    index, and each delta fill ties a target covariant slot to a target
-    contravariant one."""
+def _scheme_term(
+    coefficient: int, scheme: ContractionScheme, field: TensorField, target_cov: Sequence[int]
+) -> tuple:
+    """The scatter term coefficient * (the scheme on a field of its source
+    type), target covariant slot t relabelled target_cov[t - 1]: assigned
+    slots feed target slots, each contracted pair reads one dummy index, and
+    each delta fill ties a target covariant slot to a target contravariant one."""
     if field.shape != scheme.source:
         raise ValueError(f"field shape {field.shape} does not match scheme source {scheme.source}")
     p, pbar, qbar = scheme.source.p, scheme.target.p, scheme.target.q
     feeds = [0] * (p + scheme.source.q)
     for s, t in scheme.cov_assignment:
-        feeds[s - 1] = t - 1
+        feeds[s - 1] = target_cov[t - 1] - 1
     for s, t in scheme.contra_assignment:
         feeds[p + s - 1] = pbar + t - 1
     for dummy, (s, c) in enumerate(scheme.contracted_pairs, start=pbar + qbar):
         feeds[s - 1] = feeds[p + c - 1] = dummy
-    fills = [(u - 1, pbar + v - 1) for u, v in scheme.delta_fills]
-    return _gather(field, TensorShape(pbar, qbar, field.shape.n), feeds, fills)
+    fills = tuple((target_cov[u - 1] - 1, pbar + v - 1) for u, v in scheme.delta_fills)
+    return coefficient, field, tuple(feeds), fills
+
+
+def apply_scheme(scheme: ContractionScheme, field: TensorField) -> TensorField:
+    """Evaluate the scheme on a field of the source type, as one scatter term."""
+    shape = TensorShape(scheme.target.p, scheme.target.q, field.shape.n)
+    return _scatter(shape, [_scheme_term(1, scheme, field, range(1, shape.p + 1))])
 
 
 # -- scheme orbits -------------------------------------------------------------
@@ -407,7 +414,9 @@ def project_schemes(
 ) -> dict[int, TensorField]:
     """``antisymmetrize_pair(apply_scheme(s, source), 1, 2)`` for the first
     scheme s of each orbit of ``_orbit_table`` whose values do not vanish,
-    keyed by its position in ``enumerate_schemes`` order.
+    keyed by its position in ``enumerate_schemes`` order, each one scatter
+    of two terms, the scheme and the scheme with target slots 1 and 2
+    exchanged, with coefficients 1 and -1.
 
     For a (4,2) source, a (2,1) field is the factor N0 of the source
     N0 (x) N0, built here, and must be antisymmetric in its covariant pair;
@@ -421,9 +430,10 @@ def project_schemes(
         if not is_antisymmetric(field, 1, 2):
             raise ValueError("the factor of N0 (x) N0 must be antisymmetric in its covariant pair")
         field, symmetries = tensor_product(field, field), N0_SQUARED_SYMMETRIES
-    schemes = _schemes(source, target)
+    schemes, shape = _schemes(source, target), TensorShape(target.p, target.q, source.n)
+    relabellings = ((1, range(1, shape.p + 1)), (-1, (2, 1, *range(3, shape.p + 1))))
     return {
-        k: antisymmetrize_pair(apply_scheme(schemes[k], field), 1, 2)
+        k: _scatter(shape, [_scheme_term(c, schemes[k], field, cov) for c, cov in relabellings])
         for k, entry in enumerate(_orbit_table(source, target, symmetries))
         if entry == (k, 1)
     }

@@ -17,19 +17,17 @@ what it negated, and compares numerators otherwise.
 :func:`symmetrization_vanishes` reads one group per orbit of the covariant
 slot permutations, not every permuted copy.
 
-One private gather, ``_gather``, does every reindexing: an output
-component sums the source at a remapped index over dummy indices, and is
-zero off a Kronecker-delta diagonal.  It runs as a scatter over the
-source's support.  :func:`contract`, :func:`permute_covariant` and
-:func:`natforms.generators.apply_scheme` are gathers.  :func:`combine`,
-the one sum of fields, sums integer multiples of slot-permuted fields the
-same way, as one scatter over each field's support followed by one
-:meth:`Polynomial.combination` per touched position: ``+``, ``-`` and
-:func:`antisymmetrize_pair` are each one ``combine``, and build no
-permuted copy.  Outside this module only the derivative kernel and N1 of
-:mod:`natforms.geometry` read the storage layout directly; the echelon in
-:mod:`natforms.exactla` reads components by position and gives the
-indices no meaning.
+One scatter kernel, the private ``_scatter``, does every reindexing and
+every sum of fields: an output component sums the source at a remapped
+index over dummy indices, is zero off a Kronecker-delta diagonal, and is
+one :meth:`Polynomial.combination` of what lands on it.  :func:`contract`
+and :func:`natforms.generators.apply_scheme` are one-term scatters;
+:func:`combine`, the one sum of fields, scatters slot-permuted fields, and
+:func:`permute_covariant`, ``+``, ``-`` and :func:`antisymmetrize_pair`
+are each one ``combine``.  Outside this module only the derivative kernel
+and N1 of :mod:`natforms.geometry` read the storage layout directly; the
+echelon in :mod:`natforms.exactla` reads components by position and gives
+the indices no meaning.
 
 Slot arguments in the public API are 1-based throughout, matching the
 index conventions of the formulas this library implements.
@@ -183,24 +181,21 @@ def _offsets(n: int, weights: Sequence[int]) -> list[int]:
     return offsets
 
 
-def _gather(a: TensorField, out_shape: TensorShape, feeds: Sequence[int], fills=()) -> TensorField:
-    """The one index remap behind every reindexing, contraction and delta.
+@lru_cache(maxsize=256)
+def _landing(n: int, out_slots: int, feeds, fills) -> tuple:
+    """(checks, setters, spread, bases), the landing map of one reindexing.
 
     Slots count from 0 over all slots, covariant first.  Source slot s reads
     (I + D)[feeds[s]]: I is the output index and D the dummy indices, which
     number after the output slots, so two slots fed by one dummy contract.
     An output component sums the source over all dummy values, and is zero
     where the two output slots of a pair (u, v) in ``fills`` differ; the
-    pairs are disjoint.
-
-    Dense storage, sparse reading: the gather runs as a scatter over the
-    source's support.  Each nonzero source component is decoded into slot
-    digits, dropped unless the slots that read one index agree, and added
-    into its output position; an index that no source slot reads, such as a
-    delta-filled pair, runs over its n values.  A lone contribution is the
-    source polynomial itself.
+    pairs are disjoint.  A source position lands only if its digits agree at
+    the two strides of each check, at the sum of pos // stride % n * w over
+    the setters plus each offset of ``spread``, which runs each index no slot
+    reads over its n values.  ``bases``, filled by :func:`_scatter`, holds
+    that sum, or None, at each position visited.
     """
-    n, out_slots, src_slots = a.n, out_shape.p + out_shape.q, a.shape.p + a.shape.q
     # one index per output slot and per dummy; a fill makes its second slot
     # read the index of its first, so the two move together
     count = max(out_slots, max(feeds, default=-1) + 1)
@@ -213,28 +208,48 @@ def _gather(a: TensorField, out_shape: TensorShape, feeds: Sequence[int], fills=
     # the first source slot that reads an index sets it; later ones must agree
     setters, checks, reader = [], [], {}
     for s, f in enumerate(feeds):
-        stride, index = n ** (src_slots - 1 - s), index_of[f]
+        stride, index = n ** (len(feeds) - 1 - s), index_of[f]
         if index in reader:
             checks.append((reader[index], stride))
         else:
             reader[index] = stride
             if weight[index]:
                 setters.append((stride, weight[index]))
-    spread = _offsets(n, [weight[v] for v in range(count) if index_of[v] == v and v not in reader])
-    positions = a.support
-    for s1, s2 in checks:
-        positions = [pos for pos in positions if pos // s1 % n == pos // s2 % n]
-    bases = [0] * len(positions)
-    for stride, w in setters:
-        bases = [b + pos // stride % n * w for b, pos in zip(bases, positions)]
-    src, zero_poly = a.components, Polynomial.zero(n)
-    comps = [zero_poly] * out_shape.size
-    for pos, base in zip(positions, bases):
-        comp = src[pos]
+    free = [weight[v] for v in range(count) if index_of[v] == v and v not in reader]
+    return checks, setters, _offsets(n, free), {}
+
+
+def _scatter(shape: TensorShape, terms, products=None, divisor: int = 1) -> TensorField:
+    """The one scatter kernel: sum c * (field reindexed by feeds and fills,
+    see :func:`_landing`) over the (c, field, feeds, fills) terms, c an
+    ``int``, plus the (c, f, g) products, all over the divisor, as one
+    :meth:`Polynomial.combination` per touched position."""
+    n = shape.n
+    collected: dict[int, list[tuple[int, Polynomial]]] = {}
+    for c, field, feeds, fills in terms:
+        checks, setters, spread, bases = _landing(n, shape.p + shape.q, feeds, fills)
+        support, comps = field.support, field.components
+        new = [pos for pos in support if pos not in bases]
+        if new:
+            if checks:
+                bases.update(dict.fromkeys(new))
+            for s1, s2 in checks:
+                new = [pos for pos in new if pos // s1 % n == pos // s2 % n]
+            found = [0] * len(new)
+            for stride, w in setters:
+                found = [b + pos // stride % n * w for b, pos in zip(found, new)]
+            bases.update(zip(new, found))
         for off in spread:
-            acc = comps[base + off]
-            comps[base + off] = comp if acc is zero_poly else acc + comp
-    return TensorField(out_shape, tuple(comps))
+            for pos, base in zip(support, map(bases.get, support)):
+                if base is not None:
+                    collected.setdefault(base + off, []).append((c, comps[pos]))
+    products = products or {}
+    for pos in products:
+        collected.setdefault(pos, [])
+    out = [Polynomial.zero(n)] * shape.size
+    for pos, pairs in collected.items():
+        out[pos] = Polynomial.combination(n, pairs, products.get(pos, ()), divisor)
+    return TensorField(shape, tuple(out))
 
 
 def tensor_product(a: TensorField, b: TensorField) -> TensorField:
@@ -268,7 +283,7 @@ def contract(a: TensorField, cov_slot: int, contra_slot: int) -> TensorField:
     ci, ki = cov_slot - 1, p + contra_slot - 1
     feeds = [s - (s > ci) - (s > ki) for s in range(p + q)]
     feeds[ci] = feeds[ki] = p + q - 2
-    return _gather(a, TensorShape(p - 1, q - 1, n), feeds)
+    return _scatter(TensorShape(p - 1, q - 1, n), [(1, a, tuple(feeds), ())])
 
 
 def _check_permutation(perm: Sequence[int], count: int) -> None:
@@ -281,20 +296,7 @@ def permute_covariant(a: TensorField, perm: Sequence[int]) -> TensorField:
 
     With perm=(2,3,1) the result X satisfies X_{ijk} = A_{jki}.
     """
-    p, q = a.shape.p, a.shape.q
-    _check_permutation(perm, p)
-    return _gather(a, a.shape, [s - 1 for s in perm] + list(range(p, p + q)))
-
-
-@lru_cache(maxsize=64)
-def _permuted_positions(n: int, p: int, q: int, perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Where each source position of a (p,q) field lands under
-    ``permute_covariant`` by perm: source slot s reads output slot
-    perm[s] - 1, and the contravariant slots stay."""
-    slots = p + q
-    weights = [n ** (slots - o) for o in perm]
-    weights += [n ** (slots - 1 - s) for s in range(p, slots)]
-    return tuple(_offsets(n, weights))
+    return combine(a.shape, [(1, a, perm)])
 
 
 def combine(
@@ -308,31 +310,18 @@ def combine(
     position in ``products``, sum c * f * g over its (c, f, g) triples, all
     divided by the positive ``int`` divisor.
 
-    One scatter over each field's support collects the polynomials that land
-    at each output position; each touched position is then one
-    :meth:`Polynomial.combination`, so a lone (1, p) term with divisor 1 is
-    p itself.  The divisor is checked before any field is read.
+    One ``_scatter``: a lone (1, p) term with divisor 1 is p itself.  The
+    divisor, shapes and permutations are checked before any field is read.
     """
     _check_divisor(divisor)
-    n, p, q = shape.n, shape.p, shape.q
-    collected: dict[int, list[tuple[int, Polynomial]]] = {}
+    contra = tuple(range(shape.p, shape.p + shape.q))
+    scattered = []
     for c, field, perm in terms:
         if field.shape != shape:
             raise ValueError(f"shape mismatch: {field.shape} vs {shape}")
-        perm = tuple(perm)
-        _check_permutation(perm, p)
-        lands = _permuted_positions(n, p, q, perm)
-        comps = field.components
-        for pos in field.support:
-            collected.setdefault(lands[pos], []).append((c, comps[pos]))
-    products = products or {}
-    zero_poly = Polynomial.zero(n)
-    out = [zero_poly] * shape.size
-    for pos in collected.keys() | products.keys():
-        out[pos] = Polynomial.combination(
-            n, collected.get(pos, ()), products.get(pos, ()), divisor
-        )
-    return TensorField(shape, tuple(out))
+        _check_permutation(perm, shape.p)
+        scattered.append((c, field, tuple([s - 1 for s in perm]) + contra, ()))
+    return _scatter(shape, scattered, products, divisor)
 
 
 @lru_cache(maxsize=16)

@@ -8,7 +8,7 @@ slot-swapped field and negating it.  Christoffel symbols are read through
 derivative kernel.  Contraction, slot permutation, contraction schemes,
 the normal tensor N1 and the wedge/tensor products with the identity read
 components one 1-based index at a time through ``TensorField.get``, so
-none of them goes through the library's index gather.
+none of them goes through the library's scatter kernel.
 ``project_schemes_all`` is the scheme projection as ``verify schemes`` once
 computed it: every scheme evaluated and antisymmetrized on its own, with no
 orbit table, so it checks each value the orbit path infers by sign.

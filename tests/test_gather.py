@@ -1,9 +1,10 @@
-"""The index gather behind contract, permute_covariant and apply_scheme, and
-the constructions built from it, checked exactly against loops that read
-one 1-based component at a time."""
+"""The one scatter kernel behind contract, permute_covariant, apply_scheme and
+combine, and the constructions built from it, checked exactly against loops
+that read one 1-based component at a time."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from natforms.geometry import (
     wedge_endo_identity,
     wedge_oneform_identity,
 )
+from natforms.poly import parse
 from natforms.tensor import (
     TensorShape,
     antisymmetrize_pair,
@@ -171,3 +173,38 @@ def test_lone_contribution_is_the_source_component_itself():
     swapped = permute_covariant(field, (2, 1))
     assert swapped.get((1, 3), (3,)) is source
     assert len(swapped.support) == 1
+    # a scheme that only transports slots: the swap of the two covariant slots
+    (transport,) = [
+        s
+        for s in enumerate_schemes(field.shape, field.shape)
+        if not s.contracted_pairs and not s.delta_fills and s.cov_assignment == ((1, 2), (2, 1))
+    ]
+    moved = apply_scheme(transport, field)
+    assert moved.get((1, 3), (3,)) is source
+    assert len(moved.support) == 1
+
+
+def test_contraction_adds_fractions_over_their_common_denominator():
+    field = field_from({((1,), (1,)): "1/2*x1", ((2,), (2,)): "1/3*x1"}, 1, 1, n=2)
+    trace = contract(field, 1, 1).components[0]
+    assert trace == parse("5/6*x1", 2)
+    assert trace.denominator == 6
+
+
+def test_scheme_on_a_one_component_field_at_the_largest_dimension_stays_small():
+    """The landing maps are filled only where the support visits: a (4,2)
+    field at n = 8 has 262,144 positions, and one nonzero component must
+    not make any scheme read or store a table of them."""
+    n = 8
+    source, target = TensorShape(4, 2, n), TensorShape(3, 1, n)
+    field = field_from({((1, 2, 1, 3), (1, 2)): "x1 + x8"}, 4, 2, n=n)
+    assert len(field.support) == 1
+    schemes = enumerate_schemes(source, target)
+    tracemalloc.start()
+    try:
+        nonzero = sum(not apply_scheme(s, field).is_zero for s in schemes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nonzero > 0
+    assert peak < 1 << 20

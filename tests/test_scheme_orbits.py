@@ -114,15 +114,16 @@ CONNECTIONS = pytest.mark.parametrize(
 
 @pytest.fixture
 def scheme_calls(monkeypatch):
-    """Schemes evaluated through the module-global ``apply_scheme``."""
+    """Scheme values computed, one module-global ``_scatter`` call of
+    ``generators`` each."""
     calls = []
-    evaluate = generators.apply_scheme
+    scatter = generators._scatter
 
-    def counted(scheme, field):
-        calls.append(scheme)
-        return evaluate(scheme, field)
+    def counted(shape, terms):
+        calls.append(terms)
+        return scatter(shape, terms)
 
-    monkeypatch.setattr(generators, "apply_scheme", counted)
+    monkeypatch.setattr(generators, "_scatter", counted)
     return calls
 
 

@@ -438,11 +438,18 @@ def test_combine_shares_a_lone_unit_term_and_checks_its_terms():
     got = combine(t.shape, [(1, t, (2, 1))])
     assert equal(got, permute_covariant(t, (2, 1)))
     assert got.get((2, 1), (1,)) is t.get((1, 2), (1,))
+    # a lone (-1, p) is the negation of p, which records p
+    negated = combine(t.shape, [(-1, t, (2, 1))]).get((2, 1), (1,))
+    assert negated == -t.get((1, 2), (1,)) and negated._negated is t.get((1, 2), (1,))
     assert combine(t.shape, [(1, t, (1, 2)), (-1, t, (1, 2))]).is_zero
     with pytest.raises(ValueError, match="shape mismatch"):
         combine(TensorShape(2, 0, N), [(1, t, (1, 2))])
     with pytest.raises(ValueError, match="not a permutation"):
         combine(t.shape, [(1, t, (1, 1))])
+    # a lone term is still one combination, which refuses a coefficient that is not an int
+    for c in (True, 1.0):
+        with pytest.raises(TypeError, match="coefficients must be int"):
+            combine(t.shape, [(c, t, (1, 2))])
     # the divisor is refused before any field is read, with no term at all too
     for divisor, error in ((0, ValueError), (-2, ValueError), (True, TypeError), (2.0, TypeError)):
         with pytest.raises(error, match="divisors must be"):
