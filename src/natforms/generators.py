@@ -4,8 +4,9 @@ The generator family is built from the two normal tensors of a connection,
 which :class:`natforms.geometry.Invariants` derives; this module takes the
 tensors, never the connection.  The family is four trace patterns of the
 first-order normal tensor (C family), five quadratic expressions in the
-zeroth-order normal tensor (D family), and for each of those bases up to
-three reindex-then-antisymmetrize patterns.
+zeroth-order normal tensor (D family, each one term of the scatter kernel
+of :mod:`natforms.tensor` that reads the pair (N0, N0)), and for each of
+those bases up to three reindex-then-antisymmetrize patterns.
 Every entry is antisymmetric in its first two covariant slots, so it is a
 well-formed endomorphism-valued 2-form.
 
@@ -20,7 +21,8 @@ evaluates one as a term of the scatter kernel of :mod:`natforms.tensor`:
 contracted pairs share a dummy index and delta fills tie two target slots.
 
 ``project_schemes`` antisymmetrizes the schemes' values in the target's
-first covariant pair, one value per scheme orbit.  A slot symmetry of the
+first covariant pair, one value per scheme orbit; a (4,2) source N0 (x) N0
+is read as the pair (N0, N0), never built.  A slot symmetry of the
 source (N0 (x) N0 is antisymmetric in each factor's covariant pair and
 unchanged by swapping the factors) and the swap of the two antisymmetrized
 target slots act on the schemes by relabelling their slots; schemes of one
@@ -46,13 +48,10 @@ from .tensor import (
     TensorField,
     TensorShape,
     _check_slot_pair,
+    _product,
     _scatter,
     combine,
-    contract,
-    delta,
     is_antisymmetric,
-    permute_covariant,
-    tensor_product,
 )
 
 # the three skew patterns used to turn a (3,1) base into a 2-form:
@@ -79,12 +78,19 @@ def build_C_family(n1: TensorField) -> list[TensorField]:
     """C0..C3: the tensor itself plus its three traces times the identity."""
     if n1.shape.p != 3 or n1.shape.q != 1:
         raise ValueError(f"expected a (3,1) field, got {n1.shape}")
-    d = delta(n1.shape.n)
-    c0 = n1
-    c1 = tensor_product(contract(n1, 1, 1), d)
-    c2 = tensor_product(contract(n1, 2, 1), d)
-    c3 = tensor_product(contract(n1, 3, 1), d)
-    return [c0, c1, c2, c3]
+    # N^m_{mij}, N^m_{imj} and N^m_{ijm} (the dummy m numbered 4), each times delta^l_k
+    traces = ((4, 0, 1, 4), (0, 4, 1, 4), (0, 1, 4, 4))
+    return [n1] + [_scatter(n1.shape, [(1, n1, feeds, ((2, 3),))]) for feeds in traces]
+
+
+# D1..D5 as (N0, N0) pair terms: feeds read output slots (i, j, k, l) = 0..3 and dummies 4, 5
+_D_TERMS = (
+    ((0, 1, 4, 4, 2, 3), ()),         # D1_{ijk} = N^m_{ij} N^l_{mk}
+    ((0, 1, 3, 4, 2, 4), ()),         # D2_{ijk} = N^l_{ij} N^m_{mk}
+    ((4, 0, 5, 5, 2, 4), ((1, 3),)),  # D3_{ijk} = N^m_{si} N^s_{mk} delta^l_j
+    ((0, 1, 4, 4, 5, 5), ((2, 3),)),  # D4_{ijk} = N^m_{ij} N^s_{ms} delta^l_k
+    ((4, 0, 4, 5, 1, 5), ((2, 3),)),  # D5_{ijk} = N^m_{mi} N^s_{sj} delta^l_k
+)
 
 
 def build_D_family(n0: TensorField) -> list[TensorField]:
@@ -93,23 +99,8 @@ def build_D_family(n0: TensorField) -> list[TensorField]:
         raise ValueError(f"expected a (2,1) field, got {n0.shape}")
     if not is_antisymmetric(n0, 1, 2):
         raise ValueError("input must be antisymmetric in its covariant pair")
-    d = delta(n0.shape.n)
-    prod = tensor_product(n0, n0)  # N^m_{ij} N^c_{ab}: cov (i,j,a,b), contra (m,c)
-    # D1_{ijk} = N^m_{ij} N^l_{mk}
-    d1 = contract(prod, 3, 1)
-    # D2_{ijk} = N^l_{ij} N^m_{mk}
-    trace1 = contract(n0, 1, 1)              # theta_k = N^m_{mk}
-    d2 = tensor_product(n0, trace1)
-    # D3_{ijk} = N^m_{si} N^s_{mk} delta^l_j
-    double = contract(d1, 1, 1)              # B_{ik} = N^m_{si} N^s_{mk}
-    d3 = permute_covariant(tensor_product(double, d), (1, 3, 2))
-    # D4_{ijk} = N^m_{ij} N^s_{ms} delta^l_k
-    trace2 = contract(n0, 2, 1)              # psi_m = N^s_{ms}
-    phi = contract(tensor_product(n0, trace2), 3, 1)  # phi_{ij} = N^m_{ij} psi_m
-    d4 = tensor_product(phi, d)
-    # D5_{ijk} = N^m_{mi} N^s_{sj} delta^l_k
-    d5 = tensor_product(tensor_product(trace1, trace1), d)
-    return [d1, d2, d3, d4, d5]
+    shape = TensorShape(3, 1, n0.shape.n)
+    return [_scatter(shape, [(1, (n0, n0), feeds, fills)]) for feeds, fills in _D_TERMS]
 
 
 @dataclass(frozen=True)
@@ -298,14 +289,17 @@ def _schemes(source: TensorShape, target: TensorShape) -> tuple[ContractionSchem
 
 
 def _scheme_term(
-    coefficient: int, scheme: ContractionScheme, field: TensorField, target_cov: Sequence[int]
+    coefficient: int, scheme: ContractionScheme, source, target_cov: Sequence[int]
 ) -> tuple:
     """The scatter term coefficient * (the scheme on a field of its source
-    type), target covariant slot t relabelled target_cov[t - 1]: assigned
-    slots feed target slots, each contracted pair reads one dummy index, and
-    each delta fill ties a target covariant slot to a target contravariant one."""
-    if field.shape != scheme.source:
-        raise ValueError(f"field shape {field.shape} does not match scheme source {scheme.source}")
+    type, or on a (x) b for a pair (a, b)), target covariant slot t
+    relabelled target_cov[t - 1]: assigned slots feed target slots, each
+    contracted pair reads one dummy index, and each delta fill ties a target
+    covariant slot to a target contravariant one."""
+    pair = isinstance(source, tuple)
+    shape, slots = _product(source[0].shape, source[1].shape) if pair else (source.shape, None)
+    if shape != scheme.source:
+        raise ValueError(f"field shape {shape} does not match scheme source {scheme.source}")
     p, pbar, qbar = scheme.source.p, scheme.target.p, scheme.target.q
     feeds = [0] * (p + scheme.source.q)
     for s, t in scheme.cov_assignment:
@@ -315,7 +309,7 @@ def _scheme_term(
     for dummy, (s, c) in enumerate(scheme.contracted_pairs, start=pbar + qbar):
         feeds[s - 1] = feeds[p + c - 1] = dummy
     fills = tuple((target_cov[u - 1] - 1, pbar + v - 1) for u, v in scheme.delta_fills)
-    return coefficient, field, tuple(feeds), fills
+    return coefficient, source, tuple([feeds[s] for s in slots] if pair else feeds), fills
 
 
 def apply_scheme(scheme: ContractionScheme, field: TensorField) -> TensorField:
@@ -419,17 +413,17 @@ def project_schemes(
     exchanged, with coefficients 1 and -1.
 
     For a (4,2) source, a (2,1) field is the factor N0 of the source
-    N0 (x) N0, built here, and must be antisymmetric in its covariant pair;
-    any other field is the source itself, with no symmetry assumed.  Every
-    other scheme's value is its representative's times the table's sign, or
-    zero, so it adds nothing to the span of these values.
+    N0 (x) N0, read as the pair (N0, N0), and must be antisymmetric in its
+    covariant pair; any other field is the source itself, with no symmetry
+    assumed.  Every other scheme's value is its representative's times the
+    table's sign, or zero, so it adds nothing to the span of these values.
     """
     _check_slot_pair(target.p, 1, 2)
     symmetries = N1_SYMMETRIES
     if (source.p, source.q) == (4, 2) and field.shape == TensorShape(2, 1, source.n):
         if not is_antisymmetric(field, 1, 2):
             raise ValueError("the factor of N0 (x) N0 must be antisymmetric in its covariant pair")
-        field, symmetries = tensor_product(field, field), N0_SQUARED_SYMMETRIES
+        field, symmetries = (field, field), N0_SQUARED_SYMMETRIES
     schemes, shape = _schemes(source, target), TensorShape(target.p, target.q, source.n)
     relabellings = ((1, range(1, shape.p + 1)), (-1, (2, 1, *range(3, shape.p + 1))))
     return {

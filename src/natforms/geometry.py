@@ -47,9 +47,9 @@ Conventions, fixed once here and relied on everywhere else:
   normal tensors and both structure differentials, for every caller.
   Curvature is computed at i < j only, its (j, i) partner holding the
   negation.  Curvature and N1 are, like the differentials, one
-  accumulation per component: N1 sums permuted copies of R and D Tor with
-  ``combine``, adds the torsion products read from Tor's nonzero
-  components and divides by 12 in the same accumulation.
+  accumulation per component: N1 is one call of the scatter kernel of
+  :mod:`natforms.tensor`, permuted copies of R and D Tor and two terms
+  that read the pair (Tor, Tor), divided by 12.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from .tensor import (
     _doc_json,
     _doc_text,
     _flat,
+    _scatter,
     antisymmetrize_pair,
     combine,
     delta,
@@ -536,39 +537,23 @@ class Invariants:
                            + 4 (DTor)^l_{ijk} + 4 (DTor)^l_{kji}
                            - 2 Tor^m_{kj} Tor^l_{mi} - Tor^m_{ij} Tor^l_{km} ),
 
-        one combination per component; the torsion products pair nonzero
-        components only.  Its full symmetrization over (i,j,k) vanishes; the
-        verification suite checks that identity on randomized connections.
+        one scatter of five permuted R and D Tor terms and two (Tor, Tor)
+        pair terms over 12.  Its full symmetrization over (i,j,k) vanishes;
+        the verification suite checks that identity on randomized connections.
         """
-        n = self.conn.dimension
-        tor = self.torsion.tensor
-        r = self.curvature.tensor
+        tor, r = self.torsion.tensor, self.curvature.tensor
         dtor = covariant_derivative(self.conn, tor)
-        # nonzero Tor^m_{ab} as (a, b, m, component), 0-based, and listed by
-        # first lower index a as (b, m, component) and by second b as (a, m, component)
-        entries = [
-            (pos // (n * n), pos // n % n, pos % n, tor.components[pos]) for pos in tor.support
-        ]
-        by_first: list[list] = [[] for _ in range(n)]
-        by_second: list[list] = [[] for _ in range(n)]
-        for a, b, m, t in entries:
-            by_first[a].append((b, m, t))
-            by_second[b].append((a, m, t))
-        products: dict[int, list] = {}
-        for a, b, m, t in entries:
-            for i, l, u in by_first[m]:  # Tor^m_{kj} Tor^l_{mi} with (k, j) = (a, b)
-                products.setdefault(((i * n + b) * n + a) * n + l, []).append((-2, t, u))
-            for k, l, u in by_second[m]:  # Tor^m_{ij} Tor^l_{km} with (i, j) = (a, b)
-                products.setdefault(((a * n + b) * n + k) * n + l, []).append((-1, t, u))
-        identity = (1, 2, 3)
+        # feeds read output slots (i, j, k, l) = 0..3 and the dummy m = 4
         terms = [
-            (6, r, (3, 1, 2)),
-            (-2, r, (2, 3, 1)),
-            (2, r, identity),
-            (4, dtor, identity),
-            (4, dtor, (3, 2, 1)),
+            (6, r, (2, 0, 1, 3), ()),
+            (-2, r, (1, 2, 0, 3), ()),
+            (2, r, (0, 1, 2, 3), ()),
+            (4, dtor, (0, 1, 2, 3), ()),
+            (4, dtor, (2, 1, 0, 3), ()),
+            (-2, (tor, tor), (2, 1, 4, 4, 0, 3), ()),  # Tor^m_{kj} Tor^l_{mi}
+            (-1, (tor, tor), (0, 1, 4, 2, 4, 3), ()),  # Tor^m_{ij} Tor^l_{km}
         ]
-        return combine(r.shape, terms, products, 12)
+        return _scatter(r.shape, terms, 12)
 
     @cached_property
     def d_torsion(self) -> VectorValuedForm:

@@ -2,32 +2,31 @@
 
 A (p,q)-tensor field over R^n is stored as a flat tuple of n^(p+q)
 polynomials in row-major order, covariant indices first, each index
-running over 1..n.  Symmetry in a slot
-pair is a property of the components alone, checked exactly by
-:func:`is_antisymmetric`.
+running over 1..n.  Symmetry in a slot pair is a property of the
+components alone, checked exactly by :func:`is_antisymmetric`.
 
 Most components of the fields built here are zero, so the kernels read
 only the nonzero ones: a field's :attr:`TensorField.support`, the ascending
 positions of its nonzero components, is computed on first read and kept on
-the immutable field.  :func:`is_antisymmetric`, :func:`tensor_product`,
-:func:`combine`, :func:`symmetrization_vanishes`, ``is_zero`` and the
-echelon rows of :mod:`natforms.exactla` walk it.  :func:`is_antisymmetric`
-answers a pair stored as x and -x by identity, since a negation records
-what it negated, and compares numerators otherwise.
-:func:`symmetrization_vanishes` reads one group per orbit of the covariant
-slot permutations, not every permuted copy.
+the immutable field.  :func:`is_antisymmetric`, the scatter kernel,
+:func:`symmetrization_vanishes`, ``is_zero`` and the echelon rows of
+:mod:`natforms.exactla` walk it.  :func:`is_antisymmetric` answers a pair
+stored as x and -x by identity, since a negation records what it negated,
+and compares numerators otherwise.  :func:`symmetrization_vanishes` reads
+one group per orbit of the covariant slot permutations, not every copy.
 
-One scatter kernel, the private ``_scatter``, does every reindexing and
-every sum of fields: an output component sums the source at a remapped
-index over dummy indices, is zero off a Kronecker-delta diagonal, and is
-one :meth:`Polynomial.combination` of what lands on it.  :func:`contract`
-and :func:`natforms.generators.apply_scheme` are one-term scatters;
-:func:`combine`, the one sum of fields, scatters slot-permuted fields, and
-:func:`permute_covariant`, ``+``, ``-`` and :func:`antisymmetrize_pair`
-are each one ``combine``.  Outside this module only the derivative kernel
-and N1 of :mod:`natforms.geometry` read the storage layout directly; the
-echelon in :mod:`natforms.exactla` reads components by position and gives
-the indices no meaning.
+One scatter kernel, the private ``_scatter``, does every reindexing,
+product and sum of fields: an output component sums the source, a field
+or a pair of fields multiplied only where it lands, at a remapped index
+over dummy indices, is zero off a Kronecker-delta diagonal, and is one
+:meth:`Polynomial.combination` of what lands on it.  :func:`contract`,
+:func:`tensor_product` and :func:`natforms.generators.apply_scheme` are
+one-term scatters; :func:`combine`, the one sum of fields, scatters
+slot-permuted fields, and :func:`permute_covariant`, ``+``, ``-`` and
+:func:`antisymmetrize_pair` are each one ``combine``.  Outside this module
+only the derivative kernel of :mod:`natforms.geometry` reads the storage
+layout directly; the echelon in :mod:`natforms.exactla` reads components
+by position and gives the indices no meaning.
 
 Slot arguments in the public API are 1-based throughout, matching the
 index conventions of the formulas this library implements.
@@ -40,7 +39,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .poly import Coefficient, Polynomial, _check_divisor, _coefficient, parse, to_string
 
@@ -65,7 +64,8 @@ class TensorShape:
 
 
 # Largest dimension and slot count p + q a document may declare, checked before
-# any allocation: 8^6 is the largest intermediate `verify schemes` builds.
+# any allocation: the (4,2) source of the contraction schemes is the largest
+# type any claim reads, and at n = 8 a field of it has 8^6 = 262,144 components.
 _MAX_DIMENSION = 8
 _MAX_SLOTS = 6
 
@@ -173,28 +173,21 @@ def equal(a: TensorField, b: TensorField) -> bool:
     return a.components == b.components
 
 
-def _offsets(n: int, weights: Sequence[int]) -> list[int]:
-    """sum_s v_s * weights[s] for every index tuple v, in row-major order."""
-    offsets = [0]
-    for w in weights:
-        offsets = [o + v * w for o in offsets for v in range(n)]
-    return offsets
-
-
 @lru_cache(maxsize=256)
-def _landing(n: int, out_slots: int, feeds, fills) -> tuple:
-    """(checks, setters, spread, bases), the landing map of one reindexing.
+def _landing(n: int, out_slots: int, feeds, fills, sizes) -> tuple:
+    """(factors, spread), the landing map of one reindexing.
 
-    Slots count from 0 over all slots, covariant first.  Source slot s reads
-    (I + D)[feeds[s]]: I is the output index and D the dummy indices, which
-    number after the output slots, so two slots fed by one dummy contract.
-    An output component sums the source over all dummy values, and is zero
-    where the two output slots of a pair (u, v) in ``fills`` differ; the
-    pairs are disjoint.  A source position lands only if its digits agree at
-    the two strides of each check, at the sum of pos // stride % n * w over
-    the setters plus each offset of ``spread``, which runs each index no slot
-    reads over its n values.  ``bases``, filled by :func:`_scatter`, holds
-    that sum, or None, at each position visited.
+    ``feeds`` runs over the slots of the source's factors, ``sizes`` slots
+    each, covariant first: slot s reads (I + D)[feeds[s]], I the output index
+    and D the dummies, numbered after the output slots, so two slots fed by
+    one dummy contract.  An output component sums over all dummy values and
+    is zero where the output slots of a pair (u, v) in ``fills`` differ.  A
+    factor (checks, setters, bases), in its own strides, lands a position if
+    its digits agree at the strides of each check, at the sum of
+    pos // stride % n * w over the setters, which ``bases`` holds, or None,
+    at each position ``_landed`` visited.  The digits a pair's factors share
+    are its join key, added above the n^out_slots output positions to both
+    factors' sums.  ``spread`` runs each unread index over its n values.
     """
     # one index per output slot and per dummy; a fill makes its second slot
     # read the index of its first, so the two move together
@@ -205,71 +198,101 @@ def _landing(n: int, out_slots: int, feeds, fills) -> tuple:
     weight = [0] * count
     for o in range(out_slots):
         weight[index_of[o]] += n ** (out_slots - 1 - o)
-    # the first source slot that reads an index sets it; later ones must agree
-    setters, checks, reader = [], [], {}
-    for s, f in enumerate(feeds):
-        stride, index = n ** (len(feeds) - 1 - s), index_of[f]
-        if index in reader:
-            checks.append((reader[index], stride))
-        else:
-            reader[index] = stride
-            if weight[index]:
-                setters.append((stride, weight[index]))
-    free = [weight[v] for v in range(count) if index_of[v] == v and v not in reader]
-    return checks, setters, _offsets(n, free), {}
+    # the first slot that reads an index sets it; later ones must agree
+    factors, cross, reader, feed = [], [], {}, iter(feeds)
+    for k, size in enumerate(sizes):
+        checks, setters = [], []
+        for stride, f in zip([n**s for s in reversed(range(size))], feed):
+            index = index_of[f]
+            if index not in reader:
+                reader[index] = (k, stride)
+                if weight[index]:
+                    setters.append((stride, weight[index]))
+            else:
+                (checks if reader[index][0] == k else cross).append((reader[index][1], stride))
+        factors.append((checks, setters, {}))
+    for k, (sa, sb) in enumerate(cross):
+        factors[0][1].append((sa, n ** (out_slots + k)))
+        factors[1][1].append((sb, n ** (out_slots + k)))
+    spread = [0]
+    for v in range(count):
+        if index_of[v] == v and v not in reader:
+            spread = [o + d * weight[v] for o in spread for d in range(n)]
+    return factors, spread
 
 
-def _scatter(shape: TensorShape, terms, products=None, divisor: int = 1) -> TensorField:
-    """The one scatter kernel: sum c * (field reindexed by feeds and fills,
-    see :func:`_landing`) over the (c, field, feeds, fills) terms, c an
-    ``int``, plus the (c, f, g) products, all over the divisor, as one
-    :meth:`Polynomial.combination` per touched position."""
-    n = shape.n
-    collected: dict[int, list[tuple[int, Polynomial]]] = {}
-    for c, field, feeds, fills in terms:
-        checks, setters, spread, bases = _landing(n, shape.p + shape.q, feeds, fills)
-        support, comps = field.support, field.components
-        new = [pos for pos in support if pos not in bases]
-        if new:
-            if checks:
-                bases.update(dict.fromkeys(new))
-            for s1, s2 in checks:
-                new = [pos for pos in new if pos // s1 % n == pos // s2 % n]
-            found = [0] * len(new)
-            for stride, w in setters:
-                found = [b + pos // stride % n * w for b, pos in zip(found, new)]
-            bases.update(zip(new, found))
-        for off in spread:
-            for pos, base in zip(support, map(bases.get, support)):
-                if base is not None:
+def _landed(field: TensorField, n: int, checks, setters, bases: dict) -> list[tuple[int, int]]:
+    """(position, base) for each position of the field's support that lands,
+    filling ``bases`` at the positions not visited before."""
+    support = field.support
+    new = [pos for pos in support if pos not in bases]
+    if new:
+        if checks:
+            bases.update(dict.fromkeys(new))
+        for s1, s2 in checks:
+            new = [pos for pos in new if pos // s1 % n == pos // s2 % n]
+        found = [0] * len(new)
+        for stride, w in setters:
+            found = [b + pos // stride % n * w for b, pos in zip(found, new)]
+        bases.update(zip(new, found))
+    return [(pos, base) for pos, base in zip(support, map(bases.get, support)) if base is not None]
+
+
+def _scatter(shape: TensorShape, terms, divisor: int = 1) -> TensorField:
+    """The one scatter kernel: sum c * (source reindexed by feeds and fills,
+    see :func:`_landing`) over the (c, source, feeds, fills) terms, c an
+    ``int``, all over the divisor, as one :meth:`Polynomial.combination` per
+    touched position.
+
+    A source is a field or a pair (a, b) of fields, whose feeds cover a's
+    slots and then b's.  A pair is multiplied only where it lands: each
+    factor's support is filtered by the checks inside it, b's is joined to
+    a's on the indices they share, and each joined (u, v) adds (c, a[u], b[v]).
+    """
+    n, size = shape.n, shape.size
+    collected: dict[int, list] = {}
+    products: dict[int, list] = {}
+    for c, source, feeds, fills in terms:
+        fields = source if isinstance(source, tuple) else (source,)
+        sizes = tuple([f.shape.p + f.shape.q for f in fields])
+        factors, spread = _landing(n, shape.p + shape.q, feeds, fills, sizes)
+        landed = [_landed(f, n, *factor) for f, factor in zip(fields, factors)]
+        if len(fields) == 1:
+            comps = source.components
+            for off in spread:
+                for pos, base in landed[0]:
                     collected.setdefault(base + off, []).append((c, comps[pos]))
-    products = products or {}
+            continue
+        (a, b), joined = source, {}
+        for v, base in landed[1]:
+            joined.setdefault(base // size, []).append((v, base % size))
+        for off in spread:
+            for u, base in landed[0]:
+                for v, b_base in joined.get(base // size, ()):
+                    entry = products.setdefault(base % size + b_base + off, [])
+                    entry.append((c, a.components[u], b.components[v]))
     for pos in products:
         collected.setdefault(pos, [])
-    out = [Polynomial.zero(n)] * shape.size
+    out = [Polynomial.zero(n)] * size
     for pos, pairs in collected.items():
         out[pos] = Polynomial.combination(n, pairs, products.get(pos, ()), divisor)
     return TensorField(shape, tuple(out))
 
 
+def _product(a: TensorShape, b: TensorShape) -> tuple[TensorShape, tuple[int, ...]]:
+    """The shape of a (x) b, a's slots preceding b's in each variance class,
+    and the slot there of each slot of a and then of b."""
+    p, q = a.p + b.p, a.q + b.q
+    slots = (*range(a.p), *range(p, p + a.q), *range(a.p, p), *range(p + a.q, p + q))
+    return TensorShape(p, q, a.n), slots
+
+
 def tensor_product(a: TensorField, b: TensorField) -> TensorField:
-    """Product with a's slots preceding b's in each variance class."""
+    """Product with a's slots preceding b's in each variance class: one pair term."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    n = a.n
-    pa, qa, pb, qb = a.shape.p, a.shape.q, b.shape.p, b.shape.q
-    out_shape = TensorShape(pa + pb, qa + qb, n)
-    # output slots: a's covariant, b's covariant, a's contravariant, b's contravariant
-    strides = [n**s for s in reversed(range(pa + pb + qa + qb))]
-    a_offsets = _offsets(n, strides[:pa] + strides[pa + pb : pa + pb + qa])
-    b_offsets = _offsets(n, strides[pa : pa + pb] + strides[pa + pb + qa :])
-    b_terms = [(b_offsets[pos], b.components[pos]) for pos in b.support]
-    comps = [Polynomial.zero(n)] * out_shape.size
-    for pos in a.support:
-        a_off, poly_a = a_offsets[pos], a.components[pos]
-        for b_off, poly_b in b_terms:
-            comps[a_off + b_off] = poly_a * poly_b
-    return TensorField(out_shape, tuple(comps))
+    shape, slots = _product(a.shape, b.shape)
+    return _scatter(shape, [(1, (a, b), slots, ())])
 
 
 def contract(a: TensorField, cov_slot: int, contra_slot: int) -> TensorField:
@@ -302,13 +325,11 @@ def permute_covariant(a: TensorField, perm: Sequence[int]) -> TensorField:
 def combine(
     shape: TensorShape,
     terms: Sequence[tuple[int, TensorField, Sequence[int]]],
-    products: Mapping[int, Sequence[tuple[int, Polynomial, Polynomial]]] | None = None,
     divisor: int = 1,
 ) -> TensorField:
     """sum c * permute_covariant(field, perm) over the (c, field, perm) terms,
-    each c an ``int`` and each field of ``shape``, plus, at each storage
-    position in ``products``, sum c * f * g over its (c, f, g) triples, all
-    divided by the positive ``int`` divisor.
+    each c an ``int`` and each field of ``shape``, divided by the positive
+    ``int`` divisor.
 
     One ``_scatter``: a lone (1, p) term with divisor 1 is p itself.  The
     divisor, shapes and permutations are checked before any field is read.
@@ -321,7 +342,7 @@ def combine(
             raise ValueError(f"shape mismatch: {field.shape} vs {shape}")
         _check_permutation(perm, shape.p)
         scattered.append((c, field, tuple([s - 1 for s in perm]) + contra, ()))
-    return _scatter(shape, scattered, products, divisor)
+    return _scatter(shape, scattered, divisor)
 
 
 @lru_cache(maxsize=16)

@@ -5,8 +5,8 @@ derivative and the exterior (covariant) differentials at every index
 tuple, each with its own loop, and the antisymmetry test by building the
 slot-swapped field and negating it.  Christoffel symbols are read through
 ``Connection.gamma`` only, so no table code is shared with the library's
-derivative kernel.  Contraction, slot permutation, contraction schemes,
-the normal tensor N1 and the wedge/tensor products with the identity read
+derivative kernel.  Contraction, tensor product, slot permutation,
+contraction schemes, the normal tensor N1 and the wedge/tensor products with the identity read
 components one 1-based index at a time through ``TensorField.get``, so
 none of them goes through the library's scatter kernel.
 ``project_schemes_all`` is the scheme projection as ``verify schemes`` once
@@ -73,7 +73,6 @@ from natforms.tensor import (
     _swap_perm,
     antisymmetrize_pair,
     combine,
-    tensor_product,
 )
 
 
@@ -195,6 +194,18 @@ def contract_loop(a, cov_slot, contra_slot):
     return TensorField(out_shape, tuple(comps))
 
 
+def tensor_product_loop(a, b):
+    """Product with a's slots preceding b's in each variance class, one
+    output index at a time."""
+    n, pa, qa = a.shape.n, a.shape.p, a.shape.q
+    shape = TensorShape(pa + b.shape.p, qa + b.shape.q, n)
+    comps = []
+    for idx in itertools.product(range(1, n + 1), repeat=shape.p + shape.q):
+        cov, contra = idx[: shape.p], idx[shape.p :]
+        comps.append(a.get(cov[:pa], contra[:qa]) * b.get(cov[pa:], contra[qa:]))
+    return TensorField(shape, tuple(comps))
+
+
 def permute_covariant_loop(a, perm):
     """Result slot s reads input index v[perm[s]]: with perm=(2,3,1),
     X_{ijk} = A_{jki}."""
@@ -262,7 +273,12 @@ def schemes_certificate_all(d):
     }
     parts = [
         ("31", "c", project_schemes_all(schemes31, d.normal1), range(1, 12)),
-        ("42", "d", project_schemes_all(schemes42, tensor_product(d.normal0, d.normal0)), range(12, 20)),
+        (
+            "42",
+            "d",
+            project_schemes_all(schemes42, tensor_product_loop(d.normal0, d.normal0)),
+            range(12, 20),
+        ),
     ]
     for shapes, part, columns, labels in parts:
         matrix = echelon(columns + [d.family[f"T{i}"].form.tensor for i in labels])

@@ -1,15 +1,17 @@
-"""The one scatter kernel behind contract, permute_covariant, apply_scheme and
-combine, and the constructions built from it, checked exactly against loops
-that read one 1-based component at a time."""
+"""The one scatter kernel behind contract, permute_covariant, tensor_product,
+apply_scheme and combine, and the constructions built from it, checked
+exactly against loops that read one 1-based component at a time."""
 
 import itertools
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from natforms.generators import apply_scheme, enumerate_schemes
+from natforms import tensor
+from natforms.generators import apply_scheme, build_D_family, enumerate_schemes, project_schemes
 from natforms.geometry import (
     Invariants,
     curvature,
@@ -24,6 +26,7 @@ from natforms.tensor import (
     TensorShape,
     antisymmetrize_pair,
     contract,
+    delta,
     permute_covariant,
     tensor_product,
 )
@@ -34,6 +37,7 @@ from reference_loops import (
     normal1_loop,
     permute_covariant_loop,
     tensor_identity_loop,
+    tensor_product_loop,
     wedge_endo_identity_loop,
     wedge_oneform_identity_loop,
 )
@@ -127,6 +131,7 @@ def test_every_scheme_matches_loop_on_normal_tensors(n, density, seed):
         assert_same(apply_scheme(scheme, n1), apply_scheme_loop(scheme, n1))
     n0 = Invariants(conn).normal0
     n0_squared = tensor_product(n0, n0)
+    assert_same(n0_squared, tensor_product_loop(n0, n0))
     nonzero = 0
     for scheme in enumerate_schemes(TensorShape(4, 2, n), shape31):
         got = apply_scheme(scheme, n0_squared)
@@ -208,3 +213,50 @@ def test_scheme_on_a_one_component_field_at_the_largest_dimension_stays_small():
         tracemalloc.stop()
     assert nonzero > 0
     assert peak < 1 << 20
+
+
+def test_pair_reads_of_a_two_component_factor_at_the_largest_dimension_stay_small():
+    """N0 (x) N0 is read as the pair (N0, N0) and never built: at n = 8 it
+    would have 262,144 positions, and the D family and every (4,2) scheme
+    value of a two-component N0 must stay far below a table of them."""
+    n = 8
+    n0 = field_from({((1, 2), (1,)): "x1 + x8", ((2, 1), (1,)): "-x1 - x8"}, 2, 1, n=n)
+    assert len(n0.support) == 2
+    source, target = TensorShape(4, 2, n), TensorShape(3, 1, n)
+    for build in (lambda: project_schemes(source, target, n0), lambda: build_D_family(n0)):
+        tracemalloc.start()
+        try:
+            build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_pair_term_with_a_cross_contraction_and_a_fill_matches_the_loops(data):
+    """One pair term (a, b) that contracts a covariant slot of one factor
+    with a contravariant slot of the other and ties a new last covariant
+    slot to a new last contravariant one equals the loops' contraction of
+    a (x) b, times the Kronecker delta."""
+    shapes = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
+    a = data.draw(sparse_fields(shapes))
+    b = data.draw(sparse_fields(shapes).filter(lambda f: f.n == a.n))
+    (pa, qa), (pb, qb) = (a.shape.p, a.shape.q), (b.shape.p, b.shape.q)
+    p, q = pa + pb, qa + qb
+    # product slots: a's covariant, b's covariant, a's contravariant, b's contravariant
+    crossing = [(ci, ki) for ci in range(pa) for ki in range(p + qa, p + q)]
+    crossing += [(ci, ki) for ci in range(pa, p) for ki in range(p, p + qa)]
+    assume(crossing)
+    ci, ki = data.draw(st.sampled_from(crossing))
+    # the contracted product keeps its slots in order; the fill takes the
+    # last covariant slot p - 1 and the last contravariant slot p + q - 1
+    feeds = [s - (s > ci) if s < p else s - (s > ki) for s in range(p + q)]
+    feeds[ci] = feeds[ki] = p + q
+    pair_feeds = tuple(feeds[s] for s in tensor._product(a.shape, b.shape)[1])
+    got = tensor._scatter(
+        TensorShape(p, q, a.n), [(1, (a, b), pair_feeds, ((p - 1, p + q - 1),))]
+    )
+    contracted = contract_loop(tensor_product_loop(a, b), ci + 1, ki - p + 1)
+    assert_same(got, tensor_product_loop(contracted, delta(a.n)))

@@ -31,7 +31,7 @@ from natforms.tensor import (
     permute_covariant,
     zero,
 )
-from natforms.verify import Derived
+from natforms.verify import Derived, RandomConnectionSpec, random_connections
 from reference_loops import (
     combine_terms_loop,
     flatten_loop,
@@ -99,25 +99,32 @@ def test_d1_antisymmetric_d5_symmetric(ref_n0):
 
 
 def test_d_component_formulas(ref_n0):
-    d1, d2, d3, d4, d5 = build_D_family(ref_n0)
-    theta = contract(ref_n0, 1, 1)
-    psi = contract(ref_n0, 2, 1)
+    # the sparse N0 of the bundled connection and that of a dense draw
+    dense = random_connections(RandomConnectionSpec(seed=2, dimension=N, density=20), 1)[0]
+    for n0 in (ref_n0, Invariants(dense).normal0):
+        assert_d_component_formulas(n0)
+
+
+def assert_d_component_formulas(n0):
+    d1, d2, d3, d4, d5 = build_D_family(n0)
+    theta = contract(n0, 1, 1)
+    psi = contract(n0, 2, 1)
     for i, j, k, l in itertools.product(range(1, N + 1), repeat=4):
         want1 = Polynomial.zero(N)
         for m in range(1, N + 1):
-            want1 = want1 + ref_n0.get((i, j), (m,)) * ref_n0.get((m, k), (l,))
+            want1 = want1 + n0.get((i, j), (m,)) * n0.get((m, k), (l,))
         assert d1.get((i, j, k), (l,)) == want1
-        assert d2.get((i, j, k), (l,)) == ref_n0.get((i, j), (l,)) * theta.get((k,), ())
+        assert d2.get((i, j, k), (l,)) == n0.get((i, j), (l,)) * theta.get((k,), ())
         want3 = Polynomial.zero(N)
         if j == l:
             for m in range(1, N + 1):
                 for s in range(1, N + 1):
-                    want3 = want3 + ref_n0.get((s, i), (m,)) * ref_n0.get((m, k), (s,))
+                    want3 = want3 + n0.get((s, i), (m,)) * n0.get((m, k), (s,))
         assert d3.get((i, j, k), (l,)) == want3
         want4 = Polynomial.zero(N)
         if k == l:
             for m in range(1, N + 1):
-                want4 = want4 + ref_n0.get((i, j), (m,)) * psi.get((m,), ())
+                want4 = want4 + n0.get((i, j), (m,)) * psi.get((m,), ())
         assert d4.get((i, j, k), (l,)) == want4
         want5 = theta.get((i,), ()) * theta.get((j,), ()) if k == l else Polynomial.zero(N)
         assert d5.get((i, j, k), (l,)) == want5

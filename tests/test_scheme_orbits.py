@@ -23,9 +23,9 @@ from natforms.generators import (
     project_schemes,
 )
 from natforms.geometry import Invariants, reference_connection
-from natforms.tensor import TensorShape, tensor_product
+from natforms.tensor import TensorShape
 from natforms.verify import Derived, RandomConnectionSpec, random_connections, verify_schemes
-from reference_loops import project_schemes_all, schemes_certificate_all
+from reference_loops import project_schemes_all, schemes_certificate_all, tensor_product_loop
 from test_geometry import random_field
 from test_tensor import field_from
 
@@ -149,7 +149,7 @@ def test_orbit_projection_matches_every_scheme(make, scheme_calls):
     shape42 = TensorShape(4, 2, n)
     cases = [
         (shape31, N1_SYMMETRIES, q.normal1, q.normal1, 12),
-        (shape42, N0_SQUARED_SYMMETRIES, q.normal0, tensor_product(q.normal0, q.normal0), 8),
+        (shape42, N0_SQUARED_SYMMETRIES, q.normal0, tensor_product_loop(q.normal0, q.normal0), 8),
     ]
     for source_shape, symmetries, field, source, representatives in cases:
         del scheme_calls[:]

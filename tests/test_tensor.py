@@ -412,11 +412,18 @@ def test_combine_matches_permute_scale_and_add(data):
         )
     )
     assert term_maps(combine(t.shape, terms)) == combine_terms_loop(t.shape, terms)
-    # products added at t's nonzero positions; the factor read from u may be zero
-    products = {pos: [(2, t.components[pos], u.components[-1 - pos])] for pos in t.support}
-    assert term_maps(combine(t.shape, terms, products)) == combine_terms_loop(
-        t.shape, terms, products
-    )
+    # a pair term (t, u), u with its covariant slots permuted, adds 2 * t * u'
+    # at every position; the factor read from u' may be zero
+    perm = data.draw(st.permutations(slots))
+    contra = tuple(range(t.shape.p, t.shape.p + t.shape.q))
+    feeds = tuple(range(t.shape.p + t.shape.q)) + tuple(s - 1 for s in perm) + contra
+    scattered = [(c, f, tuple(s - 1 for s in pm) + contra, ()) for c, f, pm in terms]
+    got = tensor._scatter(t.shape, scattered + [(2, (t, u), feeds, ())])
+    permuted = permute_covariant_loop(u, perm)
+    products = {
+        pos: [(2, t.components[pos], permuted.components[pos])] for pos in range(t.shape.size)
+    }
+    assert term_maps(got) == combine_terms_loop(t.shape, terms, products)
     # + and - of two fields are combine with identity permutations
     identity = tuple(slots)
     assert term_maps(t + u) == combine_terms_loop(t.shape, [(1, t, identity), (1, u, identity)])
