@@ -10,4 +10,4 @@ from .geometry import (  # noqa: E402,F401
     reference_connection,
     torsion,
 )
-from .verify import RandomConnectionSpec, verify_all  # noqa: E402,F401
+from .verify import RandomConnectionSpec, verify_target  # noqa: E402,F401

@@ -21,22 +21,19 @@ from .generators import build_T_list
 from .geometry import (
     Connection,
     Invariants,
+    connection_loads,
     connection_to_json_obj,
-    load_connection,
     reference_connection,
 )
 from .tensor import dumps as tensor_dumps
 from .tensor import loads as tensor_loads
 from .verify import (
-    CLAIMS,
-    MAX_COUNT,
+    TARGETS,
     RandomConnectionSpec,
     aggregate_pass,
     report_json,
     report_text,
-    verify_all,
-    verify_bianchi,
-    verify_claim,
+    verify_target,
 )
 
 log = logging.getLogger("natforms")
@@ -53,18 +50,20 @@ COMPUTE_TARGETS = {
 }
 
 
-def _digest(path: str | None) -> str:
+def _load_connection_arg(path: str | None) -> tuple[Connection, str]:
+    """The connection at path (default: the bundled one) and the sha256 of
+    its document, logged.  The file is read once, so a pipe is digested as
+    it was parsed."""
     if path is None:
-        canonical = json.dumps(connection_to_json_obj(reference_connection()))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
-def _load_connection_arg(path: str | None) -> Connection:
-    if path is None:
-        return reference_connection()
-    return load_connection(path)
+        conn = reference_connection()
+        data = json.dumps(connection_to_json_obj(conn)).encode()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        conn = connection_loads(data.decode("utf-8"))
+    digest = hashlib.sha256(data).hexdigest()
+    log.info("input digest sha256:%s", digest)
+    return conn, digest
 
 
 def _write(path: str, text: str) -> None:
@@ -73,9 +72,7 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    conn = _load_connection_arg(args.connection)
-    digest = _digest(args.connection)
-    log.info("input digest sha256:%s", digest)
+    conn, digest = _load_connection_arg(args.connection)
     what = args.what
     result = COMPUTE_TARGETS[what](Invariants(conn))
     if what == "generators":
@@ -134,25 +131,13 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        # zero connections would make the bianchi verdict a vacuous PASS
-        raise ValueError(f"--count must be at least 1, got {args.count}")
-    if args.count > MAX_COUNT:
-        raise ValueError(f"--count must be at most {MAX_COUNT}, got {args.count}")
-    spec = RandomConnectionSpec(seed=args.seed)
     log.info("seed %d", args.seed)
-    target = args.target
-    if target == "bianchi":
-        if args.connection is not None:
-            log.warning("the bianchi suite draws its own connections; --connection ignored")
-        verdicts = [verify_bianchi(spec, args.count)]
-    else:
-        conn = _load_connection_arg(args.connection)
-        log.info("input digest sha256:%s", _digest(args.connection))
-        if target == "all":
-            verdicts = verify_all(conn, spec, args.count)
-        else:
-            verdicts = verify_claim(target, conn)
+    conn = None
+    if args.target != "bianchi":
+        conn, _ = _load_connection_arg(args.connection)
+    elif args.connection is not None:
+        log.warning("the bianchi suite draws its own connections; --connection ignored")
+    verdicts = verify_target(args.target, conn, RandomConnectionSpec(seed=args.seed), args.count)
     report = report_json(verdicts) if args.format == "json" else report_text(verdicts)
     sys.stdout.write(report if report.endswith("\n") else report + "\n")
     return 0 if aggregate_pass(verdicts) else 1
@@ -182,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank_cmd.set_defaults(func=cmd_rank)
 
     verify_cmd = sub.add_parser("verify", help="run machine-checked verdicts")
-    verify_cmd.add_argument("target", choices=("all", *CLAIMS, "bianchi"))
+    verify_cmd.add_argument("target", choices=TARGETS)
     verify_cmd.add_argument("--connection", help="connection JSON file (default: bundled example)")
     verify_cmd.add_argument("--seed", type=int, default=1, help="seed for randomized suites")
     verify_cmd.add_argument("--count", type=int, default=20, help="number of random connections")

@@ -53,14 +53,7 @@ import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .tensor import TensorField
-
-
-def _check_shapes(fields: Sequence[TensorField]) -> None:
-    shape = fields[0].shape
-    for f in fields[1:]:
-        if f.shape != shape:
-            raise ValueError(f"shape mismatch: {f.shape} vs {shape}")
+from .tensor import TensorField, _check_shapes
 
 
 # -- streamed rows -----------------------------------------------------------------
@@ -263,7 +256,7 @@ def echelon(*blocks: Sequence[TensorField] | Sequence[Row]) -> Echelon:
         if len(block) != cols:
             raise ValueError(f"blocks differ in width: {len(block)} vs {cols} columns")
         if block and isinstance(block[0], TensorField):
-            _check_shapes(block)
+            _check_shapes(block[0].shape, block)
         elif any(len(v) != len(block[0]) for v in block):
             raise ValueError("ragged columns")
     return _eliminate(itertools.chain.from_iterable(map(_block_rows, blocks)), cols)

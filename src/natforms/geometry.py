@@ -209,10 +209,13 @@ def connection_to_json_obj(conn: Connection) -> dict:
     return {"dim": n, "christoffel": items}
 
 
+def connection_loads(text: str) -> Connection:
+    return connection_from_json_obj(_doc_json(text, "connection document"))
+
+
 def load_connection(path: str) -> Connection:
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return connection_from_json_obj(_doc_json(text, "connection document"))
+        return connection_loads(handle.read())
 
 
 # -- form wrappers ---------------------------------------------------------------

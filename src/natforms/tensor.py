@@ -39,7 +39,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .poly import Coefficient, Polynomial, _check_divisor, _coefficient, parse, to_string
 
@@ -122,10 +122,6 @@ class TensorField:
 
     # -- pointwise linear structure ---------------------------------------
 
-    def _check_shape(self, other: TensorField) -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-
     def __add__(self, other: TensorField) -> TensorField:
         if not isinstance(other, TensorField):
             return NotImplemented
@@ -167,9 +163,15 @@ def delta(n: int) -> TensorField:
     return TensorField(TensorShape(1, 1, n), comps)
 
 
+def _check_shapes(shape: TensorShape, fields: Iterable[TensorField]) -> None:
+    for field in fields:
+        if field.shape != shape:
+            raise ValueError(f"shape mismatch: {field.shape} vs {shape}")
+
+
 def equal(a: TensorField, b: TensorField) -> bool:
     """Exact componentwise equality; raises on shape mismatch."""
-    a._check_shape(b)
+    _check_shapes(a.shape, (b,))
     return a.components == b.components
 
 
@@ -336,10 +338,9 @@ def combine(
     """
     _check_divisor(divisor)
     contra = tuple(range(shape.p, shape.p + shape.q))
+    _check_shapes(shape, (field for _, field, _ in terms))
     scattered = []
     for c, field, perm in terms:
-        if field.shape != shape:
-            raise ValueError(f"shape mismatch: {field.shape} vs {shape}")
         _check_permutation(perm, shape.p)
         scattered.append((c, field, tuple([s - 1 for s in perm]) + contra, ()))
     return _scatter(shape, scattered, divisor)

@@ -15,9 +15,11 @@ connection by :class:`Derived`, which extends
 :class:`natforms.geometry.Invariants` (torsion, curvature, the normal
 tensors and both structure differentials) with the claim quantities, and
 :data:`CLAIMS` is the one ordered list of the claims that take a
-connection.  Claims about the 19-generator family require dimension >= 4
-and are refused below that rather than reporting a misleading failure;
-the shared derivation itself takes any dimension.
+connection.  :data:`TARGETS` names every ``verify`` target (``all``, each
+claim, ``bianchi``), and :func:`verify_target` is the one entry point that
+runs one of them.  Claims about the 19-generator family require dimension
+>= 4 and are refused below that rather than reporting a misleading
+failure; the shared derivation itself takes any dimension.
 """
 
 from __future__ import annotations
@@ -219,6 +221,14 @@ def _random_polynomial(rng: random.Random, spec: RandomConnectionSpec) -> Polyno
         poly = Polynomial(n, terms)
         if not poly.is_zero:
             return poly
+
+
+def _check_count(count: int) -> None:
+    if count < 1:
+        # zero connections would make the bianchi verdict a vacuous PASS
+        raise ValueError(f"--count must be at least 1, got {count}")
+    if count > MAX_COUNT:
+        raise ValueError(f"--count must be at most {MAX_COUNT}, got {count}")
 
 
 def random_connections(spec: RandomConnectionSpec, count: int) -> list[Connection]:
@@ -451,11 +461,7 @@ def verify_thm_3_5(d: Derived) -> Verdict:
 def verify_bianchi(spec: RandomConnectionSpec, count: int) -> Verdict:
     """Both structure identities, the differential of the identity 1-form,
     and the normal-tensor symmetrization, on seeded random connections."""
-    if count < 1:
-        # zero connections would make the verdict a vacuous PASS
-        raise ValueError(f"count must be at least 1, got {count}")
-    if count > MAX_COUNT:
-        raise ValueError(f"count must be at most {MAX_COUNT}, got {count}")
+    _check_count(count)
     connections = random_connections(spec, count)
     runs = []
     all_ok = True
@@ -571,17 +577,24 @@ CLAIMS = {
 }
 
 
-def verify_claim(target: str, conn: Connection) -> list[Verdict]:
-    """The verdicts of one CLAIMS target on conn."""
-    d = Derived(conn)
-    return [claim(d) for claim in CLAIMS[target]]
+# Every `verify` target, in the CLI's order.
+TARGETS = ("all", *CLAIMS, "bianchi")
 
 
-def verify_all(conn: Connection, spec: RandomConnectionSpec, count: int) -> list[Verdict]:
-    """Every CLAIMS verdict in registry order, then the bianchi suite;
-    aggregate passes iff all pass.  Both refusals (dimension, count) come
-    before any claim runs."""
+def verify_target(
+    target: str, conn: Connection | None, spec: RandomConnectionSpec, count: int
+) -> list[Verdict]:
+    """The verdicts of one TARGETS entry, in report order; ``bianchi``
+    draws its own connections and ignores conn.  ``all`` is every CLAIMS
+    verdict in registry order, then the bianchi suite.  Every refusal
+    (target, count, dimension) comes before any claim runs."""
+    if target not in TARGETS:
+        raise ValueError(f"unknown verify target {target!r}")
+    _check_count(count)
+    if target == "bianchi":
+        return [verify_bianchi(spec, count)]
     d = Derived(conn)
+    if target != "all":
+        return [claim(d) for claim in CLAIMS[target]]
     bianchi = verify_bianchi(spec, count)
-    verdicts = [claim(d) for claims in CLAIMS.values() for claim in claims]
-    return verdicts + [bianchi]
+    return [claim(d) for claims in CLAIMS.values() for claim in claims] + [bianchi]

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior on real files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -135,6 +136,45 @@ def test_verify_all_json_reports_are_byte_identical(capsys):
     assert first == second
     with open(GOLDEN_ALL, encoding="utf-8") as handle:
         assert first == handle.read()
+
+
+def golden_slices():
+    """Each target's verdicts in the golden `verify all` report: the CLAIMS
+    targets in registry order, then bianchi."""
+    with open(GOLDEN_ALL, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    slices, start = {}, 0
+    for target, claims in verify.CLAIMS.items():
+        slices[target] = golden[start : start + len(claims)]
+        start += len(claims)
+    slices["bianchi"] = golden[start:]
+    return slices
+
+
+@pytest.mark.parametrize("target", [*verify.CLAIMS, "bianchi"])
+def test_each_target_reports_its_slice_of_the_golden_file(capsys, target):
+    assert run(["verify", target, "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(golden_slices()[target], indent=2) + "\n"
+
+
+def test_connection_from_stdin_is_digested_as_read(tmp_path):
+    # the document is read once, so a pipe's bytes are the ones digested
+    src = os.path.dirname(os.path.dirname(os.path.abspath(natforms.__file__)))
+    with open(PAPER, "rb") as handle:
+        document = handle.read()
+    out_dir = tmp_path / "gens"
+    out = subprocess.run(
+        [sys.executable, "-m", "natforms", "compute", "generators"]
+        + ["--connection", "/dev/stdin", "--out", str(out_dir)],
+        input=document,
+        capture_output=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 0, out.stderr
+    digest = hashlib.sha256(document).hexdigest()
+    assert json.loads((out_dir / "manifest.json").read_text())["connection_digest"] == digest
+    assert f"input digest sha256:{digest}".encode() in out.stderr
 
 
 def test_python_dash_m_runs_the_cli_from_the_source_tree():
@@ -387,13 +427,15 @@ def test_nesting_100_deep_still_parses(tmp_path, capsys):
 
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_verify_rejects_count_below_one(capsys, count):
-    assert run(["verify", "bianchi", "--count", count]) == 2
-    captured = capsys.readouterr()
-    assert "--count must be at least 1" in captured.err
-    assert captured.out == ""
+    # a target that reads no count refuses a bad one too
+    for target in ("bianchi", "lemma-3.5"):
+        assert run(["verify", target, "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert "--count must be at least 1" in captured.err
+        assert captured.out == ""
 
 
-@pytest.mark.parametrize("target", ["bianchi", "all"])
+@pytest.mark.parametrize("target", ["bianchi", "all", "lemma-3.5"])
 def test_verify_rejects_count_above_ceiling_before_drawing(monkeypatch, capsys, target):
     def no_draws(spec, count):
         raise AssertionError(f"drew {count} connections")

@@ -16,7 +16,6 @@ from natforms.verify import (
     report_json,
     report_text,
     verdict_to_json_obj,
-    verify_all,
     verify_bianchi,
     verify_closed_forms,
     verify_dropped_generator,
@@ -24,6 +23,7 @@ from natforms.verify import (
     verify_lemma_3_4,
     verify_lemma_3_5_partial,
     verify_thm_3_2,
+    verify_target,
     verify_thm_3_5,
 )
 from reference_loops import flatten_loop, rank_bareiss
@@ -200,7 +200,13 @@ def test_verify_all_refuses_count_before_any_claim(ref_conn, count, monkeypatch)
 
     monkeypatch.setattr("natforms.verify.verify_lemma_3_1", no_claim)
     with pytest.raises(ValueError, match="count must be at least 1"):
-        verify_all(ref_conn, RandomConnectionSpec(seed=1), count)
+        verify_target("all", ref_conn, RandomConnectionSpec(seed=1), count)
+
+
+def test_verify_target_refuses_an_unknown_target(ref_conn):
+    # an empty list of verdicts would aggregate to a vacuous PASS
+    with pytest.raises(ValueError, match="unknown verify target 'no-such'"):
+        verify_target("no-such", ref_conn, RandomConnectionSpec(seed=1), 20)
 
 
 # -- one derivation per connection -----------------------------------------------------
@@ -225,13 +231,13 @@ def derivations(monkeypatch):
 
 def test_verify_all_derives_once_per_connection(ref_conn, derivations):
     # the bundled connection plus the 20 bianchi draws
-    verify_all(ref_conn, RandomConnectionSpec(seed=1), 20)
+    verify_target("all", ref_conn, RandomConnectionSpec(seed=1), 20)
     assert derivations == {"torsion": 21, "curvature": 21}
 
 
 def test_verify_all_builds_gamma_tables_once_per_connection(table_builds):
     # a fresh bundled connection plus the 20 bianchi draws
-    verify_all(reference_connection(), RandomConnectionSpec(seed=1), 20)
+    verify_target("all", reference_connection(), RandomConnectionSpec(seed=1), 20)
     assert len(table_builds) == len(set(map(id, table_builds))) == 21
 
 
