@@ -115,16 +115,13 @@ def _block_rows(block: Sequence) -> Iterator[Piece]:
 
 
 def _integer_row(row: Row) -> list[int]:
-    """The row times the lcm of its denominators, in integer arithmetic; a
-    row of ``int`` entries only is already that.  Coefficient-vector rows
-    and returned span coefficients carry ``Fraction`` entries; field rows
-    come out of ``_field_rows`` as integers and need no clearing."""
-    if all(type(v) is int for v in row):
-        return list(row)
+    """The row of ``int`` and ``Fraction`` entries times the lcm of their
+    denominators, as ``int`` entries; an all-``int`` row comes back as a list
+    of the same values.  Coefficient-vector rows and returned span
+    coefficients pass through here; field rows come out of ``_field_rows``
+    as integers and need no clearing."""
     ratios = [v.as_integer_ratio() for v in row]
     scale = math.lcm(*[d for _, d in ratios])
-    if scale == 1:
-        return [n for n, _ in ratios]
     return [n * (scale // d) for n, d in ratios]
 
 

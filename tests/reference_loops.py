@@ -433,11 +433,11 @@ def flatten_loop(fields: Sequence[TensorField]) -> list[list[Fraction]]:
             raise ValueError(f"shape mismatch: {f.shape} vs {shape}")
     rows: list[list[Fraction]] = []
     for pos in range(shape.size):
-        support = {m for f in fields for m in f.components[pos].terms}
+        # one read per component: each read of ``terms`` decodes the polynomial
+        views = [f.components[pos].terms for f in fields]
+        support = {m for view in views for m in view}
         for mono in sorted(support, key=lambda m: (sum(m), m)):
-            rows.append(
-                [Fraction(f.components[pos].terms.get(mono, 0)) for f in fields]
-            )
+            rows.append([Fraction(view.get(mono, 0)) for view in views])
     return rows
 
 

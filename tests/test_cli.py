@@ -415,6 +415,38 @@ def test_json_nested_past_the_decoder_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, text, key",
+    [
+        (
+            ["verify", "lemma-3.5", "--connection"],
+            '{"dim": 4, "christoffel": [{"upper": 1, "lower": [1, 2], "poly": "x3"}], "dim": 5}',
+            "dim",
+        ),
+        (
+            ["verify", "lemma-3.5", "--connection"],
+            '{"dim": 4, "christoffel": [{"upper": 1, "lower": [1, 2], "upper": 2, "poly": "x3"}]}',
+            "upper",
+        ),
+        (
+            ["rank"],
+            '{"shape": {"p": 2, "q": 1, "n": 4}, "components": [],'
+            ' "shape": {"p": 1, "q": 1, "n": 4}}',
+            "shape",
+        ),
+    ],
+    ids=["connection", "christoffel-entry", "tensor"],
+)
+def test_repeated_json_key_exits_2(tmp_path, capsys, argv, text, key):
+    # the decoder would keep the last of two equal keys without a word
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run([*argv, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert f"JSON object repeats the key {key!r}" in captured.err
+    assert captured.out == ""
+
+
 def test_nesting_100_deep_still_parses(tmp_path, capsys):
     assert parse("-" * 100 + "x1", 4) == parse("x1", 4)
     assert parse("(" * 100 + "x1" + ")" * 100, 4) == parse("x1", 4)

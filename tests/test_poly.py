@@ -78,14 +78,23 @@ def test_numerators_over_one_denominator():
     assert half.scale(6).denominator == 1
 
 
-def test_coefficient_view_is_built_once():
+def test_coefficient_view_decodes_the_numerators():
     half = p("1/2*x1 + x2")
-    assert half.terms is half.terms
     assert half.terms == {(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): 1}
     whole = p("2*x1 + x2")
-    assert whole.terms is whole.terms
     assert whole.terms == {(1, 0, 0, 0): 2, (0, 1, 0, 0): 1}
     assert whole.numerators == packed(whole.terms)
+
+
+@pytest.mark.parametrize("text", ["x1", "x2 + 1/2*x1"])
+def test_changing_a_coefficient_view_leaves_the_polynomial_alone(text):
+    poly = p(text)
+    view = poly.terms
+    view[(0, 0, 0, 0)] = 5
+    del view[(1, 0, 0, 0)]
+    assert poly.terms == p(text).terms and (1, 0, 0, 0) in poly.terms
+    assert to_string(poly) == text
+    assert poly == p(text)
 
 
 # Values that are not an exact int or Fraction: a float, a string, a bool,

@@ -457,12 +457,6 @@ def test_combine_shares_a_lone_unit_term_and_checks_its_terms():
     for c in (True, 1.0):
         with pytest.raises(TypeError, match="coefficients must be int"):
             combine(t.shape, [(c, t, (1, 2))])
-    # the divisor is refused before any field is read, with no term at all too
-    for divisor, error in ((0, ValueError), (-2, ValueError), (True, TypeError), (2.0, TypeError)):
-        with pytest.raises(error, match="divisors must be"):
-            combine(t.shape, [], divisor=divisor)
-        with pytest.raises(error, match="divisors must be"):
-            combine(t.shape, [(1, t, (1, 2))], divisor=divisor)
 
 
 # -- antisymmetry answered by negation identity ------------------------------------
