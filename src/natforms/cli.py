@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .exactla import echelon, echelon_kernel
-from .generators import build_T_list
+from .generators import RECIPE, build_T_list
 from .geometry import (
     Connection,
     Invariants,
@@ -83,16 +83,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "connection_digest": digest,
             "entries": [],
         }
-        for entry in result.entries:
-            filename = f"{entry.label}.json"
-            _write(os.path.join(args.out, filename), tensor_dumps(entry.form.tensor) + "\n")
+        for label, field in result.tensors.items():
+            filename = f"{label}.json"
+            _write(os.path.join(args.out, filename), tensor_dumps(field) + "\n")
+            base, pattern = RECIPE[label]
             manifest["entries"].append(
-                {
-                    "label": entry.label,
-                    "file": filename,
-                    "base": entry.base,
-                    "pattern": entry.pattern,
-                }
+                {"label": label, "file": filename, "base": base, "pattern": pattern}
             )
         _write(os.path.join(args.out, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
         print(f"wrote 19 generator files and manifest.json to {args.out}")
@@ -108,8 +104,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
         raise ValueError("no tensor files given")
     fields = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            fields.append(tensor_loads(handle.read()))
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                fields.append(tensor_loads(handle.read()))
+        except ValueError as exc:
+            # rank reads several files, so say which one is at fault
+            raise ValueError(f"{path}: {exc}") from exc
     matrix = echelon(fields)
     observed = matrix.rank
     kernel = echelon_kernel(matrix) if args.kernel else None

@@ -1,14 +1,17 @@
 """The 19 natural generator 2-forms and equivariant contraction schemes.
 
-The generator family is built from the two normal tensors of a connection,
+This module is tensor algebra over :mod:`natforms.tensor` alone.  The
+generator family is built from the two normal tensors of a connection,
 which :class:`natforms.geometry.Invariants` derives; this module takes the
-tensors, never the connection.  The family is four trace patterns of the
-first-order normal tensor (C family), five quadratic expressions in the
+tensors, never the connection.  Its bases are four trace patterns of the
+first-order normal tensor (C family) and five quadratic expressions in the
 zeroth-order normal tensor (D family, each one term of the scatter kernel
-of :mod:`natforms.tensor` that reads the pair (N0, N0)), and for each of
-those bases up to three reindex-then-antisymmetrize patterns.
-Every entry is antisymmetric in its first two covariant slots, so it is a
-well-formed endomorphism-valued 2-form.
+of :mod:`natforms.tensor` that reads the pair (N0, N0)).  :data:`RECIPE`
+names each of T1..T19 by the base and the reindex-then-antisymmetrize
+pattern it is built from, and the family maps each label to its tensor.
+Every generator is antisymmetric in its first two covariant slots, so it
+is a well-formed endomorphism-valued 2-form; the verdict that
+differentiates the generators checks that as it wraps each one.
 
 ``enumerate_schemes`` lists every equivariant linear map between tensor
 types as a bijection between "lower" slots (source covariant plus target
@@ -43,7 +46,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .geometry import EndValuedForm
 from .tensor import (
     TensorField,
     TensorShape,
@@ -103,55 +105,31 @@ def build_D_family(n0: TensorField) -> list[TensorField]:
     return [_scatter(shape, [(1, (n0, n0), feeds, fills)]) for feeds, fills in _D_TERMS]
 
 
-@dataclass(frozen=True)
-class GeneratorEntry:
-    label: str
-    form: EndValuedForm
-    base: str      # which C/D tensor the entry came from
-    pattern: str   # which skew pattern produced it
+# T1..T19, each the (base, pattern) it is built from, after removal of the
+# dependent C3/(kij)-(kji) entry; see dropped_c3_generator.
+RECIPE = {
+    "T1": ("C0", PATTERN_ID), "T2": ("C0", PATTERN_JKI), "T3": ("C0", PATTERN_KIJ),
+    "T4": ("C1", PATTERN_ID), "T5": ("C1", PATTERN_JKI), "T6": ("C1", PATTERN_KIJ),
+    "T7": ("C2", PATTERN_ID), "T8": ("C2", PATTERN_JKI), "T9": ("C2", PATTERN_KIJ),
+    "T10": ("C3", PATTERN_ID), "T11": ("C3", PATTERN_JKI),
+    "T12": ("D1", PATTERN_ID), "T13": ("D1", PATTERN_JKI),
+    "T14": ("D2", PATTERN_ID), "T15": ("D2", PATTERN_JKI),
+    "T16": ("D3", PATTERN_ID),
+    "T17": ("D4", PATTERN_ID), "T18": ("D4", PATTERN_JKI),
+    "T19": ("D5", PATTERN_JKI),
+}
 
 
 @dataclass(frozen=True)
 class GeneratorFamily:
-    entries: tuple[GeneratorEntry, ...]
+    """T1..T19 by label, in that order, and the nine bases they are built from."""
+
+    tensors: dict[str, TensorField]
     bases: dict[str, TensorField]  # C0..C3 and D1..D5, each built once
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != 19:
-            raise ValueError(f"expected 19 generators, got {len(self.entries)}")
-
-    def labels(self) -> list[str]:
-        return [e.label for e in self.entries]
-
-    def fields(self) -> list[TensorField]:
-        return [e.form.tensor for e in self.entries]
-
-    def __getitem__(self, label: str) -> GeneratorEntry:
-        for entry in self.entries:
-            if entry.label == label:
-                return entry
-        raise KeyError(label)
-
-
-# (base index, pattern) recipe for T1..T19, after removal of the dependent
-# C3/(kij)-(kji) entry; see dropped_c3_generator.
-_C_RECIPE = [
-    ("C0", PATTERN_ID), ("C0", PATTERN_JKI), ("C0", PATTERN_KIJ),
-    ("C1", PATTERN_ID), ("C1", PATTERN_JKI), ("C1", PATTERN_KIJ),
-    ("C2", PATTERN_ID), ("C2", PATTERN_JKI), ("C2", PATTERN_KIJ),
-    ("C3", PATTERN_ID), ("C3", PATTERN_JKI),
-]
-_D_RECIPE = [
-    ("D1", PATTERN_ID), ("D1", PATTERN_JKI),
-    ("D2", PATTERN_ID), ("D2", PATTERN_JKI),
-    ("D3", PATTERN_ID),
-    ("D4", PATTERN_ID), ("D4", PATTERN_JKI),
-    ("D5", PATTERN_JKI),
-]
 
 
 def build_T_list(n0: TensorField, n1: TensorField) -> GeneratorFamily:
-    """The ordered generators T1..T19.
+    """The generators T1..T19, each ``apply_pattern`` of its RECIPE entry.
 
     T1..T11 come from the C family, T12..T19 from the D family.  For D1,
     D2 and D4, which are already antisymmetric in (i,j), the identity-slot
@@ -169,18 +147,10 @@ def build_T_list(n0: TensorField, n1: TensorField) -> GeneratorFamily:
     """
     bases = dict(zip(["C0", "C1", "C2", "C3", "D1", "D2", "D3", "D4", "D5"],
                      build_C_family(n1) + build_D_family(n0)))
-    entries = []
-    for index, (base, pattern) in enumerate(_C_RECIPE + _D_RECIPE, start=1):
-        field = apply_pattern(bases[base], pattern)
-        entries.append(
-            GeneratorEntry(
-                label=f"T{index}",
-                form=EndValuedForm(2, field),
-                base=base,
-                pattern=pattern,
-            )
-        )
-    return GeneratorFamily(tuple(entries), bases)
+    tensors = {
+        label: apply_pattern(bases[base], pattern) for label, (base, pattern) in RECIPE.items()
+    }
+    return GeneratorFamily(tensors, bases)
 
 
 def dropped_c3_generator(family: GeneratorFamily) -> TensorField:

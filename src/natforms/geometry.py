@@ -67,6 +67,7 @@ from .tensor import (
     _doc_indices,
     _doc_int,
     _doc_json,
+    _doc_object,
     _doc_text,
     _flat,
     _scatter,
@@ -162,10 +163,11 @@ def reference_connection() -> Connection:
 # -- connection file format ----------------------------------------------------
 
 def connection_from_json_obj(obj: dict) -> Connection:
+    _doc_object(obj, "connection document", ("dim", "christoffel"))
     try:
         n = _doc_int(obj["dim"], "dim")
         raw = obj["christoffel"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed connection document: {exc}") from exc
     if not 2 <= n <= _MAX_DIMENSION:
         raise ValueError(
@@ -175,11 +177,12 @@ def connection_from_json_obj(obj: dict) -> Connection:
         raise ValueError(f"christoffel must be a list, got {raw!r}")
     entries: dict[tuple[int, int, int], Polynomial] = {}
     for item in raw:
+        _doc_object(item, "Christoffel entry", ("upper", "lower", "poly"))
         try:
             upper = _doc_int(item["upper"], "upper")
             lower = _doc_indices(item["lower"], "lower")
             text = _doc_text(item["poly"], "poly")
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"malformed Christoffel entry {item!r}: {exc}") from exc
         if len(lower) != 2:
             raise ValueError(f"lower index list must have 2 entries, got {list(lower)}")

@@ -25,9 +25,11 @@ one-term scatters; :func:`combine`, the one sum of fields, scatters
 slot-permuted fields, and :func:`permute_covariant`, ``+``, ``-`` and
 :func:`antisymmetrize_pair` are each one ``combine``.  Only a direct
 ``_scatter`` divides its sums by a common integer, as N1 does by 12.
-Outside this module only the derivative kernel of :mod:`natforms.geometry`
-reads the storage layout directly; the echelon in :mod:`natforms.exactla`
-reads components by position and gives the indices no meaning.
+Outside this module only :mod:`natforms.geometry` reads the storage layout
+directly: its derivative kernel, and :func:`~natforms.geometry.torsion` and
+:func:`~natforms.geometry.curvature`, which write components at flat
+positions they compute; the echelon in :mod:`natforms.exactla` reads
+components by position and gives the indices no meaning.
 
 Slot arguments in the public API are 1-based throughout, matching the
 index conventions of the formulas this library implements.
@@ -42,7 +44,7 @@ from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .poly import Coefficient, Polynomial, _coefficient, parse, to_string
+from .poly import Coefficient, ParseError, Polynomial, _coefficient, parse, to_string
 
 
 @dataclass(frozen=True)
@@ -451,6 +453,17 @@ def to_json_obj(a: TensorField) -> dict:
     }
 
 
+def _doc_object(value, what: str, keys: tuple[str, ...]) -> dict:
+    """A JSON object from a document; a key outside the given ones is refused."""
+    if not isinstance(value, dict):
+        raise ValueError(f"malformed {what}: expected a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            defined = ", ".join(map(repr, keys))
+            raise ValueError(f"{what} has an undefined key {key!r} (it defines {defined})")
+    return value
+
+
 def _doc_int(value, what: str) -> int:
     """A JSON integer from a document; bool, float and str are refused."""
     if type(value) is not int:
@@ -473,13 +486,14 @@ def _doc_text(value, what: str) -> str:
 
 
 def from_json_obj(obj: dict) -> TensorField:
+    _doc_object(obj, "tensor document", ("shape", "components"))
     try:
-        sh = obj["shape"]
+        sh = _doc_object(obj["shape"], "shape", ("p", "q", "n"))
         shape = TensorShape(
             _doc_int(sh["p"], "shape p"), _doc_int(sh["q"], "shape q"), _doc_int(sh["n"], "shape n")
         )
         raw = obj["components"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed tensor document: {exc}") from exc
     if shape.n > _MAX_DIMENSION or shape.p + shape.q > _MAX_SLOTS:
         raise ValueError(
@@ -491,11 +505,12 @@ def from_json_obj(obj: dict) -> TensorField:
     comps = [Polynomial.zero(shape.n)] * shape.size
     seen: set[tuple[int, ...]] = set()
     for entry in raw:
+        _doc_object(entry, "component entry", ("cov", "contra", "poly"))
         try:
             cov = _doc_indices(entry["cov"], "cov")
             contra = _doc_indices(entry["contra"], "contra")
             text = _doc_text(entry["poly"], "poly")
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"malformed component entry {entry!r}: {exc}") from exc
         if len(cov) != shape.p or len(contra) != shape.q:
             raise ValueError(f"component index arity mismatch: cov={cov} contra={contra}")
@@ -505,7 +520,12 @@ def from_json_obj(obj: dict) -> TensorField:
         if idx in seen:
             raise ValueError(f"duplicate component entry: cov={cov} contra={contra}")
         seen.add(idx)
-        comps[_flat(shape.n, idx)] = parse(text, shape.n)
+        try:
+            comps[_flat(shape.n, idx)] = parse(text, shape.n)
+        except ParseError as exc:
+            raise ValueError(
+                f"invalid polynomial for cov={list(cov)}, contra={list(contra)}: {exc}"
+            ) from exc
     return TensorField(shape, tuple(comps))
 
 

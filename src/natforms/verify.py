@@ -139,17 +139,14 @@ class Derived(Invariants):
 
     @cached_property
     def family(self) -> GeneratorFamily:
+        """T1..T19 by label, and the nine bases they are built from."""
         return build_T_list(self.normal0, self.normal1)
 
     @cached_property
     def closed_combinations(self) -> dict[str, TensorField]:
         """T2-T13, T4 and T7: the combinations the thm-3.2 kernel names."""
-        family = self.family
-        return {
-            "T2-T13": family["T2"].form.tensor - family["T13"].form.tensor,
-            "T4": family["T4"].form.tensor,
-            "T7": family["T7"].form.tensor,
-        }
+        tensors = self.family.tensors
+        return {"T2-T13": tensors["T2"] - tensors["T13"], "T4": tensors["T4"], "T7": tensors["T7"]}
 
     @cached_property
     def trace_wedge(self) -> VectorValuedForm:
@@ -248,12 +245,12 @@ def random_connections(spec: RandomConnectionSpec, count: int) -> list[Connectio
 def verify_lemma_3_1(d: Derived) -> Verdict:
     """The 19 flattened generators are linearly independent (rank 19)."""
     family = d.family
-    fields = family.fields()
+    fields = list(family.tensors.values())
     matrix = echelon(fields)
     observed_rank = matrix.rank
     doubled = doubled_d5_variant(family)
     certificate = {
-        "labels": family.labels(),
+        "labels": list(family.tensors),
         "matrix_rows": matrix.rows,
         "rank": observed_rank,
         "t19_variants": {
@@ -277,10 +274,9 @@ def verify_lemma_3_1(d: Derived) -> Verdict:
 
 def verify_dropped_generator(d: Derived) -> Verdict:
     """The removed C3 pattern is a combination of T5, T6, T8, T9, T11."""
-    family = d.family
-    dropped = dropped_c3_generator(family)
+    dropped = dropped_c3_generator(d.family)
     keep = ["T5", "T6", "T8", "T9", "T11"]
-    fields = [family[label].form.tensor for label in keep] + [dropped]
+    fields = [d.family.tensors[label] for label in keep] + [dropped]
     [(member, coeffs)] = echelon_members(echelon(fields), len(keep))
     certificate = {
         "basis": keep,
@@ -308,8 +304,11 @@ def _expected_kernel_vectors() -> list[tuple[Fraction, ...]]:
 
 def verify_thm_3_2(d: Derived) -> Verdict:
     """The closed subspace has dimension 3: kernel = span{e2-e13, e4, e7}."""
-    # the 19 differentials are read only here, so they are not kept on d
-    differentials = [ext_cov_deriv_endo(d.conn, e.form).tensor for e in d.family.entries]
+    # the 19 differentials are read only here, so they are not kept on d;
+    # wrapping each generator as a 2-form checks its antisymmetry
+    differentials = [
+        ext_cov_deriv_endo(d.conn, EndValuedForm(2, t)).tensor for t in d.family.tensors.values()
+    ]
     matrix = echelon(differentials)
     kernel = echelon_kernel(matrix)
     expected = _expected_kernel_vectors()
@@ -516,11 +515,11 @@ def verify_schemes(d: Derived) -> Verdict:
         len(enumerate_schemes(shape42, shape31)),
         len(enumerate_schemes(TensorShape(2, 1, n), shape31)),
     )
-    family = d.family
+    tensors = d.family.tensors
 
     def containment(projected, labels):
         positions = list(projected)
-        matrix = echelon([*projected.values()] + [family[label].form.tensor for label in labels])
+        matrix = echelon([*projected.values()] + [tensors[label] for label in labels])
         memberships = {}
         for label, (member, coeffs) in zip(labels, echelon_members(matrix, len(projected))):
             memberships[label] = {

@@ -46,9 +46,9 @@ def ref_family(ref_conn):
 
 @pytest.fixture(scope="session")
 def ref_differentials(ref_conn, ref_family):
-    from natforms.geometry import ext_cov_deriv_endo
+    from natforms.geometry import EndValuedForm, ext_cov_deriv_endo
 
-    return [ext_cov_deriv_endo(ref_conn, entry.form) for entry in ref_family.entries]
+    return [ext_cov_deriv_endo(ref_conn, EndValuedForm(2, t)) for t in ref_family.tensors.values()]
 
 
 @pytest.fixture

@@ -281,7 +281,7 @@ def schemes_certificate_all(d):
         ),
     ]
     for shapes, part, columns, labels in parts:
-        matrix = echelon(columns + [d.family[f"T{i}"].form.tensor for i in labels])
+        matrix = echelon(columns + [d.family.tensors[f"T{i}"] for i in labels])
         certificate[f"projected_span_rank_{shapes}"] = matrix.rank_of_first(len(columns))
         certificate[f"memberships_{part}_part"] = {
             f"T{i}": {

@@ -63,7 +63,7 @@ def report(number, name, started, detail):
 
 def test_c01_generator_family_rank_19(paper_conn, paper_family):
     started = time.time()
-    fields = paper_family.fields()
+    fields = list(paper_family.tensors.values())
     observed = rank_bareiss(flatten_loop(fields), len(fields))
     assert observed == 19
     report(1, "generator family has rank 19", started, f"rank {observed}")
@@ -155,7 +155,7 @@ def test_c08_dropped_generator_dependency(paper_family):
     started = time.time()
     dropped = dropped_c3_generator(paper_family)
     keep = ["T5", "T6", "T8", "T9", "T11"]
-    fields = [paper_family[label].form.tensor for label in keep] + [dropped]
+    fields = [paper_family.tensors[label] for label in keep] + [dropped]
     columns = transpose(flatten_loop(fields))
     member, coeffs = in_span_bareiss(columns[-1], columns[:-1])
     assert member

@@ -46,6 +46,20 @@ def test_compute_curvature_flat_has_no_components(tmp_path):
     assert doc["shape"] == {"p": 3, "q": 1, "n": 4}
 
 
+# (base, pattern) of T1..T19, in manifest order
+MANIFEST_RECIPES = [
+    ("C0", "(ijk)-(jik)"), ("C0", "(jki)-(ikj)"), ("C0", "(kij)-(kji)"),
+    ("C1", "(ijk)-(jik)"), ("C1", "(jki)-(ikj)"), ("C1", "(kij)-(kji)"),
+    ("C2", "(ijk)-(jik)"), ("C2", "(jki)-(ikj)"), ("C2", "(kij)-(kji)"),
+    ("C3", "(ijk)-(jik)"), ("C3", "(jki)-(ikj)"),
+    ("D1", "(ijk)-(jik)"), ("D1", "(jki)-(ikj)"),
+    ("D2", "(ijk)-(jik)"), ("D2", "(jki)-(ikj)"),
+    ("D3", "(ijk)-(jik)"),
+    ("D4", "(ijk)-(jik)"), ("D4", "(jki)-(ikj)"),
+    ("D5", "(jki)-(ikj)"),
+]
+
+
 def test_compute_generators_writes_19_files_and_manifest(tmp_path):
     out_dir = tmp_path / "gens"
     assert run(["compute", "generators", "--connection", PAPER, "--out", str(out_dir)]) == 0
@@ -54,6 +68,10 @@ def test_compute_generators_writes_19_files_and_manifest(tmp_path):
     assert {e["label"] for e in manifest["entries"]} == {f"T{i}" for i in range(1, 20)}
     for entry in manifest["entries"]:
         assert (out_dir / entry["file"]).exists()
+    assert manifest["entries"] == [
+        {"label": f"T{i}", "file": f"T{i}.json", "base": base, "pattern": pattern}
+        for i, (base, pattern) in enumerate(MANIFEST_RECIPES, start=1)
+    ]
 
 
 def test_rank_of_generator_files_is_19(tmp_path, capsys):
@@ -444,6 +462,62 @@ def test_repeated_json_key_exits_2(tmp_path, capsys, argv, text, key):
     assert run([*argv, str(bad)]) == 2
     captured = capsys.readouterr()
     assert f"JSON object repeats the key {key!r}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, document, key",
+    [
+        (
+            ["compute", "torsion", "--out", "out.json", "--connection"],
+            {
+                "dim": 4,
+                "christoffel": [],
+                "Christoffel": [{"upper": 1, "lower": [1, 2], "poly": "x3"}],
+            },
+            "Christoffel",
+        ),
+        (
+            ["verify", "lemma-3.5", "--connection"],
+            {"dim": 4, "christoffel": [dict(GOOD_ENTRY, polly="x3")]},
+            "polly",
+        ),
+        (
+            ["rank"],
+            dict(
+                tensor_doc([dict(GOOD_COMPONENT, coef=2)], {"p": 2, "q": 1, "n": 4, "r": 0}),
+                note="x",
+            ),
+            "note",
+        ),
+        (["rank"], tensor_doc([], {"p": 2, "q": 1, "n": 4, "r": 0}), "r"),
+        (["rank"], tensor_doc([dict(GOOD_COMPONENT, coef=2)]), "coef"),
+    ],
+    ids=["connection", "christoffel-entry", "tensor", "shape", "component"],
+)
+def test_undefined_document_key_exits_2(tmp_path, monkeypatch, capsys, argv, document, key):
+    # a misspelt key would otherwise be dropped without a word
+    monkeypatch.chdir(tmp_path)
+    with open("bad.json", "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
+    assert run([*argv, "bad.json"]) == 2
+    captured = capsys.readouterr()
+    assert f"undefined key {key!r}" in captured.err
+    assert captured.out == ""
+    assert not os.path.exists("out.json")
+
+
+def test_tensor_polynomial_error_names_its_file_and_component(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(tensor_doc([GOOD_COMPONENT])))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(tensor_doc([dict(GOOD_COMPONENT, poly="x1 @ 2")])))
+    assert run(["rank", str(good), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(
+        f"error: {bad}: invalid polynomial for cov=[1, 2], contra=[3]: "
+        "unexpected character '@' (at position 3)\n"
+    )
     assert captured.out == ""
 
 

@@ -6,7 +6,7 @@ with ``python -m pytest -m slow``.
 
 import pytest
 
-from natforms.geometry import ext_cov_deriv_endo
+from natforms.geometry import EndValuedForm, ext_cov_deriv_endo
 from natforms.verify import (
     Derived,
     RandomConnectionSpec,
@@ -23,7 +23,9 @@ def test_dense_n5_thm_3_2_kernel_matches_bareiss_and_schemes_pass():
     d = Derived(conn)
     verdict = verify_thm_3_2(d)
     assert verdict.passed
-    differentials = [ext_cov_deriv_endo(conn, e.form).tensor for e in d.family.entries]
+    differentials = [
+        ext_cov_deriv_endo(conn, EndValuedForm(2, t)).tensor for t in d.family.tensors.values()
+    ]
     rows = flatten_loop(differentials)
     assert verdict.certificate["matrix_rows"] == len(rows)
     assert verdict.certificate["kernel_vectors"] == [

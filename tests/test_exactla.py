@@ -628,14 +628,16 @@ def test_family_rank_and_kernel_match_bareiss_on_seeded_connections(seed):
     # d-nabla fills the alternated orderings of a form with the very polynomial
     # objects it computed once, so `_field_rows` skips repeated components of
     # the differentials; the rows it streams must still give Bareiss's results
-    from natforms.geometry import ext_cov_deriv_endo
+    from natforms.geometry import EndValuedForm, ext_cov_deriv_endo
     from natforms.verify import Derived
 
     conn = _seeded_draws(seed)[0]
     family = Derived(conn).family
-    differentials = [ext_cov_deriv_endo(conn, e.form).tensor for e in family.entries]
+    differentials = [
+        ext_cov_deriv_endo(conn, EndValuedForm(2, t)).tensor for t in family.tensors.values()
+    ]
     assert any(not rows for _, rows in exactla._field_rows(differentials))
-    for fields in (family.fields(), differentials):
+    for fields in (list(family.tensors.values()), differentials):
         rows = flatten_loop(fields)
         ech = echelon(fields)
         assert ech.rows == len(rows)

@@ -10,6 +10,7 @@ from natforms.generators import (
     PATTERN_ID,
     PATTERN_JKI,
     PATTERN_KIJ,
+    RECIPE,
     ContractionScheme,
     apply_pattern,
     apply_scheme,
@@ -134,23 +135,24 @@ def assert_d_component_formulas(n0):
 
 def test_family_on_flat_connection_is_zero(flat_conn):
     family = Derived(flat_conn).family
-    assert all(entry.form.tensor.is_zero for entry in family.entries)
+    assert all(field.is_zero for field in family.tensors.values())
 
 
 def test_family_labels_and_provenance(ref_conn):
     family = Derived(ref_conn).family
-    assert family.labels() == [f"T{i}" for i in range(1, 20)]
-    assert family["T1"].base == "C0"
-    assert family["T12"].base == "D1"
-    assert family["T19"].base == "D5"
-    assert family["T19"].pattern == "(jki)-(ikj)"
-    assert family["T16"].pattern == "(ijk)-(jik)"
+    assert list(family.tensors) == [f"T{i}" for i in range(1, 20)]
+    assert list(RECIPE) == [f"T{i}" for i in range(1, 20)]
+    assert RECIPE["T1"][0] == "C0"
+    assert RECIPE["T12"][0] == "D1"
+    assert RECIPE["T19"][0] == "D5"
+    assert RECIPE["T19"][1] == "(jki)-(ikj)"
+    assert RECIPE["T16"][1] == "(ijk)-(jik)"
 
 
 def test_family_entries_are_two_forms(ref_conn):
     family = Derived(ref_conn).family
-    for entry in family.entries:
-        assert is_antisymmetric(entry.form.tensor, 1, 2), entry.label
+    for label, field in family.tensors.items():
+        assert is_antisymmetric(field, 1, 2), label
 
 
 def pattern_loop(base, pattern):
@@ -182,9 +184,9 @@ def test_doubling_patterns_agree(ref_n0, ref_n1):
     # for antisymmetric bases the identity-slot skew equals doubling
     family = build_T_list(ref_n0, ref_n1)
     d1, d2, _, d4, _ = build_D_family(ref_n0)
-    assert equal(family["T12"].form.tensor, d1.scale(2))
-    assert equal(family["T14"].form.tensor, d2.scale(2))
-    assert equal(family["T17"].form.tensor, d4.scale(2))
+    assert equal(family.tensors["T12"], d1.scale(2))
+    assert equal(family.tensors["T14"], d2.scale(2))
+    assert equal(family.tensors["T17"], d4.scale(2))
 
 
 def test_doubled_d5_is_not_a_two_form(ref_n0, ref_family):
@@ -204,20 +206,21 @@ def test_d3_jki_pattern_vanishes_identically(ref_family, crooked_conn):
 
 def test_torsion_free_connection_kills_d_part(symmetric_conn):
     family = Derived(symmetric_conn).family
-    for entry in family.entries[11:]:
-        assert entry.form.tensor.is_zero, entry.label
-    assert any(not entry.form.tensor.is_zero for entry in family.entries[:11])
+    labels = list(family.tensors)
+    for label in labels[11:]:
+        assert family.tensors[label].is_zero, label
+    assert any(not family.tensors[label].is_zero for label in labels[:11])
 
 
 def test_family_rank_is_19_on_reference(ref_family):
-    fields = [entry.form.tensor for entry in ref_family.entries]
+    fields = list(ref_family.tensors.values())
     assert rank_bareiss(flatten_loop(fields), len(fields)) == 19
 
 
 def test_dropped_generator_is_dependent(ref_family):
     dropped = dropped_c3_generator(ref_family)
     keep = ["T5", "T6", "T8", "T9", "T11"]
-    fields = [ref_family[label].form.tensor for label in keep] + [dropped]
+    fields = [ref_family.tensors[label] for label in keep] + [dropped]
     columns = transpose(flatten_loop(fields))
     ok, coeffs = in_span_bareiss(columns[-1], columns[:-1])
     assert ok

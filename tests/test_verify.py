@@ -63,11 +63,11 @@ def test_lemma_3_1_fails_on_flat(flat_conn):
 
 def test_symmetric_connection_rank_bounded(symmetric_conn):
     family = Derived(symmetric_conn).family
-    fields = family.fields()
+    fields = list(family.tensors.values())
     observed = rank_bareiss(flatten_loop(fields), len(fields))
     assert observed <= 11
-    for entry in family.entries[11:]:
-        assert entry.form.tensor.is_zero
+    for field in fields[11:]:
+        assert field.is_zero
 
 
 def test_dropped_generator_certificate(ref_conn):
