@@ -12,11 +12,12 @@ coefficient vectors of one length there is one row per coordinate.
 The echelon streams its matrix one row at a time, straight from the
 polynomial numerators or the vectors, and never builds a ``Fraction`` matrix.
 Each row is cleared to a primitive integer row; zero rows and rows already
-seen up to sign and scale are dropped (the rows of a component whose
-polynomials are the very objects of an earlier component are known to
-repeat and are only counted), a new row is reduced against the pivot rows
-held so far with gcd normalisation, and reading stops once the rank equals
-the column count.
+seen up to sign and scale are dropped, a new row is reduced against the
+pivot rows held so far with gcd normalisation, and reading stops once the
+rank equals the column count.  Field rows repeat up to sign and are
+streamed once per ± class: the rows of a component whose polynomials are
+the very objects of an earlier component, or their recorded negations, are
+known to repeat and are only counted.
 
 Once a row has reduced to zero, and fewer columns are free than pivots are
 held (``cols - rank < rank``), the null vectors of the pivot rows become a
@@ -25,11 +26,13 @@ is reduced: k dot products, for k free columns, in place of a reduction
 against every pivot.  A row that every candidate vector annihilates lies
 in the pivots' row space, where reduction would take it to zero, so it is
 not reduced; any other row raises the rank, is reduced as before, and the
-candidate is dropped until the next row that reduces to zero.  Wide
-matrices of low rank, whose candidate would be wider than the rank, are
-reduced row by row throughout.  A verified row is still made primitive and
-kept among the distinct rows, so the echelon, its pivots and the rows the
-certificates are checked against are those of full elimination.
+candidate is narrowed in place, one vector fewer, to those of its
+combinations that the row annihilates too.  Wide matrices of low rank,
+whose candidate would be wider than the rank, are reduced row by row until
+a row reduces to zero with fewer columns free than the rank.  A verified
+row is still made primitive and kept among the distinct rows, so the
+echelon, its pivots and the rows the certificates are checked against are
+those of full elimination.
 
 The pivot columns are the columns independent of the columns before them,
 so they and every certificate depend only on the matrix, not on row order
@@ -74,16 +77,21 @@ def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
     only hashed and compared here, never decoded.
 
     One piece per component in the union of the fields' supports, in
-    ascending position.  A component whose polynomials are the very
-    objects of an earlier component (alternation stores one value at several
-    orderings) has the same rows, which are counted but not streamed again.
-    The rows of a piece are cleared to the lcm of its polynomials'
-    denominators, a positive scaling that changes no rank, kernel or span,
-    so every entry is an ``int``.
+    ascending position.  Rows repeat up to sign and are streamed once per
+    ± class: alternation stores one value at every even ordering and its
+    one negation at every odd ordering.  A component whose polynomials are
+    the very objects of an earlier streamed component has its rows; one
+    whose polynomials are, field by field, the recorded negations
+    (``Polynomial._negated``) of an earlier streamed component's, or zero
+    where those are zero, has their negations, over the same denominators.
+    Either is counted but not streamed again.  The rows of a piece are
+    cleared to the lcm of its polynomials' denominators, a positive scaling
+    that changes no rank, kernel or span, so every entry is an ``int``.
     """
     cols = len(fields)
-    # id of a component's first nonzero polynomial -> (position, row count);
-    # the fields hold every polynomial, so no id is reused meanwhile
+    # id of a streamed component's first nonzero polynomial -> (position,
+    # row count); the fields hold every polynomial, and each negation holds
+    # what it negates, so no id is reused meanwhile
     first: dict[int, tuple[int, int]] = {}
     for pos in sorted(set().union(*(f.support for f in fields))):
         comps = [f.components[pos] for f in fields]
@@ -91,6 +99,15 @@ def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
         earlier = first.get(id(lead))
         if earlier is not None and all(
             f.components[earlier[0]] is poly for f, poly in zip(fields, comps)
+        ):
+            yield earlier[1], ()
+            continue
+        negated = getattr(lead, "_negated", None)
+        earlier = None if negated is None else first.get(id(negated))
+        if earlier is not None and all(
+            getattr(poly, "_negated", None) is old
+            or not (poly.numerators or old.numerators)
+            for poly, old in zip(comps, (f.components[earlier[0]] for f in fields))
         ):
             yield earlier[1], ()
             continue
@@ -208,12 +225,15 @@ def _reduce(pivots: dict[int, list[int]], row: list[int], lead: int) -> None:
 def _eliminate(pieces: Iterator[Piece], cols: int) -> Echelon:
     """The one elimination behind every rank, kernel and span certificate.
 
-    A distinct row is checked against ``candidate``, the null vectors of the
-    pivot rows, when there is one: a row they all annihilate lies in the
-    pivots' row space, reduces to zero and is not reduced; any other row
-    raises the rank, so it is reduced and the candidate dropped.  A
-    candidate is formed when a row reduces to zero while fewer columns are
-    free than pivots are held.
+    A distinct row is checked against ``candidate``, a basis of the null
+    vectors of the pivot rows, when there is one: a row it annihilates lies
+    in the pivots' row space, reduces to zero and is not reduced.  Any other
+    row raises the rank, so it is reduced, and the candidate survives the
+    rank increase: with products d = row · v over its vectors v and some
+    d_i ≠ 0, the vectors d_i v_j - d_j v_i for j ≠ i, made primitive, are a
+    basis of the null vectors of the new pivot rows.  A candidate is formed,
+    by ``_kernel``, when a row reduces to zero while fewer columns are free
+    than pivots are held.
     """
     pivots: dict[int, list[int]] = {}
     seen: set[tuple[int, ...]] = set()
@@ -230,12 +250,19 @@ def _eliminate(pieces: Iterator[Piece], cols: int) -> Echelon:
                 continue
             seen.add(key)
             if candidate is not None:
-                if not any(sum(map(operator.mul, ints, vec)) for vec in candidate):
+                dots = [sum(map(operator.mul, ints, vec)) for vec in candidate]
+                i = next((j for j, d in enumerate(dots) if d), None)
+                if i is None:
                     continue
-                candidate = None
+                di, vi = dots[i], candidate[i]
+                candidate = [
+                    _primitive([di * a - dj * b for a, b in zip(vj, vi)])
+                    for j, (dj, vj) in enumerate(zip(dots, candidate))
+                    if j != i
+                ]
             rank = len(pivots)
             _reduce(pivots, ints, next(c for c, v in enumerate(ints) if v))
-            if len(pivots) == rank and cols - rank < rank:
+            if candidate is None and len(pivots) == rank and cols - rank < rank:
                 candidate = _kernel(pivots, cols)[1]
     return Echelon(seen, cols, count, pivots)
 

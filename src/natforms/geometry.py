@@ -31,14 +31,14 @@ Conventions, fixed once here and relied on everywhere else:
   cached table, ``_alternation``, and its two maps: the insertions (where
   each k sorts into each I, with sign) and the orderings (every ordering of
   each output's directions, with sign).  Antisymmetry checks of the result
-  answer by that identity, and the echelon streams the rows of shared
-  objects once.  The covariant derivative is that differential in degree
-  0, where Gamma acts on every slot, with the direction slot then moved
-  from first to last.  Gamma acts on the vector slot in ``ext_cov_deriv_vector``, on
-  the endomorphism input and output in ``ext_cov_deriv_endo``, and on no
-  slot in ``exterior_derivative``.  ``torsion`` and ``curvature`` keep
-  their own formulas, so the Bianchi identities check the kernel, not
-  restate it.  Gamma's two sparse tables, by lower index pair for
+  answer by that identity, and since its rows repeat up to sign, the
+  echelon streams them once per ± class.  The covariant derivative is that
+  differential in degree 0, where Gamma acts on every slot, with the
+  direction slot then moved from first to last.  Gamma acts on the vector
+  slot in ``ext_cov_deriv_vector``, on the endomorphism input and output in
+  ``ext_cov_deriv_endo``, and on no slot in ``exterior_derivative``.
+  ``torsion`` and ``curvature`` keep their own formulas, so the Bianchi
+  identities check the kernel, not restate it.  Gamma's two sparse tables, by lower index pair for
   ``curvature`` and contravariant slots and inverted by upper index for
   covariant slots, are built once per connection, so a fault in them would
   pass the identities; the independent sympy oracle checks them.
@@ -407,9 +407,10 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
     gives (k, sign, base) for each source head I, and its orderings map
     gives (start, sign) for each output head.  Every even ordering of an
     output's directions holds that one object and every odd ordering its
-    one negation, so an antisymmetry check of the result answers by
-    identity and the echelon streams the rows of repeated components once;
-    components with a repeated direction are zero.
+    one negation, which records it, so an antisymmetry check of the result
+    answers by identity, and the rows of the output's components repeat up
+    to sign and are streamed by the echelon once per ± class; components
+    with a repeated direction are zero.
     """
     n, p, q = field.shape.n, field.shape.p, field.shape.q
     lower, covariant = tables

@@ -304,18 +304,25 @@ def _expected_kernel_vectors() -> list[tuple[Fraction, ...]]:
 
 def verify_thm_3_2(d: Derived) -> Verdict:
     """The closed subspace has dimension 3: kernel = span{e2-e13, e4, e7}."""
-    # the 19 differentials are read only here, so they are not kept on d;
-    # wrapping each generator as a 2-form checks its antisymmetry
-    differentials = [
-        ext_cov_deriv_endo(d.conn, EndValuedForm(2, t)).tensor for t in d.family.tensors.values()
-    ]
-    matrix = echelon(differentials)
+    # the 19 differentials, by label, are read only here, so they are not
+    # kept on d; wrapping each generator as a 2-form checks its antisymmetry
+    differentials = {
+        label: ext_cov_deriv_endo(d.conn, EndValuedForm(2, t)).tensor
+        for label, t in d.family.tensors.items()
+    }
+    matrix = echelon(list(differentials.values()))
     kernel = echelon_kernel(matrix)
     expected = _expected_kernel_vectors()
     spans_equal, spans = span_equal(kernel, expected)
-    # re-check closedness directly on the tensor fields, upstream of flattening
+    # re-check closedness directly on the tensor fields, upstream of
+    # flattening: T4 and T7 are generators, so their differentials are
+    # columns of the matrix; only T2-T13 is differentiated again
     closed_recheck = {
-        label: ext_cov_deriv_endo(d.conn, EndValuedForm(2, fld)).tensor.is_zero
+        label: (
+            differentials[label]
+            if label in differentials
+            else ext_cov_deriv_endo(d.conn, EndValuedForm(2, fld)).tensor
+        ).is_zero
         for label, fld in d.closed_combinations.items()
     }
     certificate = {

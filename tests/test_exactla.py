@@ -15,9 +15,15 @@ from natforms.exactla import (
     echelon_members,
     span_equal,
 )
-from natforms.geometry import reference_connection, torsion
-from natforms.poly import parse
+from natforms.geometry import (
+    VectorValuedForm,
+    ext_cov_deriv_vector,
+    reference_connection,
+    torsion,
+)
+from natforms.poly import Polynomial, parse
 from natforms.tensor import TensorField, TensorShape
+from natforms.verify import RandomConnectionSpec, random_connections
 from reference_loops import (
     eliminate_full,
     flatten_loop,
@@ -336,14 +342,16 @@ def test_kept_rows_of_the_paper_differentials(ref_differentials):
 
 
 def test_streamed_rows_of_the_paper_differentials(ref_differentials):
-    # d-nabla's alternation stores one object per class of orderings, so of
-    # the 408 rows of 204 components only those of 68 components are streamed
+    # d-nabla's alternation stores one object at the even orderings of each
+    # output's directions and its recorded negation at the odd ones, so of
+    # the 408 rows of 204 components only those of 34 components, one per
+    # ± class, are streamed
     fields = [form.tensor for form in ref_differentials]
     pieces = list(exactla._field_rows(fields))
     assert len(pieces) == 204
     assert sum(count for count, _ in pieces) == echelon(fields).rows == 408
-    assert sum(1 for _, rows in pieces if rows) == 68
-    assert sum(len(rows) for _, rows in pieces) == 136
+    assert sum(1 for _, rows in pieces if rows) == 34
+    assert sum(len(rows) for _, rows in pieces) == 68
 
 
 def test_repeated_rows_do_not_change_the_echelon():
@@ -431,14 +439,14 @@ def test_a_late_row_raises_the_rank_after_the_candidate_formed(monkeypatch):
         [1, 0, 2, 0, 0], [0, 1, -1, 0, 0], [0, 0, 1, 0, 0],  # rank 3, 2 free columns
         [1, 1, 1, 0, 0],  # reduces to zero: the candidate kernel forms
         [2, -1, 5, 0, 0],  # annihilated by the candidate: verified, not reduced
-        [0, 1, 0, 3, 3],  # late row: raises the rank to 4, the candidate is dropped
-        [1, 2, 0, 0, 0],  # reduces to zero: a candidate forms again, 1 free column
+        [0, 1, 0, 3, 3],  # late row: raises the rank to 4, the candidate narrows to 1 vector
+        [1, 2, 0, 0, 0],  # verified against the narrowed candidate, not reduced
         [0, 0, 1, 3, 3],  # verified, though outside the span of the first rows
     ]
     pieces = [(1, [row]) for row in rows]
     calls = counted_reductions(monkeypatch)
     ech = exactla._eliminate(iter(pieces), 5)
-    assert len(calls) == 6 and len(ech.distinct) == 8
+    assert len(calls) == 5 and len(ech.distinct) == 8
     assert ech.rank == rank_bareiss(rows, 5) == 4
     assert echelon_kernel(ech) == kernel_basis_bareiss(rows, 5) == [(0, 0, 0, 1, -1)]
     assert_same_echelon(ech, eliminate_full(iter(pieces), 5))
@@ -527,8 +535,6 @@ def test_field_echelon_matches_flattened_matrix(ref_differentials):
 
 
 def test_repeated_polynomial_objects_count_once_but_only_when_all_repeat():
-    from natforms.poly import Polynomial
-
     n = 2
     shape = TensorShape(1, 0, n)
     a = parse("x1 + 2*x2", n)
@@ -544,6 +550,91 @@ def test_repeated_polynomial_objects_count_once_but_only_when_all_repeat():
         assert ech.rank == rank_bareiss(rows, len(fields))
         assert echelon_kernel(ech) == kernel_basis_bareiss(rows, len(fields))
     assert echelon([u, v]).rank == 2
+
+
+# -- rows repeated up to sign ------------------------------------------------------
+
+def streamed(fields):
+    """How many components stream rows, and how many rows are counted."""
+    pieces = list(exactla._field_rows(fields))
+    return sum(1 for _, rows in pieces if rows), sum(count for count, _ in pieces)
+
+
+def without_records(field):
+    """The field rebuilt from its terms: equal values, but no polynomial
+    shared between components and no negation recorded."""
+    n = field.shape.n
+    return TensorField(field.shape, tuple(Polynomial(n, p.terms) for p in field.components))
+
+
+def assert_rebuilt_fields_give_the_echelon(fields):
+    rebuilt = [without_records(f) for f in fields]
+    support = set().union(*(f.support for f in fields))
+    assert streamed(rebuilt) == (len(support), streamed(fields)[1])
+    ech = echelon(fields)
+    assert_same_echelon(ech, echelon(rebuilt))
+    rows = flatten_loop(fields)
+    assert ech.rows == len(rows)
+    assert ech.rank == rank_bareiss(rows, len(fields))
+    assert echelon_kernel(ech) == kernel_basis_bareiss(rows, len(fields))
+
+
+def test_recorded_negations_of_an_earlier_component_stream_once():
+    n = 3
+    a, b, c = parse("x1 + 1/2*x2", n), parse("x1*x2 - 3", n), parse("2*x1^2", n)
+    zero = Polynomial.zero(n)
+    shape = TensorShape(1, 0, n)
+    # position 1 holds the negations of position 0, zero where it is zero
+    u = TensorField(shape, (a, -a, zero))
+    v = TensorField(shape, (zero, zero, zero))
+    w = TensorField(shape, (b, -b, zero))
+    assert streamed([u, v, w]) == (1, 8)
+    assert_rebuilt_fields_give_the_echelon([u, v, w])
+    # position 2 holds the negations of position 1, not of position 0
+    u = TensorField(shape, (a, b, -b))
+    v = TensorField(shape, (c, zero, zero))
+    assert streamed([u, v]) == (2, 7)
+    assert_rebuilt_fields_give_the_echelon([u, v])
+
+
+def test_components_that_are_not_all_recorded_negations_stream():
+    n = 3
+    a, b = parse("x1 + 1/2*x2", n), parse("x1*x2 - 3*x3", n)
+    c, d = parse("x3^2", n), parse("x2 - 1", n)
+    zero = Polynomial.zero(n)
+    shape = TensorShape(1, 0, n)
+    unrecorded = a.scale(-1)
+    assert unrecorded == -a and getattr(unrecorded, "_negated", None) is None
+    cases = [
+        # one field negated and another identical
+        [TensorField(shape, (a, -a, zero)), TensorField(shape, (b, b, zero))],
+        # the negation of a different earlier component in the second field
+        [TensorField(shape, (a, b, -a)), TensorField(shape, (c, d, -d))],
+        # an equal-valued negation made without `-`
+        [TensorField(shape, (a, unrecorded, zero))],
+        # zero against an earlier nonzero
+        [TensorField(shape, (a, -a, zero)), TensorField(shape, (b, zero, zero))],
+    ]
+    for fields in cases:
+        support = set().union(*(f.support for f in fields))
+        assert streamed(fields)[0] == len(support)
+        assert_rebuilt_fields_give_the_echelon(fields)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(3, 4), st.integers(1, 3))
+def test_differentials_and_their_record_free_rebuilds_give_one_echelon(seed, n, width):
+    # d-nabla of torsions under one connection: vector-valued 3-forms whose
+    # odd orderings hold recorded negations; with two or more, d-nabla of a
+    # sum adds a dependent column
+    conns = random_connections(RandomConnectionSpec(seed=seed, dimension=n), width)
+    forms = [torsion(conn) for conn in conns]
+    if width > 1:
+        forms.append(VectorValuedForm(2, forms[0].tensor + forms[1].tensor))
+    fields = [ext_cov_deriv_vector(conns[0], form).tensor for form in forms]
+    # one streamed component per ± class of the 3! orderings of three directions
+    assert 6 * streamed(fields)[0] == len(set().union(*(f.support for f in fields)))
+    assert_rebuilt_fields_give_the_echelon(fields)
 
 
 def test_certificate_checks_reject_a_wrong_null_vector(wrong_null_vector):
@@ -593,8 +684,6 @@ def test_eliminations_on_the_paper_connection(monkeypatch, ref_conn):
 
 
 def _seeded_draws(seed):
-    from natforms.verify import RandomConnectionSpec, random_connections
-
     return random_connections(RandomConnectionSpec(seed=seed), 2)
 
 
