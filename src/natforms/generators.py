@@ -49,10 +49,10 @@ from typing import Sequence
 from .tensor import (
     TensorField,
     TensorShape,
+    _antisymmetrized,
     _check_slot_pair,
     _product,
     _scatter,
-    combine,
     is_antisymmetric,
 )
 
@@ -62,18 +62,16 @@ PATTERN_ID = "(ijk)-(jik)"
 PATTERN_JKI = "(jki)-(ikj)"
 PATTERN_KIJ = "(kij)-(kji)"
 
-# each pattern's two reindexings, as permute_covariant takes them: (2, 3, 1) reads base_{jki}
-_PATTERN_PERMS = {
-    PATTERN_ID: ((1, 2, 3), (2, 1, 3)),
-    PATTERN_JKI: ((2, 3, 1), (1, 3, 2)),
-    PATTERN_KIJ: ((3, 1, 2), (3, 2, 1)),
-}
+# each pattern's first reindexing, as permute_covariant takes it: (2, 3, 1)
+# reads base_{jki}; the second is the first with slots i and j swapped
+_PATTERN_PERMS = {PATTERN_ID: (1, 2, 3), PATTERN_JKI: (2, 3, 1), PATTERN_KIJ: (3, 1, 2)}
 
 
 def apply_pattern(base: TensorField, pattern: str) -> TensorField:
-    """A skew pattern of a (3,1) base, as one ``combine`` of its two reindexings."""
-    plus, minus = _PATTERN_PERMS[pattern]
-    return combine(base.shape, [(1, base, plus), (-1, base, minus)])
+    """A skew pattern of a (3,1) base: the base read through the pattern's
+    first reindexing, antisymmetrized in slots (1, 2); the (j, i) half holds
+    the recorded negations of the (i, j) half."""
+    return _antisymmetrized(base, _PATTERN_PERMS[pattern], 1, 2)
 
 
 def build_C_family(n1: TensorField) -> list[TensorField]:
@@ -380,7 +378,8 @@ def project_schemes(
     scheme s of each orbit of ``_orbit_table`` whose values do not vanish,
     keyed by its position in ``enumerate_schemes`` order, each one scatter
     of two terms, the scheme and the scheme with target slots 1 and 2
-    exchanged, with coefficients 1 and -1.
+    exchanged, with coefficients 1 and -1, summed only where the target
+    index in slot 1 is below the one in slot 2 and negated at the swaps.
 
     For a (4,2) source, a (2,1) field is the factor N0 of the source
     N0 (x) N0, read as the pair (N0, N0), and must be antisymmetric in its
@@ -397,7 +396,11 @@ def project_schemes(
     schemes, shape = _schemes(source, target), TensorShape(target.p, target.q, source.n)
     relabellings = ((1, range(1, shape.p + 1)), (-1, (2, 1, *range(3, shape.p + 1))))
     return {
-        k: _scatter(shape, [_scheme_term(c, schemes[k], field, cov) for c, cov in relabellings])
+        k: _scatter(
+            shape,
+            [_scheme_term(c, schemes[k], field, cov) for c, cov in relabellings],
+            lower=(1, 2),
+        )
         for k, entry in enumerate(_orbit_table(source, target, symmetries))
         if entry == (k, 1)
     }

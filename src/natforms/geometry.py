@@ -23,11 +23,12 @@ Conventions, fixed once here and relied on everywhere else:
   every direction k outside I, its d_k term and one Gamma product per
   entry of the two Gamma tables, -Gamma on each covariant slot after
   the form slots and +Gamma on each contravariant slot, each with the
-  sign of sorting k into I.  Each output at strictly increasing directions
-  is then one accumulation, ``Polynomial.combination``, and every other
-  ordering is filled by alternation: every even ordering holds that one
-  object and every odd ordering its one negation, and components with a
-  repeated direction are zero.  All of the index bookkeeping comes from one
+  sign of sorting k into I, straight into the output's numerator map.
+  Each output at strictly increasing directions is then put in lowest
+  terms once, and every other ordering is filled by alternation: every
+  even ordering holds that one object and every odd ordering its one
+  negation, and components with a repeated direction are zero.  All of
+  the index bookkeeping comes from one
   cached table, ``_alternation``, and its two maps: the insertions (where
   each k sorts into each I, with sign) and the orderings (every ordering of
   each output's directions, with sign).  Antisymmetry checks of the result
@@ -55,11 +56,12 @@ Conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .poly import ParseError, Polynomial, parse, to_string
+from .poly import ParseError, Polynomial, _Sums, parse, to_string
 from .tensor import (
     _MAX_DIMENSION,
     TensorField,
@@ -116,7 +118,8 @@ class Connection:
         reads, and the scatter's table for a contravariant slot, which,
         holding a, feeds the output with m there.  covariant[k][m] lists
         (a, Gamma^m_{ka}): a covariant slot holding m feeds the output with
-        a in that slot.  Returned as (lower, covariant).
+        a in that slot.  Returned as (lower, covariant, den), den the lcm of
+        the symbols' denominators.
         """
         n = self.dimension
         lower, covariant = ([[[] for _ in range(n)] for _ in range(n)] for _ in range(2))
@@ -125,7 +128,7 @@ class Connection:
             if not poly.is_zero:
                 lower[i][j].append((l, poly))
                 covariant[i][l].append((j, poly))
-        return lower, covariant
+        return lower, covariant, math.lcm(*[poly.denominator for poly in self.christoffel])
 
 
 def connection_from_entries(n: int, entries: dict[tuple[int, int, int], Polynomial]) -> Connection:
@@ -399,13 +402,14 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
     for every direction k outside I with k sorted into I at place r:
     (-1)^r d_k of it at (I + k, u), and (-1)^r times each Gamma in the
     acted slot's table (covariant or lower), at u with that slot's index m
-    replaced by the a (or l) that the table lists for (k, m).  Each touched
-    output, at strictly increasing directions, is then one
-    ``Polynomial.combination``, in ascending output order.  Both steps read
+    replaced by the a (or l) that the table lists for (k, m).  Each term
+    goes straight into its output's map in one ``poly._Sums``, over the lcm
+    of the read components' denominators times that of Gamma's, and each
+    touched output is then put in lowest terms once.  Both steps read
     their indices and signs from the one table
-    ``_alternation(n, degree, block)``: its insertions map
-    gives (k, sign, base) for each source head I, and its orderings map
-    gives (start, sign) for each output head.  Every even ordering of an
+    ``_alternation(n, degree, block)``: its insertions map gives
+    (k, sign, base) for each source head I, and its orderings map gives
+    (start, sign) for each output head.  Every even ordering of an
     output's directions holds that one object and every odd ordering its
     one negation, which records it, so an antisymmetry check of the result
     answers by identity, and the rows of the output's components repeat up
@@ -413,35 +417,32 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
     with a repeated direction are zero.
     """
     n, p, q = field.shape.n, field.shape.p, field.shape.q
-    lower, covariant = tables
+    lower, covariant, gamma_den = tables
     block = n ** (p + q - degree)
     # (stride, table, sign) for each slot Gamma acts on
     acted = [(n ** (p + q - 1 - s), covariant, -1) for s in range(degree, p)]
     acted += [(n ** (p + q - 1 - s), lower, 1) for s in range(p, p + q)]
     insertions, orderings = _alternation(n, degree, block)
     src = field.components
-    pairs: dict[int, list[tuple[int, Polynomial]]] = {}
-    products: dict[int, list[tuple[int, Polynomial, Polynomial]]] = {}
-    for pos in field.support:
-        heads = insertions.get(pos // block)
-        if heads is None:  # form indices not strictly increasing
-            continue
+    read = [pos for pos in field.support if pos // block in insertions]
+    # each term's denominator divides src_den * gamma_den, the one
+    # denominator every output is summed over
+    src_den = math.lcm(*[src[pos].denominator for pos in read])
+    sums = _Sums(n)
+    for pos in read:
         comp, offset = src[pos], pos % block
-        for k, sign, base in heads:
-            partial = comp.partial_derivative(k + 1)
-            if partial.numerators:
-                pairs.setdefault(base + offset, []).append((sign, partial))
+        scale = src_den // comp.denominator
+        for k, sign, base in insertions[pos // block]:
+            target = base + offset
+            sums.add_partial(target, comp, k + 1, sign * scale * gamma_den)
             for stride, table, gamma_sign in acted:
                 m = offset // stride % n
                 for a, g in table[k][m]:
-                    target = base + offset + (a - m) * stride
-                    products.setdefault(target, []).append((sign * gamma_sign, g, comp))
+                    factor = sign * gamma_sign * scale * (gamma_den // g.denominator)
+                    sums.add_product(target + (a - m) * stride, g, comp, factor)
     zero = Polynomial.zero(n)
     comps = [zero] * n ** (p + 1 + q)
-    for out in sorted(pairs.keys() | products.keys()):
-        acc = Polynomial.combination(n, pairs.get(out, ()), products.get(out, ()))
-        if not acc.numerators:
-            continue
+    for out, acc in sums.polynomials(src_den * gamma_den):
         head, offset = divmod(out, block)
         negated = -acc if degree else acc  # degree 0 has one ordering, the identity
         for start, sign in orderings[head]:
@@ -503,7 +504,7 @@ def exterior_derivative(theta: TensorField) -> TensorField:
     if theta.shape.p != 1 or theta.shape.q != 0:
         raise ValueError(f"expected a 1-form, got shape {theta.shape}")
     # a 1-form has no slot after its form slot, so no Gamma table is read
-    return _exterior_differential(((), ()), theta, 1)
+    return _exterior_differential(((), (), 1), theta, 1)
 
 
 def identity_oneform(n: int) -> VectorValuedForm:

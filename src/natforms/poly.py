@@ -38,16 +38,19 @@ guards against.
 
 Polynomials are immutable, so arithmetic shares rather than copies: a sum
 or product with a zero operand, a scaling by 1 and a partial derivative of
-zero return an operand itself.  A negation records the polynomial it
-negated, so an antisymmetry check that meets the pair answers by identity.
+zero return an operand itself.  A negation, of a private subclass, records
+the polynomial it negated, so an antisymmetry check that meets the pair
+answers by identity; other polynomials read ``_negated`` as None.
 
-:meth:`Polynomial.combination` is the one polynomial sum: it adds integer
-multiples of many polynomials and of many products of two into one
-numerator map over the lcm of the term denominators, with one gcd at the
-end; a common integer divisor goes into the same denominator.  ``+`` and
-``-`` of two nonzero operands are each a two-pair combination.  A first
-pair with factor 1 starts the map as one C-level copy of its numerators,
-not term by term.  Its product loop is the one ``*`` runs.
+Two accumulators add terms into numerator maps, with one gcd per map at
+the end.  :meth:`Polynomial.combination` sums integer multiples of
+polynomials and of products of two over the lcm of the term denominators
+times a common integer divisor; ``+`` and ``-`` are two-pair combinations,
+and a first pair with factor 1 starts as one C-level copy.  The private
+``_Sums`` holds one map per output of the differential kernel of
+:mod:`natforms.geometry`, which adds every derivative and product straight
+into it over one common denominator.  One product loop and one derivative
+loop serve every caller.
 
 The canonical term order is graded lexicographic on exponent tuples
 (total degree first, then the tuple itself).  It fixes the printed form.
@@ -59,7 +62,7 @@ import math
 import re
 import struct
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 # Exponent tuple, one non-negative entry per coordinate x1..xn.
 Monomial = tuple[int, ...]
@@ -203,6 +206,18 @@ def _add_product(
             out[mono] = get(mono, 0) + ca * cb
 
 
+def _add_partial(out: dict[int, int], a: Mapping[int, int], shift: int, factor: int) -> None:
+    """Add factor * d a / d x into the numerator map ``out``, x the variable
+    whose exponent field starts at bit ``shift``; each term of a lands on
+    its own monomial."""
+    get = out.get
+    unit = 1 << shift
+    for code, c in a.items():
+        if e := code >> shift & _FIELD_MASK:
+            code -= unit
+            out[code] = get(code, 0) + c * e * factor
+
+
 def _nonzero(out: dict[int, int]) -> dict[int, int]:
     """The numerator map without the entries that cancelled to 0."""
     return {mono: c for mono, c in out.items() if c} if 0 in out.values() else out
@@ -215,11 +230,12 @@ class Polynomial:
     Values are never mutated after construction and may be shared freely.
     """
 
-    __slots__ = ("dimension", "numerators", "denominator", "_negated")
+    __slots__ = ("dimension", "numerators", "denominator")
 
     dimension: int
     numerators: dict[int, int]  # packed monomial -> nonzero; gcd(denominator, *values) == 1
     denominator: int  # positive; 1 for zero
+    _negated: Polynomial | None = None  # set on a ``_Negation`` only
 
     def __init__(self, dimension: int, terms: Mapping[Monomial, Coefficient] | None = None):
         if dimension < 1:
@@ -414,12 +430,16 @@ class Polynomial:
 
     def __neg__(self) -> Polynomial:
         """-self; the result records self as ``_negated``, so that a caller
-        holding both can tell they are negatives without comparing terms."""
+        holding both can tell they are negatives without comparing terms.
+        Negating a negation shares the map of what that negated."""
         if not self.numerators:
             return self
-        result = Polynomial._make(
-            self.dimension, {m: -c for m, c in self.numerators.items()}, self.denominator
-        )
+        negated = self._negated
+        if negated is None:
+            numerators = {m: -c for m, c in self.numerators.items()}
+        else:
+            numerators = negated.numerators
+        result = _Negation._make(self.dimension, numerators, self.denominator)
         # without this record dense_thm32 ran in 0.115 s, not 0.103 s (6-pair medians)
         object.__setattr__(result, "_negated", self)
         return result
@@ -477,15 +497,9 @@ class Polynomial:
             raise ValueError(f"coordinate index {index} out of range 1..{self.dimension}")
         if not self.numerators:
             return self
-        shift = _FIELD_BITS * (self.dimension - index)
-        unit = 1 << shift
-        # lowering x_index is one-to-one on the monomials it keeps, and each
-        # numerator * e is nonzero; only the common factor may change
-        out = {
-            code - unit: coeff * e
-            for code, coeff in self.numerators.items()
-            if (e := (code >> shift) & _FIELD_MASK)
-        }
+        # each numerator * e is nonzero; only the common factor may change
+        out: dict[int, int] = {}
+        _add_partial(out, self.numerators, _FIELD_BITS * (self.dimension - index), 1)
         return Polynomial._lowest_terms(self.dimension, out, self.denominator)
 
     # -- presentation ------------------------------------------------------
@@ -499,6 +513,51 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.dimension}, {to_string(self)!r})"
+
+
+class _Negation(Polynomial):
+    """A polynomial built by negation, holding the polynomial it negated."""
+
+    __slots__ = ("_negated",)
+
+
+class _Sums(dict):
+    """Numerator maps by output key, each made when its first term lands,
+    all over one common denominator that the caller keeps.  Products are
+    held to the term-pair bound and the exponent guard of ``*``."""
+
+    __slots__ = ("dimension", "_guard")
+
+    def __init__(self, dimension: int):
+        super().__init__()
+        self.dimension = dimension
+        self._guard = _LAYOUTS[dimension].guard
+
+    def __missing__(self, key: int) -> dict[int, int]:
+        out = self[key] = {}
+        return out
+
+    def add_partial(self, key: int, p: Polynomial, index: int, factor: int) -> None:
+        """Add factor * (d p / d x_index) at key; index is 1-based."""
+        if p.dimension != self.dimension:
+            Polynomial._refuse_term(self.dimension, factor, p)
+        _add_partial(self[key], p.numerators, _FIELD_BITS * (self.dimension - index), factor)
+
+    def add_product(self, key: int, a: Polynomial, b: Polynomial, factor: int) -> None:
+        """Add factor * a * b at key."""
+        if a.dimension != self.dimension or b.dimension != self.dimension:
+            Polynomial._refuse_term(self.dimension, factor, a, b)
+        a_nums, b_nums = a.numerators, b.numerators
+        if len(a_nums) * len(b_nums) > _MAX_TERM_PAIRS:
+            _check_pairs(a_nums, b_nums)
+        _add_product(self[key], a_nums, b_nums, factor, self._guard)
+
+    def polynomials(self, denominator: int) -> Iterator[tuple[int, Polynomial]]:
+        """(key, its sum over the denominator, in lowest terms) per nonzero sum."""
+        for key, out in self.items():
+            out = _nonzero(out)
+            if out:
+                yield key, Polynomial._lowest_terms(self.dimension, out, denominator)
 
 
 def _monomial_string(mono: Monomial) -> str:

@@ -22,9 +22,12 @@ over dummy indices, is zero off a Kronecker-delta diagonal, and is one
 :meth:`Polynomial.combination` of what lands on it.  :func:`contract`,
 :func:`tensor_product` and :func:`natforms.generators.apply_scheme` are
 one-term scatters; :func:`combine`, the one sum of fields, scatters
-slot-permuted fields, and :func:`permute_covariant`, ``+``, ``-`` and
-:func:`antisymmetrize_pair` are each one ``combine``.  Only a direct
-``_scatter`` divides its sums by a common integer, as N1 does by 12.
+slot-permuted fields, and :func:`permute_covariant`, ``+`` and ``-`` are
+each one ``combine``.  :func:`antisymmetrize_pair` and the skew patterns
+of :func:`natforms.generators.apply_pattern` are one two-term scatter
+that sums one half of the positions and stores each value's recorded
+negation at its swap, so antisymmetry checks answer by identity.  Only a
+direct ``_scatter`` divides its sums by a common integer, as N1 does by 12.
 Outside this module only :mod:`natforms.geometry` reads the storage layout
 directly: its derivative kernel, and :func:`~natforms.geometry.torsion` and
 :func:`~natforms.geometry.curvature`, which write components at flat
@@ -244,7 +247,7 @@ def _landed(field: TensorField, n: int, checks, setters, bases: dict) -> list[tu
     return [(pos, base) for pos, base in zip(support, map(bases.get, support)) if base is not None]
 
 
-def _scatter(shape: TensorShape, terms, divisor: int = 1) -> TensorField:
+def _scatter(shape: TensorShape, terms, divisor: int = 1, lower=None) -> TensorField:
     """The one scatter kernel: sum c * (source reindexed by feeds and fills,
     see :func:`_landing`) over the (c, source, feeds, fills) terms, c an
     ``int``, all over the divisor, as one :meth:`Polynomial.combination` per
@@ -254,6 +257,11 @@ def _scatter(shape: TensorShape, terms, divisor: int = 1) -> TensorField:
     slots and then b's.  A pair is multiplied only where it lands: each
     factor's support is filtered by the checks inside it, b's is joined to
     a's on the indices they share, and each joined (u, v) adds (c, a[u], b[v]).
+
+    ``lower``, two covariant slots s1 < s2 (1-based), says that the sum is
+    antisymmetric in them.  Then only positions whose index at s1 is below
+    the one at s2 are summed; each value's slot-swapped position holds its
+    recorded negation, and positions with equal indices there are zero.
     """
     n, size = shape.n, shape.size
     collected: dict[int, list] = {}
@@ -279,9 +287,16 @@ def _scatter(shape: TensorShape, terms, divisor: int = 1) -> TensorField:
                     entry.append((c, a.components[u], b.components[v]))
     for pos in products:
         collected.setdefault(pos, [])
+    if lower is not None:
+        st1, st2 = (n ** (shape.p + shape.q - s) for s in lower)
+        collected = {pos: t for pos, t in collected.items() if pos // st1 % n < pos // st2 % n}
     out = [Polynomial.zero(n)] * size
     for pos, pairs in collected.items():
         out[pos] = Polynomial.combination(n, pairs, products.get(pos, ()), divisor)
+    if lower is not None:
+        for pos in collected:
+            if (value := out[pos]).numerators:
+                out[pos + (pos // st2 % n - pos // st1 % n) * (st1 - st2)] = -value
     return TensorField(shape, tuple(out))
 
 
@@ -374,25 +389,32 @@ def symmetrization_vanishes(a: TensorField) -> bool:
     return all(not Polynomial.combination(n, pairs).numerators for pairs in groups.values())
 
 
-def _swap_perm(p: int, s1: int, s2: int) -> tuple[int, ...]:
-    perm = list(range(1, p + 1))
-    perm[s1 - 1], perm[s2 - 1] = perm[s2 - 1], perm[s1 - 1]
-    return tuple(perm)
-
-
 def _check_slot_pair(p: int, s1: int, s2: int) -> None:
     if not (1 <= s1 <= p and 1 <= s2 <= p) or s1 == s2:
         raise ValueError(f"invalid covariant slot pair ({s1},{s2}) for p={p}")
 
 
+def _antisymmetrized(a: TensorField, perm: Sequence[int], s1: int, s2: int) -> TensorField:
+    """``permute_covariant(a, perm)`` minus itself with covariant slots s1
+    and s2 swapped: one two-term scatter, antisymmetric in (s1, s2)."""
+    p, q = a.shape.p, a.shape.q
+    _check_slot_pair(p, s1, s2)
+    _check_permutation(perm, p)
+    s1, s2 = sorted((s1, s2))
+    feeds = tuple([v - 1 for v in perm]) + tuple(range(p, p + q))
+    # the output slot each feed reads, with s1 and s2 exchanged
+    swap = {s1 - 1: s2 - 1, s2 - 1: s1 - 1}
+    swapped = tuple([swap.get(f, f) for f in feeds])
+    return _scatter(a.shape, [(1, a, feeds, ()), (-1, a, swapped, ())], lower=(s1, s2))
+
+
 def antisymmetrize_pair(a: TensorField, s1: int, s2: int) -> TensorField:
     """a minus a with covariant slots s1,s2 swapped; no 1/2 factor.
 
-    Applied to an already antisymmetric field this doubles it.
+    Applied to an already antisymmetric field this doubles it.  Only one
+    half is summed; the other holds its recorded negations.
     """
-    p = a.shape.p
-    _check_slot_pair(p, s1, s2)
-    return combine(a.shape, [(1, a, tuple(range(1, p + 1))), (-1, a, _swap_perm(p, s1, s2))])
+    return _antisymmetrized(a, tuple(range(1, a.shape.p + 1)), s1, s2)
 
 
 def _negatives(x: Polynomial, y: Polynomial) -> bool:

@@ -70,7 +70,6 @@ from natforms.tensor import (
     TensorField,
     TensorShape,
     _flat,
-    _swap_perm,
     antisymmetrize_pair,
     combine,
 )
@@ -171,9 +170,16 @@ def exterior_derivative_loop(theta):
     return TensorField(TensorShape(2, 0, n), tuple(comps))
 
 
+def swap_perm(p: int, s1: int, s2: int) -> tuple[int, ...]:
+    """The permutation of 1..p that exchanges s1 and s2."""
+    perm = list(range(1, p + 1))
+    perm[s1 - 1], perm[s2 - 1] = perm[s2 - 1], perm[s1 - 1]
+    return tuple(perm)
+
+
 def is_antisymmetric_by_permutation(a, s1, s2):
     """a equals minus a with covariant slots s1 and s2 swapped."""
-    swapped = permute_covariant_loop(a, _swap_perm(a.shape.p, s1, s2))
+    swapped = permute_covariant_loop(a, swap_perm(a.shape.p, s1, s2))
     return a.components == tuple(-c for c in swapped.components)
 
 

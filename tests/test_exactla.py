@@ -354,6 +354,18 @@ def test_streamed_rows_of_the_paper_differentials(ref_differentials):
     assert sum(len(rows) for _, rows in pieces) == 68
 
 
+def test_streamed_rows_of_the_paper_family(ref_family):
+    # each generator evaluates its (i, j) components with i < j and stores
+    # their recorded negations at (j, i), so of the 136 rows of 82
+    # components only 70, of 42 components, are streamed
+    fields = list(ref_family.tensors.values())
+    pieces = list(exactla._field_rows(fields))
+    assert len(pieces) == 82
+    assert sum(count for count, _ in pieces) == echelon(fields).rows == 136
+    assert sum(1 for _, rows in pieces if rows) == 42
+    assert sum(len(rows) for _, rows in pieces) == 70
+
+
 def test_repeated_rows_do_not_change_the_echelon():
     rows = [[2, 4, -6], [0, 1, 1]]
     copies = rows + [[-1, -2, 3], [Fraction(1, 2), 1, Fraction(-3, 2)], [0, 0, 0], [0, -3, -3]]
@@ -604,7 +616,7 @@ def test_components_that_are_not_all_recorded_negations_stream():
     zero = Polynomial.zero(n)
     shape = TensorShape(1, 0, n)
     unrecorded = a.scale(-1)
-    assert unrecorded == -a and getattr(unrecorded, "_negated", None) is None
+    assert unrecorded == -a and unrecorded._negated is None
     cases = [
         # one field negated and another identical
         [TensorField(shape, (a, -a, zero)), TensorField(shape, (b, b, zero))],
@@ -672,7 +684,7 @@ def test_eliminations_on_the_paper_connection(monkeypatch, ref_conn):
 
     monkeypatch.setattr(exactla, "_eliminate", counted)
     d = Derived(ref_conn)
-    d.family, d.closed_combinations
+    d.family
     assert verify_schemes(d).passed
     # the 12 and 8 nonzero orbit values of the schemes, then the family part
     assert widths == [12 + 11, 8 + 8]

@@ -20,12 +20,15 @@ from natforms.generators import (
     doubled_d5_variant,
     dropped_c3_generator,
     enumerate_schemes,
+    vanishing_d3_pattern,
 )
 from natforms.geometry import Invariants
 from natforms.poly import Polynomial
 from natforms.tensor import (
     TensorField,
     TensorShape,
+    antisymmetrize_pair,
+    combine,
     contract,
     equal,
     is_antisymmetric,
@@ -38,6 +41,7 @@ from reference_loops import (
     flatten_loop,
     in_span_bareiss,
     rank_bareiss,
+    swap_perm,
     transpose,
 )
 from test_tensor import sparse_fields
@@ -197,8 +201,6 @@ def test_doubled_d5_is_not_a_two_form(ref_n0, ref_family):
 
 
 def test_d3_jki_pattern_vanishes_identically(ref_family, crooked_conn):
-    from natforms.generators import vanishing_d3_pattern
-
     crooked = Invariants(crooked_conn)
     assert vanishing_d3_pattern(ref_family).is_zero
     assert vanishing_d3_pattern(build_T_list(crooked.normal0, crooked.normal1)).is_zero
@@ -225,6 +227,61 @@ def test_dropped_generator_is_dependent(ref_family):
     ok, coeffs = in_span_bareiss(columns[-1], columns[:-1])
     assert ok
     assert len(coeffs) == 5
+
+
+# -- one antisymmetric half evaluated ---------------------------------------------
+
+def two_term_combine(base, plus, minus):
+    """base read through plus minus base read through minus, as the two-term
+    ``combine`` that sums every position."""
+    return combine(base.shape, [(1, base, plus), (-1, base, minus)])
+
+
+def pattern_perms(pattern):
+    words = pattern[1:-1].split(")-(")
+    return (tuple("ijk".index(ch) + 1 for ch in word) for word in words)
+
+
+def assert_one_half_negated(field, s1, s2):
+    """Where the slot-s1 index is above the slot-s2 one, each component is
+    the recorded negation of its slot-swapped partner, or zero where that is
+    zero; equal indices hold zero."""
+    n, slots = field.shape.n, field.shape.p + field.shape.q
+    s1, s2 = sorted((s1, s2))
+    stride1, stride2 = n ** (slots - s1), n ** (slots - s2)
+    comps = field.components
+    for pos, value in enumerate(comps):
+        i, j = pos // stride1 % n, pos // stride2 % n
+        if i == j:
+            assert not value.numerators
+        elif i < j:
+            partner = comps[pos + (j - i) * (stride1 - stride2)]
+            if value.numerators:
+                assert partner._negated is value
+            else:
+                assert not partner.numerators
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["bundled", "dense-n4"])
+def test_patterns_evaluate_one_half_and_negate_it(dense, ref_conn):
+    conn = ref_conn
+    if dense:
+        conn = random_connections(RandomConnectionSpec(seed=2, dimension=4, density=20), 1)[0]
+    family = Derived(conn).family
+    for label, (base, pattern) in RECIPE.items():
+        got = family.tensors[label]
+        assert equal(got, two_term_combine(family.bases[base], *pattern_perms(pattern))), label
+        assert_one_half_negated(got, 1, 2)
+    dropped = dropped_c3_generator(family)
+    assert equal(dropped, two_term_combine(family.bases["C3"], *pattern_perms(PATTERN_KIJ)))
+    assert_one_half_negated(dropped, 1, 2)
+    assert vanishing_d3_pattern(family).is_zero
+    assert two_term_combine(family.bases["D3"], *pattern_perms(PATTERN_JKI)).is_zero
+    for base in family.bases.values():
+        for s1, s2 in itertools.permutations((1, 2, 3), 2):
+            got = antisymmetrize_pair(base, s1, s2)
+            assert equal(got, two_term_combine(base, (1, 2, 3), swap_perm(3, s1, s2))), (s1, s2)
+            assert_one_half_negated(got, s1, s2)
 
 
 # -- contraction schemes -------------------------------------------------------------

@@ -2,6 +2,7 @@
 and the differential identities that pin every sign convention."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -435,6 +436,93 @@ def test_derivatives_match_loop_reference(n, density, seed):
         if (p, q) == (1, 0):
             d = exterior_derivative(field)
             assert equal(d, exterior_derivative_loop(field)) and not d.is_zero
+
+
+def mixed_poly(rng, n):
+    """1 to 3 terms of degree <= 2 with coefficients of denominators 1 to 6."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * n
+        for _ in range(rng.randint(0, 2)):
+            exps[rng.randrange(n)] += 1
+        terms[tuple(exps)] = Fraction(rng.choice((1, -1, 2, -5)), rng.randint(1, 6))
+    return Polynomial(n, terms)
+
+
+def assert_lowest_terms(field):
+    for comp in field.components:
+        den, nums = comp.denominator, comp.numerators
+        assert den >= 1 and all(nums.values())
+        assert math.gcd(den, *nums.values()) == 1
+
+
+def test_differentials_over_mixed_denominators_match_reference_in_lowest_terms():
+    # Gamma has denominators 2 and 3, so every output is summed over a common
+    # denominator of 6 times the sources' and must come back in lowest terms
+    n = 4
+    conn = connection_from_entries(
+        n,
+        {
+            (1, 1, 2): pp("1/2*x3"),
+            (3, 4, 3): pp("1/3*x1*x4 - 1/2"),
+            (3, 3, 1): pp("2/3*x2*x4 + 1/6*x1"),
+            (2, 2, 4): pp("3*x4^2"),
+            (4, 1, 1): pp("-1/2*x2 + 1/3*x3"),
+        },
+    )
+    rng = random.Random(23)
+    forms = [torsion(conn), curvature(conn)]
+    for degree, input_slots in itertools.product(range(3), (0, 1)):
+        p = degree + input_slots
+        comps = [Polynomial.zero(n)] * n ** (p + 1)
+        positions = increasing_positions(n, degree, p)
+        for pos in rng.sample(positions, min(2 * n, len(positions))):
+            comps[pos] = mixed_poly(rng, n)
+        forms.append(alternated_form(TensorField(TensorShape(p, 1, n), tuple(comps)), degree))
+    denominators = set()
+    for form in forms:
+        got = assert_matches_reference(conn, form).tensor
+        assert_lowest_terms(got)
+        denominators |= {comp.denominator for comp in got.components}
+    assert {2, 3, 6} <= denominators
+    for p, q in [(1, 0), (2, 1), (1, 2)]:
+        comps = [mixed_poly(rng, n) if rng.random() < 0.3 else Polynomial.zero(n)
+                 for _ in range(n ** (p + q))]
+        field = TensorField(TensorShape(p, q, n), tuple(comps))
+        got = covariant_derivative(conn, field)
+        assert equal(got, covariant_derivative_loop(conn, field)), (p, q)
+        assert_lowest_terms(got)
+        if (p, q) == (1, 0):
+            d = exterior_derivative(field)
+            assert equal(d, exterior_derivative_loop(field))
+            assert_lowest_terms(d)
+
+
+def test_differentials_keep_the_product_exponent_guard_and_term_bound():
+    # Gamma^1_{11} = x1^(2^30) times a component x1^(2^30) reaches 2^31
+    half = 2**30
+    conn = connection_from_entries(2, {(1, 1, 1): parse(f"x1^{half}", 2)})
+
+    def vector(text):
+        comps = (parse(text, 2), Polynomial.zero(2))
+        return VectorValuedForm(0, TensorField(TensorShape(0, 1, 2), comps))
+
+    def covector(text):
+        comps = (parse(text, 2), Polynomial.zero(2))
+        return TensorField(TensorShape(1, 0, 2), comps)
+
+    with pytest.raises(ValueError, match="exponent"):
+        ext_cov_deriv_vector(conn, vector(f"x1^{half}"))
+    with pytest.raises(ValueError, match="exponent"):
+        covariant_derivative(conn, covector(f"x1^{half} + x2"))
+    # one below the bound is a valid product
+    got = ext_cov_deriv_vector(conn, vector(f"x1^{half - 1}")).tensor
+    assert got.get((1,), (1,)) == parse(f"{half - 1}*x1^{half - 2} + x1^{2 * half - 1}", 2)
+    # 1001 Gamma terms times 1000 component terms exceed the term-pair bound
+    many = " + ".join(f"x1^{e}" for e in range(1001))
+    conn = connection_from_entries(2, {(1, 1, 1): parse(many, 2)})
+    with pytest.raises(ValueError, match="term pairs"):
+        ext_cov_deriv_vector(conn, vector(" + ".join(f"x2^{e}" for e in range(1000))))
 
 
 def test_differentials_of_named_forms_match_reference(ref_conn, crooked_conn, ref_family):

@@ -640,11 +640,20 @@ def test_negation_records_the_polynomial_it_negated():
     negated = -x
     assert negated._negated is x and negated == p("-x1 + 1/2*x3")
     assert -negated == x and (-negated)._negated is negated
+    # which shares the numerators of x rather than copying them
+    assert (-negated).numerators is x.numerators
     zero = Polynomial.zero(4)
     assert -zero is zero
-    # arithmetic that is not a negation records nothing
-    assert getattr(x - x - x, "_negated", None) is None
-    assert getattr(x.scale(-1), "_negated", None) is None
+    # arithmetic that is not a negation records nothing: every polynomial
+    # reads the record, as None from the class unless it is a negation
+    assert (x - x - x)._negated is None and x.scale(-1)._negated is None
+    assert x._negated is None and x.partial_derivative(1)._negated is None
+    assert type(negated) is not Polynomial and isinstance(negated, Polynomial)
+    assert type(x - x - x) is Polynomial and type(-negated) is type(negated)
+    # a negation stays slotted and immutable, its record included
+    assert not hasattr(negated, "__dict__")
+    with pytest.raises(AttributeError):
+        negated._negated = x
 
 
 def test_combination_refuses_bad_terms():

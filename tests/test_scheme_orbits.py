@@ -26,6 +26,7 @@ from natforms.geometry import Invariants, reference_connection
 from natforms.tensor import TensorShape
 from natforms.verify import Derived, RandomConnectionSpec, random_connections, verify_schemes
 from reference_loops import project_schemes_all, schemes_certificate_all, tensor_product_loop
+from test_generators import assert_one_half_negated
 from test_geometry import random_field
 from test_tensor import field_from
 
@@ -119,9 +120,9 @@ def scheme_calls(monkeypatch):
     calls = []
     scatter = generators._scatter
 
-    def counted(shape, terms):
+    def counted(shape, terms, **options):
         calls.append(terms)
-        return scatter(shape, terms)
+        return scatter(shape, terms, **options)
 
     monkeypatch.setattr(generators, "_scatter", counted)
     return calls
@@ -160,6 +161,9 @@ def test_orbit_projection_matches_every_scheme(make, scheme_calls):
         assert_matches_every_scheme(got, want, _orbit_table(source_shape, shape31, symmetries))
         # every representative's value is nonzero, so a wrong sign shows
         assert not any(column.is_zero for column in got.values())
+        # its (j, i) half holds the recorded negations of its (i, j) half
+        for column in got.values():
+            assert_one_half_negated(column, 1, 2)
 
 
 def test_a_field_passed_as_the_source_assumes_no_symmetry():
