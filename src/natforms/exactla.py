@@ -79,37 +79,30 @@ def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
     One piece per component in the union of the fields' supports, in
     ascending position.  Rows repeat up to sign and are streamed once per
     ± class: alternation stores one value at every even ordering and its
-    one negation at every odd ordering.  A component whose polynomials are
-    the very objects of an earlier streamed component has its rows; one
-    whose polynomials are, field by field, the recorded negations
-    (``Polynomial._negated``) of an earlier streamed component's, or zero
-    where those are zero, has their negations, over the same denominators.
-    Either is counted but not streamed again.  The rows of a piece are
-    cleared to the lcm of its polynomials' denominators, a positive scaling
-    that changes no rank, kernel or span, so every entry is an ``int``.
+    one negation at every odd ordering.  A component whose nonzero
+    polynomials are the very objects of any earlier streamed component's,
+    zero where those are zero, has its rows; one whose polynomials are,
+    field by field, the recorded negations (``Polynomial._negated``) of such
+    a component's, or zero where those are zero, has their negations, over
+    the same denominators.  Either is counted but not streamed again.  The
+    rows of a piece are cleared to the lcm of its polynomials' denominators,
+    a positive scaling that changes no rank, kernel or span, so every entry
+    is an ``int``.
     """
     cols = len(fields)
-    # id of a streamed component's first nonzero polynomial -> (position,
-    # row count); the fields hold every polynomial, and each negation holds
-    # what it negates, so no id is reused meanwhile
-    first: dict[int, tuple[int, int]] = {}
+    # ids of a streamed component's nonzero polynomials, None at its zeros ->
+    # its row count; the fields hold every polynomial, and each negation
+    # holds what it negates, so no id is reused meanwhile
+    first: dict[tuple, int] = {}
     for pos in sorted(set().union(*(f.support for f in fields))):
         comps = [f.components[pos] for f in fields]
-        lead = next(poly for poly in comps if poly.numerators)
-        earlier = first.get(id(lead))
-        if earlier is not None and all(
-            f.components[earlier[0]] is poly for f, poly in zip(fields, comps)
-        ):
-            yield earlier[1], ()
-            continue
-        negated = getattr(lead, "_negated", None)
-        earlier = None if negated is None else first.get(id(negated))
-        if earlier is not None and all(
-            getattr(poly, "_negated", None) is old
-            or not (poly.numerators or old.numerators)
-            for poly, old in zip(comps, (f.components[earlier[0]] for f in fields))
-        ):
-            yield earlier[1], ()
+        key = tuple([id(poly) if poly.numerators else None for poly in comps])
+        count = first.get(key)
+        if count is None and any(poly._negated is not None for poly in comps):
+            negated = [id(poly._negated) if poly.numerators else None for poly in comps]
+            count = first.get(tuple(negated))
+        if count is not None:
+            yield count, ()
             continue
         scale = math.lcm(*[poly.denominator for poly in comps])
         row_of: dict[int, list[int]] = {}  # packed monomial -> row
@@ -120,7 +113,7 @@ def _field_rows(fields: Sequence[TensorField]) -> Iterator[Piece]:
                 if row is None:
                     row = row_of[mono] = [0] * cols
                 row[j] = num * factor
-        first.setdefault(id(lead), (pos, len(row_of)))
+        first[key] = len(row_of)
         yield len(row_of), list(row_of.values())
 
 

@@ -25,31 +25,30 @@ Conventions, fixed once here and relied on everywhere else:
   the form slots and +Gamma on each contravariant slot, each with the
   sign of sorting k into I, straight into the output's numerator map.
   Each output at strictly increasing directions is then put in lowest
-  terms once, and every other ordering is filled by alternation: every
-  even ordering holds that one object and every odd ordering its one
-  negation, and components with a repeated direction are zero.  All of
-  the index bookkeeping comes from one
-  cached table, ``_alternation``, and its two maps: the insertions (where
-  each k sorts into each I, with sign) and the orderings (every ordering of
-  each output's directions, with sign).  Antisymmetry checks of the result
-  answer by that identity, and since its rows repeat up to sign, the
-  echelon streams them once per ± class.  The covariant derivative is that
-  differential in degree 0, where Gamma acts on every slot, with the
-  direction slot then moved from first to last.  Gamma acts on the vector
-  slot in ``ext_cov_deriv_vector``, on the endomorphism input and output in
-  ``ext_cov_deriv_endo``, and on no slot in ``exterior_derivative``.
-  ``torsion`` and ``curvature`` keep their own formulas, so the Bianchi
-  identities check the kernel, not restate it.  Gamma's two sparse tables, by lower index pair for
-  ``curvature`` and contravariant slots and inverted by upper index for
-  covariant slots, are built once per connection, so a fault in them would
-  pass the identities; the independent sympy oracle checks them.
+  terms once, and every other ordering is filled from the orderings table
+  of :mod:`natforms.tensor`: every even ordering holds that one object and
+  every odd ordering its one negation, and components with a repeated
+  direction are zero.  Antisymmetry checks of the result answer by that
+  identity, and the echelon streams its rows once per ± class.  The
+  covariant derivative is that differential in degree 0, where Gamma acts
+  on every slot, with the direction slot then moved from first to last.
+  Gamma acts on the vector slot in ``ext_cov_deriv_vector``, on the
+  endomorphism input and output in ``ext_cov_deriv_endo``, and on no slot
+  in ``exterior_derivative``.  ``torsion`` and ``curvature`` keep their own
+  formulas, so the Bianchi identities check the kernel, not restate it.
+  Gamma's two sparse tables, by lower index pair for ``curvature`` and
+  contravariant slots and inverted by upper index for covariant slots, are
+  built once per connection, so a fault in them would pass the identities;
+  the independent sympy oracle checks them.
 * ``Invariants`` is the one place where those formulas are applied to a
   connection: it computes torsion and curvature once, and from them the
   normal tensors and both structure differentials, for every caller.
-  Curvature is computed at i < j only, its (j, i) partner holding the
-  negation.  Curvature and N1 are, like the differentials, one
-  accumulation per component: N1 is one call of the scatter kernel of
-  :mod:`natforms.tensor`, permuted copies of R and D Tor and two terms
+  Curvature and the D Tor that N1 reads are summed, like the
+  differentials, term by term into one ``poly._Sums`` map per output, and
+  R^I by the scatter kernel, each only at increasing indices of its
+  alternating slots, every other ordering holding that object or its
+  recorded negation.  N1 is one call of the scatter kernel of
+  :mod:`natforms.tensor`: permuted copies of R and D Tor and two terms
   that read the pair (Tor, Tor), divided by 12.
 """
 
@@ -66,6 +65,7 @@ from .tensor import (
     _MAX_DIMENSION,
     TensorField,
     TensorShape,
+    _alternation,
     _doc_indices,
     _doc_int,
     _doc_json,
@@ -74,7 +74,6 @@ from .tensor import (
     _flat,
     _scatter,
     antisymmetrize_pair,
-    combine,
     delta,
     is_antisymmetric,
     permute_covariant,
@@ -296,42 +295,35 @@ def torsion(conn: Connection) -> VectorValuedForm:
 def curvature(conn: Connection) -> EndValuedForm:
     """Curvature as an endomorphism-valued 2-form; see the module docstring.
 
-    Only i < j is computed; the (j, i) partner holds the negation of that
-    one value and i = j stays zero.  Only nonzero Christoffel symbols are
-    read: the derivative terms are taken of nonzero Gamma^l_{jk} and
-    Gamma^l_{ik} only, and the sums over m run over the nonzero
-    Gamma^m_{jk} and Gamma^m_{ik}.
+    Only i < j is summed, over the nonzero Christoffel symbols, each term
+    into its output's map over the square of Gamma's denominator; (j, i)
+    holds the recorded negation and i = j stays zero.
     """
     n = conn.dimension
-    gamma = conn.christoffel  # Gamma^l_{ij} at ((l * n) + i) * n + j, 0-based
-    lower = conn._gamma_tables[0]
-    comps = [Polynomial.zero(n)] * n**4
+    lower, _, gamma_den = conn._gamma_tables  # lower[j][k] lists (m, Gamma^m_{jk})
+    den = gamma_den * gamma_den
+    sums = _Sums(n)
     for i, j in itertools.combinations(range(n), 2):
-        for k, l in itertools.product(range(n), repeat=2):
-            pairs = []
-            g = gamma[(l * n + j) * n + k]  # Gamma^l_{jk}
-            if g.numerators:
-                pairs.append((1, g.partial_derivative(i + 1)))
-            g = gamma[(l * n + i) * n + k]  # Gamma^l_{ik}
-            if g.numerators:
-                pairs.append((-1, g.partial_derivative(j + 1)))
-            # lower[j][k] lists (m, Gamma^m_{jk}) over the nonzero entries
-            products = [
-                (1, g_jk, g_im)
-                for m, g_jk in lower[j][k]
-                if (g_im := gamma[(l * n + i) * n + m]).numerators
-            ]
-            products += [
-                (-1, g_ik, g_jm)
-                for m, g_ik in lower[i][k]
-                if (g_jm := gamma[(l * n + j) * n + m]).numerators
-            ]
-            if not pairs and not products:
-                continue
-            acc = Polynomial.combination(n, pairs, products)
-            if acc.numerators:
-                comps[((i * n + j) * n + k) * n + l] = acc
-                comps[((j * n + i) * n + k) * n + l] = -acc
+        for k in range(n):
+            head = ((i * n + j) * n + k) * n  # + l
+            for l, g in lower[j][k]:
+                sums.add_partial(head + l, g, i + 1, den // g.denominator)
+            for l, g in lower[i][k]:
+                sums.add_partial(head + l, g, j + 1, -(den // g.denominator))
+            for m, g_jk in lower[j][k]:
+                for l, g_im in lower[i][m]:
+                    factor = den // (g_jk.denominator * g_im.denominator)
+                    sums.add_product(head + l, g_jk, g_im, factor)
+            for m, g_ik in lower[i][k]:
+                for l, g_jm in lower[j][m]:
+                    factor = den // (g_ik.denominator * g_jm.denominator)
+                    sums.add_product(head + l, g_ik, g_jm, -factor)
+    comps = [Polynomial.zero(n)] * n**4
+    orderings = _alternation(n, (n**3, n**2))
+    for out, acc in sums.polynomials(den):
+        offset, negated = out % n**2, -acc
+        for start, sign in orderings[out - offset]:
+            comps[start + offset] = acc if sign > 0 else negated
     return EndValuedForm(2, TensorField(TensorShape(3, 1, n), tuple(comps)))
 
 
@@ -356,20 +348,11 @@ def covariant_derivative(conn: Connection, field: TensorField) -> TensorField:
 # -- exterior differentials ---------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _alternation(n: int, degree: int, block: int):
-    """The index table of the exterior differential of a ``degree``-form in
-    directions 0..n-1 whose value slots span ``block`` flat positions, built
-    once per (n, degree, block).  Returns two maps, keyed by the flat
-    position of a strictly increasing tuple.
-
-    insertions: for each tuple of ``degree`` form indices, (k, sign, base)
-    for every direction k outside it, where sorting k in at place r gives
-    the output directions, sign is (-1)^r, and base is their flat position
-    times ``block``.  orderings: for each tuple of degree + 1 output
-    directions, (start, sign) for every ordering of it, where start is the
-    ordering's flat position times ``block`` and sign is the parity of its
-    inversions.
-    """
+def _insertions(n: int, degree: int, block: int) -> dict[int, tuple[tuple[int, int, int], ...]]:
+    """For each increasing tuple of ``degree`` form indices, keyed by its
+    flat position: (k, (-1)^r, base) for every direction k outside it, r the
+    place where k sorts in and base the flat position of the directions so
+    sorted times ``block``, the flat size of the value slots."""
     insertions = {}
     for rest in itertools.combinations(range(n), degree):
         heads = []
@@ -378,43 +361,24 @@ def _alternation(n: int, degree: int, block: int):
                 r = sum(1 for v in rest if v < k)
                 heads.append((k, (-1) ** r, _flat(n, rest[:r] + (k,) + rest[r:]) * block))
         insertions[_flat(n, rest)] = tuple(heads)
-    orderings = {}
-    for head in itertools.combinations(range(n), degree + 1):
-        orderings[_flat(n, head)] = tuple(
-            (_flat(n, o) * block, (-1) ** sum(1 for a, b in itertools.combinations(o, 2) if a > b))
-            for o in itertools.permutations(head)
-        )
-    return insertions, orderings
+    return insertions
 
 
-def _exterior_differential(tables, field: TensorField, degree: int) -> TensorField:
+def _exterior_differential(tables, field: TensorField, degree: int, pair=None) -> TensorField:
     """Alternating sum of covariant derivatives of a field whose first
-    ``degree`` covariant slots alternate; Gamma acts on every later slot.
+    ``degree`` covariant slots alternate; Gamma acts on every later slot:
 
     (d field)_{i0..ik, v} = sum_r (-1)^r D_{i_r} field_{..omit r.., v}, where
-    v runs over the slots after the form slots and D_k is d_k minus
-    Gamma^m_{k a} on each covariant slot a and plus Gamma^l_{k m} on each
-    contravariant slot l.
+    D_k is d_k minus Gamma^m_{k a} on each covariant slot a and plus
+    Gamma^l_{k m} on each contravariant slot l of v.
 
-    The sum runs as a scatter over the field's support.  Only components
-    whose form indices strictly increase are read; the others are their
-    alternation copies.  Each one, at form indices I and value u, feeds,
-    for every direction k outside I with k sorted into I at place r:
-    (-1)^r d_k of it at (I + k, u), and (-1)^r times each Gamma in the
-    acted slot's table (covariant or lower), at u with that slot's index m
-    replaced by the a (or l) that the table lists for (k, m).  Each term
-    goes straight into its output's map in one ``poly._Sums``, over the lcm
-    of the read components' denominators times that of Gamma's, and each
-    touched output is then put in lowest terms once.  Both steps read
-    their indices and signs from the one table
-    ``_alternation(n, degree, block)``: its insertions map gives
-    (k, sign, base) for each source head I, and its orderings map gives
-    (start, sign) for each output head.  Every even ordering of an
-    output's directions holds that one object and every odd ordering its
-    one negation, which records it, so an antisymmetry check of the result
-    answers by identity, and the rows of the output's components repeat up
-    to sign and are streamed by the echelon once per ± class; components
-    with a repeated direction are zero.
+    The scatter of the module docstring: ``_insertions`` gives (k, sign,
+    base) for each source head I, each term is added into its output's
+    ``poly._Sums`` map over the lcm of the read denominators times Gamma's,
+    and ``tensor._alternation`` gives the orderings that hold each output
+    or its recorded negation.  ``pair``, two slots (0-based) of a degree-0
+    field antisymmetric in them, sums only the outputs whose indices there
+    increase, each swap holding the recorded negation.
     """
     n, p, q = field.shape.n, field.shape.p, field.shape.q
     lower, covariant, gamma_den = tables
@@ -422,7 +386,12 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
     # (stride, table, sign) for each slot Gamma acts on
     acted = [(n ** (p + q - 1 - s), covariant, -1) for s in range(degree, p)]
     acted += [(n ** (p + q - 1 - s), lower, 1) for s in range(p, p + q)]
-    insertions, orderings = _alternation(n, degree, block)
+    insertions = _insertions(n, degree, block)
+    if pair is None:  # the directions alternate
+        alternating = tuple([block * n ** (degree - t) for t in range(degree + 1)])
+    else:
+        alternating = st1, st2 = tuple([n ** (p + q - 1 - s) for s in pair])
+    orderings = _alternation(n, alternating)
     src = field.components
     read = [pos for pos in field.support if pos // block in insertions]
     # each term's denominator divides src_den * gamma_den, the one
@@ -434,19 +403,22 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
         scale = src_den // comp.denominator
         for k, sign, base in insertions[pos // block]:
             target = base + offset
-            sums.add_partial(target, comp, k + 1, sign * scale * gamma_den)
+            if pair is None or target // st1 % n < target // st2 % n:
+                sums.add_partial(target, comp, k + 1, sign * scale * gamma_den)
             for stride, table, gamma_sign in acted:
                 m = offset // stride % n
                 for a, g in table[k][m]:
-                    factor = sign * gamma_sign * scale * (gamma_den // g.denominator)
-                    sums.add_product(target + (a - m) * stride, g, comp, factor)
+                    out = target + (a - m) * stride
+                    if pair is None or out // st1 % n < out // st2 % n:
+                        factor = sign * gamma_sign * scale * (gamma_den // g.denominator)
+                        sums.add_product(out, g, comp, factor)
     zero = Polynomial.zero(n)
     comps = [zero] * n ** (p + 1 + q)
     for out, acc in sums.polynomials(src_den * gamma_den):
-        head, offset = divmod(out, block)
-        negated = -acc if degree else acc  # degree 0 has one ordering, the identity
+        head = sum([out // st % n * st for st in alternating])
+        negated = -acc if len(alternating) > 1 else acc  # one slot: the identity only
         for start, sign in orderings[head]:
-            comps[start + offset] = acc if sign > 0 else negated
+            comps[out - head + start] = acc if sign > 0 else negated
     return TensorField(TensorShape(p + 1, q, n), tuple(comps))
 
 
@@ -480,8 +452,10 @@ def wedge_endo_identity(beta: EndValuedForm) -> VectorValuedForm:
     if beta.degree != 2:
         raise ValueError(f"wedge with identity implemented for degree 2, got {beta.degree}")
     t = beta.tensor
-    cyclic = [(1, t, (1, 2, 3)), (1, t, (2, 3, 1)), (1, t, (3, 1, 2))]
-    return VectorValuedForm(3, combine(t.shape, cyclic))
+    cyclic = [(1, t, (0, 1, 2, 3), ()), (1, t, (1, 2, 0, 3), ()), (1, t, (2, 0, 1, 3), ())]
+    # beta alternates in (i, j), so the sum alternates in (i, j, k): it is
+    # summed at i < j < k only, every other ordering filled from there
+    return VectorValuedForm(3, _scatter(t.shape, cyclic, lower=(1, 2, 3)))
 
 
 def wedge_oneform_identity(theta: TensorField) -> VectorValuedForm:
@@ -550,14 +524,15 @@ class Invariants:
         the verification suite checks that identity on randomized connections.
         """
         tor, r = self.torsion.tensor, self.curvature.tensor
-        dtor = covariant_derivative(self.conn, tor)
+        # (D_k Tor)^l_{ij} at (k, i, j, l), summed at i < j only
+        dtor = _exterior_differential(self.conn._gamma_tables, tor, 0, pair=(0, 1))
         # feeds read output slots (i, j, k, l) = 0..3 and the dummy m = 4
         terms = [
             (6, r, (2, 0, 1, 3), ()),
             (-2, r, (1, 2, 0, 3), ()),
             (2, r, (0, 1, 2, 3), ()),
-            (4, dtor, (0, 1, 2, 3), ()),
-            (4, dtor, (2, 1, 0, 3), ()),
+            (4, dtor, (2, 0, 1, 3), ()),  # (DTor)^l_{ijk}
+            (4, dtor, (0, 2, 1, 3), ()),  # (DTor)^l_{kji}
             (-2, (tor, tor), (2, 1, 4, 4, 0, 3), ()),  # Tor^m_{kj} Tor^l_{mi}
             (-1, (tor, tor), (0, 1, 4, 2, 4, 3), ()),  # Tor^m_{ij} Tor^l_{km}
         ]

@@ -47,10 +47,10 @@ the end.  :meth:`Polynomial.combination` sums integer multiples of
 polynomials and of products of two over the lcm of the term denominators
 times a common integer divisor; ``+`` and ``-`` are two-pair combinations,
 and a first pair with factor 1 starts as one C-level copy.  The private
-``_Sums`` holds one map per output of the differential kernel of
-:mod:`natforms.geometry`, which adds every derivative and product straight
-into it over one common denominator.  One product loop and one derivative
-loop serve every caller.
+``_Sums`` holds one map per output of the curvature and differential
+kernels of :mod:`natforms.geometry`, which add every derivative and
+product straight into it over one common denominator.  One product loop
+and one derivative loop serve every caller.
 
 The canonical term order is graded lexicographic on exponent tuples
 (total degree first, then the tuple itself).  It fixes the printed form.

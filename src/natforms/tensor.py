@@ -11,9 +11,10 @@ positions of its nonzero components, is computed on first read and kept on
 the immutable field.  :func:`is_antisymmetric`, the scatter kernel,
 :func:`symmetrization_vanishes`, ``is_zero`` and the echelon rows of
 :mod:`natforms.exactla` walk it.  :func:`is_antisymmetric` answers a pair
-stored as x and -x by identity, since a negation records what it negated,
-and compares numerators otherwise.  :func:`symmetrization_vanishes` reads
-one group per orbit of the covariant slot permutations, not every copy.
+stored as x and -x by identity, since a negation records what it negated
+(negation and ``scale`` keep those records), and compares numerators
+otherwise.  :func:`symmetrization_vanishes` reads one group per orbit of
+the covariant slot permutations, not every copy.
 
 One scatter kernel, the private ``_scatter``, does every reindexing,
 product and sum of fields: an output component sums the source, a field
@@ -26,7 +27,8 @@ slot-permuted fields, and :func:`permute_covariant`, ``+`` and ``-`` are
 each one ``combine``.  :func:`antisymmetrize_pair` and the skew patterns
 of :func:`natforms.generators.apply_pattern` are one two-term scatter
 that sums one half of the positions and stores each value's recorded
-negation at its swap, so antisymmetry checks answer by identity.  Only a
+negation at its swap, so antisymmetry checks answer by identity; R^I sums
+one ordering in six, from the orderings table ``_alternation``.  Only a
 direct ``_scatter`` divides its sums by a common integer, as N1 does by 12.
 Outside this module only :mod:`natforms.geometry` reads the storage layout
 directly: its derivative kernel, and :func:`~natforms.geometry.torsion` and
@@ -141,15 +143,31 @@ class TensorField:
         return combine(self.shape, [(1, self, identity), (-1, other, identity)])
 
     def __neg__(self) -> TensorField:
-        return TensorField(self.shape, tuple(-c if c.numerators else c for c in self.components))
+        return self._mapped(Polynomial.__neg__)
 
     def scale(self, factor: Coefficient) -> TensorField:
         factor = _coefficient(factor)
         if factor == 1:
             return self
-        return TensorField(
-            self.shape, tuple(c.scale(factor) if c.numerators else c for c in self.components)
-        )
+        return self._mapped(lambda c: c.scale(factor))
+
+    def _mapped(self, linear) -> TensorField:
+        """A linear map of each nonzero polynomial object, applied once; a
+        recorded negation of one mapped before maps to its image's."""
+        images: dict[int, Polynomial] = {}
+        out = []
+        for c in self.components:
+            image = images.get(id(c))
+            if image is None:
+                if not c.numerators:
+                    image = c
+                elif c._negated is not None and id(c._negated) in images:
+                    image = -images[id(c._negated)]
+                else:
+                    image = linear(c)
+                images[id(c)] = image
+            out.append(image)
+        return TensorField(self.shape, tuple(out))
 
     @property
     def is_zero(self) -> bool:
@@ -247,6 +265,23 @@ def _landed(field: TensorField, n: int, checks, setters, bases: dict) -> list[tu
     return [(pos, base) for pos, base in zip(support, map(bases.get, support)) if base is not None]
 
 
+@lru_cache(maxsize=64)
+def _alternation(n: int, strides: tuple[int, ...]) -> dict[int, tuple[tuple[int, int], ...]]:
+    """For alternating slots of the given strides: for each increasing index
+    tuple h, keyed by sum h_t * strides[t], (sum o_t * strides[t], sign of
+    o) for every ordering o of h."""
+    table = {}
+    for head in itertools.combinations(range(n), len(strides)):
+        table[sum([h * st for h, st in zip(head, strides)])] = tuple(
+            (
+                sum([v * st for v, st in zip(o, strides)]),
+                (-1) ** sum(1 for a, b in itertools.combinations(o, 2) if a > b),
+            )
+            for o in itertools.permutations(head)
+        )
+    return table
+
+
 def _scatter(shape: TensorShape, terms, divisor: int = 1, lower=None) -> TensorField:
     """The one scatter kernel: sum c * (source reindexed by feeds and fills,
     see :func:`_landing`) over the (c, source, feeds, fills) terms, c an
@@ -258,10 +293,11 @@ def _scatter(shape: TensorShape, terms, divisor: int = 1, lower=None) -> TensorF
     factor's support is filtered by the checks inside it, b's is joined to
     a's on the indices they share, and each joined (u, v) adds (c, a[u], b[v]).
 
-    ``lower``, two covariant slots s1 < s2 (1-based), says that the sum is
-    antisymmetric in them.  Then only positions whose index at s1 is below
-    the one at s2 are summed; each value's slot-swapped position holds its
-    recorded negation, and positions with equal indices there are zero.
+    ``lower``, increasing covariant slots (1-based), says that the sum
+    alternates in them.  Then only positions whose indices there strictly
+    increase are summed; from the table of :func:`_alternation`, each even
+    ordering of those indices holds the value and each odd one its
+    recorded negation, and positions with a repeated index there are zero.
     """
     n, size = shape.n, shape.size
     collected: dict[int, list] = {}
@@ -288,15 +324,19 @@ def _scatter(shape: TensorShape, terms, divisor: int = 1, lower=None) -> TensorF
     for pos in products:
         collected.setdefault(pos, [])
     if lower is not None:
-        st1, st2 = (n ** (shape.p + shape.q - s) for s in lower)
-        collected = {pos: t for pos, t in collected.items() if pos // st1 % n < pos // st2 % n}
+        strides = tuple([n ** (shape.p + shape.q - s) for s in lower])
+        for st1, st2 in zip(strides, strides[1:]):
+            collected = {pos: t for pos, t in collected.items() if pos // st1 % n < pos // st2 % n}
     out = [Polynomial.zero(n)] * size
     for pos, pairs in collected.items():
         out[pos] = Polynomial.combination(n, pairs, products.get(pos, ()), divisor)
     if lower is not None:
+        orderings = _alternation(n, strides)
         for pos in collected:
             if (value := out[pos]).numerators:
-                out[pos + (pos // st2 % n - pos // st1 % n) * (st1 - st2)] = -value
+                negated, head = -value, sum([pos // st % n * st for st in strides])
+                for start, sign in orderings[head]:
+                    out[pos - head + start] = value if sign > 0 else negated
     return TensorField(shape, tuple(out))
 
 
@@ -443,21 +483,22 @@ def is_antisymmetric(a: TensorField, s1: int, s2: int) -> bool:
 
     Only the support is read.  A nonzero component with equal indices i == j
     in the two slots fails; one with i < j is compared with its slot-swapped
-    partner; one with i > j needs a nonzero partner, whose own comparison
-    covers the pair.
+    partner; those with i > j, only counted, must be as many.
     """
     _check_slot_pair(a.shape.p, s1, s2)
     n, slots = a.shape.n, a.shape.p + a.shape.q
     stride1, stride2 = n ** (slots - s1), n ** (slots - s2)
     comps = a.components
+    balance = 0
     for pos in a.support:
         i, j = pos // stride1 % n, pos // stride2 % n
-        if i == j:
+        if i > j:
+            balance -= 1
+        elif i == j or not _negatives(comps[pos], comps[pos + (j - i) * (stride1 - stride2)]):
             return False
-        partner = comps[pos + (j - i) * (stride1 - stride2)]
-        if not (_negatives(comps[pos], partner) if i < j else partner.numerators):
-            return False
-    return True
+        else:
+            balance += 1
+    return not balance
 
 
 # -- interchange format -------------------------------------------------------

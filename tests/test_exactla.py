@@ -23,7 +23,7 @@ from natforms.geometry import (
 )
 from natforms.poly import Polynomial, parse
 from natforms.tensor import TensorField, TensorShape
-from natforms.verify import RandomConnectionSpec, random_connections
+from natforms.verify import Derived, RandomConnectionSpec, random_connections
 from reference_loops import (
     eliminate_full,
     flatten_loop,
@@ -357,13 +357,32 @@ def test_streamed_rows_of_the_paper_differentials(ref_differentials):
 def test_streamed_rows_of_the_paper_family(ref_family):
     # each generator evaluates its (i, j) components with i < j and stores
     # their recorded negations at (j, i), so of the 136 rows of 82
-    # components only 70, of 42 components, are streamed
+    # components only 68, of 41 components, are streamed.  A lone-term
+    # pattern position shares one polynomial among several components, so
+    # a partner is looked up by all of a component's polynomials: found by
+    # its first alone, (4, 2, 4, 2) was streamed again
     fields = list(ref_family.tensors.values())
     pieces = list(exactla._field_rows(fields))
     assert len(pieces) == 82
     assert sum(count for count, _ in pieces) == echelon(fields).rows == 136
-    assert sum(1 for _, rows in pieces if rows) == 42
-    assert sum(len(rows) for _, rows in pieces) == 70
+    assert sum(1 for _, rows in pieces if rows) == 41
+    assert sum(len(rows) for _, rows in pieces) == 68
+
+
+def test_streamed_rows_of_the_three_forms(ref_conn):
+    # R^I and the two other wedges are summed at i < j < k and filled by
+    # alternation, and dH is a differential, so each of the 8 ± classes of
+    # the 48 components streams once; negating the wedges, as thm-3.5 does,
+    # keeps that
+    d = Derived(ref_conn)
+    forms = list(d.three_forms.values())
+    negated = [d.d_torsion.tensor, forms[3], *(form.scale(-1) for form in forms[:3])]
+    for fields in (forms, negated):
+        pieces = list(exactla._field_rows(fields))
+        assert len(pieces) == 48
+        assert sum(count for count, _ in pieces) == echelon(fields).rows == 72
+        assert sum(1 for _, rows in pieces if rows) == 8
+        assert sum(len(rows) for _, rows in pieces) == 12
 
 
 def test_repeated_rows_do_not_change_the_echelon():

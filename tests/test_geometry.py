@@ -30,7 +30,7 @@ from natforms.geometry import (
     wedge_endo_identity,
     wedge_oneform_identity,
 )
-from natforms.poly import Polynomial, parse
+from natforms.poly import Polynomial, _Sums, parse
 from natforms.tensor import (
     TensorField,
     TensorShape,
@@ -40,13 +40,15 @@ from natforms.tensor import (
     is_antisymmetric,
     permute_covariant,
 )
-from natforms.verify import RandomConnectionSpec, random_connections
+from natforms.verify import Derived, RandomConnectionSpec, random_connections
 from reference_loops import (
     covariant_derivative_loop,
     ext_cov_deriv_endo_all_orderings,
     ext_cov_deriv_vector_all_orderings,
     exterior_derivative_loop,
+    normal1_loop,
     torsion_loop,
+    wedge_endo_identity_loop,
 )
 from test_tensor import nonzero_polys
 
@@ -183,11 +185,16 @@ def test_curvature_reference_spot_values(ref_conn):
 
 
 def test_curvature_matches_formula_oracle(ref_conn, crooked_conn):
-    for conn in (ref_conn, crooked_conn):
+    # over Gamma denominators 2 and 3 every term is summed over 36 and every
+    # output must come back in lowest terms
+    mixed = mixed_denominator_connection()
+    for conn in (ref_conn, crooked_conn, mixed):
         r = curvature(conn).tensor
         oracle = curvature_by_formula(conn)
         for (l, i, j, k), want in oracle.items():
             assert r.get((i, j, k), (l,)) == want, (l, i, j, k)
+        assert_lowest_terms(r)
+    assert {2, 3} <= {comp.denominator for comp in r.components}
 
 
 def test_curvature_constant_christoffel_keeps_products():
@@ -456,12 +463,10 @@ def assert_lowest_terms(field):
         assert math.gcd(den, *nums.values()) == 1
 
 
-def test_differentials_over_mixed_denominators_match_reference_in_lowest_terms():
-    # Gamma has denominators 2 and 3, so every output is summed over a common
-    # denominator of 6 times the sources' and must come back in lowest terms
-    n = 4
-    conn = connection_from_entries(
-        n,
+def mixed_denominator_connection():
+    """A connection on R^4 whose Christoffel symbols have denominators 2 and 3."""
+    return connection_from_entries(
+        N,
         {
             (1, 1, 2): pp("1/2*x3"),
             (3, 4, 3): pp("1/3*x1*x4 - 1/2"),
@@ -470,6 +475,13 @@ def test_differentials_over_mixed_denominators_match_reference_in_lowest_terms()
             (4, 1, 1): pp("-1/2*x2 + 1/3*x3"),
         },
     )
+
+
+def test_differentials_over_mixed_denominators_match_reference_in_lowest_terms():
+    # Gamma has denominators 2 and 3, so every output is summed over a common
+    # denominator of 6 times the sources' and must come back in lowest terms
+    n = 4
+    conn = mixed_denominator_connection()
     rng = random.Random(23)
     forms = [torsion(conn), curvature(conn)]
     for degree, input_slots in itertools.product(range(3), (0, 1)):
@@ -639,23 +651,48 @@ def test_differentials_share_one_object_per_alternation_class(ref_conn, crooked_
 
 
 def test_curvature_computes_one_of_each_antisymmetric_pair(monkeypatch):
-    # a dense draw: the (j, i) partners and i = j would double the calls
+    # a dense draw: the (j, i) partners and i = j would double the outputs
     conn = random_connections(RandomConnectionSpec(seed=2, dimension=4, density=20), 1)[0]
-    calls = []
-    combination = Polynomial.combination.__func__
+    outputs = []
+    polynomials = _Sums.polynomials
 
-    def counted(cls, dimension, pairs, products=(), divisor=1):
-        calls.append(1)
-        return combination(cls, dimension, pairs, products, divisor)
+    def counted(self, denominator):
+        outputs.extend(self)  # one key per output summed
+        return polynomials(self, denominator)
 
-    monkeypatch.setattr(Polynomial, "combination", classmethod(counted))
+    monkeypatch.setattr(_Sums, "polynomials", counted)
     r = curvature(conn).tensor
     monkeypatch.undo()
-    assert 0 < len(calls) <= 6 * 16  # the pairs i < j of 1..4, times (k, l)
+    assert 0 < len(outputs) <= 6 * 16  # the pairs i < j of 1..4, times (k, l)
+    assert all(key // 4**3 < key // 4**2 % 4 for key in outputs)
     assert_orderings_share(r, 2)
     values = curvature_by_formula(conn)
     indices = itertools.product(range(1, 5), repeat=4)
     assert r.components == tuple(values[(l, i, j, k)] for i, j, k, l in indices)
+
+
+def kernel_connections(ref_conn, crooked_conn):
+    """The bundled, the crooked and a dense n=4 connection (seed 2, density 20)."""
+    dense = random_connections(RandomConnectionSpec(seed=2, dimension=4, density=20), 1)[0]
+    return [ref_conn, crooked_conn, dense]
+
+
+def test_wedge_with_identity_sums_one_ordering_per_class(ref_conn, crooked_conn):
+    # R^I and its trace variants are summed at i < j < k only, and every
+    # other ordering holds that object or its recorded negation
+    for conn in kernel_connections(ref_conn, crooked_conn):
+        d = Derived(conn)
+        for beta in (d.curvature, d.curvature_trace_identity, d.d_torsion_trace_identity):
+            got = wedge_endo_identity(beta).tensor
+            assert equal(got, wedge_endo_identity_loop(beta).tensor)
+            assert_orderings_share(got, 3)
+
+
+def test_normal1_with_half_of_nabla_torsion_matches_the_loop(ref_conn, crooked_conn):
+    # N1 reads the differential of Tor summed at increasing Tor pairs only,
+    # the swapped pairs holding the recorded negations
+    for conn in [*kernel_connections(ref_conn, crooked_conn), mixed_denominator_connection()]:
+        assert equal(Invariants(conn).normal1, normal1_loop(conn))
 
 
 # -- the form wrappers' refusals ------------------------------------------------------------

@@ -356,6 +356,56 @@ def sparse_fields(draw, shapes=None):
     return TensorField(shape, tuple(comps))
 
 
+@st.composite
+def paired_fields(draw):
+    """A (2,1) or (3,1) field in dimension 3.  Up to 3 drawn components
+    whose first two indices i < j each meet, at their slot swap, their
+    recorded negation, a value-equal negation, another value or zero; at
+    most one more drawn component, anywhere, may sit on the diagonal i = j
+    or stand lone at i > j."""
+    n, p = 3, draw(st.sampled_from([2, 3]))
+    shape = TensorShape(p, 1, n)
+    block = n ** p // n  # positions per index pair of slots 1 and 2
+    comps = [Polynomial.zero(n)] * shape.size
+    lower = [pos for pos in range(shape.size) if pos // (n * block) < pos // block % n]
+    kinds = ["recorded", "recorded", "equal", "equal", "other", "zero"]
+    for pos in draw(st.lists(st.sampled_from(lower), max_size=3, unique=True)):
+        i, j, rest = pos // (n * block), pos // block % n, pos % block
+        comps[pos] = value = draw(nonzero_polys(n))
+        swap = (j * n + i) * block + rest
+        kind = draw(st.sampled_from(kinds))
+        if kind == "recorded":
+            comps[swap] = -value
+        elif kind == "equal":
+            comps[swap] = Polynomial(n, {m: -c for m, c in value.terms.items()})
+        elif kind == "other":
+            comps[swap] = draw(nonzero_polys(n))
+    for pos in draw(st.lists(st.integers(0, shape.size - 1), max_size=1)):
+        comps[pos] = draw(nonzero_polys(n))
+    return TensorField(shape, tuple(comps))
+
+
+@given(paired_fields())
+@settings(max_examples=80)
+def test_is_antisymmetric_counting_the_lower_half_matches_the_permutation_reference(t):
+    assert_antisymmetry_matches_reference(t)
+
+
+def test_scaling_keeps_recorded_negations():
+    # alternation stores one object at (1, 2) and its recorded negation at
+    # (2, 1); negating or scaling the field maps each object once
+    x = parse("x1 + 1/2*x2", N)
+    comps = [Polynomial.zero(N)] * N**3
+    for i, j in [(0, 1), (1, 0)]:
+        comps[tensor._flat(N, (i, j, 2))] = x if i < j else -x
+    t = TensorField(TensorShape(2, 1, N), tuple(comps))
+    even, odd = tensor._flat(N, (0, 1, 2)), tensor._flat(N, (1, 0, 2))
+    for got, factor in [(-t, -1), (t.scale(-1), -1), (t.scale(Fraction(2, 3)), Fraction(2, 3))]:
+        assert got.components[odd]._negated is got.components[even]
+        assert got.components[even] == x.scale(factor)
+        assert got.support == t.support
+
+
 @given(sparse_fields())
 @settings(max_examples=60)
 def test_support_is_the_nonzero_positions(t):
