@@ -8,8 +8,8 @@ Conventions, fixed once here and relied on everywhere else:
   R^l_{ijk} = dGamma^l_{jk}/dx_i - dGamma^l_{ik}/dx_j
               + Gamma^m_{jk} Gamma^l_{im} - Gamma^m_{ik} Gamma^l_{jm},
   antisymmetric in the pair (i,j); slot k is the endomorphism input.
-* ``covariant_derivative`` appends the differentiation direction as the
-  LAST covariant slot: (DT)^l_{i...k} differentiates along k.
+* The covariant derivative D of a field is the degree-0 differential
+  below, its direction the FIRST covariant slot: (DT)^l_{k i...} is D_k T.
 * The exterior covariant differential of a k-form is the alternating sum
   over k+1 directions of the covariant derivative of the form's value,
   with partial derivatives on the form slots (coordinate frames commute,
@@ -25,17 +25,15 @@ Conventions, fixed once here and relied on everywhere else:
   the form slots and +Gamma on each contravariant slot, each with the
   sign of sorting k into I, straight into the output's numerator map.
   Each output at strictly increasing directions is then put in lowest
-  terms once, and every other ordering is filled from the orderings table
-  of :mod:`natforms.tensor`: every even ordering holds that one object and
-  every odd ordering its one negation, and components with a repeated
-  direction are zero.  Antisymmetry checks of the result answer by that
-  identity, and the echelon streams its rows once per ± class.  The
-  covariant derivative is that differential in degree 0, where Gamma acts
-  on every slot, with the direction slot then moved from first to last.
-  Gamma acts on the vector slot in ``ext_cov_deriv_vector``, on the
-  endomorphism input and output in ``ext_cov_deriv_endo``, and on no slot
-  in ``exterior_derivative``.  ``torsion`` and ``curvature`` keep their own
-  formulas, so the Bianchi identities check the kernel, not restate it.
+  terms once, and ``tensor._alternating``, the one constructor of
+  alternating fields, stores it at every even ordering and its one
+  negation at every odd one.  Antisymmetry checks of the result answer by
+  that identity, and the echelon streams its rows once per ± class.
+  Gamma acts on every slot in degree 0 (D), on the vector slot in
+  ``ext_cov_deriv_vector``, on the endomorphism input and output in
+  ``ext_cov_deriv_endo``, and on no slot in ``exterior_derivative``.
+  ``torsion`` and ``curvature`` keep their own formulas, so the Bianchi
+  identities check the kernel, not restate it.
   Gamma's two sparse tables, by lower index pair for ``curvature`` and
   contravariant slots and inverted by upper index for covariant slots, are
   built once per connection, so a fault in them would pass the identities;
@@ -43,11 +41,9 @@ Conventions, fixed once here and relied on everywhere else:
 * ``Invariants`` is the one place where those formulas are applied to a
   connection: it computes torsion and curvature once, and from them the
   normal tensors and both structure differentials, for every caller.
-  Curvature and the D Tor that N1 reads are summed, like the
-  differentials, term by term into one ``poly._Sums`` map per output, and
-  R^I by the scatter kernel, each only at increasing indices of its
-  alternating slots, every other ordering holding that object or its
-  recorded negation.  N1 is one call of the scatter kernel of
+  Torsion, curvature, the D Tor that N1 reads and R^I are summed only at
+  increasing indices of their alternating slots and filled by
+  ``_alternating``.  N1 is one call of the scatter kernel of
   :mod:`natforms.tensor`: permuted copies of R and D Tor and two terms
   that read the pair (Tor, Tor), divided by 12.
 """
@@ -65,7 +61,7 @@ from .tensor import (
     _MAX_DIMENSION,
     TensorField,
     TensorShape,
-    _alternation,
+    _alternating,
     _doc_indices,
     _doc_int,
     _doc_json,
@@ -76,7 +72,6 @@ from .tensor import (
     antisymmetrize_pair,
     delta,
     is_antisymmetric,
-    permute_covariant,
     tensor_product,
 )
 
@@ -282,14 +277,12 @@ def torsion(conn: Connection) -> VectorValuedForm:
     """
     n = conn.dimension
     gamma = conn.christoffel  # Gamma^l_{ij} at ((l * n) + i) * n + j, 0-based
-    comps = [Polynomial.zero(n)] * n**3
-    for i, j in itertools.combinations(range(n), 2):
-        for l in range(n):
-            acc = gamma[(l * n + i) * n + j] - gamma[(l * n + j) * n + i]
-            if acc.numerators:
-                comps[(i * n + j) * n + l] = acc
-                comps[(j * n + i) * n + l] = -acc
-    return VectorValuedForm(2, TensorField(TensorShape(2, 1, n), tuple(comps)))
+    values = [
+        ((i * n + j) * n + l, gamma[(l * n + i) * n + j] - gamma[(l * n + j) * n + i])
+        for i, j in itertools.combinations(range(n), 2)
+        for l in range(n)
+    ]
+    return VectorValuedForm(2, _alternating(TensorShape(2, 1, n), (1, 2), values))
 
 
 def curvature(conn: Connection) -> EndValuedForm:
@@ -318,31 +311,8 @@ def curvature(conn: Connection) -> EndValuedForm:
                 for l, g_jm in lower[j][m]:
                     factor = den // (g_ik.denominator * g_jm.denominator)
                     sums.add_product(head + l, g_ik, g_jm, -factor)
-    comps = [Polynomial.zero(n)] * n**4
-    orderings = _alternation(n, (n**3, n**2))
-    for out, acc in sums.polynomials(den):
-        offset, negated = out % n**2, -acc
-        for start, sign in orderings[out - offset]:
-            comps[start + offset] = acc if sign > 0 else negated
-    return EndValuedForm(2, TensorField(TensorShape(3, 1, n), tuple(comps)))
-
-
-def covariant_derivative(conn: Connection, field: TensorField) -> TensorField:
-    """Covariant derivative of a (p,q) field; direction appended as last slot.
-
-    One -Gamma term per covariant slot, one +Gamma term per contravariant
-    slot, e.g. (DTor)^l_{ijk} = Tor^l_{ij,k} - Gamma^m_{ki} Tor^l_{mj}
-    - Gamma^m_{kj} Tor^l_{im} + Gamma^l_{km} Tor^m_{ij}.  It is the
-    exterior covariant differential in degree 0, which puts the direction
-    first, with the direction slot then moved last.
-    """
-    if field.shape.n != conn.dimension:
-        raise ValueError(
-            f"dimension mismatch: field n={field.shape.n}, connection n={conn.dimension}"
-        )
-    p = field.shape.p
-    differential = _exterior_differential(conn._gamma_tables, field, 0)
-    return permute_covariant(differential, (p + 1, *range(1, p + 1)))
+    tensor = _alternating(TensorShape(3, 1, n), (1, 2), sums.polynomials(den))
+    return EndValuedForm(2, tensor)
 
 
 # -- exterior differentials ---------------------------------------------------------
@@ -375,10 +345,10 @@ def _exterior_differential(tables, field: TensorField, degree: int, pair=None) -
     The scatter of the module docstring: ``_insertions`` gives (k, sign,
     base) for each source head I, each term is added into its output's
     ``poly._Sums`` map over the lcm of the read denominators times Gamma's,
-    and ``tensor._alternation`` gives the orderings that hold each output
-    or its recorded negation.  ``pair``, two slots (0-based) of a degree-0
-    field antisymmetric in them, sums only the outputs whose indices there
-    increase, each swap holding the recorded negation.
+    and ``tensor._alternating`` fills the orderings of each output.
+    ``pair``, two output covariant slots (1-based) of a degree-0
+    differential whose source alternates in them, sums only the outputs
+    whose indices there increase, each swap holding the recorded negation.
     """
     n, p, q = field.shape.n, field.shape.p, field.shape.q
     lower, covariant, gamma_den = tables
@@ -387,11 +357,9 @@ def _exterior_differential(tables, field: TensorField, degree: int, pair=None) -
     acted = [(n ** (p + q - 1 - s), covariant, -1) for s in range(degree, p)]
     acted += [(n ** (p + q - 1 - s), lower, 1) for s in range(p, p + q)]
     insertions = _insertions(n, degree, block)
-    if pair is None:  # the directions alternate
-        alternating = tuple([block * n ** (degree - t) for t in range(degree + 1)])
-    else:
-        alternating = st1, st2 = tuple([n ** (p + q - 1 - s) for s in pair])
-    orderings = _alternation(n, alternating)
+    slots = pair or range(1, degree + 2)  # the pair, else the directions
+    if pair is not None:
+        st1, st2 = [n ** (p + q + 1 - s) for s in pair]
     src = field.components
     read = [pos for pos in field.support if pos // block in insertions]
     # each term's denominator divides src_den * gamma_den, the one
@@ -412,14 +380,7 @@ def _exterior_differential(tables, field: TensorField, degree: int, pair=None) -
                     if pair is None or out // st1 % n < out // st2 % n:
                         factor = sign * gamma_sign * scale * (gamma_den // g.denominator)
                         sums.add_product(out, g, comp, factor)
-    zero = Polynomial.zero(n)
-    comps = [zero] * n ** (p + 1 + q)
-    for out, acc in sums.polynomials(src_den * gamma_den):
-        head = sum([out // st % n * st for st in alternating])
-        negated = -acc if len(alternating) > 1 else acc  # one slot: the identity only
-        for start, sign in orderings[head]:
-            comps[out - head + start] = acc if sign > 0 else negated
-    return TensorField(TensorShape(p + 1, q, n), tuple(comps))
+    return _alternating(TensorShape(p + 1, q, n), slots, sums.polynomials(src_den * gamma_den))
 
 
 def ext_cov_deriv_vector(conn: Connection, alpha: VectorValuedForm) -> VectorValuedForm:
@@ -516,7 +477,7 @@ class Invariants:
         """First-order normal tensor, expressed through curvature and torsion:
 
         N^l_{ijk} = 1/12 ( 6 R^l_{kij} - 2 R^l_{jki} + 2 R^l_{ijk}
-                           + 4 (DTor)^l_{ijk} + 4 (DTor)^l_{kji}
+                           + 4 D_k Tor^l_{ij} + 4 D_i Tor^l_{kj}
                            - 2 Tor^m_{kj} Tor^l_{mi} - Tor^m_{ij} Tor^l_{km} ),
 
         one scatter of five permuted R and D Tor terms and two (Tor, Tor)
@@ -524,15 +485,15 @@ class Invariants:
         the verification suite checks that identity on randomized connections.
         """
         tor, r = self.torsion.tensor, self.curvature.tensor
-        # (D_k Tor)^l_{ij} at (k, i, j, l), summed at i < j only
-        dtor = _exterior_differential(self.conn._gamma_tables, tor, 0, pair=(0, 1))
+        # D_k Tor^l_{ij} at (k, i, j, l), summed at i < j only
+        dtor = _exterior_differential(self.conn._gamma_tables, tor, 0, pair=(2, 3))
         # feeds read output slots (i, j, k, l) = 0..3 and the dummy m = 4
         terms = [
             (6, r, (2, 0, 1, 3), ()),
             (-2, r, (1, 2, 0, 3), ()),
             (2, r, (0, 1, 2, 3), ()),
-            (4, dtor, (2, 0, 1, 3), ()),  # (DTor)^l_{ijk}
-            (4, dtor, (0, 2, 1, 3), ()),  # (DTor)^l_{kji}
+            (4, dtor, (2, 0, 1, 3), ()),  # D_k Tor^l_{ij}
+            (4, dtor, (0, 2, 1, 3), ()),  # D_i Tor^l_{kj}
             (-2, (tor, tor), (2, 1, 4, 4, 0, 3), ()),  # Tor^m_{kj} Tor^l_{mi}
             (-1, (tor, tor), (0, 1, 4, 2, 4, 3), ()),  # Tor^m_{ij} Tor^l_{km}
         ]

@@ -26,18 +26,21 @@ one-term scatters; :func:`combine`, the one sum of fields, scatters
 slot-permuted fields, and :func:`permute_covariant`, ``+`` and ``-`` are
 each one ``combine``.  :func:`antisymmetrize_pair` and the skew patterns
 of :func:`natforms.generators.apply_pattern` are one two-term scatter
-that sums one half of the positions and stores each value's recorded
-negation at its swap, so antisymmetry checks answer by identity; R^I sums
-one ordering in six, from the orderings table ``_alternation``.  Only a
+that sums one half of the positions; R^I sums one ordering in six.  Only a
 direct ``_scatter`` divides its sums by a common integer, as N1 does by 12.
-Outside this module only :mod:`natforms.geometry` reads the storage layout
-directly: its derivative kernel, and :func:`~natforms.geometry.torsion` and
-:func:`~natforms.geometry.curvature`, which write components at flat
-positions they compute; the echelon in :mod:`natforms.exactla` reads
+
+One constructor, the private ``_alternating``, builds every field that
+alternates in some covariant slots from its values at strictly increasing
+indices there: each even ordering holds the value and each odd one its
+recorded negation, so antisymmetry checks answer by identity.  The
+alternating scatters, and torsion, curvature and the derivative kernel of
+:mod:`natforms.geometry`, which compute flat positions themselves, all
+return through it; the echelon in :mod:`natforms.exactla` reads
 components by position and gives the indices no meaning.
 
 Slot arguments in the public API are 1-based throughout, matching the
-index conventions of the formulas this library implements.
+index conventions of the formulas this library implements; so are the
+alternating slots of the private kernels.
 """
 
 from __future__ import annotations
@@ -266,20 +269,51 @@ def _landed(field: TensorField, n: int, checks, setters, bases: dict) -> list[tu
 
 
 @lru_cache(maxsize=64)
-def _alternation(n: int, strides: tuple[int, ...]) -> dict[int, tuple[tuple[int, int], ...]]:
+def _alternation(n: int, strides: tuple[int, ...]) -> dict[int, tuple[tuple[int, ...], ...]]:
     """For alternating slots of the given strides: for each increasing index
-    tuple h, keyed by sum h_t * strides[t], (sum o_t * strides[t], sign of
-    o) for every ordering o of h."""
+    tuple h, keyed by its flat offset sum h_t * strides[t], the offsets of
+    its even orderings and of its odd ones, each relative to h's."""
     table = {}
     for head in itertools.combinations(range(n), len(strides)):
-        table[sum([h * st for h, st in zip(head, strides)])] = tuple(
-            (
-                sum([v * st for v, st in zip(o, strides)]),
-                (-1) ** sum(1 for a, b in itertools.combinations(o, 2) if a > b),
-            )
-            for o in itertools.permutations(head)
-        )
+        key, shifts = sum([h * st for h, st in zip(head, strides)]), ([], [])
+        for o in itertools.permutations(head):
+            odd = sum(1 for a, b in itertools.combinations(o, 2) if a > b) % 2
+            shifts[odd].append(sum([v * st for v, st in zip(o, strides)]) - key)
+        table[key] = tuple(map(tuple, shifts))
     return table
+
+
+def _alternating(
+    shape: TensorShape, slots: Sequence[int], values: Iterable[tuple[int, Polynomial]]
+) -> TensorField:
+    """The field alternating in the covariant ``slots`` (1-based, increasing)
+    with the (position, value) pairs, each at strictly increasing indices
+    there: each even ordering holds the value, each odd one its recorded
+    negation, repeated indices zero.  Zero values are skipped."""
+    n = shape.n
+    out = [Polynomial.zero(n)] * shape.size
+    if len(slots) < 2:  # no odd ordering: each value stays where it is
+        for pos, value in values:
+            if value.numerators:
+                out[pos] = value
+        return TensorField(shape, tuple(out))
+    strides = tuple([n ** (shape.p + shape.q - s) for s in slots])
+    orderings = _alternation(n, strides)
+    low, top = strides[-1], strides[0] * n
+    contiguous = top == low * n ** len(strides)
+    for pos, value in values:
+        if value.numerators:
+            if contiguous:  # adjacent slots: their digits are one block of pos
+                head = pos % top - pos % low
+            else:
+                head = sum([pos // st % n * st for st in strides])
+            evens, odds = orderings[head]
+            for shift in evens:
+                out[pos + shift] = value
+            negated = -value
+            for shift in odds:
+                out[pos + shift] = negated
+    return TensorField(shape, tuple(out))
 
 
 def _scatter(shape: TensorShape, terms, divisor: int = 1, lower=None) -> TensorField:
@@ -294,10 +328,8 @@ def _scatter(shape: TensorShape, terms, divisor: int = 1, lower=None) -> TensorF
     a's on the indices they share, and each joined (u, v) adds (c, a[u], b[v]).
 
     ``lower``, increasing covariant slots (1-based), says that the sum
-    alternates in them.  Then only positions whose indices there strictly
-    increase are summed; from the table of :func:`_alternation`, each even
-    ordering of those indices holds the value and each odd one its
-    recorded negation, and positions with a repeated index there are zero.
+    alternates in them: only positions whose indices there strictly
+    increase are summed, and :func:`_alternating` fills the rest.
     """
     n, size = shape.n, shape.size
     collected: dict[int, list] = {}
@@ -323,21 +355,14 @@ def _scatter(shape: TensorShape, terms, divisor: int = 1, lower=None) -> TensorF
                     entry.append((c, a.components[u], b.components[v]))
     for pos in products:
         collected.setdefault(pos, [])
-    if lower is not None:
-        strides = tuple([n ** (shape.p + shape.q - s) for s in lower])
-        for st1, st2 in zip(strides, strides[1:]):
-            collected = {pos: t for pos, t in collected.items() if pos // st1 % n < pos // st2 % n}
-    out = [Polynomial.zero(n)] * size
-    for pos, pairs in collected.items():
-        out[pos] = Polynomial.combination(n, pairs, products.get(pos, ()), divisor)
-    if lower is not None:
-        orderings = _alternation(n, strides)
-        for pos in collected:
-            if (value := out[pos]).numerators:
-                negated, head = -value, sum([pos // st % n * st for st in strides])
-                for start, sign in orderings[head]:
-                    out[pos - head + start] = value if sign > 0 else negated
-    return TensorField(shape, tuple(out))
+    strides = [n ** (shape.p + shape.q - s) for s in lower or ()]
+    for st1, st2 in zip(strides, strides[1:]):
+        collected = {pos: t for pos, t in collected.items() if pos // st1 % n < pos // st2 % n}
+    values = [
+        (pos, Polynomial.combination(n, pairs, products.get(pos, ()), divisor))
+        for pos, pairs in collected.items()
+    ]
+    return _alternating(shape, lower or (), values)
 
 
 def _product(a: TensorShape, b: TensorShape) -> tuple[TensorShape, tuple[int, ...]]:

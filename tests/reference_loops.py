@@ -8,7 +8,8 @@ slot-swapped field and negating it.  Christoffel symbols are read through
 derivative kernel.  Contraction, tensor product, slot permutation,
 contraction schemes, the normal tensor N1 and the wedge/tensor products with the identity read
 components one 1-based index at a time through ``TensorField.get``, so
-none of them goes through the library's scatter kernel.
+none of them goes through the library's scatter kernel; N1 reads its
+D Tor from ``covariant_derivative_loop``, not the derivative kernel.
 ``project_schemes_all`` is the scheme projection as ``verify schemes`` once
 computed it: every scheme evaluated and antisymmetrized on its own, with no
 orbit table, so it checks each value the orbit path infers by sign.
@@ -61,7 +62,6 @@ from natforms.generators import apply_scheme, enumerate_schemes
 from natforms.geometry import (
     EndValuedForm,
     VectorValuedForm,
-    covariant_derivative,
     curvature,
     torsion,
 )
@@ -131,13 +131,14 @@ def ext_cov_deriv_endo_all_orderings(conn, beta):
 
 
 def covariant_derivative_loop(conn, field):
-    """(DT)^{contra}_{cov,k} = d_k T^{contra}_{cov} - one Gamma^m_{k a} term
-    per covariant slot + one Gamma^l_{k m} term per contravariant slot."""
+    """(DT)^{contra}_{k,cov} = d_k T^{contra}_{cov} - one Gamma^m_{k a} term
+    per covariant slot + one Gamma^l_{k m} term per contravariant slot,
+    the direction k in the first covariant slot."""
     n, p, q = field.shape.n, field.shape.p, field.shape.q
     out_shape = TensorShape(p + 1, q, n)
     comps = []
     for idx in itertools.product(range(1, n + 1), repeat=p + 1 + q):
-        cov, k, contra = idx[:p], idx[p], idx[p + 1 :]
+        k, cov, contra = idx[0], idx[1 : p + 1], idx[p + 1 :]
         base = tuple(v - 1 for v in cov + contra)
         acc = field.components[_flat(n, base)].partial_derivative(k)
         for s in range(p):
@@ -340,18 +341,19 @@ def normal1_loop(conn):
     """N^l_{ijk} = -1/6 ( -3 R^l_{kij} + R^l_{jki} - R^l_{ijk}
                           - 2 (DTor)^l_{ijk} - 2 (DTor)^l_{kji}
                           + Tor^m_{kj} Tor^l_{mi} + 1/2 Tor^m_{ij} Tor^l_{km} ),
-    one component at a time."""
+    one component at a time, (DTor)^l_{ijk} = D_k Tor^l_{ij} read from
+    ``covariant_derivative_loop``."""
     n = conn.dimension
     tor = torsion(conn).tensor
     r = curvature(conn).tensor
-    dtor = covariant_derivative(conn, tor)
+    dtor = covariant_derivative_loop(conn, tor)  # D_k Tor^l_{ij} at (k, i, j; l)
     minus_sixth = Fraction(-1, 6)
     half = Fraction(1, 2)
     comps = []
     for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
         acc = r.get((k, i, j), (l,)).scale(-3)
         acc = acc + r.get((j, k, i), (l,)) - r.get((i, j, k), (l,))
-        acc = acc - dtor.get((i, j, k), (l,)).scale(2) - dtor.get((k, j, i), (l,)).scale(2)
+        acc = acc - dtor.get((k, i, j), (l,)).scale(2) - dtor.get((i, k, j), (l,)).scale(2)
         for m in range(1, n + 1):
             t_kj = tor.get((k, j), (m,))
             if not t_kj.is_zero:

@@ -14,10 +14,10 @@ from natforms.geometry import (
     EndValuedForm,
     Invariants,
     VectorValuedForm,
+    _exterior_differential,
     connection_from_entries,
     connection_from_json_obj,
     connection_to_json_obj,
-    covariant_derivative,
     curvature,
     ext_cov_deriv_endo,
     ext_cov_deriv_vector,
@@ -76,7 +76,8 @@ def curvature_by_formula(conn):
 
 
 def nabla_21_by_formula(conn, t):
-    """Covariant derivative of a (2,1) field via the four-term formula."""
+    """Covariant derivative of a (2,1) field via the four-term formula,
+    keyed (l, i, j, k) with the direction k last."""
     n = conn.dimension
     values = {}
     for l, i, j, k in itertools.product(range(1, n + 1), repeat=4):
@@ -210,33 +211,38 @@ def test_curvature_constant_christoffel_keeps_products():
     assert r.get((2, 1, 1), (3,)) == pp("1")
 
 
-# -- covariant derivative ---------------------------------------------------------------
+# -- covariant derivative: the differential in degree 0, direction first ----------------
+
+def nabla(conn, field):
+    """(D field)_{k, ...} = D_k field_{...}."""
+    return _exterior_differential(conn._gamma_tables, field, 0)
+
 
 def test_covariant_derivative_of_constant_scalar(ref_conn):
     f = TensorField(TensorShape(0, 0, N), (Polynomial.constant(N, 7),))
-    assert covariant_derivative(ref_conn, f).is_zero
+    assert nabla(ref_conn, f).is_zero
 
 
 def test_covariant_derivative_flat_is_plain_partials(flat_conn):
     t = torsion(reference_connection()).tensor
-    grad = covariant_derivative(flat_conn, t)
+    grad = nabla(flat_conn, t)
     for i, j, k, l in itertools.product(range(1, 5), repeat=4):
-        assert grad.get((i, j, k), (l,)) == t.get((i, j), (l,)).partial_derivative(k)
+        assert grad.get((k, i, j), (l,)) == t.get((i, j), (l,)).partial_derivative(k)
 
 
 def test_covariant_derivative_matches_term_oracle(ref_conn, crooked_conn):
     for conn in (ref_conn, crooked_conn):
         t = torsion(conn).tensor
-        grad = covariant_derivative(conn, t)
+        grad = nabla(conn, t)
         oracle = nabla_21_by_formula(conn, t)
         for (l, i, j, k), want in oracle.items():
-            assert grad.get((i, j, k), (l,)) == want, (l, i, j, k)
+            assert grad.get((k, i, j), (l,)) == want, (l, i, j, k)
 
 
 def test_covariant_derivative_reference_spot_values(ref_conn):
-    grad = covariant_derivative(ref_conn, torsion(ref_conn).tensor)
-    assert grad.get((1, 2, 3), (1,)) == pp("1")
-    assert grad.get((3, 1, 4), (3,)) == pp("x2")
+    grad = nabla(ref_conn, torsion(ref_conn).tensor)
+    assert grad.get((3, 1, 2), (1,)) == pp("1")  # D_3 Tor^1_{12}
+    assert grad.get((4, 3, 1), (3,)) == pp("x2")  # D_4 Tor^3_{31}
 
 
 # -- exterior covariant differential ------------------------------------------------------
@@ -245,7 +251,7 @@ def test_gamma_tables_are_built_once_per_connection(table_builds):
     conn = reference_connection()
     invariants = Invariants(conn)
     for _ in range(2):
-        covariant_derivative(conn, invariants.torsion.tensor)
+        nabla(conn, invariants.torsion.tensor)
         ext_cov_deriv_vector(conn, invariants.torsion)
         ext_cov_deriv_endo(conn, curvature(conn))
     assert equal(invariants.d_torsion.tensor, wedge_endo_identity(invariants.curvature).tensor)
@@ -437,7 +443,7 @@ def test_derivatives_match_loop_reference(n, density, seed):
     rng = random.Random(seed)
     for p, q in [(0, 0), (1, 0), (0, 1), (2, 1), (3, 1), (1, 2)]:
         field = random_field(rng, n, p, q)
-        got = covariant_derivative(conn, field)
+        got = nabla(conn, field)
         assert equal(got, covariant_derivative_loop(conn, field)), (p, q)
         assert not got.is_zero
         if (p, q) == (1, 0):
@@ -501,13 +507,25 @@ def test_differentials_over_mixed_denominators_match_reference_in_lowest_terms()
         comps = [mixed_poly(rng, n) if rng.random() < 0.3 else Polynomial.zero(n)
                  for _ in range(n ** (p + q))]
         field = TensorField(TensorShape(p, q, n), tuple(comps))
-        got = covariant_derivative(conn, field)
+        got = nabla(conn, field)
         assert equal(got, covariant_derivative_loop(conn, field)), (p, q)
         assert_lowest_terms(got)
         if (p, q) == (1, 0):
             d = exterior_derivative(field)
             assert equal(d, exterior_derivative_loop(field))
             assert_lowest_terms(d)
+
+
+def test_torsion_over_mixed_denominators_and_dense_matches_the_loop():
+    dense = random_connections(RandomConnectionSpec(seed=2, dimension=4, density=20), 1)[0]
+    for conn in (mixed_denominator_connection(), dense):
+        tor = torsion(conn).tensor
+        assert tor.components == torsion_loop(conn).tensor.components
+        assert_lowest_terms(tor)
+        # (j, i) holds the recorded negation of (i, j); a zero difference is
+        # skipped, so every zero component is the one shared zero
+        assert_orderings_share(tor, 2)
+        assert len({id(c) for c in tor.components if not c.numerators}) == 1
 
 
 def test_differentials_keep_the_product_exponent_guard_and_term_bound():
@@ -526,7 +544,7 @@ def test_differentials_keep_the_product_exponent_guard_and_term_bound():
     with pytest.raises(ValueError, match="exponent"):
         ext_cov_deriv_vector(conn, vector(f"x1^{half}"))
     with pytest.raises(ValueError, match="exponent"):
-        covariant_derivative(conn, covector(f"x1^{half} + x2"))
+        nabla(conn, covector(f"x1^{half} + x2"))
     # one below the bound is a valid product
     got = ext_cov_deriv_vector(conn, vector(f"x1^{half - 1}")).tensor
     assert got.get((1,), (1,)) == parse(f"{half - 1}*x1^{half - 2} + x1^{2 * half - 1}", 2)
@@ -623,7 +641,7 @@ def test_scatter_matches_all_orderings_reference_on_sparse_sources(drawn):
     got = assert_matches_reference(conn, form)
     assert_orderings_share(got.tensor, got.degree)
     field = form.tensor
-    assert equal(covariant_derivative(conn, field), covariant_derivative_loop(conn, field))
+    assert equal(nabla(conn, field), covariant_derivative_loop(conn, field))
 
 
 def test_scatter_of_a_single_component_reaches_only_its_outputs():
@@ -856,7 +874,7 @@ def normal1_by_tensor_ops(conn):
 
     tor = torsion(conn).tensor
     r = curvature(conn).tensor
-    dtor = covariant_derivative(conn, tor)
+    dtor = permute_covariant(nabla(conn, tor), (3, 1, 2))  # (DTor)_{ijk} = D_k Tor_{ij}
     term_a = permute_covariant(r, (3, 1, 2))        # R_{kij}
     term_b = permute_covariant(r, (2, 3, 1))        # R_{jki}
     term_d = permute_covariant(dtor, (3, 2, 1))     # (DTor)_{kji}

@@ -596,3 +596,73 @@ def test_symmetrization_of_curvature_terms():
     assert symmetrization_vanishes(q.normal1)
     r = q.curvature.tensor
     assert symmetrization_vanishes(r) == symmetrization_is_zero(r)
+
+
+# -- the one constructor of alternating fields ---------------------------------------
+
+@st.composite
+def alternating_values(draw):
+    """A shape, 1 to 3 increasing covariant slots, contiguous or not, and up
+    to 4 (position, value) pairs at strictly increasing indices there, some
+    values zero."""
+    n = draw(st.integers(2, 4))
+    p, q = draw(st.integers(1, 4 if n < 4 else 3)), draw(st.integers(0, 1))
+    slots = sorted(draw(st.lists(st.integers(1, p), min_size=1, max_size=min(p, 3), unique=True)))
+    increasing = [
+        pos
+        for pos, idx in enumerate(itertools.product(range(n), repeat=p + q))
+        if all(idx[a - 1] < idx[b - 1] for a, b in zip(slots, slots[1:]))
+    ]
+    values = []
+    if increasing:
+        values_of = st.one_of(nonzero_polys(n), st.just(Polynomial.zero(n)))
+        for pos in draw(st.lists(st.sampled_from(increasing), max_size=4, unique=True)):
+            values.append((pos, draw(values_of)))
+    return TensorShape(p, q, n), tuple(slots), values
+
+
+def assert_alternates(field, slots, values):
+    """Each even ordering of the slots holds the value given at increasing
+    indices, each odd one the one recorded negation of it, and every other
+    component, repeated indices and zero values included, the one zero."""
+    n, comps, given = field.shape.n, field.components, dict(values)
+    negations = {}
+    for pos, idx in enumerate(itertools.product(range(n), repeat=field.shape.p + field.shape.q)):
+        digits = [idx[s - 1] for s in slots]
+        sorted_idx = list(idx)
+        for s, v in zip(slots, sorted(digits)):
+            sorted_idx[s - 1] = v
+        value = given.get(tensor._flat(n, sorted_idx)) if len(set(digits)) == len(digits) else None
+        if value is None or not value.numerators:
+            assert not comps[pos].numerators, pos
+        elif sum(1 for a, b in itertools.combinations(digits, 2) if a > b) % 2:
+            assert comps[pos]._negated is value, pos
+            negations.setdefault(id(value), set()).add(id(comps[pos]))
+        else:
+            assert comps[pos] is value, pos
+    zeros = {id(c) for c in comps if not c.numerators}
+    assert len(zeros) <= 1  # a zero value is skipped, not stored
+    assert all(len(held) == 1 for held in negations.values())
+    if len(slots) == 1:
+        assert not negations  # no odd ordering, so no negation is built
+
+
+@given(alternating_values())
+@settings(max_examples=30)
+def test_alternating_holds_one_object_per_class(drawn):
+    shape, slots, values = drawn
+    assert_alternates(tensor._alternating(shape, slots, values), slots, values)
+
+
+@pytest.mark.parametrize("slots", [(1,), (1, 2), (2, 3), (1, 3), (1, 2, 3)])
+def test_alternating_pinned_values(slots):
+    # a value at every increasing index tuple, every fifth of them zero
+    shape = TensorShape(3, 1, 3)
+    values = []
+    for pos, idx in enumerate(itertools.product(range(3), repeat=4)):
+        if all(idx[a - 1] < idx[b - 1] for a, b in zip(slots, slots[1:])):
+            values.append((pos, parse(f"x1 + {pos}", 3) if pos % 5 else Polynomial.zero(3)))
+    field = tensor._alternating(shape, slots, values)
+    assert_alternates(field, slots, values)
+    for s1, s2 in itertools.combinations(slots, 2):
+        assert is_antisymmetric(field, s1, s2)
