@@ -19,8 +19,8 @@ contravariant) and "upper" slots (source contravariant plus target
 covariant); pairs inside the source are contractions, pairs inside the
 target are Kronecker-delta insertions, and mixed pairs transport a slot.
 There are exactly r! of them, r being the number of lower slots, and none
-when the covariant and contravariant defects differ.  ``apply_scheme``
-evaluates one as a term of the scatter kernel of :mod:`natforms.tensor`:
+when the covariant and contravariant defects differ.  A scheme is
+evaluated as a term of the scatter kernel of :mod:`natforms.tensor`:
 contracted pairs share a dummy index and delta fills tie two target slots.
 
 ``project_schemes`` antisymmetrizes the schemes' values in the target's
@@ -62,8 +62,8 @@ PATTERN_ID = "(ijk)-(jik)"
 PATTERN_JKI = "(jki)-(ikj)"
 PATTERN_KIJ = "(kij)-(kji)"
 
-# each pattern's first reindexing, as permute_covariant takes it: (2, 3, 1)
-# reads base_{jki}; the second is the first with slots i and j swapped
+# each pattern's first reindexing, result slot s reading index v[perm[s]]:
+# (2, 3, 1) reads base_{jki}; the second is the first with slots i and j swapped
 _PATTERN_PERMS = {PATTERN_ID: (1, 2, 3), PATTERN_JKI: (2, 3, 1), PATTERN_KIJ: (3, 1, 2)}
 
 
@@ -280,12 +280,6 @@ def _scheme_term(
     return coefficient, source, tuple([feeds[s] for s in slots] if pair else feeds), fills
 
 
-def apply_scheme(scheme: ContractionScheme, field: TensorField) -> TensorField:
-    """Evaluate the scheme on a field of the source type, as one scatter term."""
-    shape = TensorShape(scheme.target.p, scheme.target.q, field.shape.n)
-    return _scatter(shape, [_scheme_term(1, scheme, field, range(1, shape.p + 1))])
-
-
 # -- scheme orbits -------------------------------------------------------------
 
 # A slot symmetry of a scheme source: (covariant images, contravariant images,
@@ -374,12 +368,13 @@ def _orbit_table(
 def project_schemes(
     source: TensorShape, target: TensorShape, field: TensorField
 ) -> dict[int, TensorField]:
-    """``antisymmetrize_pair(apply_scheme(s, source), 1, 2)`` for the first
-    scheme s of each orbit of ``_orbit_table`` whose values do not vanish,
-    keyed by its position in ``enumerate_schemes`` order, each one scatter
-    of two terms, the scheme and the scheme with target slots 1 and 2
-    exchanged, with coefficients 1 and -1, summed only where the target
-    index in slot 1 is below the one in slot 2 and negated at the swaps.
+    """The value of scheme s on the source, antisymmetrized in target slots
+    1 and 2 (no 1/2 factor), for the first scheme s of each orbit of
+    ``_orbit_table`` whose values do not vanish, keyed by its position in
+    ``enumerate_schemes`` order, each one scatter of two terms, the scheme
+    and the scheme with target slots 1 and 2 exchanged, with coefficients 1
+    and -1, summed only where the target index in slot 1 is below the one
+    in slot 2 and negated at the swaps.
 
     For a (4,2) source, a (2,1) field is the factor N0 of the source
     N0 (x) N0, read as the pair (N0, N0), and must be antisymmetric in its

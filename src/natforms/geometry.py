@@ -136,10 +136,6 @@ def connection_from_entries(n: int, entries: dict[tuple[int, int, int], Polynomi
     return Connection(n, tuple(flat))
 
 
-def flat_connection(n: int) -> Connection:
-    return connection_from_entries(n, {})
-
-
 def reference_connection() -> Connection:
     """The bundled example connection on R^4 (three nonzero Christoffel entries).
 
@@ -161,11 +157,8 @@ def reference_connection() -> Connection:
 
 def connection_from_json_obj(obj: dict) -> Connection:
     _doc_object(obj, "connection document", ("dim", "christoffel"))
-    try:
-        n = _doc_int(obj["dim"], "dim")
-        raw = obj["christoffel"]
-    except KeyError as exc:
-        raise ValueError(f"malformed connection document: {exc}") from exc
+    n = _doc_int(obj["dim"], "dim")
+    raw = obj["christoffel"]
     if not 2 <= n <= _MAX_DIMENSION:
         raise ValueError(
             f"dimension out of supported range (n >= 2 and n <= {_MAX_DIMENSION}), got {n}"
@@ -175,12 +168,9 @@ def connection_from_json_obj(obj: dict) -> Connection:
     entries: dict[tuple[int, int, int], Polynomial] = {}
     for item in raw:
         _doc_object(item, "Christoffel entry", ("upper", "lower", "poly"))
-        try:
-            upper = _doc_int(item["upper"], "upper")
-            lower = _doc_indices(item["lower"], "lower")
-            text = _doc_text(item["poly"], "poly")
-        except KeyError as exc:
-            raise ValueError(f"malformed Christoffel entry {item!r}: {exc}") from exc
+        upper = _doc_int(item["upper"], "upper")
+        lower = _doc_indices(item["lower"], "lower")
+        text = _doc_text(item["poly"], "poly")
         if len(lower) != 2:
             raise ValueError(f"lower index list must have 2 entries, got {list(lower)}")
         key = (upper, lower[0], lower[1])

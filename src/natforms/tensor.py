@@ -20,12 +20,11 @@ One scatter kernel, the private ``_scatter``, does every reindexing,
 product and sum of fields: an output component sums the source, a field
 or a pair of fields multiplied only where it lands, at a remapped index
 over dummy indices, is zero off a Kronecker-delta diagonal, and is one
-:meth:`Polynomial.combination` of what lands on it.  :func:`contract`,
-:func:`tensor_product` and :func:`natforms.generators.apply_scheme` are
-one-term scatters; :func:`combine`, the one sum of fields, scatters
-slot-permuted fields, and :func:`permute_covariant`, ``+`` and ``-`` are
-each one ``combine``.  :func:`antisymmetrize_pair` and the skew patterns
-of :func:`natforms.generators.apply_pattern` are one two-term scatter
+:meth:`Polynomial.combination` of what lands on it.  :func:`contract`
+and :func:`tensor_product` are one-term scatters; ``+`` and ``-`` are each
+two terms that keep every slot in place.  :func:`antisymmetrize_pair`, the
+skew patterns of :func:`natforms.generators.apply_pattern` and each value
+of :func:`natforms.generators.project_schemes` are one two-term scatter
 that sums one half of the positions; R^I sums one ordering in six.  Only a
 direct ``_scatter`` divides its sums by a common integer, as N1 does by 12.
 
@@ -136,14 +135,16 @@ class TensorField:
     def __add__(self, other: TensorField) -> TensorField:
         if not isinstance(other, TensorField):
             return NotImplemented
-        identity = tuple(range(1, self.shape.p + 1))
-        return combine(self.shape, [(1, self, identity), (1, other, identity)])
+        _check_shapes(self.shape, (other,))
+        feeds = tuple(range(self.shape.p + self.shape.q))  # every slot stays in place
+        return _scatter(self.shape, [(1, self, feeds, ()), (1, other, feeds, ())])
 
     def __sub__(self, other: TensorField) -> TensorField:
         if not isinstance(other, TensorField):
             return NotImplemented
-        identity = tuple(range(1, self.shape.p + 1))
-        return combine(self.shape, [(1, self, identity), (-1, other, identity)])
+        _check_shapes(self.shape, (other,))
+        feeds = tuple(range(self.shape.p + self.shape.q))
+        return _scatter(self.shape, [(1, self, feeds, ()), (-1, other, feeds, ())])
 
     def __neg__(self) -> TensorField:
         return self._mapped(Polynomial.__neg__)
@@ -400,32 +401,6 @@ def _check_permutation(perm: Sequence[int], count: int) -> None:
         raise ValueError(f"{tuple(perm)} is not a permutation of 1..{count}")
 
 
-def permute_covariant(a: TensorField, perm: Sequence[int]) -> TensorField:
-    """Reindex covariant slots: result slot s reads input index v[perm[s]].
-
-    With perm=(2,3,1) the result X satisfies X_{ijk} = A_{jki}.
-    """
-    return combine(a.shape, [(1, a, perm)])
-
-
-def combine(
-    shape: TensorShape, terms: Sequence[tuple[int, TensorField, Sequence[int]]]
-) -> TensorField:
-    """sum c * permute_covariant(field, perm) over the (c, field, perm) terms,
-    each c an ``int`` and each field of ``shape``.
-
-    One ``_scatter``: a lone (1, p) term is p itself.  The shapes and
-    permutations are checked before any field is read.
-    """
-    contra = tuple(range(shape.p, shape.p + shape.q))
-    _check_shapes(shape, (field for _, field, _ in terms))
-    scattered = []
-    for c, field, perm in terms:
-        _check_permutation(perm, shape.p)
-        scattered.append((c, field, tuple([s - 1 for s in perm]) + contra, ()))
-    return _scatter(shape, scattered)
-
-
 @lru_cache(maxsize=16)
 def _sorted_positions(n: int, p: int, q: int) -> tuple[int, ...]:
     """For each position of a (p,q) field, the position with the same
@@ -460,8 +435,9 @@ def _check_slot_pair(p: int, s1: int, s2: int) -> None:
 
 
 def _antisymmetrized(a: TensorField, perm: Sequence[int], s1: int, s2: int) -> TensorField:
-    """``permute_covariant(a, perm)`` minus itself with covariant slots s1
-    and s2 swapped: one two-term scatter, antisymmetric in (s1, s2)."""
+    """a reindexed by perm (result slot s reads index v[perm[s]]) minus itself
+    with covariant slots s1 and s2 swapped: one two-term scatter,
+    antisymmetric in (s1, s2)."""
     p, q = a.shape.p, a.shape.q
     _check_slot_pair(p, s1, s2)
     _check_permutation(perm, p)
@@ -542,13 +518,17 @@ def to_json_obj(a: TensorField) -> dict:
 
 
 def _doc_object(value, what: str, keys: tuple[str, ...]) -> dict:
-    """A JSON object from a document; a key outside the given ones is refused."""
+    """A JSON object from a document holding exactly the given keys; a key
+    outside them, or one of them missing, is refused."""
     if not isinstance(value, dict):
         raise ValueError(f"malformed {what}: expected a JSON object, got {value!r}")
     for key in value:
         if key not in keys:
             defined = ", ".join(map(repr, keys))
             raise ValueError(f"{what} has an undefined key {key!r} (it defines {defined})")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"malformed {what}: missing key {key!r}")
     return value
 
 
@@ -575,14 +555,11 @@ def _doc_text(value, what: str) -> str:
 
 def from_json_obj(obj: dict) -> TensorField:
     _doc_object(obj, "tensor document", ("shape", "components"))
-    try:
-        sh = _doc_object(obj["shape"], "shape", ("p", "q", "n"))
-        shape = TensorShape(
-            _doc_int(sh["p"], "shape p"), _doc_int(sh["q"], "shape q"), _doc_int(sh["n"], "shape n")
-        )
-        raw = obj["components"]
-    except KeyError as exc:
-        raise ValueError(f"malformed tensor document: {exc}") from exc
+    sh = _doc_object(obj["shape"], "shape", ("p", "q", "n"))
+    shape = TensorShape(
+        _doc_int(sh["p"], "shape p"), _doc_int(sh["q"], "shape q"), _doc_int(sh["n"], "shape n")
+    )
+    raw = obj["components"]
     if shape.n > _MAX_DIMENSION or shape.p + shape.q > _MAX_SLOTS:
         raise ValueError(
             f"tensor documents need n <= {_MAX_DIMENSION} and p + q <= {_MAX_SLOTS},"
@@ -594,12 +571,9 @@ def from_json_obj(obj: dict) -> TensorField:
     seen: set[tuple[int, ...]] = set()
     for entry in raw:
         _doc_object(entry, "component entry", ("cov", "contra", "poly"))
-        try:
-            cov = _doc_indices(entry["cov"], "cov")
-            contra = _doc_indices(entry["contra"], "contra")
-            text = _doc_text(entry["poly"], "poly")
-        except KeyError as exc:
-            raise ValueError(f"malformed component entry {entry!r}: {exc}") from exc
+        cov = _doc_indices(entry["cov"], "cov")
+        contra = _doc_indices(entry["contra"], "contra")
+        text = _doc_text(entry["poly"], "poly")
         if len(cov) != shape.p or len(contra) != shape.q:
             raise ValueError(f"component index arity mismatch: cov={cov} contra={contra}")
         idx = tuple(v - 1 for v in cov + contra)

@@ -3,7 +3,6 @@ import pytest
 from natforms.geometry import (
     Connection,
     connection_from_entries,
-    flat_connection,
     reference_connection,
 )
 from natforms.poly import parse
@@ -16,7 +15,7 @@ def ref_conn():
 
 @pytest.fixture(scope="session")
 def flat_conn():
-    return flat_connection(4)
+    return connection_from_entries(4, {})
 
 
 def make_connection(entries, n=4):

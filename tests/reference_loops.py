@@ -11,20 +11,22 @@ components one 1-based index at a time through ``TensorField.get``, so
 none of them goes through the library's scatter kernel; N1 reads its
 D Tor from ``covariant_derivative_loop``, not the derivative kernel.
 ``project_schemes_all`` is the scheme projection as ``verify schemes`` once
-computed it: every scheme evaluated and antisymmetrized on its own, with no
-orbit table, so it checks each value the orbit path infers by sign.
+computed it: every scheme evaluated by ``apply_scheme_loop`` and
+antisymmetrized on its own, with no orbit table, so it checks each value
+the orbit path infers by sign.
 ``schemes_certificate_all`` is the ``schemes`` certificate as it was once
 computed: one echelon of all 144 of those values and the family, with
 coefficients keyed by column, so it checks that the 20 orbit values give
 the same ranks and coefficients.
 ``combine_terms_loop`` sums slot-permuted fields and products one
 component at a time in the all-Fraction term maps below, so it shares no
-code with ``combine`` or with the polynomial sums behind it.  The library
-computes the same results with less work and shared kernels; the tests
-require exact equality with these versions.  ``symmetrization_is_zero``
-is the full S3 symmetrization as the library once computed it, a
-``combine`` of all six slot orderings; it checks the library's
-orbit-representative test against every ordering summed.
+code with the scatter kernel or with the polynomial sums behind it.  The
+library computes the same results with less work and shared kernels; the
+tests require exact equality with these versions.
+``symmetrization_is_zero`` is the full S3 symmetrization as the library
+once computed it, the sum of all six slot orderings, each read by
+``permute_covariant_loop``; it checks the library's orbit-representative
+test against every ordering summed.
 
 The exact linear algebra oracles are the earlier fraction-free (Bareiss)
 elimination over the whole integer-cleared matrix, every row kept, with
@@ -51,6 +53,7 @@ item, order included.  ``torsion_loop`` evaluates every torsion component
 through ``Connection.gamma``.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -58,7 +61,7 @@ from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from natforms.exactla import Echelon, Piece, _primitive, echelon, echelon_members
-from natforms.generators import apply_scheme, enumerate_schemes
+from natforms.generators import enumerate_schemes
 from natforms.geometry import (
     EndValuedForm,
     VectorValuedForm,
@@ -71,7 +74,6 @@ from natforms.tensor import (
     TensorShape,
     _flat,
     antisymmetrize_pair,
-    combine,
 )
 
 
@@ -262,7 +264,7 @@ def apply_scheme_loop(scheme, field):
 def project_schemes_all(schemes, field):
     """Each scheme's value on the source field, antisymmetrized in the
     target's first covariant pair, one scheme at a time."""
-    return [antisymmetrize_pair(apply_scheme(s, field), 1, 2) for s in schemes]
+    return [antisymmetrize_pair(apply_scheme_loop(s, field), 1, 2) for s in schemes]
 
 
 def schemes_certificate_all(d):
@@ -385,8 +387,8 @@ def combine_terms_loop(shape, terms, products=None):
 def symmetrization_is_zero(n1):
     """Whether the sum of a (3,1) field over all six orderings of its
     covariant slots is zero."""
-    symmetrization = [(1, n1, perm) for perm in itertools.permutations((1, 2, 3))]
-    return combine(n1.shape, symmetrization).is_zero
+    orderings = [permute_covariant_loop(n1, perm) for perm in itertools.permutations((1, 2, 3))]
+    return functools.reduce(add, orderings).is_zero
 
 
 # -- exact linear algebra: whole-matrix Bareiss elimination ----------------------

@@ -22,6 +22,14 @@ PAPER = "testdata/paper_connection.json"
 FLAT = "testdata/flat_connection.json"
 # stdout of `natforms verify all --format json` on the bundled connection
 GOLDEN_ALL = "testdata/golden/verify_all.json"
+# the same report on two more connections: a dense n=4 draw (seed 2, density
+# 20) and one whose Christoffel symbols have denominators 2 and 3
+GOLDEN_MORE = {
+    "testdata/dense_n4_connection.json": "testdata/golden/verify_all_dense_n4.json",
+    "testdata/mixed_denominator_connection.json": (
+        "testdata/golden/verify_all_mixed_denominator.json"
+    ),
+}
 
 
 def run(argv):
@@ -154,6 +162,13 @@ def test_verify_all_json_reports_are_byte_identical(capsys):
     assert first == second
     with open(GOLDEN_ALL, encoding="utf-8") as handle:
         assert first == handle.read()
+
+
+def test_verify_all_json_on_more_connections_matches_their_golden_files(capsys):
+    for connection, golden in GOLDEN_MORE.items():
+        assert run(["verify", "all", "--connection", connection, "--format", "json"]) == 0
+        with open(golden, encoding="utf-8") as handle:
+            assert capsys.readouterr().out == handle.read(), connection
 
 
 def golden_slices():
@@ -396,6 +411,43 @@ def test_tensor_document_type_errors_exit_2(tmp_path, capsys, document, message)
     bad.write_text(json.dumps(document))
     assert run(["rank", str(bad)]) == 2
     assert message in capsys.readouterr().err
+
+
+def without(document, key):
+    return {k: v for k, v in document.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "command, document, message",
+    [
+        ("compute", {"dim": 4}, "malformed connection document: missing key 'christoffel'"),
+        (
+            "compute",
+            {"dim": 4, "christoffel": [without(GOOD_ENTRY, "lower")]},
+            "malformed Christoffel entry: missing key 'lower'",
+        ),
+        (
+            "rank",
+            without(tensor_doc([]), "components"),
+            "malformed tensor document: missing key 'components'",
+        ),
+        ("rank", tensor_doc([], {"p": 2, "n": 4}), "malformed shape: missing key 'q'"),
+        (
+            "rank",
+            tensor_doc([without(GOOD_COMPONENT, "poly")]),
+            "malformed component entry: missing key 'poly'",
+        ),
+    ],
+    ids=["connection", "christoffel-entry", "tensor", "shape", "component-entry"],
+)
+def test_a_missing_key_exits_2_and_names_it(tmp_path, capsys, command, document, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    out = tmp_path / "out.json"
+    argv = ["compute", "torsion", "--connection", str(bad), "--out", str(out)]
+    assert run(argv if command == "compute" else ["rank", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # 101 levels of unary minus or of parentheses, one past the parser's limit

@@ -1,6 +1,8 @@
-"""The one scatter kernel behind contract, permute_covariant, tensor_product,
-apply_scheme and combine, and the constructions built from it, checked
-exactly against loops that read one 1-based component at a time."""
+"""The one scatter kernel behind contract, tensor_product, the contraction
+schemes and the sums of fields, and the constructions built from it,
+checked exactly against loops that read one 1-based component at a time.
+A slot permutation and a scheme are each checked as the one scatter term
+the library builds for them."""
 
 import itertools
 import random
@@ -11,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from natforms import tensor
-from natforms.generators import apply_scheme, build_D_family, enumerate_schemes, project_schemes
+from natforms.generators import _scheme_term, build_D_family, enumerate_schemes, project_schemes
 from natforms.geometry import (
     Invariants,
     curvature,
@@ -27,7 +29,6 @@ from natforms.tensor import (
     antisymmetrize_pair,
     contract,
     delta,
-    permute_covariant,
     tensor_product,
 )
 from natforms.verify import RandomConnectionSpec, random_connections
@@ -42,11 +43,17 @@ from reference_loops import (
     wedge_oneform_identity_loop,
 )
 from test_geometry import SEEDED_CONNECTIONS, random_field, random_form
-from test_tensor import field_from, sparse_fields
+from test_tensor import field_from, permuted, sparse_fields
 
 
 def seeded_connection(n, density, seed):
     return random_connections(RandomConnectionSpec(seed=seed, dimension=n, density=density), 1)[0]
+
+
+def scheme_value(scheme, field):
+    """The scheme on a field of its source type, as one scatter term."""
+    shape = TensorShape(scheme.target.p, scheme.target.q, field.n)
+    return tensor._scatter(shape, [_scheme_term(1, scheme, field, range(1, shape.p + 1))])
 
 
 def assert_same(got, want):
@@ -109,7 +116,7 @@ def test_permute_every_covariant_permutation_matches_loop(n, density, seed):
     fields = [curvature(conn).tensor, random_field(rng, n, 2, 2), random_field(rng, n, 4, 1)]
     for field in fields:
         for perm in itertools.permutations(range(1, field.shape.p + 1)):
-            got = permute_covariant(field, perm)
+            got = permuted(field, perm)
             assert_same(got, permute_covariant_loop(field, perm))
             assert not got.is_zero
 
@@ -128,13 +135,13 @@ def test_every_scheme_matches_loop_on_normal_tensors(n, density, seed):
     shape31 = TensorShape(3, 1, n)
     n1 = Invariants(conn).normal1
     for scheme in enumerate_schemes(shape31, shape31):
-        assert_same(apply_scheme(scheme, n1), apply_scheme_loop(scheme, n1))
+        assert_same(scheme_value(scheme, n1), apply_scheme_loop(scheme, n1))
     n0 = Invariants(conn).normal0
     n0_squared = tensor_product(n0, n0)
     assert_same(n0_squared, tensor_product_loop(n0, n0))
     nonzero = 0
     for scheme in enumerate_schemes(TensorShape(4, 2, n), shape31):
-        got = apply_scheme(scheme, n0_squared)
+        got = scheme_value(scheme, n0_squared)
         assert_same(got, apply_scheme_loop(scheme, n0_squared))
         nonzero += not got.is_zero
     assert nonzero == 120
@@ -148,7 +155,7 @@ def test_every_scheme_matches_loop_on_random_fields(seed):
     for source in (shape31, TensorShape(4, 2, n)):
         field = random_field(rng, n, source.p, source.q)
         for scheme in enumerate_schemes(source, shape31):
-            assert_same(apply_scheme(scheme, field), apply_scheme_loop(scheme, field))
+            assert_same(scheme_value(scheme, field), apply_scheme_loop(scheme, field))
 
 
 # -- sparse fields: the scatter reads only the support -----------------------------
@@ -161,21 +168,21 @@ def test_contract_and_permute_on_sparse_fields_match_loops(field):
     for ci, ki in itertools.product(range(1, p + 1), range(1, q + 1)):
         assert_same(contract(field, ci, ki), contract_loop(field, ci, ki))
     for perm in itertools.permutations(range(1, p + 1)):
-        assert_same(permute_covariant(field, perm), permute_covariant_loop(field, perm))
+        assert_same(permuted(field, perm), permute_covariant_loop(field, perm))
 
 
 @given(sparse_fields([(3, 1), (4, 2)]))
 @settings(max_examples=20, deadline=None)
 def test_every_scheme_on_sparse_fields_matches_loop(field):
     for scheme in enumerate_schemes(field.shape, TensorShape(3, 1, field.shape.n)):
-        assert_same(apply_scheme(scheme, field), apply_scheme_loop(scheme, field))
+        assert_same(scheme_value(scheme, field), apply_scheme_loop(scheme, field))
 
 
 def test_lone_contribution_is_the_source_component_itself():
     field = field_from({((3, 1), (3,)): "x1 - 2"}, 2, 1, n=3)
     source = field.get((3, 1), (3,))
     assert contract(field, 1, 1).get((1,), ()) is source  # sums (m,1;m) over m
-    swapped = permute_covariant(field, (2, 1))
+    swapped = permuted(field, (2, 1))
     assert swapped.get((1, 3), (3,)) is source
     assert len(swapped.support) == 1
     # a scheme that only transports slots: the swap of the two covariant slots
@@ -184,7 +191,7 @@ def test_lone_contribution_is_the_source_component_itself():
         for s in enumerate_schemes(field.shape, field.shape)
         if not s.contracted_pairs and not s.delta_fills and s.cov_assignment == ((1, 2), (2, 1))
     ]
-    moved = apply_scheme(transport, field)
+    moved = scheme_value(transport, field)
     assert moved.get((1, 3), (3,)) is source
     assert len(moved.support) == 1
 
@@ -207,7 +214,7 @@ def test_scheme_on_a_one_component_field_at_the_largest_dimension_stays_small():
     schemes = enumerate_schemes(source, target)
     tracemalloc.start()
     try:
-        nonzero = sum(not apply_scheme(s, field).is_zero for s in schemes)
+        nonzero = sum(not scheme_value(s, field).is_zero for s in schemes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

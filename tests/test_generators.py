@@ -13,7 +13,6 @@ from natforms.generators import (
     RECIPE,
     ContractionScheme,
     apply_pattern,
-    apply_scheme,
     build_C_family,
     build_D_family,
     build_T_list,
@@ -28,22 +27,23 @@ from natforms.tensor import (
     TensorField,
     TensorShape,
     antisymmetrize_pair,
-    combine,
     contract,
     equal,
     is_antisymmetric,
-    permute_covariant,
     zero,
 )
 from natforms.verify import Derived, RandomConnectionSpec, random_connections
 from reference_loops import (
+    apply_scheme_loop,
     combine_terms_loop,
     flatten_loop,
     in_span_bareiss,
+    permute_covariant_loop,
     rank_bareiss,
     swap_perm,
     transpose,
 )
+from test_gather import scheme_value
 from test_tensor import sparse_fields
 
 N = 4
@@ -100,7 +100,7 @@ def test_d1_antisymmetric_d5_symmetric(ref_n0):
     ds = build_D_family(ref_n0)
     assert is_antisymmetric(ds[0], 1, 2)
     d5 = ds[4]
-    assert equal(permute_covariant(d5, (2, 1, 3)), d5)
+    assert equal(permute_covariant_loop(d5, (2, 1, 3)), d5)
 
 
 def test_d_component_formulas(ref_n0):
@@ -232,9 +232,9 @@ def test_dropped_generator_is_dependent(ref_family):
 # -- one antisymmetric half evaluated ---------------------------------------------
 
 def two_term_combine(base, plus, minus):
-    """base read through plus minus base read through minus, as the two-term
-    ``combine`` that sums every position."""
-    return combine(base.shape, [(1, base, plus), (-1, base, minus)])
+    """base read through plus minus base read through minus, each read by
+    the loop reference and subtracted by ``-``, which sums every position."""
+    return permute_covariant_loop(base, plus) - permute_covariant_loop(base, minus)
 
 
 def pattern_perms(pattern):
@@ -323,7 +323,7 @@ def test_identity_scheme_returns_input(ref_n1):
         contra_assignment=((1, 1),),
         delta_fills=(),
     )
-    assert equal(apply_scheme(identity, ref_n1), ref_n1)
+    assert equal(scheme_value(identity, ref_n1), ref_n1)
 
 
 def test_scheme_validation_rejects_double_use():
@@ -353,11 +353,12 @@ def test_scheme_realizing_first_trace_pattern(ref_n1):
     ]
     assert len(wanted) == 1
     c1 = build_C_family(ref_n1)[1]
-    assert equal(apply_scheme(wanted[0], ref_n1), c1)
+    assert equal(scheme_value(wanted[0], ref_n1), c1)
+    assert equal(apply_scheme_loop(wanted[0], ref_n1), c1)
 
 
 def test_apply_scheme_shape_mismatch(ref_n0):
     shape = TensorShape(3, 1, N)
     scheme = enumerate_schemes(shape, shape)[0]
     with pytest.raises(ValueError, match="does not match"):
-        apply_scheme(scheme, ref_n0)
+        scheme_value(scheme, ref_n0)

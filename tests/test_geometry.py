@@ -38,7 +38,7 @@ from natforms.tensor import (
     contract,
     equal,
     is_antisymmetric,
-    permute_covariant,
+    tensor_product,
 )
 from natforms.verify import Derived, RandomConnectionSpec, random_connections
 from reference_loops import (
@@ -47,6 +47,8 @@ from reference_loops import (
     ext_cov_deriv_vector_all_orderings,
     exterior_derivative_loop,
     normal1_loop,
+    permute_covariant_loop,
+    symmetrization_is_zero,
     torsion_loop,
     wedge_endo_identity_loop,
 )
@@ -377,7 +379,7 @@ def alternated_form(raw, degree):
     total = None
     for perm in itertools.permutations(range(1, degree + 1)):
         inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
-        piece = permute_covariant(raw, perm + tuple(range(degree + 1, p + 1)))
+        piece = permute_covariant_loop(raw, perm + tuple(range(degree + 1, p + 1)))
         piece = -piece if inversions % 2 else piece
         total = piece if total is None else total + piece
     wrap = EndValuedForm if p > degree else VectorValuedForm
@@ -869,18 +871,18 @@ def test_normal1_symmetric_reduces_to_curvature_terms(symmetric_conn):
 
 
 def normal1_by_tensor_ops(conn):
-    """Independent construction of the first normal tensor via index operations."""
-    from natforms.tensor import permute_covariant, tensor_product
-
+    """Independent construction of the first normal tensor via index
+    operations, its D Tor from the loop reference, not the derivative kernel."""
+    permute = permute_covariant_loop
     tor = torsion(conn).tensor
     r = curvature(conn).tensor
-    dtor = permute_covariant(nabla(conn, tor), (3, 1, 2))  # (DTor)_{ijk} = D_k Tor_{ij}
-    term_a = permute_covariant(r, (3, 1, 2))        # R_{kij}
-    term_b = permute_covariant(r, (2, 3, 1))        # R_{jki}
-    term_d = permute_covariant(dtor, (3, 2, 1))     # (DTor)_{kji}
+    dtor = permute(covariant_derivative_loop(conn, tor), (3, 1, 2))  # (DTor)_{ijk} = D_k Tor_{ij}
+    term_a = permute(r, (3, 1, 2))                  # R_{kij}
+    term_b = permute(r, (2, 3, 1))                  # R_{jki}
+    term_d = permute(dtor, (3, 2, 1))               # (DTor)_{kji}
     tt = tensor_product(tor, tor)                   # T^m_{ab} T^l_{cd}
     cross = contract(tt, 3, 1)                      # sum_m T^m_{ab} T^l_{md}
-    term_e = permute_covariant(cross, (3, 2, 1))    # T^m_{kj} T^l_{mi}
+    term_e = permute(cross, (3, 2, 1))              # T^m_{kj} T^l_{mi}
     term_f = contract(tt, 4, 1)                     # sum_m T^m_{ab} T^l_{cm}
     total = (
         term_a.scale(-3)
@@ -899,17 +901,6 @@ def test_normal1_matches_tensor_op_oracle(ref_conn, crooked_conn):
         assert equal(Invariants(conn).normal1, normal1_by_tensor_ops(conn))
 
 
-def s3_symmetrization(t):
-    """Sum of a (3,1) field over all six covariant slot orderings."""
-    from natforms.tensor import permute_covariant
-
-    total = None
-    for perm in itertools.permutations((1, 2, 3)):
-        piece = permute_covariant(t, perm)
-        total = piece if total is None else total + piece
-    return total
-
-
 def test_normal1_full_symmetrization_vanishes(ref_conn, crooked_conn, symmetric_conn):
     for conn in (ref_conn, crooked_conn, symmetric_conn):
-        assert s3_symmetrization(Invariants(conn).normal1).is_zero
+        assert symmetrization_is_zero(Invariants(conn).normal1)

@@ -8,19 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natforms import tensor
+from natforms.generators import PATTERN_ID, apply_pattern
 from natforms.geometry import curvature
 from natforms.poly import Polynomial, parse
 from natforms.tensor import (
     TensorField,
     TensorShape,
     antisymmetrize_pair,
-    combine,
     contract,
     delta,
     equal,
     from_json_obj,
     is_antisymmetric,
-    permute_covariant,
     symmetrization_vanishes,
     tensor_product,
     to_json_obj,
@@ -45,6 +44,14 @@ def field_from(entries, p, q, n=N):
     for idx in _all_indices(shape):
         flat.append(comps.get(idx, Polynomial.zero(n)))
     return TensorField(shape, tuple(flat))
+
+
+def permuted(field, perm):
+    """The field's covariant slots reindexed by perm (result slot s reads
+    index v[perm[s]]), as one scatter term with permuted feeds."""
+    p, q = field.shape.p, field.shape.q
+    feeds = tuple(s - 1 for s in perm) + tuple(range(p, p + q))
+    return tensor._scatter(field.shape, [(1, field, feeds, ())])
 
 
 def term_maps(field):
@@ -98,28 +105,32 @@ def test_contract_slot_out_of_range():
 
 def test_permute_identity():
     t = field_from({((1, 2, 3), (4,)): "x2"}, p=3, q=1)
-    assert equal(permute_covariant(t, (1, 2, 3)), t)
+    assert equal(permuted(t, (1, 2, 3)), t)
 
 
 def test_permute_inverse_round_trip():
     t = field_from({((1, 2, 3), (4,)): "x2", ((2, 4, 1), (1,)): "x1*x3"}, p=3, q=1)
     perm = (2, 3, 1)
     inv = (3, 1, 2)
-    assert equal(permute_covariant(permute_covariant(t, perm), inv), t)
+    assert equal(permuted(permuted(t, perm), inv), t)
 
 
 def test_permute_cycle_law():
     # applying the (jki) reindexing twice equals applying (kij) once
     t = field_from({((1, 2, 3), (4,)): "x2", ((3, 1, 2), (2,)): "x4^2"}, p=3, q=1)
     jki, kij = (2, 3, 1), (3, 1, 2)
-    twice = permute_covariant(permute_covariant(t, jki), jki)
-    assert equal(twice, permute_covariant(t, kij))
+    twice = permuted(permuted(t, jki), jki)
+    assert equal(twice, permuted(t, kij))
 
 
 def test_permute_rejects_non_permutation():
+    # the reindexing of an antisymmetrized skew pattern, and a pattern's
+    # three-slot reindexing on a base of two covariant slots
     t = zero(TensorShape(3, 1, N))
     with pytest.raises(ValueError, match="not a permutation"):
-        permute_covariant(t, (1, 1, 2))
+        tensor._antisymmetrized(t, (1, 1, 2), 1, 2)
+    with pytest.raises(ValueError, match=r"\(1, 2, 3\) is not a permutation of 1..2"):
+        apply_pattern(zero(TensorShape(2, 1, N)), PATTERN_ID)
 
 
 def test_insert_delta_on_one_form():
@@ -303,9 +314,9 @@ def small_fields(p, q):
 @given(small_fields(3, 1))
 @settings(max_examples=40)
 def test_contract_commutes_with_uninvolved_permutation(t):
-    swapped = permute_covariant(t, (2, 1, 3))
+    swapped = permuted(t, (2, 1, 3))
     lhs = contract(swapped, 3, 1)
-    rhs = permute_covariant(contract(t, 3, 1), (2, 1))
+    rhs = permuted(contract(t, 3, 1), (2, 1))
     assert equal(lhs, rhs)
 
 
@@ -314,7 +325,7 @@ def test_contract_commutes_with_uninvolved_permutation(t):
 def test_antisymmetrize_output_negates_under_swap(t):
     out = antisymmetrize_pair(t, 1, 2)
     assert is_antisymmetric(out, 1, 2)
-    swapped = permute_covariant(out, (2, 1))
+    swapped = permuted(out, (2, 1))
     assert equal(swapped, -out)
 
 
@@ -428,7 +439,7 @@ def test_zero_field_has_empty_support():
     z = zero(TensorShape(2, 1, 3))
     assert z.support == () and z.is_zero
     assert is_antisymmetric(z, 1, 2)
-    assert contract(z, 1, 1).is_zero and permute_covariant(z, (2, 1)).is_zero
+    assert contract(z, 1, 1).is_zero and permuted(z, (2, 1)).is_zero
 
 
 def test_lone_component_below_the_diagonal_is_not_antisymmetric():
@@ -447,12 +458,12 @@ def test_lone_diagonal_component_is_not_antisymmetric():
     assert_antisymmetry_matches_reference(t)
 
 
-# -- combine: one scatter, one combination per touched position ---------------------
+# -- sums of fields: one scatter, one combination per touched position -------------
 
 
 @given(st.data())
 @settings(max_examples=80)
-def test_combine_matches_permute_scale_and_add(data):
+def test_scatter_of_permuted_terms_matches_permute_scale_and_add(data):
     t = data.draw(sparse_fields())
     u = data.draw(sparse_fields([(t.shape.p, t.shape.q)]).filter(lambda f: f.n == t.n))
     slots = range(1, t.shape.p + 1)
@@ -462,20 +473,20 @@ def test_combine_matches_permute_scale_and_add(data):
             max_size=4,
         )
     )
-    assert term_maps(combine(t.shape, terms)) == combine_terms_loop(t.shape, terms)
+    contra = tuple(range(t.shape.p, t.shape.p + t.shape.q))
+    scattered = [(c, f, tuple(s - 1 for s in pm) + contra, ()) for c, f, pm in terms]
+    assert term_maps(tensor._scatter(t.shape, scattered)) == combine_terms_loop(t.shape, terms)
     # a pair term (t, u), u with its covariant slots permuted, adds 2 * t * u'
     # at every position; the factor read from u' may be zero
     perm = data.draw(st.permutations(slots))
-    contra = tuple(range(t.shape.p, t.shape.p + t.shape.q))
     feeds = tuple(range(t.shape.p + t.shape.q)) + tuple(s - 1 for s in perm) + contra
-    scattered = [(c, f, tuple(s - 1 for s in pm) + contra, ()) for c, f, pm in terms]
     got = tensor._scatter(t.shape, scattered + [(2, (t, u), feeds, ())])
-    permuted = permute_covariant_loop(u, perm)
+    u_permuted = permute_covariant_loop(u, perm)
     products = {
-        pos: [(2, t.components[pos], permuted.components[pos])] for pos in range(t.shape.size)
+        pos: [(2, t.components[pos], u_permuted.components[pos])] for pos in range(t.shape.size)
     }
     assert term_maps(got) == combine_terms_loop(t.shape, terms, products)
-    # + and - of two fields are combine with identity permutations
+    # + and - of two fields are the two terms with identity permutations
     identity = tuple(slots)
     assert term_maps(t + u) == combine_terms_loop(t.shape, [(1, t, identity), (1, u, identity)])
     assert term_maps(t - u) == combine_terms_loop(t.shape, [(1, t, identity), (-1, u, identity)])
@@ -491,23 +502,24 @@ def test_antisymmetrize_pair_matches_the_loop_reference_at_every_slot_pair(t):
         assert term_maps(antisymmetrize_pair(t, s1, s2)) == want, (s1, s2)
 
 
-def test_combine_shares_a_lone_unit_term_and_checks_its_terms():
+def test_scatter_shares_a_lone_unit_term_and_records_a_lone_negation():
     t = field_from({((1, 2), (1,)): "x1 - 1/2*x3", ((2, 1), (2,)): "3"}, 2, 1)
-    got = combine(t.shape, [(1, t, (2, 1))])
-    assert equal(got, permute_covariant(t, (2, 1)))
-    assert got.get((2, 1), (1,)) is t.get((1, 2), (1,))
+    source = t.get((1, 2), (1,))
+    got = permuted(t, (2, 1))
+    assert equal(got, permute_covariant_loop(t, (2, 1)))
+    assert got.get((2, 1), (1,)) is source
     # a lone (-1, p) is the negation of p, which records p
-    negated = combine(t.shape, [(-1, t, (2, 1))]).get((2, 1), (1,))
-    assert negated == -t.get((1, 2), (1,)) and negated._negated is t.get((1, 2), (1,))
-    assert combine(t.shape, [(1, t, (1, 2)), (-1, t, (1, 2))]).is_zero
-    with pytest.raises(ValueError, match="shape mismatch"):
-        combine(TensorShape(2, 0, N), [(1, t, (1, 2))])
-    with pytest.raises(ValueError, match="not a permutation"):
-        combine(t.shape, [(1, t, (1, 1))])
+    negated = tensor._scatter(t.shape, [(-1, t, (1, 0, 2), ())]).get((2, 1), (1,))
+    assert negated == -source and negated._negated is source
+    # + and - land a lone component of either field the same way
+    z = zero(t.shape)
+    assert (z + t).get((1, 2), (1,)) is source and (t + z).get((1, 2), (1,)) is source
+    assert (z - t).get((1, 2), (1,))._negated is source
+    assert (t - t).is_zero
     # a lone term is still one combination, which refuses a coefficient that is not an int
     for c in (True, 1.0):
         with pytest.raises(TypeError, match="coefficients must be int"):
-            combine(t.shape, [(c, t, (1, 2))])
+            tensor._scatter(t.shape, [(c, t, (0, 1, 2), ())])
 
 
 # -- antisymmetry answered by negation identity ------------------------------------

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from natforms import geometry
-from natforms.geometry import connection_from_entries, flat_connection, reference_connection
+from natforms.geometry import connection_from_entries, reference_connection
 from natforms.poly import parse
 from natforms.verify import (
     Derived,
@@ -38,7 +38,7 @@ def traceless_conn():
 # -- dimension guard ----------------------------------------------------------
 
 def test_small_dimension_is_refused():
-    conn = flat_connection(3)
+    conn = connection_from_entries(3, {})
     with pytest.raises(ValueError, match="dimension >= 4"):
         verify_lemma_3_1(Derived(conn))
     with pytest.raises(ValueError, match="dimension >= 4"):
