@@ -16,36 +16,26 @@ Conventions, fixed once here and relied on everywhere else:
   so no bracket terms appear).  For degree 1 applied to the identity this
   yields exactly the torsion, and the two Bianchi identities hold
   componentwise; the test suite enforces both, which pins the convention.
-* One private kernel, ``_exterior_differential``, computes every
-  derivative here.  It is a scatter over the source field's support: each
-  nonzero component at strictly increasing form indices I (the others are
-  its alternation copies, which the form wrapper has checked) feeds, for
-  every direction k outside I, its d_k term and one Gamma product per
-  entry of the two Gamma tables, -Gamma on each covariant slot after
-  the form slots and +Gamma on each contravariant slot, each with the
-  sign of sorting k into I, straight into the output's numerator map.
-  Each output at strictly increasing directions is then put in lowest
-  terms once, and ``tensor._alternating``, the one constructor of
-  alternating fields, stores it at every even ordering and its one
-  negation at every odd one.  Antisymmetry checks of the result answer by
-  that identity, and the echelon streams its rows once per ± class.
+* One private scatter, ``_differential_sums``, computes every derivative.
+  Each nonzero source component at increasing form indices I (its
+  alternation copies the form wrapper has checked) feeds, for each
+  direction k outside I, its d_k term and one product per entry of the
+  Gamma tables (-Gamma on each covariant slot after the form slots, +Gamma
+  on each contravariant slot), signed by sorting k into I, into its
+  output's ``poly._Sums`` map.  ``_exterior_differential`` puts each
+  output at increasing directions in lowest terms, and
+  ``tensor._alternating`` stores it at every even ordering and its one
+  negation at every odd one, so antisymmetry checks answer by identity.
   Gamma acts on every slot in degree 0 (D), on the vector slot in
-  ``ext_cov_deriv_vector``, on the endomorphism input and output in
-  ``ext_cov_deriv_endo``, and on no slot in ``exterior_derivative``.
+  ``ext_cov_deriv_vector``, on the endomorphism slots in
+  ``ext_cov_deriv_endo`` and on none in ``exterior_derivative``.
   ``torsion`` and ``curvature`` keep their own formulas, so the Bianchi
-  identities check the kernel, not restate it.
-  Gamma's two sparse tables, by lower index pair for ``curvature`` and
-  contravariant slots and inverted by upper index for covariant slots, are
-  built once per connection, so a fault in them would pass the identities;
-  the independent sympy oracle checks them.
-* ``Invariants`` is the one place where those formulas are applied to a
-  connection: it computes torsion and curvature once, and from them the
-  normal tensors and both structure differentials, for every caller.
-  Torsion, curvature, the D Tor that N1 reads and R^I are summed only at
-  increasing indices of their alternating slots and filled by
-  ``_alternating``.  N1 is one call of the scatter kernel of
-  :mod:`natforms.tensor`: permuted copies of R and D Tor and two terms
-  that read the pair (Tor, Tor), divided by 12.
+  identities check the kernel; the sympy oracle checks the Gamma tables.
+* ``Invariants`` computes a connection's torsion and curvature once, and
+  from them the normal tensors and both structure differentials.  N1 is
+  summed into ``_Sums`` maps like curvature, not built by a scatter call:
+  R at three landings, the D Tor sums at increasing Tor pairs at four and
+  the (Tor, Tor) products, over 12 times one common denominator.
 """
 
 from __future__ import annotations
@@ -56,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .poly import ParseError, Polynomial, _Sums, parse, to_string
+from .poly import ParseError, Polynomial, _Sums, _add_scaled, parse, to_string
 from .tensor import (
     _MAX_DIMENSION,
     TensorField,
@@ -105,15 +95,11 @@ class Connection:
 
     @cached_property
     def _gamma_tables(self):
-        """Sparse views of the nonzero Christoffel symbols, keyed by
-        direction, 0-based, built once per connection.
-
-        lower[k][a] lists (m, Gamma^m_{ka}): the sum over m that curvature
-        reads, and the scatter's table for a contravariant slot, which,
-        holding a, feeds the output with m there.  covariant[k][m] lists
-        (a, Gamma^m_{ka}): a covariant slot holding m feeds the output with
-        a in that slot.  Returned as (lower, covariant, den), den the lcm of
-        the symbols' denominators.
+        """(lower, covariant, den): the nonzero Christoffel symbols by
+        direction k, 0-based, built once.  lower[k][a] lists (m, Gamma^m_{ka}),
+        read by curvature and by a contravariant slot holding a;
+        covariant[k][m] lists (a, Gamma^m_{ka}), read by a covariant slot
+        holding m.  den is the lcm of the symbols' denominators.
         """
         n = self.dimension
         lower, covariant = ([[[] for _ in range(n)] for _ in range(n)] for _ in range(2))
@@ -278,9 +264,9 @@ def torsion(conn: Connection) -> VectorValuedForm:
 def curvature(conn: Connection) -> EndValuedForm:
     """Curvature as an endomorphism-valued 2-form; see the module docstring.
 
-    Only i < j is summed, over the nonzero Christoffel symbols, each term
-    into its output's map over the square of Gamma's denominator; (j, i)
-    holds the recorded negation and i = j stays zero.
+    Only i < j is summed, over the nonzero Christoffel symbols, into maps
+    over the square of Gamma's denominator; (j, i) holds the recorded
+    negation and i = j stays zero.
     """
     n = conn.dimension
     lower, _, gamma_den = conn._gamma_tables  # lower[j][k] lists (m, Gamma^m_{jk})
@@ -324,7 +310,7 @@ def _insertions(n: int, degree: int, block: int) -> dict[int, tuple[tuple[int, i
     return insertions
 
 
-def _exterior_differential(tables, field: TensorField, degree: int, pair=None) -> TensorField:
+def _differential_sums(tables, field: TensorField, degree: int, pair=None) -> tuple[_Sums, int]:
     """Alternating sum of covariant derivatives of a field whose first
     ``degree`` covariant slots alternate; Gamma acts on every later slot:
 
@@ -332,13 +318,9 @@ def _exterior_differential(tables, field: TensorField, degree: int, pair=None) -
     D_k is d_k minus Gamma^m_{k a} on each covariant slot a and plus
     Gamma^l_{k m} on each contravariant slot l of v.
 
-    The scatter of the module docstring: ``_insertions`` gives (k, sign,
-    base) for each source head I, each term is added into its output's
-    ``poly._Sums`` map over the lcm of the read denominators times Gamma's,
-    and ``tensor._alternating`` fills the orderings of each output.
-    ``pair``, two output covariant slots (1-based) of a degree-0
-    differential whose source alternates in them, sums only the outputs
-    whose indices there increase, each swap holding the recorded negation.
+    Returns (sums, den), the scatter of the module docstring over den.
+    ``pair``, two output covariant slots (1-based) of a degree-0 differential
+    whose source alternates in them, sums only where their indices increase.
     """
     n, p, q = field.shape.n, field.shape.p, field.shape.q
     lower, covariant, gamma_den = tables
@@ -347,7 +329,6 @@ def _exterior_differential(tables, field: TensorField, degree: int, pair=None) -
     acted = [(n ** (p + q - 1 - s), covariant, -1) for s in range(degree, p)]
     acted += [(n ** (p + q - 1 - s), lower, 1) for s in range(p, p + q)]
     insertions = _insertions(n, degree, block)
-    slots = pair or range(1, degree + 2)  # the pair, else the directions
     if pair is not None:
         st1, st2 = [n ** (p + q + 1 - s) for s in pair]
     src = field.components
@@ -370,7 +351,14 @@ def _exterior_differential(tables, field: TensorField, degree: int, pair=None) -
                     if pair is None or out // st1 % n < out // st2 % n:
                         factor = sign * gamma_sign * scale * (gamma_den // g.denominator)
                         sums.add_product(out, g, comp, factor)
-    return _alternating(TensorShape(p + 1, q, n), slots, sums.polynomials(src_den * gamma_den))
+    return sums, src_den * gamma_den
+
+
+def _exterior_differential(tables, field: TensorField, degree: int) -> TensorField:
+    """The differential of ``_differential_sums``, each sum in lowest terms."""
+    sums, den = _differential_sums(tables, field, degree)
+    shape = TensorShape(field.shape.p + 1, field.shape.q, field.shape.n)
+    return _alternating(shape, range(1, degree + 2), sums.polynomials(den))
 
 
 def ext_cov_deriv_vector(conn: Connection, alpha: VectorValuedForm) -> VectorValuedForm:
@@ -470,24 +458,44 @@ class Invariants:
                            + 4 D_k Tor^l_{ij} + 4 D_i Tor^l_{kj}
                            - 2 Tor^m_{kj} Tor^l_{mi} - Tor^m_{ij} Tor^l_{km} ),
 
-        one scatter of five permuted R and D Tor terms and two (Tor, Tor)
-        pair terms over 12.  Its full symmetrization over (i,j,k) vanishes;
-        the verification suite checks that identity on randomized connections.
+        whose full symmetrization over (i,j,k) vanishes; the verification
+        suite checks that identity on randomized connections.
         """
-        tor, r = self.torsion.tensor, self.curvature.tensor
-        # D_k Tor^l_{ij} at (k, i, j, l), summed at i < j only
-        dtor = _exterior_differential(self.conn._gamma_tables, tor, 0, pair=(2, 3))
-        # feeds read output slots (i, j, k, l) = 0..3 and the dummy m = 4
-        terms = [
-            (6, r, (2, 0, 1, 3), ()),
-            (-2, r, (1, 2, 0, 3), ()),
-            (2, r, (0, 1, 2, 3), ()),
-            (4, dtor, (2, 0, 1, 3), ()),  # D_k Tor^l_{ij}
-            (4, dtor, (0, 2, 1, 3), ()),  # D_i Tor^l_{kj}
-            (-2, (tor, tor), (2, 1, 4, 4, 0, 3), ()),  # Tor^m_{kj} Tor^l_{mi}
-            (-1, (tor, tor), (0, 1, 4, 2, 4, 3), ()),  # Tor^m_{ij} Tor^l_{km}
-        ]
-        return _scatter(r.shape, terms, 12)
+        n, tor, r = self.conn.dimension, self.torsion.tensor, self.curvature.tensor
+        # D_k Tor^l_{ij} at (k, i, j, l), i < j
+        dtor, dtor_den = _differential_sums(self.conn._gamma_tables, tor, 0, pair=(2, 3))
+        tors, curvs = tor.components, r.components
+        den = math.lcm(
+            dtor_den,
+            *[curvs[pos].denominator for pos in r.support],
+            *[tors[pos].denominator ** 2 for pos in tor.support],
+        )
+        sums = _Sums(n)
+        s2, s1 = n * n, n**3  # N^l_{ijk} is at i*s1 + j*s2 + k*n + l
+        for pos in r.support:  # R^l_{abc}
+            a, b, c, l = pos // s1, pos // s2 % n, pos // n % n, pos % n
+            nums, scale = curvs[pos].numerators, den // curvs[pos].denominator
+            _add_scaled(sums[b * s1 + c * s2 + a * n + l], nums, 6 * scale)
+            _add_scaled(sums[c * s1 + a * s2 + b * n + l], nums, -2 * scale)
+            _add_scaled(sums[pos], nums, 2 * scale)
+        factor = 4 * (den // dtor_den)
+        for pos, nums in dtor.items():  # D_k Tor^l_{ij}, i < j
+            k, i, j, l = pos // s1, pos // s2 % n, pos // n % n, pos % n
+            _add_scaled(sums[i * s1 + j * s2 + k * n + l], nums, factor)
+            _add_scaled(sums[j * s1 + i * s2 + k * n + l], nums, -factor)
+            _add_scaled(sums[k * s1 + j * s2 + i * n + l], nums, factor)
+            _add_scaled(sums[k * s1 + i * s2 + j * n + l], nums, -factor)
+        by_first = [[] for _ in range(n)]  # m -> (x, l, Tor^l_{mx}) = (x, l, -Tor^l_{xm})
+        for pos in tor.support:
+            by_first[pos // s2].append((pos // n % n, pos % n, tors[pos]))
+        for pos in tor.support:  # Tor^m_{ab}
+            a, b, m, t = pos // s2, pos // n % n, pos % n, tors[pos]
+            for x, l, u in by_first[m]:
+                factor = den // (t.denominator * u.denominator)
+                # -2 Tor^m_{kj} Tor^l_{mi} and -Tor^m_{ij} Tor^l_{km}
+                sums.add_product(x * s1 + b * s2 + a * n + l, t, u, -2 * factor)
+                sums.add_product(a * s1 + b * s2 + x * n + l, t, u, factor)
+        return _alternating(r.shape, (), sums.polynomials(12 * den))
 
     @cached_property
     def d_torsion(self) -> VectorValuedForm:

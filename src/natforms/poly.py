@@ -38,19 +38,21 @@ guards against.
 
 Polynomials are immutable, so arithmetic shares rather than copies: a sum
 or product with a zero operand, a scaling by 1 and a partial derivative of
-zero return an operand itself.  A negation, of a private subclass, records
-the polynomial it negated, so an antisymmetry check that meets the pair
+zero return an operand itself.  Each dimension has one kept zero, which
+``Polynomial.zero(n)`` and a scaling by 0 return, so fields share it and
+compare zeros by identity.  A negation, of a private subclass, records the
+polynomial it negated, so an antisymmetry check that meets the pair
 answers by identity; other polynomials read ``_negated`` as None.
 
 Two accumulators add terms into numerator maps, with one gcd per map at
 the end.  :meth:`Polynomial.combination` sums integer multiples of
-polynomials and of products of two over the lcm of the term denominators
-times a common integer divisor; ``+`` and ``-`` are two-pair combinations,
-and a first pair with factor 1 starts as one C-level copy.  The private
-``_Sums`` holds one map per output of the curvature and differential
-kernels of :mod:`natforms.geometry`, which add every derivative and
-product straight into it over one common denominator.  One product loop
-and one derivative loop serve every caller.
+polynomials and of products of two over the lcm of the term denominators;
+``+`` and ``-`` are two-pair combinations, and a first pair with factor 1
+starts as one C-level copy.  The private ``_Sums`` holds one map per output
+of the curvature, differential and N1 kernels of :mod:`natforms.geometry`,
+which add every multiple, derivative and product straight into it over one
+common denominator.  One loop each for multiples, products and derivatives
+serves every caller.
 
 The canonical term order is graded lexicographic on exponent tuples
 (total degree first, then the tuple itself).  It fixes the printed form.
@@ -62,6 +64,7 @@ import math
 import re
 import struct
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 # Exponent tuple, one non-negative entry per coordinate x1..xn.
@@ -178,16 +181,6 @@ def _check_pairs(a: Mapping, b: Mapping) -> None:
         )
 
 
-def _check_divisor(divisor: object) -> None:
-    """Refuse a combination divisor that is not a positive ``int`` (``bool`` included)."""
-    if type(divisor) is not int:
-        raise TypeError(
-            f"combination divisors must be int, got {type(divisor).__name__} {divisor!r}"
-        )
-    if divisor < 1:
-        raise ValueError(f"combination divisors must be positive, got {divisor}")
-
-
 def _add_product(
     out: dict[int, int], a: Mapping[int, int], b: Mapping[int, int], factor: int, guard: int
 ) -> None:
@@ -204,6 +197,13 @@ def _add_product(
                     f"a product has an exponent not below the bound 2^{_FIELD_BITS - 1}"
                 )
             out[mono] = get(mono, 0) + ca * cb
+
+
+def _add_scaled(out: dict[int, int], a: Mapping[int, int], factor: int) -> None:
+    """Add factor * a into the numerator map ``out``."""
+    get = out.get
+    for code, c in a.items():
+        out[code] = get(code, 0) + c * factor
 
 
 def _add_partial(out: dict[int, int], a: Mapping[int, int], shift: int, factor: int) -> None:
@@ -290,21 +290,16 @@ class Polynomial:
         dimension: int,
         pairs: Sequence[tuple[int, Polynomial]],
         products: Sequence[tuple[int, Polynomial, Polynomial]] = (),
-        divisor: int = 1,
     ) -> Polynomial:
         """sum c * p over the (c, p) pairs plus sum c * p * q over the
-        (c, p, q) products, each c an ``int``, divided by the positive
-        ``int`` divisor.
+        (c, p, q) products, each c an ``int``.
 
         Every term is added into one numerator map over the lcm of the term
-        denominators times the divisor, and lowest terms are restored once.
-        Each product is held to the term-pair bound of ``*``, and all of
-        them are checked before any term is added.  A lone pair (1, p) with
-        divisor 1 is p itself, and a lone pair (-1, p) is ``-p``, which
-        records p.
+        denominators, and lowest terms are restored once.  Each product is
+        held to the term-pair bound of ``*``, and all of them are checked
+        before any term is added.  A lone pair (1, p) is p itself, and a
+        lone pair (-1, p) is ``-p``, which records p.
         """
-        if type(divisor) is not int or divisor < 1:
-            _check_divisor(divisor)
         den = 1
         for c, p in pairs:
             if type(c) is not int or p.dimension != dimension:
@@ -317,7 +312,7 @@ class Polynomial:
             _check_pairs(p.numerators, q.numerators)
             if p.denominator != 1 or q.denominator != 1:
                 den = math.lcm(den, p.denominator * q.denominator)
-        if not products and len(pairs) == 1 and divisor == 1 and pairs[0][0] in (1, -1):
+        if not products and len(pairs) == 1 and pairs[0][0] in (1, -1):
             c, p = pairs[0]
             return p if c == 1 else -p
         out: dict[int, int] = {}
@@ -327,17 +322,14 @@ class Polynomial:
             # operand's numerators rather than being built term by term
             out = dict(pairs[0][1].numerators)
             rest = pairs[1:]
-        get = out.get
         for c, p in rest:
-            factor = c * (den // p.denominator)
-            for mono, num in p.numerators.items():
-                out[mono] = get(mono, 0) + num * factor
+            _add_scaled(out, p.numerators, c * (den // p.denominator))
         if products:
             guard = _LAYOUTS[dimension].guard
         for c, p, q in products:
             factor = c * (den // (p.denominator * q.denominator))
             _add_product(out, p.numerators, q.numerators, factor, guard)
-        return cls._lowest_terms(dimension, _nonzero(out), den * divisor)
+        return cls._lowest_terms(dimension, _nonzero(out), den)
 
     @staticmethod
     def _refuse_term(dimension: int, c: object, *polys: Polynomial) -> None:
@@ -351,9 +343,11 @@ class Polynomial:
             if poly.dimension != dimension:
                 raise ValueError(f"dimension mismatch: {dimension} vs {poly.dimension}")
 
-    @classmethod
-    def zero(cls, dimension: int) -> Polynomial:
-        return cls(dimension)
+    @staticmethod
+    @cache
+    def zero(dimension: int) -> Polynomial:
+        """The one kept zero in ``dimension`` variables."""
+        return Polynomial(dimension)
 
     @classmethod
     def constant(cls, dimension: int, value: Coefficient) -> Polynomial:
@@ -468,7 +462,7 @@ class Polynomial:
         if factor == 1 or not self.numerators:
             return self
         if not factor:
-            return Polynomial(self.dimension)
+            return Polynomial.zero(self.dimension)
         num = factor.numerator
         out = {m: c * num for m, c in self.numerators.items()}
         return Polynomial._lowest_terms(self.dimension, out, self.denominator * factor.denominator)

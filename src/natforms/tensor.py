@@ -25,8 +25,7 @@ and :func:`tensor_product` are one-term scatters; ``+`` and ``-`` are each
 two terms that keep every slot in place.  :func:`antisymmetrize_pair`, the
 skew patterns of :func:`natforms.generators.apply_pattern` and each value
 of :func:`natforms.generators.project_schemes` are one two-term scatter
-that sums one half of the positions; R^I sums one ordering in six.  Only a
-direct ``_scatter`` divides its sums by a common integer, as N1 does by 12.
+that sums one half of the positions; R^I sums one ordering in six.
 
 One constructor, the private ``_alternating``, builds every field that
 alternates in some covariant slots from its values at strictly increasing
@@ -317,20 +316,19 @@ def _alternating(
     return TensorField(shape, tuple(out))
 
 
-def _scatter(shape: TensorShape, terms, divisor: int = 1, lower=None) -> TensorField:
+def _scatter(shape: TensorShape, terms, lower=None) -> TensorField:
     """The one scatter kernel: sum c * (source reindexed by feeds and fills,
     see :func:`_landing`) over the (c, source, feeds, fills) terms, c an
-    ``int``, all over the divisor, as one :meth:`Polynomial.combination` per
-    touched position.
+    ``int``, as one :meth:`Polynomial.combination` per touched position.
 
     A source is a field or a pair (a, b) of fields, whose feeds cover a's
     slots and then b's.  A pair is multiplied only where it lands: each
     factor's support is filtered by the checks inside it, b's is joined to
     a's on the indices they share, and each joined (u, v) adds (c, a[u], b[v]).
 
-    ``lower``, increasing covariant slots (1-based), says that the sum
-    alternates in them: only positions whose indices there strictly
-    increase are summed, and :func:`_alternating` fills the rest.
+    ``lower``, increasing covariant slots (1-based) that the sum alternates
+    in, sums only where their indices increase; :func:`_alternating` fills
+    the rest.
     """
     n, size = shape.n, shape.size
     collected: dict[int, list] = {}
@@ -360,7 +358,7 @@ def _scatter(shape: TensorShape, terms, divisor: int = 1, lower=None) -> TensorF
     for st1, st2 in zip(strides, strides[1:]):
         collected = {pos: t for pos, t in collected.items() if pos // st1 % n < pos // st2 % n}
     values = [
-        (pos, Polynomial.combination(n, pairs, products.get(pos, ()), divisor))
+        (pos, Polynomial.combination(n, pairs, products.get(pos, ())))
         for pos, pairs in collected.items()
     ]
     return _alternating(shape, lower or (), values)

@@ -30,6 +30,8 @@ GOLDEN_MORE = {
         "testdata/golden/verify_all_mixed_denominator.json"
     ),
 }
+# stdout of `natforms verify bianchi --format json --seed 3 --count 40`
+GOLDEN_BIANCHI = "testdata/golden/verify_bianchi_seed3_count40.json"
 
 
 def run(argv):
@@ -169,6 +171,12 @@ def test_verify_all_json_on_more_connections_matches_their_golden_files(capsys):
         assert run(["verify", "all", "--connection", connection, "--format", "json"]) == 0
         with open(golden, encoding="utf-8") as handle:
             assert capsys.readouterr().out == handle.read(), connection
+
+
+def test_verify_bianchi_json_on_40_seeded_connections_matches_its_golden_file(capsys):
+    assert run(["verify", "bianchi", "--format", "json", "--seed", "3", "--count", "40"]) == 0
+    with open(GOLDEN_BIANCHI, encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
 
 
 def golden_slices():

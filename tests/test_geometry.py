@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from natforms import geometry
+from natforms import tensor as tensor_module
 from natforms.geometry import (
     EndValuedForm,
     Invariants,
@@ -708,11 +710,42 @@ def test_wedge_with_identity_sums_one_ordering_per_class(ref_conn, crooked_conn)
             assert_orderings_share(got, 3)
 
 
-def test_normal1_with_half_of_nabla_torsion_matches_the_loop(ref_conn, crooked_conn):
-    # N1 reads the differential of Tor summed at increasing Tor pairs only,
-    # the swapped pairs holding the recorded negations
-    for conn in [*kernel_connections(ref_conn, crooked_conn), mixed_denominator_connection()]:
-        assert equal(Invariants(conn).normal1, normal1_loop(conn))
+def test_normal1_with_half_of_nabla_torsion_matches_the_loop(ref_conn, crooked_conn, monkeypatch):
+    # N1 adds R, the D Tor sums at increasing Tor pairs and the (Tor, Tor)
+    # products into maps: no scatter call, one _alternating, lowest terms.
+    # The seeded draws have torsion; the mixed connection has Gamma
+    # denominators 2 and 3, so N1 is summed over more than 12
+    seeded = random_connections(RandomConnectionSpec(seed=3), 10)
+    assert any(not Invariants(conn).torsion.tensor.is_zero for conn in seeded)
+    calls = []
+
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+
+        return call
+
+    for conn in [*kernel_connections(ref_conn, crooked_conn), mixed_denominator_connection(), *seeded]:
+        q = Invariants(conn)
+        _ = q.torsion, q.curvature  # computed before the count
+        with monkeypatch.context() as patch:
+            for module in (geometry, tensor_module):
+                patch.setattr(module, "_scatter", counted("_scatter", module._scatter))
+                patch.setattr(module, "_alternating", counted("_alternating", module._alternating))
+            got = q.normal1
+        assert calls == ["_alternating"]
+        calls.clear()
+        assert equal(got, normal1_loop(conn))
+        assert_lowest_terms(got)
+
+
+def test_fields_of_one_connection_share_one_zero():
+    q, zero = Invariants(mixed_denominator_connection()), Polynomial.zero(N)
+    fields = [q.torsion, q.curvature, q.d_torsion, q.d_curvature, q.d_identity]
+    for field in [f.tensor for f in fields] + [q.normal1]:
+        zeros = [comp for comp in field.components if comp.is_zero]
+        assert zeros and all(comp is zero for comp in zeros)
 
 
 # -- the form wrappers' refusals ------------------------------------------------------------

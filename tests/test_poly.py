@@ -605,7 +605,7 @@ def test_sums_leave_their_operands_unchanged(a, b):
         a - b,
         b - a,
         Polynomial.combination(4, [(1, a), (2, b)]),
-        Polynomial.combination(4, [(1, a), (-1, b)], [(1, a, b)], 3),
+        Polynomial.combination(4, [(1, a), (-1, b)], [(1, a, b)]),
     ]
     for result in results:
         for q, (numerators, denominator) in zip((a, b), before):
@@ -613,26 +613,14 @@ def test_sums_leave_their_operands_unchanged(a, b):
             assert result.numerators is not q.numerators
 
 
-@given(
-    st.lists(st.tuples(int_factors, term_maps), max_size=3),
-    st.lists(st.tuples(int_factors, term_maps, term_maps), max_size=2),
-    st.integers(min_value=1, max_value=12),
-)
-@settings(max_examples=60)
-def test_combination_with_a_divisor_equals_the_scaled_combination(pairs, products, divisor):
-    pairs = [(c, Polynomial(N_VARS, t)) for c, t in pairs]
-    products = [(c, Polynomial(N_VARS, ta), Polynomial(N_VARS, tb)) for c, ta, tb in products]
-    got = Polynomial.combination(N_VARS, pairs, products, divisor)
-    assert got == Polynomial.combination(N_VARS, pairs, products).scale(Fraction(1, divisor))
-    assert _has_coefficient_contract(got)
-    assert _has_lowest_terms(got)
-
-
-def test_combination_divides_a_lone_unit_pair():
-    x = p("x1 - 1/2*x3")
-    assert Polynomial.combination(4, [(1, x)], divisor=12) == p("1/12*x1 - 1/24*x3")
-    assert Polynomial.combination(4, [(6, x)], divisor=12) == p("1/2*x1 - 1/4*x3")
-    assert Polynomial.combination(4, [(3, x), (-3, x)], divisor=12) == Polynomial.zero(4)
+def test_each_dimension_has_one_zero():
+    zero = Polynomial.zero(4)
+    assert zero is Polynomial.zero(4) and zero.is_zero and zero.dimension == 4
+    # scaling by 0 returns the kept zero, whatever the operand
+    assert p("x1 - 1/2*x3").scale(0) is zero and (-p("x2")).scale(Fraction(0)) is zero
+    assert Polynomial.zero(3) is not zero and Polynomial.zero(3).dimension == 3
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        Polynomial.zero(0)
 
 
 def test_negation_records_the_polynomial_it_negated():
@@ -666,15 +654,6 @@ def test_combination_refuses_bad_terms():
         Polynomial.combination(4, [(1, p("x1", 3))])
     with pytest.raises(ValueError, match="dimension mismatch"):
         Polynomial.combination(4, [], [(1, x, p("x1", 3))])
-    # the divisor is refused before any term is read, a bad term included
-    for divisor in (0, -2):
-        with pytest.raises(ValueError, match="divisors must be positive"):
-            Polynomial.combination(4, [(1, x)], (), divisor)
-        with pytest.raises(ValueError, match="divisors must be positive"):
-            Polynomial.combination(4, [(Fraction(1, 2), x)], (), divisor)
-    for divisor in (True, 2.0, Fraction(2)):
-        with pytest.raises(TypeError, match="divisors must be int"):
-            Polynomial.combination(4, [(1, x)], (), divisor)
 
 
 def test_combination_refuses_a_product_above_the_bound_before_any_work(monkeypatch):

@@ -29,6 +29,7 @@ sympy = pytest.importorskip("sympy")
 from natforms.geometry import (  # noqa: E402
     EndValuedForm,
     Invariants,
+    _differential_sums,
     _exterior_differential,
     connection_from_entries,
     curvature,
@@ -37,7 +38,7 @@ from natforms.geometry import (  # noqa: E402
     torsion,
 )
 from natforms.poly import parse  # noqa: E402
-from natforms.tensor import TensorField, TensorShape  # noqa: E402
+from natforms.tensor import TensorField, TensorShape, _flat  # noqa: E402
 
 # The bundled connection, as in testdata/paper_connection.json.
 BUNDLED = {(1, 1, 2): "x3", (3, 3, 1): "x2*x4", (3, 4, 3): "x1*x4"}
@@ -224,20 +225,31 @@ def test_d_torsion_matches_sympy(both_sides):
     assert_components_agree(d_tor, reference["d_torsion"])
 
 
-def paired_nabla_torsion(conn):
-    """D Tor as N1 reads it: the degree-0 differential, direction first,
-    summed only where the Tor pair (slots 2 and 3) increases."""
-    return _exterior_differential(conn._gamma_tables, torsion(conn).tensor, 0, pair=(2, 3))
-
-
 def direction_first(cov_tor):
     """The reference (D Tor)^l_{ijk} keyed (l, k, i, j), as the library stores it."""
     return {(l, k, i, j): poly for (l, i, j, k), poly in cov_tor.items()}
 
 
+def assert_nabla_torsion_agrees(conn, cov_tor):
+    """D Tor, the full degree-0 differential with its direction first, and
+    the sums N1 reads, summed only where the Tor pair (slots 2 and 3)
+    increases, against the reference at every index."""
+    tor = torsion(conn).tensor
+    assert_components_agree(
+        _exterior_differential(conn._gamma_tables, tor, 0), direction_first(cov_tor)
+    )
+    sums, den = _differential_sums(conn._gamma_tables, tor, 0, pair=(2, 3))
+    half = dict(sums.polynomials(den))
+    for (l, i, j, k), poly in cov_tor.items():
+        if i < j:
+            got = half.pop(_flat(conn.dimension, (k - 1, i - 1, j - 1, l - 1)), None)
+            assert (natforms_terms(got) if got else {}) == sympy_terms(poly), (l, i, j, k)
+    assert not half  # no sum where the pair does not increase
+
+
 def test_covariant_derivative_of_torsion_matches_sympy(both_sides):
     _, conn, reference = both_sides
-    assert_components_agree(paired_nabla_torsion(conn), direction_first(reference["cov_torsion"]))
+    assert_nabla_torsion_agrees(conn, reference["cov_torsion"])
 
 
 def test_d_curvature_matches_sympy(both_sides):
@@ -301,7 +313,7 @@ def test_invariants_of_drawn_sparse_connections_match_sympy(entries):
     tor, curv = torsion(conn), curvature(conn)
     assert_components_agree(tor.tensor, reference["torsion"])
     assert_components_agree(curv.tensor, reference["curvature"])
-    assert_components_agree(paired_nabla_torsion(conn), direction_first(reference["cov_torsion"]))
+    assert_nabla_torsion_agrees(conn, reference["cov_torsion"])
     assert_components_agree(ext_cov_deriv_vector(conn, tor).tensor, reference["d_torsion"])
     assert_components_agree(ext_cov_deriv_endo(conn, curv).tensor, reference["d_curvature"])
     assert_components_agree(Invariants(conn).normal1, reference["normal1"])
