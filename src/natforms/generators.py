@@ -7,9 +7,11 @@ tensors, never the connection.  Its bases are four trace patterns of the
 first-order normal tensor (C family) and five quadratic expressions in the
 zeroth-order normal tensor (D family, each one term of the scatter kernel
 of :mod:`natforms.tensor` that reads the pair (N0, N0)).  :data:`RECIPE`
-names each of T1..T19 by the base and the reindex-then-antisymmetrize
-pattern it is built from, and the family maps each label to its tensor.
-Every generator is antisymmetric in its first two covariant slots, so it
+names each of T1..T19 by the base and the skew pattern it is built from,
+and the family maps each label to its tensor.  :func:`apply_pattern`
+makes each generator one scatter of two terms, the base read through the
+pattern's two reindexings with coefficients 1 and -1, summed only where
+i < j, so the generator alternates in its first two covariant slots and
 is a well-formed endomorphism-valued 2-form; the verdict that
 differentiates the generators checks that as it wraps each one.
 
@@ -49,9 +51,7 @@ from typing import Sequence
 from .tensor import (
     TensorField,
     TensorShape,
-    _antisymmetrized,
     _check_slot_pair,
-    _product,
     _scatter,
     is_antisymmetric,
 )
@@ -62,16 +62,24 @@ PATTERN_ID = "(ijk)-(jik)"
 PATTERN_JKI = "(jki)-(ikj)"
 PATTERN_KIJ = "(kij)-(kji)"
 
-# each pattern's first reindexing, result slot s reading index v[perm[s]]:
-# (2, 3, 1) reads base_{jki}; the second is the first with slots i and j swapped
-_PATTERN_PERMS = {PATTERN_ID: (1, 2, 3), PATTERN_JKI: (2, 3, 1), PATTERN_KIJ: (3, 1, 2)}
+# each pattern's two reindexings, base slot s reading result slot feeds[s]:
+# (1, 2, 0, 3) reads base_{jki}; the second is the first with i and j swapped
+_PATTERN_FEEDS = {
+    PATTERN_ID: ((0, 1, 2, 3), (1, 0, 2, 3)),
+    PATTERN_JKI: ((1, 2, 0, 3), (0, 2, 1, 3)),
+    PATTERN_KIJ: ((2, 0, 1, 3), (2, 1, 0, 3)),
+}
 
 
 def apply_pattern(base: TensorField, pattern: str) -> TensorField:
-    """A skew pattern of a (3,1) base: the base read through the pattern's
-    first reindexing, antisymmetrized in slots (1, 2); the (j, i) half holds
-    the recorded negations of the (i, j) half."""
-    return _antisymmetrized(base, _PATTERN_PERMS[pattern], 1, 2)
+    """A skew pattern of a (3,1) base: one scatter of two terms, the base
+    read through the pattern's first reindexing and, with coefficient -1,
+    through its second, summed only where i < j; the (j, i) half holds the
+    recorded negations of the (i, j) half."""
+    if (base.shape.p, base.shape.q) != (3, 1):
+        raise ValueError(f"expected a (3,1) base, got {base.shape}")
+    first, second = _PATTERN_FEEDS[pattern]
+    return _scatter(base.shape, [(1, base, first, ()), (-1, base, second, ())], lower=2)
 
 
 def build_C_family(n1: TensorField) -> list[TensorField]:
@@ -264,8 +272,15 @@ def _scheme_term(
     relabelled target_cov[t - 1]: assigned slots feed target slots, each
     contracted pair reads one dummy index, and each delta fill ties a target
     covariant slot to a target contravariant one."""
-    pair = isinstance(source, tuple)
-    shape, slots = _product(source[0].shape, source[1].shape) if pair else (source.shape, None)
+    if isinstance(source, tuple):
+        # a (x) b has a's slots before b's in each variance class; order
+        # holds the slot there of each slot of a and then of b
+        a, b = source[0].shape, source[1].shape
+        p, q = a.p + b.p, a.q + b.q
+        shape = TensorShape(p, q, a.n)
+        order = (*range(a.p), *range(p, p + a.q), *range(a.p, p), *range(p + a.q, p + q))
+    else:
+        shape, order = source.shape, range(source.shape.p + source.shape.q)
     if shape != scheme.source:
         raise ValueError(f"field shape {shape} does not match scheme source {scheme.source}")
     p, pbar, qbar = scheme.source.p, scheme.target.p, scheme.target.q
@@ -277,7 +292,7 @@ def _scheme_term(
     for dummy, (s, c) in enumerate(scheme.contracted_pairs, start=pbar + qbar):
         feeds[s - 1] = feeds[p + c - 1] = dummy
     fills = tuple((target_cov[u - 1] - 1, pbar + v - 1) for u, v in scheme.delta_fills)
-    return coefficient, source, tuple([feeds[s] for s in slots] if pair else feeds), fills
+    return coefficient, source, tuple([feeds[s] for s in order]), fills
 
 
 # -- scheme orbits -------------------------------------------------------------
@@ -394,7 +409,7 @@ def project_schemes(
         k: _scatter(
             shape,
             [_scheme_term(c, schemes[k], field, cov) for c, cov in relabellings],
-            lower=(1, 2),
+            lower=2,
         )
         for k, entry in enumerate(_orbit_table(source, target, symmetries))
         if entry == (k, 1)

@@ -59,10 +59,8 @@ from .tensor import (
     _doc_text,
     _flat,
     _scatter,
-    antisymmetrize_pair,
     delta,
     is_antisymmetric,
-    tensor_product,
 )
 
 
@@ -258,7 +256,7 @@ def torsion(conn: Connection) -> VectorValuedForm:
         for i, j in itertools.combinations(range(n), 2)
         for l in range(n)
     ]
-    return VectorValuedForm(2, _alternating(TensorShape(2, 1, n), (1, 2), values))
+    return VectorValuedForm(2, _alternating(TensorShape(2, 1, n), 2, values))
 
 
 def curvature(conn: Connection) -> EndValuedForm:
@@ -287,7 +285,7 @@ def curvature(conn: Connection) -> EndValuedForm:
                 for l, g_jm in lower[j][m]:
                     factor = den // (g_ik.denominator * g_jm.denominator)
                     sums.add_product(head + l, g_ik, g_jm, -factor)
-    tensor = _alternating(TensorShape(3, 1, n), (1, 2), sums.polynomials(den))
+    tensor = _alternating(TensorShape(3, 1, n), 2, sums.polynomials(den))
     return EndValuedForm(2, tensor)
 
 
@@ -358,7 +356,7 @@ def _exterior_differential(tables, field: TensorField, degree: int) -> TensorFie
     """The differential of ``_differential_sums``, each sum in lowest terms."""
     sums, den = _differential_sums(tables, field, degree)
     shape = TensorShape(field.shape.p + 1, field.shape.q, field.shape.n)
-    return _alternating(shape, range(1, degree + 2), sums.polynomials(den))
+    return _alternating(shape, degree + 1, sums.polynomials(den))
 
 
 def ext_cov_deriv_vector(conn: Connection, alpha: VectorValuedForm) -> VectorValuedForm:
@@ -394,22 +392,25 @@ def wedge_endo_identity(beta: EndValuedForm) -> VectorValuedForm:
     cyclic = [(1, t, (0, 1, 2, 3), ()), (1, t, (1, 2, 0, 3), ()), (1, t, (2, 0, 1, 3), ())]
     # beta alternates in (i, j), so the sum alternates in (i, j, k): it is
     # summed at i < j < k only, every other ordering filled from there
-    return VectorValuedForm(3, _scatter(t.shape, cyclic, lower=(1, 2, 3)))
+    return VectorValuedForm(3, _scatter(t.shape, cyclic, lower=3))
 
 
 def wedge_oneform_identity(theta: TensorField) -> VectorValuedForm:
     """(theta ^ I)^l_{ij} = theta_i delta^l_j - theta_j delta^l_i."""
     if theta.shape.p != 1 or theta.shape.q != 0:
         raise ValueError(f"expected a 1-form, got shape {theta.shape}")
-    return VectorValuedForm(2, antisymmetrize_pair(tensor_product(theta, delta(theta.n)), 1, 2))
+    # two delta fills, tying l to j and to i, summed at i < j only
+    terms = [(1, theta, (0,), ((1, 2),)), (-1, theta, (1,), ((0, 2),))]
+    return VectorValuedForm(2, _scatter(TensorShape(2, 1, theta.n), terms, lower=2))
 
 
 def tensor_identity(omega: TensorField) -> EndValuedForm:
     """Scalar 2-form times the identity endomorphism: components w_ij delta^l_a."""
     if omega.shape.p != 2 or omega.shape.q != 0:
         raise ValueError(f"expected a 2-form, got shape {omega.shape}")
-    # EndValuedForm checks slots (1,2) of the product, which alternate iff omega's do
-    return EndValuedForm(2, tensor_product(omega, delta(omega.n)))
+    # a delta fill ties l to a; EndValuedForm checks slots (1,2), which
+    # alternate iff omega's do
+    return EndValuedForm(2, _scatter(TensorShape(3, 1, omega.n), [(1, omega, (0, 1), ((2, 3),))]))
 
 
 def exterior_derivative(theta: TensorField) -> TensorField:
@@ -495,7 +496,7 @@ class Invariants:
                 # -2 Tor^m_{kj} Tor^l_{mi} and -Tor^m_{ij} Tor^l_{km}
                 sums.add_product(x * s1 + b * s2 + a * n + l, t, u, -2 * factor)
                 sums.add_product(a * s1 + b * s2 + x * n + l, t, u, factor)
-        return _alternating(r.shape, (), sums.polynomials(12 * den))
+        return _alternating(r.shape, 0, sums.polynomials(12 * den))
 
     @cached_property
     def d_torsion(self) -> VectorValuedForm:

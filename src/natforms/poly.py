@@ -39,8 +39,9 @@ guards against.
 Polynomials are immutable, so arithmetic shares rather than copies: a sum
 or product with a zero operand, a scaling by 1 and a partial derivative of
 zero return an operand itself.  Each dimension has one kept zero, which
-``Polynomial.zero(n)`` and a scaling by 0 return, so fields share it and
-compare zeros by identity.  A negation, of a private subclass, records the
+``Polynomial.zero(n)``, a scaling by 0 and every result with no term left
+return, so fields share it and compare zeros by identity; only the
+constructor ``Polynomial(n)`` makes a fresh one.  A negation, of a private subclass, records the
 polynomial it negated, so an antisymmetry check that meets the pair
 answers by identity; other polynomials read ``_negated`` as None.
 
@@ -273,15 +274,15 @@ class Polynomial:
         cls, dimension: int, numerators: dict[int, int], denominator: int
     ) -> Polynomial:
         """Wrap nonzero ``int`` numerators over a positive denominator, divided
-        by the gcd of all of them; over denominator 1 there is nothing to do."""
+        by the gcd of all of them; over denominator 1 there is nothing to do.
+        No numerators give the kept zero of the dimension."""
+        if not numerators:
+            return Polynomial.zero(dimension)
         if denominator != 1:
-            if not numerators:
-                denominator = 1
-            else:
-                g = math.gcd(denominator, *numerators.values())
-                if g != 1:
-                    denominator //= g
-                    numerators = {mono: c // g for mono, c in numerators.items()}
+            g = math.gcd(denominator, *numerators.values())
+            if g != 1:
+                denominator //= g
+                numerators = {mono: c // g for mono, c in numerators.items()}
         return cls._make(dimension, numerators, denominator)
 
     @classmethod

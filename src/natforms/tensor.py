@@ -20,25 +20,26 @@ One scatter kernel, the private ``_scatter``, does every reindexing,
 product and sum of fields: an output component sums the source, a field
 or a pair of fields multiplied only where it lands, at a remapped index
 over dummy indices, is zero off a Kronecker-delta diagonal, and is one
-:meth:`Polynomial.combination` of what lands on it.  :func:`contract`
-and :func:`tensor_product` are one-term scatters; ``+`` and ``-`` are each
-two terms that keep every slot in place.  :func:`antisymmetrize_pair`, the
-skew patterns of :func:`natforms.generators.apply_pattern` and each value
-of :func:`natforms.generators.project_schemes` are one two-term scatter
-that sums one half of the positions; R^I sums one ordering in six.
+:meth:`Polynomial.combination` of what lands on it.  :func:`contract` is
+a one-term scatter; ``+`` and ``-`` are each two terms that keep every
+slot in place.  A construction with the identity ties an output slot to
+another by a delta fill, so no delta field is multiplied in.  The skew
+patterns of :func:`natforms.generators.apply_pattern` and each value of
+:func:`natforms.generators.project_schemes` are one two-term scatter that
+sums one half of the positions; R^I sums one ordering in six.
 
-One constructor, the private ``_alternating``, builds every field that
-alternates in some covariant slots from its values at strictly increasing
-indices there: each even ordering holds the value and each odd one its
-recorded negation, so antisymmetry checks answer by identity.  The
-alternating scatters, and torsion, curvature and the derivative kernel of
-:mod:`natforms.geometry`, which compute flat positions themselves, all
-return through it; the echelon in :mod:`natforms.exactla` reads
-components by position and gives the indices no meaning.
+Forms put their form slots first: a field alternates in its first k
+covariant slots, k a count.  One constructor, the private
+``_alternating``, builds every such field from its values at strictly
+increasing indices there: each even ordering holds the value and each odd
+one its recorded negation, so antisymmetry checks answer by identity.
+The alternating scatters, and torsion, curvature and the derivative
+kernel of :mod:`natforms.geometry`, which compute flat positions
+themselves, all return through it; the echelon in :mod:`natforms.exactla`
+reads components by position and gives the indices no meaning.
 
 Slot arguments in the public API are 1-based throughout, matching the
-index conventions of the formulas this library implements; so are the
-alternating slots of the private kernels.
+index conventions of the formulas this library implements.
 """
 
 from __future__ import annotations
@@ -269,12 +270,13 @@ def _landed(field: TensorField, n: int, checks, setters, bases: dict) -> list[tu
 
 
 @lru_cache(maxsize=64)
-def _alternation(n: int, strides: tuple[int, ...]) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """For alternating slots of the given strides: for each increasing index
-    tuple h, keyed by its flat offset sum h_t * strides[t], the offsets of
-    its even orderings and of its odd ones, each relative to h's."""
+def _alternation(n: int, k: int, low: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """For a field alternating in its first k slots, slot k of stride low:
+    for each increasing index tuple h there, keyed by its flat offset, the
+    offsets of its even orderings and of its odd ones, each relative to h's."""
+    strides = [low * n ** (k - 1 - t) for t in range(k)]
     table = {}
-    for head in itertools.combinations(range(n), len(strides)):
+    for head in itertools.combinations(range(n), k):
         key, shifts = sum([h * st for h, st in zip(head, strides)]), ([], [])
         for o in itertools.permutations(head):
             odd = sum(1 for a, b in itertools.combinations(o, 2) if a > b) % 2
@@ -284,39 +286,29 @@ def _alternation(n: int, strides: tuple[int, ...]) -> dict[int, tuple[tuple[int,
 
 
 def _alternating(
-    shape: TensorShape, slots: Sequence[int], values: Iterable[tuple[int, Polynomial]]
+    shape: TensorShape, k: int, values: Iterable[tuple[int, Polynomial]]
 ) -> TensorField:
-    """The field alternating in the covariant ``slots`` (1-based, increasing)
-    with the (position, value) pairs, each at strictly increasing indices
-    there: each even ordering holds the value, each odd one its recorded
-    negation, repeated indices zero.  Zero values are skipped."""
+    """The field alternating in its first k covariant slots with the
+    (position, value) pairs, each at strictly increasing indices there:
+    each even ordering holds the value, each odd one its recorded negation,
+    repeated indices zero.  Zero values are skipped."""
     n = shape.n
     out = [Polynomial.zero(n)] * shape.size
-    if len(slots) < 2:  # no odd ordering: each value stays where it is
-        for pos, value in values:
-            if value.numerators:
-                out[pos] = value
-        return TensorField(shape, tuple(out))
-    strides = tuple([n ** (shape.p + shape.q - s) for s in slots])
-    orderings = _alternation(n, strides)
-    low, top = strides[-1], strides[0] * n
-    contiguous = top == low * n ** len(strides)
+    low = n ** (shape.p + shape.q - k)
+    orderings = _alternation(n, k, low)
     for pos, value in values:
         if value.numerators:
-            if contiguous:  # adjacent slots: their digits are one block of pos
-                head = pos % top - pos % low
-            else:
-                head = sum([pos // st % n * st for st in strides])
-            evens, odds = orderings[head]
+            evens, odds = orderings[pos - pos % low]  # the digits of the k slots
             for shift in evens:
                 out[pos + shift] = value
-            negated = -value
-            for shift in odds:
-                out[pos + shift] = negated
+            if odds:
+                negated = -value
+                for shift in odds:
+                    out[pos + shift] = negated
     return TensorField(shape, tuple(out))
 
 
-def _scatter(shape: TensorShape, terms, lower=None) -> TensorField:
+def _scatter(shape: TensorShape, terms, lower: int = 0) -> TensorField:
     """The one scatter kernel: sum c * (source reindexed by feeds and fills,
     see :func:`_landing`) over the (c, source, feeds, fills) terms, c an
     ``int``, as one :meth:`Polynomial.combination` per touched position.
@@ -326,9 +318,8 @@ def _scatter(shape: TensorShape, terms, lower=None) -> TensorField:
     factor's support is filtered by the checks inside it, b's is joined to
     a's on the indices they share, and each joined (u, v) adds (c, a[u], b[v]).
 
-    ``lower``, increasing covariant slots (1-based) that the sum alternates
-    in, sums only where their indices increase; :func:`_alternating` fills
-    the rest.
+    The sum alternates in its first ``lower`` covariant slots: it is summed
+    only where their indices increase, and :func:`_alternating` fills the rest.
     """
     n, size = shape.n, shape.size
     collected: dict[int, list] = {}
@@ -354,30 +345,14 @@ def _scatter(shape: TensorShape, terms, lower=None) -> TensorField:
                     entry.append((c, a.components[u], b.components[v]))
     for pos in products:
         collected.setdefault(pos, [])
-    strides = [n ** (shape.p + shape.q - s) for s in lower or ()]
+    strides = [n ** (shape.p + shape.q - s) for s in range(1, lower + 1)]
     for st1, st2 in zip(strides, strides[1:]):
         collected = {pos: t for pos, t in collected.items() if pos // st1 % n < pos // st2 % n}
     values = [
         (pos, Polynomial.combination(n, pairs, products.get(pos, ())))
         for pos, pairs in collected.items()
     ]
-    return _alternating(shape, lower or (), values)
-
-
-def _product(a: TensorShape, b: TensorShape) -> tuple[TensorShape, tuple[int, ...]]:
-    """The shape of a (x) b, a's slots preceding b's in each variance class,
-    and the slot there of each slot of a and then of b."""
-    p, q = a.p + b.p, a.q + b.q
-    slots = (*range(a.p), *range(p, p + a.q), *range(a.p, p), *range(p + a.q, p + q))
-    return TensorShape(p, q, a.n), slots
-
-
-def tensor_product(a: TensorField, b: TensorField) -> TensorField:
-    """Product with a's slots preceding b's in each variance class: one pair term."""
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    shape, slots = _product(a.shape, b.shape)
-    return _scatter(shape, [(1, (a, b), slots, ())])
+    return _alternating(shape, lower, values)
 
 
 def contract(a: TensorField, cov_slot: int, contra_slot: int) -> TensorField:
@@ -392,11 +367,6 @@ def contract(a: TensorField, cov_slot: int, contra_slot: int) -> TensorField:
     feeds = [s - (s > ci) - (s > ki) for s in range(p + q)]
     feeds[ci] = feeds[ki] = p + q - 2
     return _scatter(TensorShape(p - 1, q - 1, n), [(1, a, tuple(feeds), ())])
-
-
-def _check_permutation(perm: Sequence[int], count: int) -> None:
-    if sorted(perm) != list(range(1, count + 1)):
-        raise ValueError(f"{tuple(perm)} is not a permutation of 1..{count}")
 
 
 @lru_cache(maxsize=16)
@@ -430,30 +400,6 @@ def symmetrization_vanishes(a: TensorField) -> bool:
 def _check_slot_pair(p: int, s1: int, s2: int) -> None:
     if not (1 <= s1 <= p and 1 <= s2 <= p) or s1 == s2:
         raise ValueError(f"invalid covariant slot pair ({s1},{s2}) for p={p}")
-
-
-def _antisymmetrized(a: TensorField, perm: Sequence[int], s1: int, s2: int) -> TensorField:
-    """a reindexed by perm (result slot s reads index v[perm[s]]) minus itself
-    with covariant slots s1 and s2 swapped: one two-term scatter,
-    antisymmetric in (s1, s2)."""
-    p, q = a.shape.p, a.shape.q
-    _check_slot_pair(p, s1, s2)
-    _check_permutation(perm, p)
-    s1, s2 = sorted((s1, s2))
-    feeds = tuple([v - 1 for v in perm]) + tuple(range(p, p + q))
-    # the output slot each feed reads, with s1 and s2 exchanged
-    swap = {s1 - 1: s2 - 1, s2 - 1: s1 - 1}
-    swapped = tuple([swap.get(f, f) for f in feeds])
-    return _scatter(a.shape, [(1, a, feeds, ()), (-1, a, swapped, ())], lower=(s1, s2))
-
-
-def antisymmetrize_pair(a: TensorField, s1: int, s2: int) -> TensorField:
-    """a minus a with covariant slots s1,s2 swapped; no 1/2 factor.
-
-    Applied to an already antisymmetric field this doubles it.  Only one
-    half is summed; the other holds its recorded negations.
-    """
-    return _antisymmetrized(a, tuple(range(1, a.shape.p + 1)), s1, s2)
 
 
 def _negatives(x: Polynomial, y: Polynomial) -> bool:

@@ -12,8 +12,9 @@ none of them goes through the library's scatter kernel; N1 reads its
 D Tor from ``covariant_derivative_loop``, not the derivative kernel.
 ``project_schemes_all`` is the scheme projection as ``verify schemes`` once
 computed it: every scheme evaluated by ``apply_scheme_loop`` and
-antisymmetrized on its own, with no orbit table, so it checks each value
-the orbit path infers by sign.
+antisymmetrized on its own, one component at a time with polynomial
+arithmetic, with no orbit table, so it checks each value the orbit path
+infers by sign.
 ``schemes_certificate_all`` is the ``schemes`` certificate as it was once
 computed: one echelon of all 144 of those values and the family, with
 coefficients keyed by column, so it checks that the 20 orbit values give
@@ -24,9 +25,9 @@ code with the scatter kernel or with the polynomial sums behind it.  The
 library computes the same results with less work and shared kernels; the
 tests require exact equality with these versions.
 ``symmetrization_is_zero`` is the full S3 symmetrization as the library
-once computed it, the sum of all six slot orderings, each read by
-``permute_covariant_loop``; it checks the library's orbit-representative
-test against every ordering summed.
+once computed it, the sum of all six slot orderings, added one component
+at a time with polynomial arithmetic; it checks the library's
+orbit-representative test against every ordering summed.
 
 The exact linear algebra oracles are the earlier fraction-free (Bareiss)
 elimination over the whole integer-cleared matrix, every row kept, with
@@ -53,7 +54,6 @@ item, order included.  ``torsion_loop`` evaluates every torsion component
 through ``Connection.gamma``.
 """
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -73,7 +73,6 @@ from natforms.tensor import (
     TensorField,
     TensorShape,
     _flat,
-    antisymmetrize_pair,
 )
 
 
@@ -263,8 +262,16 @@ def apply_scheme_loop(scheme, field):
 
 def project_schemes_all(schemes, field):
     """Each scheme's value on the source field, antisymmetrized in the
-    target's first covariant pair, one scheme at a time."""
-    return [antisymmetrize_pair(apply_scheme_loop(s, field), 1, 2) for s in schemes]
+    target's first covariant pair, one scheme and one component at a time."""
+    out = []
+    for scheme in schemes:
+        value = apply_scheme_loop(scheme, field)
+        comps = []
+        for cov, contra in value.indices():
+            swapped = (cov[1], cov[0]) + cov[2:]
+            comps.append(value.get(cov, contra) - value.get(swapped, contra))
+        out.append(TensorField(value.shape, tuple(comps)))
+    return out
 
 
 def schemes_certificate_all(d):
@@ -386,9 +393,14 @@ def combine_terms_loop(shape, terms, products=None):
 
 def symmetrization_is_zero(n1):
     """Whether the sum of a (3,1) field over all six orderings of its
-    covariant slots is zero."""
-    orderings = [permute_covariant_loop(n1, perm) for perm in itertools.permutations((1, 2, 3))]
-    return functools.reduce(add, orderings).is_zero
+    covariant slots is zero, one component at a time."""
+    for cov, contra in n1.indices():
+        total = Polynomial.zero(n1.n)
+        for perm in itertools.permutations(cov):
+            total = total + n1.get(perm, contra)
+        if not total.is_zero:
+            return False
+    return True
 
 
 # -- exact linear algebra: whole-matrix Bareiss elimination ----------------------

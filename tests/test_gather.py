@@ -1,5 +1,5 @@
-"""The one scatter kernel behind contract, tensor_product, the contraction
-schemes and the sums of fields, and the constructions built from it,
+"""The one scatter kernel behind contract, the contraction schemes, the
+sums of fields and the delta fills, and the constructions built from it,
 checked exactly against loops that read one 1-based component at a time.
 A slot permutation and a scheme are each checked as the one scatter term
 the library builds for them."""
@@ -24,13 +24,7 @@ from natforms.geometry import (
     wedge_oneform_identity,
 )
 from natforms.poly import parse
-from natforms.tensor import (
-    TensorShape,
-    antisymmetrize_pair,
-    contract,
-    delta,
-    tensor_product,
-)
+from natforms.tensor import TensorShape, contract, delta
 from natforms.verify import RandomConnectionSpec, random_connections
 from reference_loops import (
     apply_scheme_loop,
@@ -42,18 +36,24 @@ from reference_loops import (
     wedge_endo_identity_loop,
     wedge_oneform_identity_loop,
 )
-from test_geometry import SEEDED_CONNECTIONS, random_field, random_form
-from test_tensor import field_from, permuted, sparse_fields
+from test_geometry import (
+    SEEDED_CONNECTIONS,
+    mixed_denominator_connection,
+    random_field,
+    random_form,
+)
+from test_tensor import antisymmetrized, field_from, permuted, sparse_fields
 
 
 def seeded_connection(n, density, seed):
     return random_connections(RandomConnectionSpec(seed=seed, dimension=n, density=density), 1)[0]
 
 
-def scheme_value(scheme, field):
-    """The scheme on a field of its source type, as one scatter term."""
-    shape = TensorShape(scheme.target.p, scheme.target.q, field.n)
-    return tensor._scatter(shape, [_scheme_term(1, scheme, field, range(1, shape.p + 1))])
+def scheme_value(scheme, source):
+    """The scheme on a field of its source type, or on a (x) b for a pair
+    (a, b), as one scatter term."""
+    target = scheme.target
+    return tensor._scatter(target, [_scheme_term(1, scheme, source, range(1, target.p + 1))])
 
 
 def assert_same(got, want):
@@ -88,12 +88,43 @@ def test_identity_constructions_match_loops(n, density, seed):
         assert_same(got.tensor, wedge_oneform_identity_loop(one_form).tensor)
     assert not got.tensor.is_zero
     two_forms = [contract(curvature(conn).tensor, 3, 1), exterior_derivative(theta)]
-    two_forms.append(antisymmetrize_pair(random_field(rng, n, 2, 0), 1, 2))
+    two_forms.append(antisymmetrized(random_field(rng, n, 2, 0)))
     for two_form in two_forms:
         got = tensor_identity(two_form)
         assert got.degree == 2
         assert_same(got.tensor, tensor_identity_loop(two_form).tensor)
     assert not got.tensor.is_zero
+
+
+def test_identity_fills_hold_the_source_polynomials():
+    """On forms of a connection with denominators 2 and 3, both fills with
+    the identity equal the loops, and no component is a product with the
+    constant 1: each is one of the source's own polynomials or a recorded
+    negation of one.  omega (x) I holds omega's objects; theta ^ I holds
+    theta_i at (i, j; j), -theta_j at (i, j; i), i < j, and at (j, i) the
+    recorded negation of the (i, j) component."""
+    conn = mixed_denominator_connection()
+    theta = contract(torsion(conn).tensor, 1, 1)
+    omegas = (contract(curvature(conn).tensor, 3, 1), exterior_derivative(theta))
+    cases = [(wedge_oneform_identity, wedge_oneform_identity_loop, theta)]
+    cases += [(tensor_identity, tensor_identity_loop, omega) for omega in omegas]
+    for build, loop, source in cases:
+        got = build(source).tensor
+        assert_same(got, loop(source).tensor)
+        assert not got.is_zero
+        sources = {id(c) for c in source.components}
+        outputs = {id(c) for c in got.components}
+        for pos in got.support:
+            c = got.components[pos]
+            if build is tensor_identity:
+                assert id(c) in sources, pos
+                continue
+            negated = c._negated
+            assert (
+                id(c) in sources
+                or id(negated) in sources
+                or (id(negated) in outputs and id(negated._negated) in sources)
+            ), pos
 
 
 @SEEDED_CONNECTIONS
@@ -137,11 +168,10 @@ def test_every_scheme_matches_loop_on_normal_tensors(n, density, seed):
     for scheme in enumerate_schemes(shape31, shape31):
         assert_same(scheme_value(scheme, n1), apply_scheme_loop(scheme, n1))
     n0 = Invariants(conn).normal0
-    n0_squared = tensor_product(n0, n0)
-    assert_same(n0_squared, tensor_product_loop(n0, n0))
+    n0_squared = tensor_product_loop(n0, n0)
     nonzero = 0
     for scheme in enumerate_schemes(TensorShape(4, 2, n), shape31):
-        got = scheme_value(scheme, n0_squared)
+        got = scheme_value(scheme, (n0, n0))
         assert_same(got, apply_scheme_loop(scheme, n0_squared))
         nonzero += not got.is_zero
     assert nonzero == 120
@@ -261,7 +291,9 @@ def test_pair_term_with_a_cross_contraction_and_a_fill_matches_the_loops(data):
     # last covariant slot p - 1 and the last contravariant slot p + q - 1
     feeds = [s - (s > ci) if s < p else s - (s > ki) for s in range(p + q)]
     feeds[ci] = feeds[ki] = p + q
-    pair_feeds = tuple(feeds[s] for s in tensor._product(a.shape, b.shape)[1])
+    # a (x) b's slot of each slot of a and then of b
+    order = (*range(pa), *range(p, p + qa), *range(pa, p), *range(p + qa, p + q))
+    pair_feeds = tuple(feeds[s] for s in order)
     got = tensor._scatter(
         TensorShape(p, q, a.n), [(1, (a, b), pair_feeds, ((p - 1, p + q - 1),))]
     )

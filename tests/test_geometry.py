@@ -40,7 +40,6 @@ from natforms.tensor import (
     contract,
     equal,
     is_antisymmetric,
-    tensor_product,
 )
 from natforms.verify import Derived, RandomConnectionSpec, random_connections
 from reference_loops import (
@@ -51,6 +50,7 @@ from reference_loops import (
     normal1_loop,
     permute_covariant_loop,
     symmetrization_is_zero,
+    tensor_product_loop,
     torsion_loop,
     wedge_endo_identity_loop,
 )
@@ -913,7 +913,7 @@ def normal1_by_tensor_ops(conn):
     term_a = permute(r, (3, 1, 2))                  # R_{kij}
     term_b = permute(r, (2, 3, 1))                  # R_{jki}
     term_d = permute(dtor, (3, 2, 1))               # (DTor)_{kji}
-    tt = tensor_product(tor, tor)                   # T^m_{ab} T^l_{cd}
+    tt = tensor_product_loop(tor, tor)              # T^m_{ab} T^l_{cd}
     cross = contract(tt, 3, 1)                      # sum_m T^m_{ab} T^l_{md}
     term_e = permute(cross, (3, 2, 1))              # T^m_{kj} T^l_{mi}
     term_f = contract(tt, 4, 1)                     # sum_m T^m_{ab} T^l_{cm}

@@ -623,6 +623,17 @@ def test_each_dimension_has_one_zero():
         Polynomial.zero(0)
 
 
+def test_a_result_with_no_term_left_is_the_kept_zero():
+    zero, x = Polynomial.zero(4), p("x1")
+    assert (x - x) is zero
+    assert x.partial_derivative(2) is zero
+    assert p("x1 - x1") is zero
+    assert Polynomial.combination(4, [(2, x), (-1, x + x)]) is zero
+    assert Polynomial.combination(4, []) is zero
+    # the constructor always makes a new object, equal to the kept zero
+    assert Polynomial(4) is not zero and Polynomial(4) == zero
+
+
 def test_negation_records_the_polynomial_it_negated():
     x = p("x1 - 1/2*x3")
     negated = -x

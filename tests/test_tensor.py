@@ -14,14 +14,12 @@ from natforms.poly import Polynomial, parse
 from natforms.tensor import (
     TensorField,
     TensorShape,
-    antisymmetrize_pair,
     contract,
     delta,
     equal,
     from_json_obj,
     is_antisymmetric,
     symmetrization_vanishes,
-    tensor_product,
     to_json_obj,
     zero,
 )
@@ -31,6 +29,7 @@ from reference_loops import (
     permute_covariant_loop,
     swap_perm,
     symmetrization_is_zero,
+    tensor_product_loop,
 )
 
 N = 4
@@ -54,6 +53,14 @@ def permuted(field, perm):
     return tensor._scatter(field.shape, [(1, field, feeds, ())])
 
 
+def antisymmetrized(field):
+    """The field minus itself with covariant slots 1 and 2 swapped, as the
+    skew patterns build it: one two-term scatter summed where i < j."""
+    rest = tuple(range(2, field.shape.p + field.shape.q))
+    terms = [(1, field, (0, 1) + rest, ()), (-1, field, (1, 0) + rest, ())]
+    return tensor._scatter(field.shape, terms, lower=2)
+
+
 def term_maps(field):
     """The coefficient view of every component, in storage order."""
     return [c.terms for c in field.components]
@@ -70,8 +77,9 @@ def _all_indices(shape):
 
 
 def test_scalar_one_is_product_unit():
+    # a pair term whose first factor, the scalar 1, has no slot
     t = field_from({((1, 2), (3,)): "x1", ((2, 1), (4,)): "-x3"}, p=2, q=1)
-    assert equal(tensor_product(constant_scalar(1), t), t)
+    assert equal(tensor._scatter(t.shape, [(1, (constant_scalar(1), t), (0, 1, 2), ())]), t)
 
 
 def test_delta_trace_is_dimension():
@@ -81,19 +89,15 @@ def test_delta_trace_is_dimension():
 
 
 def test_delta_squared_full_trace():
-    dd = tensor_product(delta(N), delta(N))
+    dd = tensor_product_loop(delta(N), delta(N))
     total = contract(contract(dd, 1, 1), 1, 1)
     assert total.components[0] == Polynomial.constant(N, N * N)
 
 
 def test_product_of_zero_fields_is_zero():
+    # the pair term of z (x) z, each factor's slots in place in its variance class
     z = zero(TensorShape(2, 1, N))
-    assert tensor_product(z, z).is_zero
-
-
-def test_product_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        tensor_product(delta(3), delta(4))
+    assert tensor._scatter(TensorShape(4, 2, N), [(1, (z, z), (0, 1, 4, 2, 3, 5), ())]).is_zero
 
 
 def test_contract_slot_out_of_range():
@@ -123,19 +127,16 @@ def test_permute_cycle_law():
     assert equal(twice, permuted(t, kij))
 
 
-def test_permute_rejects_non_permutation():
-    # the reindexing of an antisymmetrized skew pattern, and a pattern's
-    # three-slot reindexing on a base of two covariant slots
-    t = zero(TensorShape(3, 1, N))
-    with pytest.raises(ValueError, match="not a permutation"):
-        tensor._antisymmetrized(t, (1, 1, 2), 1, 2)
-    with pytest.raises(ValueError, match=r"\(1, 2, 3\) is not a permutation of 1..2"):
+def test_apply_pattern_refuses_a_base_that_is_not_3_1():
+    # a pattern's three-slot reindexing on a base of two covariant slots
+    with pytest.raises(ValueError, match=r"expected a \(3,1\) base"):
         apply_pattern(zero(TensorShape(2, 1, N)), PATTERN_ID)
 
 
 def test_insert_delta_on_one_form():
+    # a delta fill ties output slot 2 to output slot 3: theta_i delta^l_k
     theta = field_from({((1,), ()): "x2", ((3,), ()): "x4"}, p=1, q=0)
-    lifted = tensor_product(theta, delta(N))
+    lifted = tensor._scatter(TensorShape(2, 1, N), [(1, theta, (0,), ((1, 2),))])
     assert lifted.shape == TensorShape(2, 1, N)
     for i in range(1, N + 1):
         for k in range(1, N + 1):
@@ -145,31 +146,32 @@ def test_insert_delta_on_one_form():
 
 
 def test_insert_delta_full_trace_of_scalar():
-    lifted = tensor_product(constant_scalar(1), delta(N))
+    lifted = tensor._scatter(TensorShape(1, 1, N), [(1, constant_scalar(1), (), ((0, 1),))])
     assert contract(lifted, 1, 1).components[0] == Polynomial.constant(N, N)
 
 
 def test_antisymmetrize_symmetric_input_vanishes():
     sym = field_from({((1, 2), ()): "x3", ((2, 1), ()): "x3"}, p=2, q=0)
-    assert antisymmetrize_pair(sym, 1, 2).is_zero
+    assert antisymmetrized(sym).is_zero
 
 
 def test_antisymmetrize_doubles_antisymmetric_input():
     anti = field_from({((1, 2), ()): "x3", ((2, 1), ()): "-x3"}, p=2, q=0)
-    assert equal(antisymmetrize_pair(anti, 1, 2), anti.scale(2))
+    assert equal(antisymmetrized(anti), anti.scale(2))
 
 
 def test_antisymmetrize_is_projector_up_to_scale():
     t = field_from({((1, 2), (3,)): "x1", ((2, 2), (1,)): "x2*x3"}, p=2, q=1)
-    once = antisymmetrize_pair(t, 1, 2)
-    twice = antisymmetrize_pair(once, 1, 2)
+    once = antisymmetrized(t)
+    twice = antisymmetrized(once)
     assert equal(twice, once.scale(2))
 
 
 def test_antisymmetrize_sets_verified_metadata():
     t = field_from({((1, 2), (3,)): "x1"}, p=2, q=1)
     assert not is_antisymmetric(t, 1, 2)
-    assert is_antisymmetric(antisymmetrize_pair(t, 2, 1), 1, 2)
+    assert is_antisymmetric(antisymmetrized(t), 1, 2)
+    assert is_antisymmetric(antisymmetrized(t), 2, 1)
 
 
 def assert_antisymmetry_matches_reference(t):
@@ -194,7 +196,7 @@ def test_is_antisymmetric_on_non_adjacent_slots():
     t = field_from(
         {((1, 2, 3), (4,)): "x1", ((2, 2, 1), (1,)): "x2*x3", ((4, 1, 1), (2,)): "3"}, p=3, q=1
     )
-    outer = antisymmetrize_pair(t, 1, 3)
+    outer = t - permute_covariant_loop(t, (3, 2, 1))
     assert is_antisymmetric(outer, 1, 3) and is_antisymmetric(outer, 3, 1)
     assert not is_antisymmetric(outer, 1, 2) and not is_antisymmetric(outer, 2, 3)
     assert_antisymmetry_matches_reference(t)
@@ -323,16 +325,10 @@ def test_contract_commutes_with_uninvolved_permutation(t):
 @given(small_fields(2, 1))
 @settings(max_examples=40)
 def test_antisymmetrize_output_negates_under_swap(t):
-    out = antisymmetrize_pair(t, 1, 2)
+    out = antisymmetrized(t)
     assert is_antisymmetric(out, 1, 2)
     swapped = permuted(out, (2, 1))
     assert equal(swapped, -out)
-
-
-@given(small_fields(1, 0), small_fields(1, 1), small_fields(0, 1))
-@settings(max_examples=30)
-def test_tensor_product_associative(a, b, c):
-    assert equal(tensor_product(tensor_product(a, b), c), tensor_product(a, tensor_product(b, c)))
 
 
 @given(small_fields(3, 1), st.integers(1, 3), st.integers(1, 3))
@@ -340,7 +336,7 @@ def test_tensor_product_associative(a, b, c):
 def test_is_antisymmetric_matches_permutation_reference(t, s1, s2):
     assert_antisymmetry_matches_reference(t)
     if s1 != s2:
-        assert_antisymmetry_matches_reference(antisymmetrize_pair(t, s1, s2))
+        assert_antisymmetry_matches_reference(t - permute_covariant_loop(t, swap_perm(3, s1, s2)))
 
 
 # -- sparse fields: the support and the readers that walk it ----------------------
@@ -495,11 +491,18 @@ def test_scatter_of_permuted_terms_matches_permute_scale_and_add(data):
 @given(sparse_fields([(p, q) for p in range(2, 5) for q in range(5 - p)]))
 @settings(max_examples=40)
 def test_antisymmetrize_pair_matches_the_loop_reference_at_every_slot_pair(t):
-    identity = tuple(range(1, t.shape.p + 1))
-    for s1, s2 in itertools.permutations(range(1, t.shape.p + 1), 2):
-        swap = swap_perm(t.shape.p, s1, s2)
+    """The two-term scatter of t and t with slots s1, s2 swapped, in full
+    at every slot pair and, at (1, 2), summed at i < j and alternated."""
+    p, q = t.shape.p, t.shape.q
+    identity = tuple(range(1, p + 1))
+    contra = tuple(range(p, p + q))
+    for s1, s2 in itertools.permutations(range(1, p + 1), 2):
+        swap = swap_perm(p, s1, s2)
         want = combine_terms_loop(t.shape, [(1, t, identity), (-1, t, swap)])
-        assert term_maps(antisymmetrize_pair(t, s1, s2)) == want, (s1, s2)
+        terms = [(1, t, tuple(range(p + q)), ()), (-1, t, tuple(s - 1 for s in swap) + contra, ())]
+        assert term_maps(tensor._scatter(t.shape, terms)) == want, (s1, s2)
+        if (s1, s2) == (1, 2):
+            assert term_maps(antisymmetrized(t)) == want
 
 
 def test_scatter_shares_a_lone_unit_term_and_records_a_lone_negation():
@@ -564,18 +567,14 @@ def test_a_recorded_negation_at_the_wrong_partner_fails():
 # -- the symmetrization over one representative per orbit ----------------------------
 
 
-def antisymmetrized(draw, t):
-    s1, s2 = draw(st.sampled_from([(1, 2), (1, 3), (2, 3)]))
-    return antisymmetrize_pair(t, s1, s2)
-
-
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_symmetrization_vanishes_matches_the_six_permutation_reference(data):
     t = data.draw(sparse_fields([(3, 1)]))
     assert symmetrization_vanishes(t) == symmetrization_is_zero(t)
     # antisymmetric in one pair: the full symmetrization is zero
-    anti = antisymmetrized(data.draw, t)
+    s1, s2 = data.draw(st.sampled_from([(1, 2), (1, 3), (2, 3)]))
+    anti = t - permute_covariant_loop(t, swap_perm(3, s1, s2))
     assert symmetrization_vanishes(anti) and symmetrization_is_zero(anti)
     # the sum of the two stays zero iff t's symmetrization does
     both = t + anti
@@ -614,36 +613,35 @@ def test_symmetrization_of_curvature_terms():
 
 @st.composite
 def alternating_values(draw):
-    """A shape, 1 to 3 increasing covariant slots, contiguous or not, and up
-    to 4 (position, value) pairs at strictly increasing indices there, some
-    values zero."""
+    """A shape, a count k of leading alternating covariant slots, 0 to 3,
+    and up to 4 (position, value) pairs at strictly increasing indices
+    there, some values zero."""
     n = draw(st.integers(2, 4))
     p, q = draw(st.integers(1, 4 if n < 4 else 3)), draw(st.integers(0, 1))
-    slots = sorted(draw(st.lists(st.integers(1, p), min_size=1, max_size=min(p, 3), unique=True)))
+    k = draw(st.integers(0, min(p, 3)))
     increasing = [
         pos
         for pos, idx in enumerate(itertools.product(range(n), repeat=p + q))
-        if all(idx[a - 1] < idx[b - 1] for a, b in zip(slots, slots[1:]))
+        if all(a < b for a, b in zip(idx[:k], idx[1:k]))
     ]
     values = []
     if increasing:
         values_of = st.one_of(nonzero_polys(n), st.just(Polynomial.zero(n)))
         for pos in draw(st.lists(st.sampled_from(increasing), max_size=4, unique=True)):
             values.append((pos, draw(values_of)))
-    return TensorShape(p, q, n), tuple(slots), values
+    return TensorShape(p, q, n), k, values
 
 
-def assert_alternates(field, slots, values):
-    """Each even ordering of the slots holds the value given at increasing
-    indices, each odd one the one recorded negation of it, and every other
-    component, repeated indices and zero values included, the one zero."""
+def assert_alternates(field, k, values):
+    """Each even ordering of the first k slots holds the value given at
+    increasing indices, each odd one the one recorded negation of it, and
+    every other component, repeated indices and zero values included, the
+    one zero."""
     n, comps, given = field.shape.n, field.components, dict(values)
     negations = {}
     for pos, idx in enumerate(itertools.product(range(n), repeat=field.shape.p + field.shape.q)):
-        digits = [idx[s - 1] for s in slots]
-        sorted_idx = list(idx)
-        for s, v in zip(slots, sorted(digits)):
-            sorted_idx[s - 1] = v
+        digits = idx[:k]
+        sorted_idx = sorted(digits) + list(idx[k:])
         value = given.get(tensor._flat(n, sorted_idx)) if len(set(digits)) == len(digits) else None
         if value is None or not value.numerators:
             assert not comps[pos].numerators, pos
@@ -655,26 +653,26 @@ def assert_alternates(field, slots, values):
     zeros = {id(c) for c in comps if not c.numerators}
     assert len(zeros) <= 1  # a zero value is skipped, not stored
     assert all(len(held) == 1 for held in negations.values())
-    if len(slots) == 1:
+    if k < 2:
         assert not negations  # no odd ordering, so no negation is built
 
 
 @given(alternating_values())
 @settings(max_examples=30)
 def test_alternating_holds_one_object_per_class(drawn):
-    shape, slots, values = drawn
-    assert_alternates(tensor._alternating(shape, slots, values), slots, values)
+    shape, k, values = drawn
+    assert_alternates(tensor._alternating(shape, k, values), k, values)
 
 
-@pytest.mark.parametrize("slots", [(1,), (1, 2), (2, 3), (1, 3), (1, 2, 3)])
-def test_alternating_pinned_values(slots):
+@pytest.mark.parametrize("k", range(4))
+def test_alternating_pinned_values(k):
     # a value at every increasing index tuple, every fifth of them zero
     shape = TensorShape(3, 1, 3)
     values = []
     for pos, idx in enumerate(itertools.product(range(3), repeat=4)):
-        if all(idx[a - 1] < idx[b - 1] for a, b in zip(slots, slots[1:])):
+        if all(a < b for a, b in zip(idx[:k], idx[1:k])):
             values.append((pos, parse(f"x1 + {pos}", 3) if pos % 5 else Polynomial.zero(3)))
-    field = tensor._alternating(shape, slots, values)
-    assert_alternates(field, slots, values)
-    for s1, s2 in itertools.combinations(slots, 2):
+    field = tensor._alternating(shape, k, values)
+    assert_alternates(field, k, values)
+    for s1, s2 in itertools.combinations(range(1, k + 1), 2):
         assert is_antisymmetric(field, s1, s2)
